@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -19,26 +20,14 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         config = config.replace(master_seed=args.seed)
     if args.mobility_trace:
-        config = config.replace(
-            mobility=config.mobility.__class__(
-                max_speed_mps=config.mobility.max_speed_mps,
-                pause_s=config.mobility.pause_s,
-                min_speed_fraction=config.mobility.min_speed_fraction,
-                trace_path=args.mobility_trace))
+        config = config.replace(mobility=dataclasses.replace(
+            config.mobility, trace_path=args.mobility_trace))
     if args.ts_matrix:
-        config = config.replace(
-            social=config.social.__class__(
-                mu_ts=config.social.mu_ts, sigma_ts=config.social.sigma_ts,
-                matrix_path=args.ts_matrix))
+        config = config.replace(social=dataclasses.replace(
+            config.social, matrix_path=args.ts_matrix))
     if args.video_trace:
-        config = config.replace(
-            video=config.video.__class__(
-                flows=config.video.flows, fps=config.video.fps,
-                target_rate_bps=config.video.target_rate_bps,
-                pattern=config.video.pattern,
-                sigma_log=config.video.sigma_log,
-                max_packet_bytes=config.video.max_packet_bytes,
-                start_s=config.video.start_s, trace_path=args.video_trace))
+        config = config.replace(video=dataclasses.replace(
+            config.video, trace_path=args.video_trace))
     result = run_once_to_dir(config, args.out)
     print(f"run complete: {result.total_delivered}/{result.total_generated} "
           f"video packets delivered "
@@ -72,9 +61,7 @@ def _cmd_sweep(args) -> int:
     base = load_config_file(args.config)
     spec = _load_grid(args.grid)
     if args.reps is not None:
-        spec = SweepSpec(w_ts_grid=spec.w_ts_grid, mu_grid=spec.mu_grid,
-                         density_grid=spec.density_grid, repetitions=args.reps,
-                         confidence=spec.confidence)
+        spec = dataclasses.replace(spec, repetitions=args.reps)
     table = run_sweep(base, spec, args.out, workers=args.workers)
     print(f"{len(table)} sweep rows -> {args.out}/sweep_table.csv")
     return 0

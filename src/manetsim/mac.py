@@ -65,41 +65,37 @@ class NodeQueues:
                 return q.popleft()
         return None
 
-    def backlog(self) -> int:
-        return sum(len(q) for q in self.queues)
-
-    def drain(self) -> list[Packet]:
-        left = []
-        for q in self.queues:
-            left.extend(q)
-            q.clear()
-        return left
-
 
 class MacLayer:
-    """All nodes' queues plus the neighborhood load metric."""
+    """All nodes' queues plus the neighborhood load metric.
+
+    Packets enter and leave the queues only through ``enqueue`` and
+    ``dequeue_next``, which keep the set of nodes with a nonempty queue.
+    """
 
     def __init__(self, node_ids: list[int],
                  capacity: int = DEFAULT_QUEUE_CAPACITY,
                  neighbor_provider=None):
         self.nodes = {n: NodeQueues(capacity=capacity) for n in node_ids}
         self._neighbor_provider = neighbor_provider  # (node, t) -> iterable
+        self._backlogged: set[int] = set()
 
     def enqueue(self, node: int, packet: Packet) -> bool:
-        return self.nodes[node].enqueue(packet)
+        if self.nodes[node].enqueue(packet):
+            self._backlogged.add(node)
+            return True
+        return False
 
     def dequeue_next(self, node: int) -> Packet | None:
-        return self.nodes[node].dequeue_next()
-
-    def backlog(self, node: int) -> int:
-        return self.nodes[node].backlog()
+        state = self.nodes[node]
+        packet = state.dequeue_next()
+        if not any(state.queues):
+            self._backlogged.discard(node)
+        return packet
 
     def neighborhood_load(self, node: int, t: float) -> int:
         """1 + number of neighbors with a nonempty MAC queue at t."""
         if self._neighbor_provider is None:
             return 1
-        load = 1
-        for nbr in self._neighbor_provider(node, t):
-            if self.nodes[nbr].backlog() > 0:
-                load += 1
-        return load
+        return 1 + len(self._backlogged.intersection(
+            self._neighbor_provider(node, t)))

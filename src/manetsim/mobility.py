@@ -13,6 +13,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class TraceFormatError(ValueError):
     """A waypoint trace file violated the format or its invariants."""
@@ -174,6 +176,52 @@ def position_at(trace: MobilityTrace, node: int, t: float) -> tuple[float, float
     frac = (t - times[i]) / (times[i + 1] - times[i])
     return (xs[i] + frac * (xs[i + 1] - xs[i]),
             ys[i] + frac * (ys[i + 1] - ys[i]))
+
+
+class WaypointArrays:
+    """A trace's waypoints as padded arrays, to interpolate every node at once.
+
+    Row k holds node ``trace.node_ids[k]``: its waypoints, then at least one
+    pad column of time +inf at its last position, so every row has a
+    segment end.  ``positions_at`` applies the same float operations as
+    :func:`position_at`, so each coordinate equals it exactly.
+    """
+
+    def __init__(self, trace: MobilityTrace):
+        ids = trace.node_ids
+        width = 1 + max(len(trace.waypoints[n][0]) for n in ids)
+        self.duration = trace.duration
+        self.times = np.full((len(ids), width), np.inf)
+        self.xs = np.empty((len(ids), width))
+        self.ys = np.empty((len(ids), width))
+        self.last = np.empty(len(ids), dtype=np.intp)
+        for row, node in enumerate(ids):
+            times, xs, ys = trace.waypoints[node]
+            k = len(times)
+            self.times[row, :k] = times
+            self.xs[row, :k] = xs
+            self.xs[row, k:] = xs[-1]
+            self.ys[row, :k] = ys
+            self.ys[row, k:] = ys[-1]
+            self.last[row] = k - 1
+        self._rows = np.arange(len(ids))
+
+    def positions_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(xs, ys) of every node at t, in ``trace.node_ids`` order."""
+        if not (0.0 <= t <= self.duration):
+            raise ValueError(f"t={t} outside [0, {self.duration}]")
+        i = np.count_nonzero(self.times <= t, axis=1) - 1  # bisect_right - 1
+        seg = np.maximum(i, 0)
+        rows = self._rows
+        t0 = self.times[rows, seg]
+        x0 = self.xs[rows, seg]
+        y0 = self.ys[rows, seg]
+        frac = (t - t0) / (self.times[rows, seg + 1] - t0)
+        x = x0 + frac * (self.xs[rows, seg + 1] - x0)
+        y = y0 + frac * (self.ys[rows, seg + 1] - y0)
+        # before the first waypoint, after the last or exactly on one
+        hold = (i < 0) | (i >= self.last) | (t0 == t)
+        return np.where(hold, x0, x), np.where(hold, y0, y)
 
 
 def velocity_at(trace: MobilityTrace, node: int, t: float) -> tuple[float, float]:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -25,8 +24,6 @@ SIGNALING_CLASSES = frozenset(
 DROP_CAUSES = ("queue-overflow", "link-break", "corruption", "no-route",
                "end-of-run")
 
-_packet_ids = itertools.count()
-
 
 @dataclass
 class Packet:
@@ -42,7 +39,6 @@ class Packet:
     seq: int | None = None
     payload: dict = field(default_factory=dict)
     hop_index: int = 0              # index into route of the current holder
-    pid: int = field(default_factory=lambda: next(_packet_ids))
 
     @property
     def current_node(self) -> int:

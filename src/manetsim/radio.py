@@ -14,6 +14,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 
@@ -92,10 +94,14 @@ class Medium:
     one-entry cache of the last connectivity snapshot, keyed by query time.
     """
 
-    def __init__(self, spec: RadioSpec, position_of, node_ids: list[int]):
+    def __init__(self, spec: RadioSpec, position_of, positions_at,
+                 node_ids: list[int]):
         self.spec = spec
         self._position_of = position_of  # callable (node, t) -> (x, y)
+        # callable t -> (xs, ys) arrays, one entry per node in sorted order
+        self._positions_at = positions_at
         self.node_ids = sorted(node_ids)
+        self._ids = np.array(self.node_ids)
         self._graph_cache: dict[float, dict[int, list[int]]] = {}
 
     def link_state(self, a: int, b: int, t: float) -> LinkState:
@@ -111,22 +117,36 @@ class Medium:
         return set(self.connectivity(t)[node])
 
     def connectivity(self, t: float) -> dict[int, list[int]]:
-        """Adjacency lists (sorted) of the unit-disk graph at time t."""
+        """Adjacency lists (sorted) of the unit-disk graph at time t.
+
+        A pair is linked when ``(xb - xa) ** 2 + (yb - ya) ** 2`` is at most
+        the squared range.  Python's ``x ** 2`` goes through libm ``pow``,
+        which can round the last bit differently from the ``x * x`` taken
+        here, so pairs that close to the range edge are decided by the
+        scalar expression.
+        """
         cached = self._graph_cache.get(t)
         if cached is not None:
             return cached
-        pos = {n: self._position_of(n, t) for n in self.node_ids}
-        adj: dict[int, list[int]] = {n: [] for n in self.node_ids}
+        xs, ys = self._positions_at(t)
+        dx = xs - xs[:, None]  # dx[i, j] = xs[j] - xs[i]
+        dy = ys - ys[:, None]
+        d2 = dx * dx + dy * dy
         r2 = self.spec.tx_range_m ** 2
-        ids = self.node_ids
-        for i, a in enumerate(ids):
-            xa, ya = pos[a]
-            for b in ids[i + 1:]:
-                xb, yb = pos[b]
-                if (xb - xa) ** 2 + (yb - ya) ** 2 <= r2:
-                    adj[a].append(b)
-                    adj[b].append(a)
-        self._graph_cache[t] = adj
+        linked = d2 <= r2
+        # x * x and x ** 2 differ by at most an ulp, far inside this margin
+        edge = np.abs(d2 - r2) <= 1e-12 * r2
+        for i, j in zip(*np.nonzero(edge)):
+            linked[i, j] = float(dx[i, j]) ** 2 + float(dy[i, j]) ** 2 <= r2
+        np.fill_diagonal(linked, False)
+        # row-major order: each node's neighbours come out ascending
+        nbrs = self._ids[np.flatnonzero(linked) % len(self._ids)].tolist()
+        adj: dict[int, list[int]] = {}
+        start = 0
+        for node, count in zip(self.node_ids, linked.sum(axis=1).tolist()):
+            adj[node] = nbrs[start:start + count]
+            start += count
+        self._graph_cache = {t: adj}
         return adj
 
     def transmit(self, link: LinkState, size_bytes: int, load_factor: float,

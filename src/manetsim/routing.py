@@ -236,27 +236,6 @@ def discover_paths(adj: dict[int, list[int]], src: int, dst: int,
     return found[:limits.max_paths]
 
 
-class NeighborTable:
-    """One-hop neighbors learned from hello beacons, with expiry."""
-
-    EXPIRY_PERIODS = 3.0
-
-    def __init__(self) -> None:
-        self._expires: dict[int, float] = {}
-
-    def refresh(self, neighbor: int, now: float, beacon_period: float) -> None:
-        self._expires[neighbor] = now + self.EXPIRY_PERIODS * beacon_period
-
-    def alive(self, now: float) -> set[int]:
-        dead = [n for n, exp in self._expires.items() if exp <= now]
-        for n in dead:
-            del self._expires[n]
-        return set(self._expires)
-
-    def __contains__(self, neighbor: int) -> bool:
-        return neighbor in self._expires
-
-
 @dataclass
 class MonitoringIteration:
     """Everything one discovery/probe/selection cycle produced."""

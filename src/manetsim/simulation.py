@@ -13,7 +13,7 @@ from .engine import Simulator
 from .mac import MacLayer
 from .packets import DROP_CAUSES, Packet, PacketClass
 from .radio import Medium, transmission_delay
-from .routing import DiscoveryLimits, NeighborTable, SourceProtocol, discover_paths
+from .routing import DiscoveryLimits, SourceProtocol, discover_paths
 from .social import generate_ts_matrix, validate_ts_matrix
 from .video import CbrSpec, GopModel, VideoSource, decodeable_gops, packetize
 
@@ -111,7 +111,9 @@ class SimulationRun:
                 warmup_s=config.mobility.warmup_s)
         self.trace = mobility_trace
         self.node_ids = self.trace.node_ids
-        self.medium = Medium(config.radio, self._position_of, self.node_ids)
+        self._waypoints = mob.WaypointArrays(self.trace)
+        self.medium = Medium(config.radio, self._position_of,
+                             self._positions_at, self.node_ids)
         self.mac = MacLayer(self.node_ids, capacity=config.mac.queue_capacity,
                             neighbor_provider=self._neighbors_of)
         if ts_matrix is None:
@@ -121,7 +123,6 @@ class SimulationRun:
         else:
             validate_ts_matrix(ts_matrix)
         self.ts_matrix = ts_matrix
-        self.neighbor_tables = {n: NeighborTable() for n in self.node_ids}
         self.drops = {cause: 0 for cause in DROP_CAUSES}
         self.classes = {klass: ClassCounters() for klass in PacketClass}
         self.flow_stats: dict[int, FlowStats] = {}
@@ -141,6 +142,9 @@ class SimulationRun:
 
     def _position_of(self, node: int, t: float):
         return mob.position_at(self.trace, node, min(t, self.trace.duration))
+
+    def _positions_at(self, t: float):
+        return self._waypoints.positions_at(min(t, self.trace.duration))
 
     def _bucket(self, t: float) -> float:
         return math.floor(t / TOPOLOGY_QUANTUM_S) * TOPOLOGY_QUANTUM_S
@@ -248,15 +252,21 @@ class SimulationRun:
                           lambda: self._beacon_tick(node))
 
     def _deliver_beacon(self, node: int, t: float) -> None:
-        load = self.mac.neighborhood_load(node, t)
+        """Count the beacon delivered; nothing reads its reception.
+
+        The channel stream still gets the one draw per neighbour that a
+        unicast over that link would take (in range, corruption probability
+        above 0), so data and probe hops see the same draws.
+        """
         self.classes[PacketClass.BEACON].delivered += 1
+        spec = self.config.radio
+        xa, ya = self._position_of(node, t)
         for nbr in self._neighbors_of(node, t):
-            link = self.medium.link_state(node, nbr, t)
-            outcome = self.medium.transmit(link, self.config.beacon_bytes,
-                                           load, self._channel)
-            if outcome.delivered:
-                self.neighbor_tables[nbr].refresh(
-                    node, t + outcome.delay_s, self.config.beacon_period_s)
+            xb, yb = self._position_of(nbr, t)
+            dist = math.hypot(xb - xa, yb - ya)
+            if (dist <= spec.tx_range_m
+                    and spec.corruption_probability(spec.snr(dist)) > 0.0):
+                self._channel.random()
 
     # -- MAC service loop -----------------------------------------------------
 
@@ -273,7 +283,7 @@ class SimulationRun:
         state = self.mac.nodes[node]
         if state.transmitting:
             return
-        packet = state.dequeue_next()
+        packet = self.mac.dequeue_next(node)
         if packet is None:
             return
         state.transmitting = True

@@ -1,16 +1,20 @@
 import csv
+import dataclasses
+import hashlib
 import io
 import os
 
 import pytest
 from scipy import stats as scipy_stats
 
+from manetsim import cli
 from manetsim.cli import main as cli_main
 from manetsim.config import RunConfig, load_config_file
 from manetsim.harness import (SweepSpec, aggregate_sweep, mean_ci,
                               parse_sweep_table, point_config, point_seed,
-                              result_csv_text, run_once_to_dir, run_sweep,
-                              scenario_seed, write_report)
+                              protocol_log_csv_text, result_csv_text,
+                              run_once_to_dir, run_sweep, scenario_seed,
+                              write_report)
 from manetsim.simulation import run_simulation
 
 
@@ -102,6 +106,22 @@ class TestResultCsv:
                                      "usable", "survivors", "nstate",
                                      "t_routing", "selected", "mscore",
                                      "mean_ts"]
+
+
+class TestGoldenDigest:
+    def test_short_dense_run_bytes(self):
+        # 54 nodes for 30 s; a change that claims to keep behaviour keeps
+        # these digests
+        config = point_config(RunConfig(), 0.2, 3.0, 200,
+                              scenario_seed(1, 3.0, 200, 0)).replace(
+                                  duration_s=30.0)
+        result, rows = run_simulation(config)
+        digests = [hashlib.sha256(text.encode()).hexdigest() for text in
+                   (result_csv_text(result), protocol_log_csv_text(rows))]
+        assert digests == [
+            "a1ffb612320d3ed0123659757eb9e0b1215de6e4ce1edb9f5db3c3534f0427dc",
+            "36e91f02b6c02ab140e9b9aee88d312f433ceb344f0e967a919e54910593831c",
+        ]
 
 
 class TestSweep:
@@ -256,6 +276,29 @@ class TestCliFileInterfaces:
                          "--mobility-trace", str(trace_path)])
         assert code == 0
         assert (out / "result.csv").exists()
+
+    def test_mobility_trace_flag_keeps_other_fields(self, tmp_path,
+                                                     monkeypatch):
+        config_path = tmp_path / "cfg.yaml"
+        config_path.write_text("nodes: 2\nduration_s: 4\n"
+                               "mobility: {warmup_s: 45.0}\n"
+                               "video: {flows: 1}\ncbr: {flows: 0}\n")
+        trace_path = tmp_path / "trace.txt"
+        trace_path.write_text("0.0 100.0 100.0\n0.0 150.0 100.0\n")
+        seen = []
+
+        def run_once(config, out_dir):
+            seen.append(config)
+            return run_once_to_dir(config, out_dir)
+
+        monkeypatch.setattr(cli, "run_once_to_dir", run_once)
+        assert cli_main(["simulate", "--config", str(config_path),
+                         "--out", str(tmp_path / "out"),
+                         "--mobility-trace", str(trace_path)]) == 0
+        loaded = load_config_file(config_path)
+        assert seen == [loaded.replace(mobility=dataclasses.replace(
+            loaded.mobility, trace_path=str(trace_path)))]
+        assert seen[0].mobility.warmup_s == 45.0
 
     def test_ts_matrix_flag(self, tmp_path):
         config_path = self.write_config(tmp_path)

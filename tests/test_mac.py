@@ -1,3 +1,5 @@
+import random
+
 from manetsim.mac import AccessCategory, MacLayer, NodeQueues, PRIORITY_MAP
 from manetsim.packets import Packet, PacketClass
 
@@ -87,6 +89,26 @@ class TestNeighborhoodLoad:
     def test_without_provider_load_is_one(self):
         mac = MacLayer([0])
         assert mac.neighborhood_load(0, 0.0) == 1
+
+    def test_matches_queue_scan_through_churn(self):
+        # enqueues, overflow rejections and dequeues that empty a node
+        nodes = list(range(6))
+        mac = MacLayer(nodes, capacity=2, neighbor_provider=lambda n, t: [
+            m for m in nodes if m != n])
+        rng = random.Random(5)
+        rejected = emptied = 0
+        for _ in range(2000):
+            node = rng.choice(nodes)
+            if rng.random() < 0.5:
+                klass = rng.choice([PacketClass.BEACON, PacketClass.CBR])
+                rejected += not mac.enqueue(node, packet(klass))
+            elif mac.dequeue_next(node) is not None:
+                emptied += not any(mac.nodes[node].queues)
+            for n in nodes:
+                scan = 1 + sum(any(mac.nodes[m].queues)
+                               for m in nodes if m != n)
+                assert mac.neighborhood_load(n, 0.0) == scan
+        assert rejected > 0 and emptied > 0
 
 
 class TestDifferentiationUnderSaturation:

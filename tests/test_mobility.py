@@ -4,8 +4,8 @@ import random
 import pytest
 
 from manetsim.mobility import (AreaSpec, MobilityTrace, TraceFormatError,
-                               generate_waypoint_trace, import_trace,
-                               position_at, velocity_at)
+                               WaypointArrays, generate_waypoint_trace,
+                               import_trace, position_at, velocity_at)
 
 AREA = AreaSpec(520.0, 520.0, 27)
 
@@ -111,6 +111,49 @@ class TestPositionAt:
     def test_velocity_on_segment(self):
         vx, vy = velocity_at(hand_trace(), 0, 5.0)
         assert (vx, vy) == (10.0, 0.0)
+
+
+class TestWaypointArrays:
+    """All-node interpolation against the scalar position_at loop, bit for
+    bit."""
+
+    @staticmethod
+    def assert_matches_scalar(trace, times):
+        arrays = WaypointArrays(trace)
+        for t in times:
+            xs, ys = arrays.positions_at(t)
+            got = [(x.hex(), y.hex()) for x, y in zip(xs.tolist(),
+                                                      ys.tolist())]
+            want = [tuple(c.hex() for c in position_at(trace, node, t))
+                    for node in trace.node_ids]
+            assert got == want, f"t={t!r}"
+
+    def test_random_walks_at_random_and_waypoint_times(self):
+        rng = random.Random(11)
+        for pause in (0.0, 5.0):
+            trace = generate_waypoint_trace(AREA, 2.0, 200.0, rng,
+                                            pause_s=pause, warmup_s=50.0)
+            on_waypoints = [t for times, _, _ in trace.waypoints.values()
+                            for t in times if t <= trace.duration]
+            times = ([0.0, trace.duration] + on_waypoints
+                     + [rng.uniform(0.0, 200.0) for _ in range(300)])
+            self.assert_matches_scalar(trace, times)
+
+    def test_before_first_after_last_and_static_nodes(self):
+        trace = MobilityTrace(area=AreaSpec(520.0, 520.0, 4), duration=100.0)
+        trace.waypoints[0] = ([10.0, 30.0], [0.0, 90.0], [5.0, 7.0])
+        trace.waypoints[1] = ([0.0, 20.0, 50.0], [1.0, 2.5, 400.0],
+                              [3.0, 3.0, 0.0])
+        trace.waypoints[2] = ([0.0], [260.0], [130.0])
+        trace.waypoints[3] = ([40.0], [17.0], [19.0])
+        times = [0.0, 5.0, 10.0, 12.5, 20.0, 29.9, 30.0, 40.0, 49.99, 50.0,
+                 60.0, 100.0]
+        self.assert_matches_scalar(trace, times)
+
+    def test_time_out_of_range(self):
+        arrays = WaypointArrays(hand_trace())
+        with pytest.raises(ValueError):
+            arrays.positions_at(10.5)
 
 
 class TestImport:

@@ -1,16 +1,37 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from manetsim.mobility import (AreaSpec, WaypointArrays,
+                               generate_waypoint_trace, position_at)
 from manetsim.radio import Medium, RadioSpec, transmission_delay
 
 
 def static_medium(positions, spec=None):
     spec = spec or RadioSpec()
+    ids = sorted(positions)
+    xs = np.array([positions[n][0] for n in ids])
+    ys = np.array([positions[n][1] for n in ids])
     return Medium(spec, lambda node, t: positions[node],
-                  list(range(len(positions))))
+                  lambda t: (xs, ys), ids)
+
+
+def pairwise_connectivity(spec, position_of, node_ids, t):
+    """Reference snapshot: the scalar loop over every pair of nodes."""
+    pos = {n: position_of(n, t) for n in node_ids}
+    adj = {n: [] for n in node_ids}
+    r2 = spec.tx_range_m ** 2
+    for i, a in enumerate(node_ids):
+        xa, ya = pos[a]
+        for b in node_ids[i + 1:]:
+            xb, yb = pos[b]
+            if (xb - xa) ** 2 + (yb - ya) ** 2 <= r2:
+                adj[a].append(b)
+                adj[b].append(a)
+    return adj
 
 
 class TestRadioSpec:
@@ -151,6 +172,39 @@ class TestConnectivityGraph:
                     continue
                 d = math.dist(positions[a], positions[b])
                 assert (b in adj[a]) == (d <= 120.0)
+
+    def test_matches_pairwise_reference_on_random_walks(self):
+        spec = RadioSpec()
+        rng = random.Random(21)
+        trace = generate_waypoint_trace(AreaSpec(520.0, 520.0, 54), 2.0,
+                                        200.0, rng, warmup_s=300.0)
+        medium = Medium(spec, lambda n, t: position_at(trace, n, t),
+                        WaypointArrays(trace).positions_at, trace.node_ids)
+        times = [0.0, 200.0] + [rng.uniform(0.0, 200.0) for _ in range(150)]
+        times += [t for n in range(10) for t in trace.waypoints[n][0]
+                  if t <= 200.0]
+        for t in times:
+            assert medium.connectivity(t) == pairwise_connectivity(
+                spec, medium._position_of, trace.node_ids, t), f"t={t!r}"
+
+    @pytest.mark.parametrize("far", [
+        (120.0, 0.0),  # exactly at range
+        (72.0, 96.0),  # exactly at range, 3-4-5 triangle
+        # x ** 2 (libm pow) and x * x round these pairs to opposite sides
+        (10.493151554772574, 119.54034369387004),
+        (57.77210581213665, 105.17786739628869),
+    ])
+    def test_range_edge_matches_pairwise_reference(self, far):
+        positions = {0: (0.0, 0.0), 1: far, 2: (far[0] / 2, far[1] / 2)}
+        medium = static_medium(positions)
+        assert medium.connectivity(0.0) == pairwise_connectivity(
+            medium.spec, lambda n, t: positions[n], [0, 1, 2], 0.0)
+
+    def test_cache_keeps_one_snapshot(self):
+        medium = static_medium({0: (0.0, 0.0), 1: (50.0, 0.0)})
+        for t in (0.0, 0.1, 0.2, 0.1):
+            medium.connectivity(t)
+        assert list(medium._graph_cache) == [0.1]
 
     def test_adjacency_sorted(self):
         medium = static_medium({0: (0.0, 0.0), 1: (50.0, 0.0),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_utils
-from manetsim.routing import (CustomerRequest, DiscoveryLimits, NeighborTable,
+from manetsim.routing import (CustomerRequest, DiscoveryLimits,
                               PathQualification, ScoringWeights,
                               discover_paths, filter_paths, mscore, qualify,
                               select_best, update_nstate, update_t_routing)
@@ -257,21 +257,6 @@ class TestSelfConfiguration:
     @settings(max_examples=100, deadline=None)
     def test_t_routing_always_in_band(self, nstate):
         assert 3.0 <= update_t_routing(nstate) <= 13.0
-
-
-class TestNeighborTable:
-    def test_refresh_then_alive(self):
-        table = NeighborTable()
-        table.refresh(7, now=10.0, beacon_period=1.0)
-        assert 7 in table
-        assert table.alive(now=10.5) == {7}
-
-    def test_expiry_after_three_periods(self):
-        table = NeighborTable()
-        table.refresh(7, now=10.0, beacon_period=1.0)
-        assert table.alive(now=12.9) == {7}
-        assert table.alive(now=13.0) == set()
-        assert 7 not in table
 
 
 class TestRankingInvarianceAtZeroWeight:

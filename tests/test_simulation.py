@@ -174,22 +174,31 @@ class TestAccounting:
 
 
 class TestBeacons:
-    def test_neighbor_tables_learn_and_expire(self):
-        config = two_node_config(node_count=3, duration_s=20.0,
-                                 video=VideoConfig(flows=1))
-        trace = MobilityTrace(area=AreaSpec(520.0, 520.0, 3), duration=20.0)
-        trace.waypoints[0] = ([0.0], [0.0], [0.0])
-        trace.waypoints[1] = ([0.0], [60.0], [0.0])
-        # node 2 starts adjacent to 1, then leaves everyone's range
-        trace.waypoints[2] = ([0.0, 5.0, 7.0], [120.0, 120.0, 500.0],
-                              [0.0, 0.0, 400.0])
+    def test_one_channel_draw_per_corruptible_neighbor(self):
+        # from node 0: node 1 at 20 m has over 20 dB of SNR margin and is
+        # never corrupted, node 2 at 100 m is, node 3 is out of range, and
+        # node 4 is at 110 m at t = 1.0 but 130 m at t = 1.05
+        config = two_node_config(node_count=5, duration_s=10.0)
+        trace = static_trace([(0.0, 0.0), (20.0, 0.0), (100.0, 0.0),
+                              (400.0, 400.0), (0.0, 0.0)], duration=10.0)
+        trace.waypoints[4] = ([0.0, 1.0, 2.0], [110.0, 110.0, 510.0],
+                              [0.0, 0.0, 0.0])
         run = SimulationRun(config, mobility_trace=trace,
-                            ts_matrix=full_ts(3))
-        run.run()
-        assert 1 in run.neighbor_tables[0].alive(19.0)
-        assert 0 in run.neighbor_tables[1].alive(19.0)
-        # node 2 left before t=7+: its entries must have expired
-        assert 2 not in run.neighbor_tables[1].alive(19.0)
+                            ts_matrix=full_ts(5))
+
+        class CountingStream:
+            draws = 0
+
+            def random(self):
+                self.draws += 1
+                return 0.5
+
+        run._channel = CountingStream()
+        run._deliver_beacon(0, 1.0)
+        assert run._channel.draws == 2
+        # node 4 is still in the t = 1.0 snapshot but out of range at 1.05
+        run._deliver_beacon(0, 1.05)
+        assert run._channel.draws == 3
 
     def test_beacons_are_signaling_class(self):
         config = two_node_config(duration_s=10.0)
