@@ -7,12 +7,12 @@ import dataclasses
 import os
 import sys
 
-import yaml
-
-from .config import ConfigError, dump_config, load_config_file, scenario_config
+from .config import (ConfigError, dump_config, load_config_file, load_yaml,
+                     scenario_config)
 from .harness import (SweepSpec, run_once_to_dir, run_sweep, parse_sweep_table,
                       write_report, DEFAULT_W_TS_GRID, DEFAULT_MU_GRID,
-                      DEFAULT_DENSITY_GRID)
+                      DEFAULT_DENSITY_GRID, DEFAULT_REPETITIONS,
+                      DEFAULT_CONFIDENCE)
 
 
 def _cmd_simulate(args) -> int:
@@ -38,11 +38,31 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _grid_number(key: str, value, kind):
+    """``value`` as ``kind``; a float key takes an int, an int key only an
+    int, so equal grid points get equal seeds and run directories."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (kind is int and not isinstance(value, int))):
+        raise ConfigError(
+            f"grid {key}: expected {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _grid_list(data: dict, key: str, kind, default: tuple) -> tuple:
+    if key not in data:
+        return default
+    values = data[key]
+    if not isinstance(values, list) or not values:
+        raise ConfigError(
+            f"grid {key}: expected a non-empty list, got {values!r}")
+    return tuple(_grid_number(key, value, kind) for value in values)
+
+
 def _load_grid(path: str | None) -> SweepSpec:
     if path is None:
         return SweepSpec()
     with open(path, encoding="utf-8") as fh:
-        data = yaml.safe_load(fh.read()) or {}
+        data = load_yaml(fh.read(), "grid file") or {}
     if not isinstance(data, dict):
         raise ConfigError("grid file must be a mapping")
     unknown = set(data) - {"w_ts", "mu_ts", "density", "repetitions",
@@ -50,11 +70,13 @@ def _load_grid(path: str | None) -> SweepSpec:
     if unknown:
         raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
     return SweepSpec(
-        w_ts_grid=tuple(data.get("w_ts", DEFAULT_W_TS_GRID)),
-        mu_grid=tuple(data.get("mu_ts", DEFAULT_MU_GRID)),
-        density_grid=tuple(data.get("density", DEFAULT_DENSITY_GRID)),
-        repetitions=int(data.get("repetitions", 5)),
-        confidence=float(data.get("confidence", 0.90)))
+        w_ts_grid=_grid_list(data, "w_ts", float, DEFAULT_W_TS_GRID),
+        mu_grid=_grid_list(data, "mu_ts", float, DEFAULT_MU_GRID),
+        density_grid=_grid_list(data, "density", int, DEFAULT_DENSITY_GRID),
+        repetitions=_grid_number(
+            "repetitions", data.get("repetitions", DEFAULT_REPETITIONS), int),
+        confidence=_grid_number(
+            "confidence", data.get("confidence", DEFAULT_CONFIDENCE), float))
 
 
 def _cmd_sweep(args) -> int:

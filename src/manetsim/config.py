@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import yaml
 
@@ -106,25 +106,19 @@ class RunConfig:
     def area(self) -> AreaSpec:
         return AreaSpec(self.area_width_m, self.area_height_m, self.node_count)
 
-    @property
-    def weights(self) -> ScoringWeights:
-        return ScoringWeights(self.w_ts)
-
     def protocol_params(self) -> ProtocolParams:
         return ProtocolParams(
-            request=self.request, weights=self.weights, limits=self.limits,
-            beacon_period_s=self.beacon_period_s, pm_train=self.pm_train,
+            request=self.request, weights=ScoringWeights(self.w_ts),
+            limits=self.limits, pm_train=self.pm_train,
             pm_spacing_s=self.pm_spacing_s, pm_bytes=self.pm_bytes,
             pmr_bytes=self.pmr_bytes, probe_window_s=self.probe_window_s,
             decision_delay_s=self.decision_delay_s,
             alpha_tune=self.alpha_tune, beta_tune=self.beta_tune,
-            raw_sum_score=self.raw_sum_score, rm_span_db=20.0,
+            raw_sum_score=self.raw_sum_score,
             max_speed_mps=self.mobility.max_speed_mps)
 
     def replace(self, **kwargs) -> "RunConfig":
-        data = {f: getattr(self, f) for f in self.__dataclass_fields__}
-        data.update(kwargs)
-        return RunConfig(**data)
+        return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -333,12 +327,16 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
 
-def load_config(text: str) -> RunConfig:
+def load_yaml(text: str, what: str = "configuration"):
+    """Parse YAML that may not repeat a key; ConfigError on any fault."""
     try:
-        data = yaml.load(text, Loader=_StrictLoader)
+        return yaml.load(text, Loader=_StrictLoader)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"unparseable configuration: {exc}") from None
-    return parse_config(data or {})
+        raise ConfigError(f"unparseable {what}: {exc}") from None
+
+
+def load_config(text: str) -> RunConfig:
+    return parse_config(load_yaml(text) or {})
 
 
 def load_config_file(path) -> RunConfig:

@@ -39,7 +39,6 @@ class RngStreams:
     """Independent deterministic generators, one per named stream."""
 
     def __init__(self, master_seed: int, names: Sequence[str] = DEFAULT_STREAMS):
-        self.master_seed = master_seed
         self._streams = {
             name: random.Random(derive_stream_seed(master_seed, name))
             for name in names
@@ -51,98 +50,41 @@ class RngStreams:
         except KeyError:
             raise UnknownStreamError(name) from None
 
-    def draw(self, name: str, spec: tuple):
-        """Draw one variate described by ``spec`` from stream ``name``.
-
-        ``spec`` is ("uniform", a, b), ("normal", mu, sigma) or
-        ("choice", sequence).
-        """
-        rng = self.stream(name)
-        kind = spec[0]
-        if kind == "uniform":
-            return rng.uniform(spec[1], spec[2])
-        if kind == "normal":
-            return rng.gauss(spec[1], spec[2])
-        if kind == "choice":
-            return rng.choice(spec[1])
-        raise ValueError(f"unknown distribution {kind!r}")
-
-
-class EventHandle:
-    """Returned by :meth:`Simulator.schedule`; permits cancellation."""
-
-    __slots__ = ("time", "seq", "cancelled", "done")
-
-    def __init__(self, time: float, seq: int):
-        self.time = time
-        self.seq = seq
-        self.cancelled = False
-        self.done = False
-
 
 class EventQueue:
     """Time-ordered event queue with FIFO tie-break among equal timestamps."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, EventHandle, Callable[[], None]]] = []
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._next_seq = 0
-        self.scheduled = 0
-        self.cancelled = 0
         self.processed = 0
 
-    def __len__(self) -> int:
-        return self.scheduled - self.cancelled - self.processed
-
-    def push(self, at: float, action: Callable[[], None]) -> EventHandle:
-        handle = EventHandle(at, self._next_seq)
+    def push(self, at: float, action: Callable[[], None]) -> None:
+        heapq.heappush(self._heap, (at, self._next_seq, action))
         self._next_seq += 1
-        heapq.heappush(self._heap, (at, handle.seq, handle, action))
-        self.scheduled += 1
-        return handle
-
-    def cancel(self, handle: EventHandle) -> bool:
-        if handle.cancelled or handle.done:
-            return False
-        handle.cancelled = True
-        self.cancelled += 1
-        return True
 
     def peek_time(self) -> float | None:
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
         return self._heap[0][0] if self._heap else None
 
-    def pop(self) -> tuple[float, Callable[[], None]] | None:
-        while self._heap:
-            at, _seq, handle, action = heapq.heappop(self._heap)
-            if handle.cancelled:
-                continue
-            handle.done = True
-            self.processed += 1
-            return at, action
-        return None
+    def pop(self) -> tuple[float, Callable[[], None]]:
+        at, _seq, action = heapq.heappop(self._heap)
+        self.processed += 1
+        return at, action
 
 
 class Simulator:
     """Virtual clock plus event queue plus named random streams."""
 
-    def __init__(self, master_seed: int = 0,
-                 stream_names: Sequence[str] = DEFAULT_STREAMS):
+    def __init__(self, master_seed: int = 0):
         self.clock = 0.0
         self.queue = EventQueue()
-        self.rng = RngStreams(master_seed, stream_names)
+        self.rng = RngStreams(master_seed)
 
-    def schedule(self, at: float, action: Callable[[], None]) -> EventHandle:
+    def schedule(self, at: float, action: Callable[[], None]) -> None:
         if at < self.clock:
             raise SchedulingError(
                 f"cannot schedule at t={at}: clock already at t={self.clock}")
-        return self.queue.push(at, action)
-
-    def schedule_in(self, delay: float, action: Callable[[], None]) -> EventHandle:
-        return self.schedule(self.clock + delay, action)
-
-    def cancel(self, handle: EventHandle) -> bool:
-        return self.queue.cancel(handle)
+        self.queue.push(at, action)
 
     def run_until(self, end: float) -> None:
         """Process every event with timestamp <= end, then set clock = end."""
@@ -157,7 +99,3 @@ class Simulator:
             self.clock = at
             action()
         self.clock = end
-
-    @property
-    def pending(self) -> int:
-        return len(self.queue)

@@ -16,9 +16,6 @@ class PacketClass(Enum):
     CBR = "cbr"
 
 
-SIGNALING_CLASSES = frozenset(
-    {PacketClass.BEACON, PacketClass.PROBE, PacketClass.PROBE_REPLY})
-
 # Drop causes used by the accounting; "end-of-run" covers packets still
 # queued or in flight when the clock stops.
 DROP_CAUSES = ("queue-overflow", "link-break", "corruption", "no-route",
@@ -34,22 +31,12 @@ class Packet:
     route: tuple[int, ...]          # full source route, src first
     created_at: float
     flow_id: int | None = None
-    gop_index: int | None = None
-    frame_index: int | None = None
     seq: int | None = None
     payload: dict = field(default_factory=dict)
     hop_index: int = 0              # index into route of the current holder
-
-    @property
-    def current_node(self) -> int:
-        return self.route[self.hop_index]
 
     @property
     def next_node(self) -> int | None:
         if self.hop_index + 1 < len(self.route):
             return self.route[self.hop_index + 1]
         return None
-
-    @property
-    def hops(self) -> int:
-        return len(self.route) - 1

@@ -75,10 +75,6 @@ class TransmitOutcome:
     delay_s: float = 0.0
     cause: str | None = None
 
-    @property
-    def delivered(self) -> bool:
-        return self.status == "delivered"
-
 
 def transmission_delay(spec: RadioSpec, size_bytes: int,
                        load_factor: float) -> float:
@@ -112,9 +108,6 @@ class Medium:
         dist = math.hypot(xb - xa, yb - ya)
         return LinkState(a, b, dist, self.spec.snr(dist),
                          usable=dist <= self.spec.tx_range_m)
-
-    def neighbor_set(self, node: int, t: float) -> set[int]:
-        return set(self.connectivity(t)[node])
 
     def connectivity(self, t: float) -> dict[int, list[int]]:
         """Adjacency lists (sorted) of the unit-disk graph at time t.

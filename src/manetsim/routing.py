@@ -19,6 +19,7 @@ from .social import path_mean_ts
 
 QOS_METRIC_COUNT = 7
 TS_SCALE = 4.0
+RM_SPAN_DB = 20.0  # SNR margin that earns the full radio-margin qualification
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,7 @@ class PathQualification:
 def qualify(path: tuple[int, ...], iteration: int, bw_bps: float, loss: float,
             delay_s: float, jitter_s: float, rm_margin_db: float,
             mm_speed_mps: float, request: CustomerRequest,
-            max_speed_mps: float,
-            rm_span_db: float = 20.0) -> PathQualification:
+            max_speed_mps: float) -> PathQualification:
     """Map raw path metrics to bounded monotone qualifications.
 
     The reference scales are the customer's own bounds, so a path exactly at
@@ -102,7 +102,7 @@ def qualify(path: tuple[int, ...], iteration: int, bw_bps: float, loss: float,
     q_d = max(0.0, 1.0 - delay_s / request.delay_max_s)
     q_j = max(0.0, 1.0 - jitter_s / request.jitter_max_s)
     q_h = 1.0 / hops if hops > 0 else 1.0
-    q_rm = min(1.0, max(0.0, rm_margin_db / rm_span_db))
+    q_rm = min(1.0, max(0.0, rm_margin_db / RM_SPAN_DB))
     q_mm = max(0.0, 1.0 - mm_speed_mps / (2.0 * max_speed_mps))
     return PathQualification(
         path=path, iteration=iteration, bw_bps=bw_bps, loss=loss,
@@ -152,19 +152,15 @@ def select_best(candidates: list[tuple[PathQualification, float]],
     return best
 
 
-def update_nstate(quals: list[PathQualification],
-                  metric_weights: tuple[float, ...] | None = None) -> float:
-    """Weighted sum of the per-metric means across the available paths."""
+def update_nstate(quals: list[PathQualification]) -> float:
+    """Network state: the per-metric means across the available paths,
+    averaged over the seven QoS metrics with equal weights."""
     if not quals:
         raise ValueError("nstate needs at least one qualified path")
-    if metric_weights is None:
-        metric_weights = (1.0 / QOS_METRIC_COUNT,) * QOS_METRIC_COUNT
-    if len(metric_weights) != QOS_METRIC_COUNT:
-        raise ValueError("one weight per QoS metric required")
     nstate = 0.0
     for m in range(QOS_METRIC_COUNT):
         mean_m = sum(q.qualifications[m] for q in quals) / len(quals)
-        nstate += metric_weights[m] * mean_m
+        nstate += (1.0 / QOS_METRIC_COUNT) * mean_m
     return nstate
 
 
@@ -259,7 +255,6 @@ class ProtocolParams:
     request: CustomerRequest = field(default_factory=CustomerRequest)
     weights: ScoringWeights = field(default_factory=ScoringWeights)
     limits: DiscoveryLimits = field(default_factory=DiscoveryLimits)
-    beacon_period_s: float = 1.0
     pm_train: int = 10
     pm_spacing_s: float = 0.008
     pm_bytes: int = 64
@@ -269,7 +264,6 @@ class ProtocolParams:
     alpha_tune: float = 10.0
     beta_tune: float = 3.0
     raw_sum_score: bool = False
-    rm_span_db: float = 20.0
     max_speed_mps: float = 2.0
 
 
@@ -349,6 +343,8 @@ class SourceProtocol:
 
     def on_probe_at_destination(self, packet: Packet) -> None:
         info = packet.payload
+        if info["iteration"] <= self._decided_through:
+            return  # a reply now would reach the source after the decision
         key = (info["iteration"], info["path"])
         now = self._now()
         collector = self._collectors.get(key)
@@ -408,6 +404,8 @@ class SourceProtocol:
 
     def _decide(self, iteration: MonitoringIteration) -> None:
         self._decided_through = iteration.index
+        for path in iteration.discovered:
+            self._collectors.pop((iteration.index, path), None)
         replies = self._replies.pop(iteration.index, {})
         candidates: list[tuple[PathQualification, float]] = []
         for path in iteration.discovered:
@@ -421,8 +419,7 @@ class SourceProtocol:
                 rm_margin_db=info["rm_margin_db"],
                 mm_speed_mps=info["rel_speed_mps"],
                 request=self.params.request,
-                max_speed_mps=self.params.max_speed_mps,
-                rm_span_db=self.params.rm_span_db)
+                max_speed_mps=self.params.max_speed_mps)
             ts = path_mean_ts(path, self.ts_matrix).mean_ts
             iteration.qualifications[path] = qual
             iteration.mean_ts[path] = ts

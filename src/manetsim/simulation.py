@@ -19,8 +19,8 @@ from .video import CbrSpec, GopModel, VideoSource, decodeable_gops, packetize
 
 VIDEO_CLASSES = (PacketClass.VIDEO_I, PacketClass.VIDEO_P, PacketClass.VIDEO_B)
 
-# Connectivity snapshots for load and beacon delivery are quantized to this
-# grid; at 2 m/s nodes move 0.2 m per quantum, far below the 120 m range.
+# Connectivity snapshots for the MAC load factor are quantized to this grid;
+# at 2 m/s nodes move 0.2 m per quantum, far below the 120 m range.
 # Exact times are still used for per-hop link SNR and for route discovery.
 TOPOLOGY_QUANTUM_S = 0.1
 
@@ -251,22 +251,11 @@ class SimulationRun:
         self.sim.schedule(t + self.config.beacon_period_s,
                           lambda: self._beacon_tick(node))
 
-    def _deliver_beacon(self, node: int, t: float) -> None:
-        """Count the beacon delivered; nothing reads its reception.
-
-        The channel stream still gets the one draw per neighbour that a
-        unicast over that link would take (in range, corruption probability
-        above 0), so data and probe hops see the same draws.
-        """
+    def _deliver_beacon(self) -> None:
+        """Count the beacon delivered.  Beacons matter to the model only as
+        AC0 frames that take queue space and air time, which feeds the MAC
+        load factor; nothing reads their reception."""
         self.classes[PacketClass.BEACON].delivered += 1
-        spec = self.config.radio
-        xa, ya = self._position_of(node, t)
-        for nbr in self._neighbors_of(node, t):
-            xb, yb = self._position_of(nbr, t)
-            dist = math.hypot(xb - xa, yb - ya)
-            if (dist <= spec.tx_range_m
-                    and spec.corruption_probability(spec.snr(dist)) > 0.0):
-                self._channel.random()
 
     # -- MAC service loop -----------------------------------------------------
 
@@ -297,7 +286,7 @@ class SimulationRun:
     def _transmit(self, node: int, packet: Packet, load: float) -> None:
         t = self.sim.clock
         if packet.klass is PacketClass.BEACON:
-            self._deliver_beacon(node, t)
+            self._deliver_beacon()
             busy = transmission_delay(self.config.radio,
                                       packet.size_bytes, load)
             self.sim.schedule(t + busy, lambda: self._tx_done(node))

@@ -324,10 +324,6 @@ class PathTieStrength:
     ts_values: tuple[int, ...]
     mean_ts: float
 
-    @property
-    def link_count(self) -> int:
-        return len(self.ts_values)
-
 
 def path_mean_ts(path, ts_matrix: np.ndarray) -> PathTieStrength:
     """Geometric mean of the directed per-link tie strengths along a path.

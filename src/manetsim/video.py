@@ -95,7 +95,7 @@ def packetize(frame: VideoFrame, max_packet_bytes: int = 1500,
               src: int = 0, dst: int = 0, route: tuple[int, ...] = (),
               flow_id: int | None = None) -> list[Packet]:
     """Fragment a frame into packets of at most max_packet_bytes, each
-    tagged with the frame's priority class and GoP/frame identity."""
+    tagged with the frame's priority class."""
     if frame.size_bytes <= 0:
         raise ValueError("frame size must be positive")
     klass = FRAME_CLASS[frame.frame_type]
@@ -107,8 +107,7 @@ def packetize(frame: VideoFrame, max_packet_bytes: int = 1500,
         remaining -= size
         packets.append(Packet(
             klass=klass, size_bytes=size, src=src, dst=dst, route=route,
-            created_at=frame.generated_at, flow_id=flow_id,
-            gop_index=frame.gop_index, frame_index=frame.frame_index, seq=i))
+            created_at=frame.generated_at, flow_id=flow_id, seq=i))
     return packets
 
 

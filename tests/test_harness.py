@@ -119,8 +119,8 @@ class TestGoldenDigest:
         digests = [hashlib.sha256(text.encode()).hexdigest() for text in
                    (result_csv_text(result), protocol_log_csv_text(rows))]
         assert digests == [
-            "a1ffb612320d3ed0123659757eb9e0b1215de6e4ce1edb9f5db3c3534f0427dc",
-            "36e91f02b6c02ab140e9b9aee88d312f433ceb344f0e967a919e54910593831c",
+            "94e8650116786d0e86bf798852da76b7300a8c9250a35b7eef5fc9c07c57ee9b",
+            "a097f737ae9cfc178ae225828ad994d58ef88e0c2e60b6f6c5f617c23a9874d9",
         ]
 
 
@@ -333,3 +333,41 @@ class TestCliFileInterfaces:
                          "--mobility-trace", str(trace_path)])
         assert code == 2
         assert "line 1" in capsys.readouterr().err
+
+
+class TestGridFile:
+    def write_grid(self, tmp_path, text):
+        path = tmp_path / "grid.yaml"
+        path.write_text(text)
+        return str(path)
+
+    @pytest.mark.parametrize("text", [
+        "w_ts: 0.5\n",
+        "w_ts: [0.0]\nw_ts: [1.0]\n",
+        "w_ts: [0.0\n",
+        "mu_ts: [high]\n",
+        "w_ts: [true]\n",
+        "density: [100.0]\n",
+        "density: []\n",
+        "repetitions: 2.5\n",
+    ], ids=["scalar", "duplicate-key", "yaml-syntax", "string", "bool",
+            "float-density", "empty-list", "float-repetitions"])
+    def test_bad_grid_fails_cleanly(self, tmp_path, capsys, text):
+        config_path = tmp_path / "cfg.yaml"
+        config_path.write_text("nodes: 4\nduration_s: 2\n")
+        code = cli_main(["sweep", "--config", str(config_path),
+                         "--grid", self.write_grid(tmp_path, text),
+                         "--reps", "2", "--workers", "1",
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_int_and_float_values_name_the_same_runs(self, tmp_path):
+        ints = cli._load_grid(self.write_grid(
+            tmp_path, "w_ts: [0, 1]\nmu_ts: [2]\ndensity: [100]\n"))
+        floats = cli._load_grid(self.write_grid(
+            tmp_path, "w_ts: [0.0, 1.0]\nmu_ts: [2.0]\ndensity: [100]\n"))
+        assert ([point_seed(1, *point, 0) for point in ints.points()]
+                == [point_seed(1, *point, 0) for point in floats.points()])
+        assert list(map(repr, ints.points())) == [
+            "(0.0, 2.0, 100)", "(1.0, 2.0, 100)"]

@@ -163,6 +163,28 @@ class TestDecision:
         assert iteration.selected == (0, 2, 4, 5)
 
 
+class TestCollectors:
+    def test_decision_frees_collectors_and_late_probe_gets_no_reply(self):
+        h = Harness(diamond())
+        h.protocol.start_iteration()
+        h.run_pending(until=0.5)  # every probe sent, the window still open
+        it = h.protocol.iterations[0]
+        answered, late = it.discovered[0], it.discovered[1]
+        probes = [p for p in h.sent if p.klass is PacketClass.PROBE]
+        for probe in probes:
+            if probe.route == answered:
+                h.protocol.on_probe_at_destination(probe)
+        assert list(h.protocol._collectors) == [(it.index, answered)]
+        h.run_pending(until=it.started_at
+                      + h.protocol.params.decision_delay_s)
+        assert h.protocol._collectors == {}
+        sent = len(h.sent)
+        h.protocol.on_probe_at_destination(
+            next(p for p in probes if p.route == late))
+        assert h.protocol._collectors == {}
+        assert len(h.sent) == sent
+
+
 class TestExposureAccounting:
     def test_time_weighted_mean_over_decision_intervals(self):
         h = Harness(diamond())

@@ -239,11 +239,6 @@ class TestSelfConfiguration:
         with pytest.raises(ValueError):
             update_nstate([])
 
-    def test_nstate_weight_count(self):
-        with pytest.raises(ValueError):
-            update_nstate([qual_with_values((0, 1), [1.0] * 7)],
-                          metric_weights=(0.5, 0.5))
-
     def test_t_routing_line(self):
         assert update_t_routing(0.0) == pytest.approx(3.0)
         assert update_t_routing(1.0) == pytest.approx(13.0)
