@@ -1,7 +1,7 @@
 """Packet-level MANET simulator with QoS- and tie-strength-aware multipath
 source routing, plus the experiment harness for the w_ts sweep study."""
 
-from .config import RunConfig, load_config, load_config_file, scenario_config
+from .config import RunConfig, load_config, load_config_file
 from .engine import Simulator
 from .simulation import SimulationRun, run_simulation
 
@@ -12,7 +12,6 @@ __all__ = [
     "load_config",
     "load_config_file",
     "run_simulation",
-    "scenario_config",
 ]
 
 __version__ = "0.1.0"

@@ -7,12 +7,12 @@ import dataclasses
 import os
 import sys
 
-from .config import (ConfigError, dump_config, load_config_file, load_yaml,
-                     scenario_config)
-from .harness import (SweepSpec, run_once_to_dir, run_sweep, parse_sweep_table,
-                      write_report, DEFAULT_W_TS_GRID, DEFAULT_MU_GRID,
-                      DEFAULT_DENSITY_GRID, DEFAULT_REPETITIONS,
-                      DEFAULT_CONFIDENCE)
+from .config import (ConfigError, RunConfig, as_type, dump_config,
+                     load_config_file, load_yaml)
+from .harness import (SweepSpec, point_config, run_once_to_dir, run_sweep,
+                      parse_sweep_table, write_report, DEFAULT_W_TS_GRID,
+                      DEFAULT_MU_GRID, DEFAULT_DENSITY_GRID,
+                      DEFAULT_REPETITIONS, DEFAULT_CONFIDENCE)
 
 
 def _cmd_simulate(args) -> int:
@@ -38,16 +38,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _grid_number(key: str, value, kind):
-    """``value`` as ``kind``; a float key takes an int, an int key only an
-    int, so equal grid points get equal seeds and run directories."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (kind is int and not isinstance(value, int))):
-        raise ConfigError(
-            f"grid {key}: expected {kind.__name__}, got {value!r}")
-    return kind(value)
-
-
 def _grid_list(data: dict, key: str, kind, default: tuple) -> tuple:
     if key not in data:
         return default
@@ -55,7 +45,9 @@ def _grid_list(data: dict, key: str, kind, default: tuple) -> tuple:
     if not isinstance(values, list) or not values:
         raise ConfigError(
             f"grid {key}: expected a non-empty list, got {values!r}")
-    return tuple(_grid_number(key, value, kind) for value in values)
+    # ints become floats for float keys, so equal grid points get equal
+    # seeds and run directories
+    return tuple(as_type(f"grid {key}", value, kind) for value in values)
 
 
 def _load_grid(path: str | None) -> SweepSpec:
@@ -73,10 +65,10 @@ def _load_grid(path: str | None) -> SweepSpec:
         w_ts_grid=_grid_list(data, "w_ts", float, DEFAULT_W_TS_GRID),
         mu_grid=_grid_list(data, "mu_ts", float, DEFAULT_MU_GRID),
         density_grid=_grid_list(data, "density", int, DEFAULT_DENSITY_GRID),
-        repetitions=_grid_number(
-            "repetitions", data.get("repetitions", DEFAULT_REPETITIONS), int),
-        confidence=_grid_number(
-            "confidence", data.get("confidence", DEFAULT_CONFIDENCE), float))
+        repetitions=as_type("grid repetitions",
+                            data.get("repetitions", DEFAULT_REPETITIONS), int),
+        confidence=as_type("grid confidence",
+                           data.get("confidence", DEFAULT_CONFIDENCE), float))
 
 
 def _cmd_sweep(args) -> int:
@@ -91,7 +83,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_gen_scenario(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    config = scenario_config(args.density, args.mu, master_seed=args.seed)
+    config = point_config(RunConfig(), 0.0, float(args.mu), args.density,
+                          args.seed)
     path = os.path.join(args.out, f"scenario_den{args.density}_mu{args.mu}.yaml")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dump_config(config))

@@ -2,19 +2,28 @@
 
 The key names and units are the published contract; unknown keys, duplicate
 keys and out-of-range values are rejected with the offending key path.
+
+Each key is declared once, as a dataclass field that gives its type and
+default; ``_KEYS`` maps it to its YAML section and name for both
+``parse_config`` and ``dump_config``.  Type checks happen while parsing;
+range and consistency checks live in the dataclasses' ``__post_init__``, so
+a configuration built in Python is checked the same way as a loaded file.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import typing
 from dataclasses import asdict, dataclass, field, replace
+from operator import attrgetter
 
 import yaml
 
 from .mobility import AreaSpec
 from .radio import RadioSpec
-from .routing import CustomerRequest, DiscoveryLimits, ProtocolParams, ScoringWeights
+from .routing import CustomerRequest, DiscoveryLimits, ScoringWeights
 from .video import CbrSpec, GopModel
 
 
@@ -37,6 +46,11 @@ class MacConfig:
     access_delay_s: float = 0.006  # per-hop channel-access latency at load 1
     service: str = "strict"
 
+    def __post_init__(self):
+        if self.service != "strict":
+            raise ConfigError(
+                f"unsupported service discipline {self.service!r}")
+
 
 @dataclass(frozen=True)
 class VideoConfig:
@@ -49,6 +63,15 @@ class VideoConfig:
     start_s: float = 0.0
     trace_path: str | None = None
 
+    def __post_init__(self):
+        self.gop_model()  # validates the pattern and the rates
+
+    def gop_model(self) -> GopModel:
+        return GopModel(pattern=self.pattern, fps=self.fps,
+                        target_rate_bps=self.target_rate_bps,
+                        sigma_log=self.sigma_log,
+                        max_packet_bytes=self.max_packet_bytes)
+
 
 @dataclass(frozen=True)
 class CbrConfig:
@@ -57,12 +80,22 @@ class CbrConfig:
     packet_bytes: int = 1500
     refresh_s: float = 5.0
 
+    def __post_init__(self):
+        if self.flows > 0:
+            CbrSpec(self.rate_bps, self.packet_bytes)  # range check
+        if self.refresh_s <= 0:
+            raise ConfigError("refresh_s must be positive")
+
 
 @dataclass(frozen=True)
 class SocialConfig:
     mu_ts: float = 3.0
     sigma_ts: float = 1.0
     matrix_path: str | None = None
+
+    def __post_init__(self):
+        if self.sigma_ts <= 0:
+            raise ConfigError("sigma_ts must be positive")
 
 
 @dataclass(frozen=True)
@@ -98,24 +131,21 @@ class RunConfig:
         if self.duration_s <= 0:
             raise ConfigError("duration_s must be positive")
         ScoringWeights(self.w_ts)  # range check
-        if self.social.sigma_ts <= 0:
-            raise ConfigError("social.sigma_ts must be positive")
+        if self.beacon_period_s <= 0:
+            raise ConfigError("beacon_period_s must be positive")
+        # t_routing = alpha_tune * nstate + beta_tune with nstate in [0, 1];
+        # each decision schedules the next iteration t_routing after the
+        # start of its own, so that must not come before the decision
+        shortest = min(self.beta_tune, self.alpha_tune + self.beta_tune)
+        if shortest < self.decision_delay_s:
+            raise ConfigError(
+                f"min(beta_tune, alpha_tune + beta_tune) = {shortest} is "
+                f"below decision_delay_s = {self.decision_delay_s}")
         self.area  # validates dimensions and node count
 
     @property
     def area(self) -> AreaSpec:
         return AreaSpec(self.area_width_m, self.area_height_m, self.node_count)
-
-    def protocol_params(self) -> ProtocolParams:
-        return ProtocolParams(
-            request=self.request, weights=ScoringWeights(self.w_ts),
-            limits=self.limits, pm_train=self.pm_train,
-            pm_spacing_s=self.pm_spacing_s, pm_bytes=self.pm_bytes,
-            pmr_bytes=self.pmr_bytes, probe_window_s=self.probe_window_s,
-            decision_delay_s=self.decision_delay_s,
-            alpha_tune=self.alpha_tune, beta_tune=self.beta_tune,
-            raw_sum_score=self.raw_sum_score,
-            max_speed_mps=self.mobility.max_speed_mps)
 
     def replace(self, **kwargs) -> "RunConfig":
         return replace(self, **kwargs)
@@ -126,6 +156,72 @@ class RunConfig:
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+# The YAML sections, each with the prefix that turns its keys into
+# RunConfig attribute paths and its keys in the order dump_config writes
+# them.  A key's type and default are those of the field its path names.
+_SECTIONS = (
+    ("", "", ("area_width_m", "area_height_m", "nodes", "duration_s",
+              "master_seed", "flow_min_hops")),
+    ("mobility", "mobility.", ("max_speed_mps", "pause_s",
+                               "min_speed_fraction", "warmup_s", "trace")),
+    ("radio", "radio.", ("tx_range_m", "noise_floor_dbm",
+                         "path_loss_exponent", "nominal_bitrate_bps",
+                         "snr_threshold_db", "ref_loss_db",
+                         "max_corruption_prob", "corruption_span_db")),
+    ("mac", "mac.", ("queue_capacity", "access_delay_s", "service")),
+    ("video", "video.", ("flows", "fps", "target_rate_bps", "pattern",
+                         "sigma_log", "max_packet_bytes", "start_s",
+                         "trace")),
+    ("cbr", "cbr.", ("flows", "rate_bps", "packet_bytes", "refresh_s")),
+    ("customer_request", "request.", ("bw_min_bps", "loss_max",
+                                      "delay_max_s", "jitter_max_s")),
+    ("scoring", "", ("w_ts", "raw_sum_score")),
+    ("social", "social.", ("mu_ts", "sigma_ts", "matrix")),
+    ("routing", "", ("ttl", "max_paths", "beacon_period_s", "beacon_bytes",
+                     "pm_train", "pm_spacing_s", "pm_bytes", "pmr_bytes",
+                     "probe_window_s", "decision_delay_s", "alpha_tune",
+                     "beta_tune")),
+)
+# keys whose field has another name or sits one level further down
+_RENAMED = {"nodes": "node_count", "trace": "trace_path",
+            "matrix": "matrix_path", "ttl": "limits.ttl",
+            "max_paths": "limits.max_paths"}
+# (section, key, RunConfig attribute path) of every key; the one derived
+# key, "density", sets node_count from the area instead
+_KEYS = tuple((section, key, prefix + _RENAMED.get(key, key))
+              for section, prefix, keys in _SECTIONS for key in keys)
+
+
+@functools.cache
+def _hints(cls: type) -> dict:
+    return typing.get_type_hints(cls)  # evaluates every annotation: slow
+
+
+def _field_type(path: str) -> tuple[type, bool]:
+    """The type of the field a RunConfig path names, and whether it may be
+    None (only fields declared ``X | None``)."""
+    kind = RunConfig
+    for name in path.split("."):
+        kind = _hints(kind)[name]
+    options = typing.get_args(kind)
+    if options:
+        return next(t for t in options if t is not type(None)), True
+    return kind, False
+
+
+def as_type(where: str, value, kind: type, nullable: bool = False):
+    """``value`` as ``kind``: a float key takes an int, an int key only an
+    int, and no number key takes a bool."""
+    if value is None and nullable:
+        return None
+    if kind is bool or not isinstance(value, bool):
+        if kind is float and isinstance(value, int):
+            return float(value)
+        if isinstance(value, kind):
+            return value
+    raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
 
 
 class _StrictLoader(yaml.SafeLoader):
@@ -147,184 +243,53 @@ _StrictLoader.add_constructor(
     yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _strict_mapping)
 
 
-def _take(section: dict, path: str, key: str, kind, default):
-    if key not in section:
-        return default
-    value = section.pop(key)
-    where = f"{path}.{key}" if path else key
-    if value is None:
-        return None
-    if kind is float and isinstance(value, (int, float)) \
-            and not isinstance(value, bool):
-        return float(value)
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if kind is bool and isinstance(value, bool):
-        return value
-    if kind is str and isinstance(value, str):
-        return value
-    raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
-
-
-def _reject_unknown(section: dict, path: str) -> None:
-    if section:
-        key = sorted(section)[0]
-        where = f"{path}.{key}" if path else key
-        raise ConfigError(f"unknown key {where!r}")
-
-
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a mapping")
-    data = dict(data)
+    sections = {"": dict(data)}
+    for section, _, _ in _SECTIONS[1:]:
+        values = sections[""].pop(section, None)  # None: an empty section
+        if not isinstance(values, (dict, type(None))):
+            raise ConfigError(f"{section}: expected a mapping, got {values!r}")
+        sections[section] = dict(values or {})
+    density = None
+    if "density" in sections[""]:
+        if "nodes" in sections[""]:
+            raise ConfigError("give either 'density' or 'nodes', not both")
+        density = as_type("density", sections[""].pop("density"), float)
 
-    width = _take(data, "", "area_width_m", float, 520.0)
-    height = _take(data, "", "area_height_m", float, 520.0)
-    density = _take(data, "", "density", float, None)
-    nodes = _take(data, "", "nodes", int, None)
-    if density is not None and nodes is not None:
-        raise ConfigError("give either 'density' or 'nodes', not both")
-    if nodes is None:
-        nodes = (AreaSpec.from_density(width, height, density).node_count
-                 if density is not None else 27)
+    top: dict = {}
+    nested: dict[str, tuple[str, dict]] = {}  # field -> (section, kwargs)
+    for section, key, path in _KEYS:
+        if key not in sections[section]:
+            continue
+        where = f"{section}.{key}" if section else key
+        value = as_type(where, sections[section].pop(key), *_field_type(path))
+        head, dot, name = path.partition(".")
+        if dot:
+            nested.setdefault(head, (section, {}))[1][name] = value
+        else:
+            top[path] = value
+    for section, values in sections.items():
+        if values:
+            key = sorted(values)[0]
+            where = f"{section}.{key}" if section else key
+            raise ConfigError(f"unknown key {where!r}")
 
-    sec = data.pop("mobility", {}) or {}
-    mobility = MobilityConfig(
-        max_speed_mps=_take(sec, "mobility", "max_speed_mps", float, 2.0),
-        pause_s=_take(sec, "mobility", "pause_s", float, 0.0),
-        min_speed_fraction=_take(sec, "mobility", "min_speed_fraction",
-                                 float, 0.1),
-        warmup_s=_take(sec, "mobility", "warmup_s", float, 300.0),
-        trace_path=_take(sec, "mobility", "trace", str, None))
-    _reject_unknown(sec, "mobility")
-
-    sec = data.pop("radio", {}) or {}
-    try:
-        radio = RadioSpec(
-            tx_range_m=_take(sec, "radio", "tx_range_m", float, 120.0),
-            noise_floor_dbm=_take(sec, "radio", "noise_floor_dbm",
-                                  float, -92.0),
-            path_loss_exponent=_take(sec, "radio", "path_loss_exponent",
-                                     float, 3.0),
-            nominal_bitrate_bps=_take(sec, "radio", "nominal_bitrate_bps",
-                                      float, 11e6),
-            snr_threshold_db=_take(sec, "radio", "snr_threshold_db",
-                                   float, 10.0),
-            ref_loss_db=_take(sec, "radio", "ref_loss_db", float, 40.0),
-            max_corruption_prob=_take(sec, "radio", "max_corruption_prob",
-                                      float, 0.05),
-            corruption_span_db=_take(sec, "radio", "corruption_span_db",
-                                     float, 20.0))
-    except ValueError as exc:
-        raise ConfigError(f"radio: {exc}") from None
-    _reject_unknown(sec, "radio")
-
-    sec = data.pop("mac", {}) or {}
-    mac = MacConfig(
-        queue_capacity=_take(sec, "mac", "queue_capacity", int, 50),
-        access_delay_s=_take(sec, "mac", "access_delay_s", float, 0.006),
-        service=_take(sec, "mac", "service", str, "strict"))
-    if mac.service not in ("strict",):
-        raise ConfigError(f"mac.service: unsupported discipline {mac.service!r}")
-    _reject_unknown(sec, "mac")
-
-    sec = data.pop("video", {}) or {}
-    video = VideoConfig(
-        flows=_take(sec, "video", "flows", int, 2),
-        fps=_take(sec, "video", "fps", float, 25.0),
-        target_rate_bps=_take(sec, "video", "target_rate_bps", float, 150e3),
-        pattern=_take(sec, "video", "pattern", str, "IBBPBBPBBPBB"),
-        sigma_log=_take(sec, "video", "sigma_log", float, 0.3),
-        max_packet_bytes=_take(sec, "video", "max_packet_bytes", int, 1500),
-        start_s=_take(sec, "video", "start_s", float, 0.0),
-        trace_path=_take(sec, "video", "trace", str, None))
-    _reject_unknown(sec, "video")
-    try:
-        GopModel(pattern=video.pattern, fps=video.fps,
-                 target_rate_bps=video.target_rate_bps,
-                 sigma_log=video.sigma_log,
-                 max_packet_bytes=video.max_packet_bytes)
-    except ValueError as exc:
-        raise ConfigError(f"video: {exc}") from None
-
-    sec = data.pop("cbr", {}) or {}
-    cbr = CbrConfig(
-        flows=_take(sec, "cbr", "flows", int, 1),
-        rate_bps=_take(sec, "cbr", "rate_bps", float, 300e3),
-        packet_bytes=_take(sec, "cbr", "packet_bytes", int, 1500),
-        refresh_s=_take(sec, "cbr", "refresh_s", float, 5.0))
-    _reject_unknown(sec, "cbr")
-    if cbr.flows > 0:
+    for head, (section, kwargs) in nested.items():
         try:
-            CbrSpec(cbr.rate_bps, cbr.packet_bytes)
+            top[head] = _field_type(head)[0](**kwargs)
         except ValueError as exc:
-            raise ConfigError(f"cbr: {exc}") from None
-
-    sec = data.pop("customer_request", {}) or {}
+            raise ConfigError(f"{section}: {exc}") from None
     try:
-        request = CustomerRequest(
-            bw_min_bps=_take(sec, "customer_request", "bw_min_bps",
-                             float, 150e3),
-            loss_max=_take(sec, "customer_request", "loss_max", float, 0.25),
-            delay_max_s=_take(sec, "customer_request", "delay_max_s",
-                              float, 2.0),
-            jitter_max_s=_take(sec, "customer_request", "jitter_max_s",
-                               float, 1.0))
-    except ValueError as exc:
-        raise ConfigError(f"customer_request: {exc}") from None
-    _reject_unknown(sec, "customer_request")
-
-    sec = data.pop("scoring", {}) or {}
-    w_ts = _take(sec, "scoring", "w_ts", float, 0.0)
-    raw_sum = _take(sec, "scoring", "raw_sum_score", bool, False)
-    _reject_unknown(sec, "scoring")
-    try:
-        ScoringWeights(w_ts)
-    except ValueError as exc:
-        raise ConfigError(f"scoring.w_ts: {exc}") from None
-
-    sec = data.pop("social", {}) or {}
-    social = SocialConfig(
-        mu_ts=_take(sec, "social", "mu_ts", float, 3.0),
-        sigma_ts=_take(sec, "social", "sigma_ts", float, 1.0),
-        matrix_path=_take(sec, "social", "matrix", str, None))
-    _reject_unknown(sec, "social")
-
-    sec = data.pop("routing", {}) or {}
-    limits = DiscoveryLimits(
-        ttl=_take(sec, "routing", "ttl", int, 10),
-        max_paths=_take(sec, "routing", "max_paths", int, 10))
-    beacon_period = _take(sec, "routing", "beacon_period_s", float, 1.0)
-    beacon_bytes = _take(sec, "routing", "beacon_bytes", int, 32)
-    pm_train = _take(sec, "routing", "pm_train", int, 10)
-    pm_spacing = _take(sec, "routing", "pm_spacing_s", float, 0.008)
-    pm_bytes = _take(sec, "routing", "pm_bytes", int, 64)
-    pmr_bytes = _take(sec, "routing", "pmr_bytes", int, 128)
-    probe_window = _take(sec, "routing", "probe_window_s", float, 1.0)
-    decision_delay = _take(sec, "routing", "decision_delay_s", float, 2.0)
-    alpha_tune = _take(sec, "routing", "alpha_tune", float, 10.0)
-    beta_tune = _take(sec, "routing", "beta_tune", float, 3.0)
-    _reject_unknown(sec, "routing")
-
-    duration = _take(data, "", "duration_s", float, 200.0)
-    master_seed = _take(data, "", "master_seed", int, 1)
-    flow_min_hops = _take(data, "", "flow_min_hops", int, 2)
-    _reject_unknown(data, "")
-
-    try:
-        return RunConfig(
-            area_width_m=width, area_height_m=height, node_count=nodes,
-            duration_s=duration, master_seed=master_seed, mobility=mobility,
-            radio=radio, mac=mac, video=video, cbr=cbr, request=request,
-            w_ts=w_ts, raw_sum_score=raw_sum, flow_min_hops=flow_min_hops,
-            social=social, limits=limits,
-            beacon_period_s=beacon_period, beacon_bytes=beacon_bytes,
-            pm_train=pm_train, pm_spacing_s=pm_spacing, pm_bytes=pm_bytes,
-            pmr_bytes=pmr_bytes, probe_window_s=probe_window,
-            decision_delay_s=decision_delay, alpha_tune=alpha_tune,
-            beta_tune=beta_tune)
+        config = RunConfig(**top)
+        if density is not None:
+            config = config.replace(node_count=AreaSpec.from_density(
+                config.area_width_m, config.area_height_m,
+                density).node_count)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    return config
 
 
 def load_yaml(text: str, what: str = "configuration"):
@@ -344,66 +309,10 @@ def load_config_file(path) -> RunConfig:
         return load_config(fh.read())
 
 
-def scenario_config(density: int, mu_ts: float, w_ts: float = 0.0,
-                    master_seed: int = 1) -> RunConfig:
-    """Standard scenario: 520 m x 520 m, density-derived node count."""
-    area = AreaSpec.from_density(520.0, 520.0, density)
-    return RunConfig().replace(
-        node_count=area.node_count, master_seed=master_seed, w_ts=w_ts,
-        social=SocialConfig(mu_ts=float(mu_ts), sigma_ts=1.0))
-
-
 def dump_config(config: RunConfig) -> str:
     """YAML text that round-trips through load_config."""
-    d = config.to_dict()
-    data = {
-        "area_width_m": d["area_width_m"],
-        "area_height_m": d["area_height_m"],
-        "nodes": d["node_count"],
-        "duration_s": d["duration_s"],
-        "master_seed": d["master_seed"],
-        "flow_min_hops": d["flow_min_hops"],
-        "mobility": {
-            "max_speed_mps": d["mobility"]["max_speed_mps"],
-            "pause_s": d["mobility"]["pause_s"],
-            "min_speed_fraction": d["mobility"]["min_speed_fraction"],
-            "warmup_s": d["mobility"]["warmup_s"],
-            "trace": d["mobility"]["trace_path"],
-        },
-        "radio": {k: d["radio"][k] for k in (
-            "tx_range_m", "noise_floor_dbm", "path_loss_exponent",
-            "nominal_bitrate_bps", "snr_threshold_db", "ref_loss_db",
-            "max_corruption_prob", "corruption_span_db")},
-        "mac": {"queue_capacity": d["mac"]["queue_capacity"],
-                "access_delay_s": d["mac"]["access_delay_s"],
-                "service": d["mac"]["service"]},
-        "video": {
-            "flows": d["video"]["flows"], "fps": d["video"]["fps"],
-            "target_rate_bps": d["video"]["target_rate_bps"],
-            "pattern": d["video"]["pattern"],
-            "sigma_log": d["video"]["sigma_log"],
-            "max_packet_bytes": d["video"]["max_packet_bytes"],
-            "start_s": d["video"]["start_s"],
-            "trace": d["video"]["trace_path"],
-        },
-        "cbr": {"flows": d["cbr"]["flows"], "rate_bps": d["cbr"]["rate_bps"],
-                "packet_bytes": d["cbr"]["packet_bytes"],
-                "refresh_s": d["cbr"]["refresh_s"]},
-        "customer_request": {k: d["request"][k] for k in (
-            "bw_min_bps", "loss_max", "delay_max_s", "jitter_max_s")},
-        "scoring": {"w_ts": d["w_ts"], "raw_sum_score": d["raw_sum_score"]},
-        "social": {"mu_ts": d["social"]["mu_ts"],
-                   "sigma_ts": d["social"]["sigma_ts"],
-                   "matrix": d["social"]["matrix_path"]},
-        "routing": {
-            "ttl": d["limits"]["ttl"], "max_paths": d["limits"]["max_paths"],
-            "beacon_period_s": d["beacon_period_s"],
-            "beacon_bytes": d["beacon_bytes"],
-            "pm_train": d["pm_train"], "pm_spacing_s": d["pm_spacing_s"],
-            "pm_bytes": d["pm_bytes"], "pmr_bytes": d["pmr_bytes"],
-            "probe_window_s": d["probe_window_s"],
-            "decision_delay_s": d["decision_delay_s"],
-            "alpha_tune": d["alpha_tune"], "beta_tune": d["beta_tune"],
-        },
-    }
+    data: dict = {}
+    for section, key, path in _KEYS:
+        values = data.setdefault(section, {}) if section else data
+        values[key] = attrgetter(path)(config)
     return yaml.safe_dump(data, sort_keys=False)

@@ -20,6 +20,7 @@ from scipy import stats as scipy_stats
 
 from .config import RunConfig, SocialConfig
 from .mobility import AreaSpec, import_trace
+from .packets import DROP_CAUSES
 from .simulation import run_simulation
 from .social import load_ts_matrix
 from .video import load_frame_trace
@@ -69,25 +70,24 @@ def _fmt(value) -> str:
 
 
 def result_csv_text(result) -> str:
-    """One row per video flow plus an 'all' row carrying the drop accounting."""
+    """One row per video flow with its drops by cause, plus an 'all' row
+    with the drops of every packet class."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(RESULT_FIELDS)
-    drops = result.drops_by_cause
-    drop_cols = [drops["queue-overflow"], drops["link-break"],
-                 drops["corruption"], drops["no-route"], drops["end-of-run"]]
     for f in result.flows:
         writer.writerow([
             f["flow_id"], f["src"], f["dst"], f["generated"], f["delivered"],
             _fmt(f["loss_fraction"]), _fmt(f["mean_delay_s"]),
             _fmt(f["mean_jitter_s"]), _fmt(f["decodable_gop_fraction"]),
             _fmt(f["ts_time_mean"]), f["iterations"],
-            _fmt(f["mean_t_routing"]), 0, 0, 0, 0, 0])
+            _fmt(f["mean_t_routing"])] + [f["drops"][c] for c in DROP_CAUSES])
     writer.writerow([
         "all", "", "", result.total_generated, result.total_delivered,
         _fmt(result.pooled_loss), _fmt(result.pooled_delay), "", "",
         _fmt(result.ts_time_mean), result.iterations,
-        _fmt(result.mean_t_routing)] + drop_cols)
+        _fmt(result.mean_t_routing)]
+        + [result.drops_by_cause[c] for c in DROP_CAUSES])
     return buf.getvalue()
 
 
@@ -169,9 +169,8 @@ def point_config(base: RunConfig, w_ts: float, mu_ts: float,
 
 def _run_point(task):
     """Worker entry: one (point, repetition) simulation, files on disk."""
-    base, w_ts, mu, density, rep, master_seed, out_dir = task
-    seed = point_seed(master_seed, w_ts, mu, density, rep)
-    config = point_config(base, w_ts, mu, density, seed)
+    config, w_ts, mu, density, rep, out_dir = task
+    seed = config.master_seed
     point_dir = os.path.join(
         out_dir, "runs", f"w{w_ts}_mu{mu}_den{density}", f"seed{seed}")
     result = run_once_to_dir(config, point_dir)
@@ -201,8 +200,12 @@ def mean_ci(values, confidence: float = DEFAULT_CONFIDENCE):
 
 def run_sweep(base: RunConfig, spec: SweepSpec, out_dir: str,
               workers: int | None = None) -> list[dict]:
-    """All grid points x repetitions; returns the aggregated sweep table."""
-    tasks = [(base, w, mu, den, rep, base.master_seed, out_dir)
+    """All grid points x repetitions; returns the aggregated sweep table.
+
+    Every run's configuration is built, and so checked, before any runs."""
+    tasks = [(point_config(base, w, mu, den,
+                           point_seed(base.master_seed, w, mu, den, rep)),
+              w, mu, den, rep, out_dir)
              for w, mu, den in spec.points()
              for rep in range(spec.repetitions)]
     if workers is None:

@@ -29,7 +29,7 @@ class RadioSpec:
     ref_loss_db: float = 40.0  # path loss at the 1 m reference distance
     max_corruption_prob: float = 0.05
     corruption_span_db: float = 20.0
-    tx_power_dbm: float = field(default=0.0)
+    tx_power_dbm: float = field(init=False)  # derived, see __post_init__
 
     def __post_init__(self):
         if self.tx_range_m <= 0:

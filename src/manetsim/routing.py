@@ -13,9 +13,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .packets import Packet, PacketClass
 from .social import path_mean_ts
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 QOS_METRIC_COUNT = 7
 TS_SCALE = 4.0
@@ -250,39 +254,24 @@ class MonitoringIteration:
     t_routing: float = 0.0
 
 
-@dataclass
-class ProtocolParams:
-    request: CustomerRequest = field(default_factory=CustomerRequest)
-    weights: ScoringWeights = field(default_factory=ScoringWeights)
-    limits: DiscoveryLimits = field(default_factory=DiscoveryLimits)
-    pm_train: int = 10
-    pm_spacing_s: float = 0.008
-    pm_bytes: int = 64
-    pmr_bytes: int = 128
-    probe_window_s: float = 1.0
-    decision_delay_s: float = 2.0
-    alpha_tune: float = 10.0
-    beta_tune: float = 3.0
-    raw_sum_score: bool = False
-    max_speed_mps: float = 2.0
-
-
 class SourceProtocol:
     """Per-flow protocol driver: monitoring cycle and path selection.
 
     The driver owns both endpoints' protocol state for its flow (the
     simulation is single-threaded, so the destination-side probe collector
-    lives here too).  Interaction with the network goes through two injected
-    callables: ``send`` inserts a packet at its first route node, and
-    ``now`` reads the virtual clock.
+    lives here too).  Its settings are read from the run's ``config``.
+    Interaction with the network goes through two injected callables:
+    ``send`` inserts a packet at its first route node, and ``now`` reads
+    the virtual clock.
     """
 
-    def __init__(self, flow_id: int, src: int, dst: int, params: ProtocolParams,
+    def __init__(self, flow_id: int, src: int, dst: int, config: RunConfig,
                  ts_matrix, connectivity, send, now, schedule):
         self.flow_id = flow_id
         self.src = src
         self.dst = dst
-        self.params = params
+        self.config = config
+        self.weights = ScoringWeights(config.w_ts)
         self.ts_matrix = ts_matrix
         self._connectivity = connectivity  # (t) -> adjacency dict
         self._send = send
@@ -309,7 +298,7 @@ class SourceProtocol:
         t = self._now()
         index = len(self.iterations)
         adj = self._connectivity(t)
-        paths = discover_paths(adj, self.src, self.dst, self.params.limits)
+        paths = discover_paths(adj, self.src, self.dst, self.config.limits)
         iteration = MonitoringIteration(index=index, started_at=t,
                                         discovered=paths)
         self.iterations.append(iteration)
@@ -318,26 +307,26 @@ class SourceProtocol:
             # decision completes
             self.active_route = paths[0]
             self._bootstrap = False
-        window_end = t + self.params.probe_window_s
+        window_end = t + self.config.probe_window_s
         for k, path in enumerate(paths):
-            for j in range(self.params.pm_train):
+            for j in range(self.config.pm_train):
                 # trains interleave round-robin across paths so one signaling
                 # queue never swallows a whole burst
-                send_at = t + (j * len(paths) + k) * self.params.pm_spacing_s
+                send_at = t + (j * len(paths) + k) * self.config.pm_spacing_s
                 packet = Packet(
-                    klass=PacketClass.PROBE, size_bytes=self.params.pm_bytes,
+                    klass=PacketClass.PROBE, size_bytes=self.config.pm_bytes,
                     src=self.src, dst=self.dst, route=path,
                     created_at=send_at, flow_id=self.flow_id, seq=j,
                     payload={
                         "iteration": index, "path": path,
-                        "train": self.params.pm_train,
+                        "train": self.config.pm_train,
                         "window_end": window_end,
                         "min_margin_db": math.inf,
                         "min_rate_bps": math.inf,
                         "rel_speed_sum": 0.0, "rel_speed_links": 0,
                     })
                 self._schedule(send_at, lambda p=packet: self._send(p))
-        self._schedule(t + self.params.decision_delay_s,
+        self._schedule(t + self.config.decision_delay_s,
                        lambda it=iteration: self._decide(it))
         return iteration
 
@@ -377,7 +366,7 @@ class SourceProtocol:
         if len(delays) > 1:
             jitter = (sum(abs(b - a) for a, b in zip(delays, delays[1:]))
                       / (len(delays) - 1))
-        train = self.params.pm_train
+        train = self.config.pm_train
         payload = {
             "iteration": iteration, "path": path,
             "received": len(delays), "train": train,
@@ -391,7 +380,7 @@ class SourceProtocol:
                               if collector["speeds"] else 0.0),
         }
         reply = Packet(
-            klass=PacketClass.PROBE_REPLY, size_bytes=self.params.pmr_bytes,
+            klass=PacketClass.PROBE_REPLY, size_bytes=self.config.pmr_bytes,
             src=self.dst, dst=self.src, route=tuple(reversed(path)),
             created_at=self._now(), flow_id=self.flow_id, payload=payload)
         self._send(reply)
@@ -418,14 +407,14 @@ class SourceProtocol:
                 delay_s=info["mean_delay_s"], jitter_s=info["jitter_s"],
                 rm_margin_db=info["rm_margin_db"],
                 mm_speed_mps=info["rel_speed_mps"],
-                request=self.params.request,
-                max_speed_mps=self.params.max_speed_mps)
+                request=self.config.request,
+                max_speed_mps=self.config.mobility.max_speed_mps)
             ts = path_mean_ts(path, self.ts_matrix).mean_ts
             iteration.qualifications[path] = qual
             iteration.mean_ts[path] = ts
             candidates.append((qual, ts))
         survivors = filter_paths([q for q, _ in candidates],
-                                 self.params.request)
+                                 self.config.request)
         iteration.survivors = [q.path for q in survivors]
         if survivors:
             pool = [(q, iteration.mean_ts[q.path]) for q in survivors]
@@ -433,8 +422,8 @@ class SourceProtocol:
             # no path met the request: keep streaming on the best-scored
             # usable path rather than stalling
             pool = candidates
-        choice = select_best(pool, self.params.weights,
-                             self.params.raw_sum_score)
+        choice = select_best(pool, self.weights,
+                             self.config.raw_sum_score)
         if choice is not None:
             qual, ts, score = choice
             iteration.selected = qual.path
@@ -444,11 +433,11 @@ class SourceProtocol:
             self.nstate = update_nstate([q for q, _ in candidates])
         iteration.nstate = self.nstate
         iteration.t_routing = update_t_routing(
-            self.nstate, self.params.alpha_tune, self.params.beta_tune)
+            self.nstate, self.config.alpha_tune, self.config.beta_tune)
         self._account_ts_interval(iteration.started_at
-                                  + self.params.decision_delay_s)
+                                  + self.config.decision_delay_s)
         self._last_decision_at = (iteration.started_at
-                                  + self.params.decision_delay_s)
+                                  + self.config.decision_delay_s)
         self._last_decision_ts = iteration.selected_mean_ts
         self.active_route = iteration.selected
         self._schedule(iteration.started_at + iteration.t_routing,

@@ -15,7 +15,7 @@ from .packets import DROP_CAUSES, Packet, PacketClass
 from .radio import Medium, transmission_delay
 from .routing import DiscoveryLimits, SourceProtocol, discover_paths
 from .social import generate_ts_matrix, validate_ts_matrix
-from .video import CbrSpec, GopModel, VideoSource, decodeable_gops, packetize
+from .video import CbrSpec, VideoSource, decodeable_gops, packetize
 
 VIDEO_CLASSES = (PacketClass.VIDEO_I, PacketClass.VIDEO_P, PacketClass.VIDEO_B)
 
@@ -37,6 +37,8 @@ class FlowStats:
     jitter_sum: float = 0.0
     jitter_n: int = 0
     last_delay: float | None = None
+    drops: dict[str, int] = field(
+        default_factory=lambda: {cause: 0 for cause in DROP_CAUSES})
     # per generated video packet: [gop_index, is_i_frame, delivered]
     video_log: list = field(default_factory=list)
 
@@ -130,11 +132,7 @@ class SimulationRun:
         self.cbr_state: dict[int, dict] = {}
         self._frame_trace = frame_trace
         self._channel = self.sim.rng.stream("channel")
-        self._gop_model = GopModel(
-            pattern=config.video.pattern, fps=config.video.fps,
-            target_rate_bps=config.video.target_rate_bps,
-            sigma_log=config.video.sigma_log,
-            max_packet_bytes=config.video.max_packet_bytes)
+        self._gop_model = config.video.gop_model()
         self._setup_flows()
         self._setup_beacons()
 
@@ -201,13 +199,12 @@ class SimulationRun:
         config = self.config
         endpoints = self._pick_endpoints(
             2 * config.video.flows + 2 * config.cbr.flows)
-        params = config.protocol_params()
         for f in range(config.video.flows):
             src, dst = endpoints[2 * f], endpoints[2 * f + 1]
             flow_id = f
             self.flow_stats[flow_id] = FlowStats(flow_id, src, dst)
             protocol = SourceProtocol(
-                flow_id=flow_id, src=src, dst=dst, params=params,
+                flow_id=flow_id, src=src, dst=dst, config=config,
                 ts_matrix=self.ts_matrix,
                 connectivity=self.medium.connectivity,
                 send=self._inject, now=lambda: self.sim.clock,
@@ -361,6 +358,8 @@ class SimulationRun:
     def _drop(self, packet: Packet, cause: str) -> None:
         self.drops[cause] += 1
         self.classes[packet.klass].drops[cause] += 1
+        if packet.klass in VIDEO_CLASSES:
+            self.flow_stats[packet.flow_id].drops[cause] += 1
 
     # -- traffic sources --------------------------------------------------------
 
@@ -434,6 +433,11 @@ class SimulationRun:
             if residual:
                 counters.drops["end-of-run"] += residual
                 self.drops["end-of-run"] += residual
+        for stats in self.flow_stats.values():
+            residual = (stats.generated - stats.delivered
+                        - sum(stats.drops.values()))
+            assert residual >= 0, "accounting bug: more outcomes than packets"
+            stats.drops["end-of-run"] += residual
         flows = []
         for flow_id, stats in sorted(self.flow_stats.items()):
             protocol = self.protocols[flow_id]
@@ -449,6 +453,7 @@ class SimulationRun:
                 "ts_time_mean": protocol.ts_time_mean,
                 "iterations": len(protocol.iterations),
                 "mean_t_routing": protocol.mean_t_routing,
+                "drops": dict(stats.drops),
             })
         total_generated = sum(f["generated"] for f in flows)
         total_delivered = sum(f["delivered"] for f in flows)

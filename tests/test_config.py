@@ -1,7 +1,12 @@
+import re
+from pathlib import Path
+
 import pytest
 
-from manetsim.config import (ConfigError, RunConfig, dump_config, load_config,
-                             scenario_config)
+from manetsim.config import (CbrConfig, ConfigError, MacConfig, RunConfig,
+                             VideoConfig, dump_config, load_config)
+from manetsim.harness import point_config
+from manetsim.radio import RadioSpec
 
 
 class TestDefaults:
@@ -31,6 +36,12 @@ class TestDefaults:
 
     def test_nodes_key(self):
         assert load_config("nodes: 40\n").node_count == 40
+
+    def test_readme_defaults_block_is_the_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration", 1)[1]
+        block = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+        assert load_config(block) == RunConfig()
 
 
 class TestValidation:
@@ -74,15 +85,47 @@ class TestValidation:
         with pytest.raises(ConfigError, match="video"):
             load_config("video: {pattern: BIP}\n")
 
+    @pytest.mark.parametrize("text", [
+        "duration_s: null\n",
+        "scoring: {w_ts: null}\n",
+        "radio: {tx_range_m: null}\n",
+        "routing: {ttl: null}\n",
+        "mobility: {max_speed_mps: null}\n",
+        "mobility: 5\n",
+        "cbr: {refresh_s: 0.0}\n",
+        "routing: {beacon_period_s: 0.0}\n",
+        "routing: {beta_tune: 1.0}\n",
+    ], ids=["null-duration", "null-w_ts", "null-tx_range", "null-ttl",
+            "null-max_speed", "scalar-section", "zero-cbr-refresh",
+            "zero-beacon-period", "t_routing-below-decision-delay"])
+    def test_value_that_would_crash_or_hang_the_run(self, text):
+        with pytest.raises(ConfigError):
+            load_config(text)
+
+    @pytest.mark.parametrize("cls, kwargs, match", [
+        (MacConfig, {"service": "weighted"}, "service"),
+        (VideoConfig, {"pattern": "BIP"}, "I frame"),
+        (CbrConfig, {"rate_bps": 0.0}, "rate"),
+        (CbrConfig, {"refresh_s": 0.0}, "refresh_s"),
+        (RunConfig, {"beacon_period_s": 0.0}, "beacon_period_s"),
+        (RunConfig, {"beta_tune": 1.0}, "decision_delay_s"),
+    ])
+    def test_python_built_config_is_checked_too(self, cls, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            cls(**kwargs)
+
+    def test_derived_tx_power_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            RadioSpec(tx_power_dbm=5.0)
+
 
 class TestRoundTrip:
     def test_dump_then_load(self):
-        config = scenario_config(density=200, mu_ts=3, w_ts=0.4,
-                                 master_seed=9)
+        config = point_config(RunConfig(), 0.4, 3.0, 200, 9)
         assert load_config(dump_config(config)) == config
 
     def test_scenario_config_values(self):
-        config = scenario_config(density=100, mu_ts=2)
+        config = point_config(RunConfig(), 0.0, 2.0, 100, 1)
         assert config.node_count == 27
         assert config.social.mu_ts == 2.0
         assert config.social.sigma_ts == 1.0

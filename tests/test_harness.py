@@ -15,6 +15,7 @@ from manetsim.harness import (SweepSpec, aggregate_sweep, mean_ci,
                               protocol_log_csv_text, result_csv_text,
                               run_once_to_dir, run_sweep, scenario_seed,
                               write_report)
+from manetsim.packets import DROP_CAUSES
 from manetsim.simulation import run_simulation
 
 
@@ -91,6 +92,9 @@ class TestResultCsv:
             assert int(parsed["generated"]) == flow["generated"]
             assert float(parsed["loss_fraction"]) == flow["loss_fraction"]
             assert float(parsed["ts_time_mean"]) == flow["ts_time_mean"]
+            assert [int(parsed["drops_" + cause.replace("-", "_")])
+                    for cause in DROP_CAUSES] == [
+                        flow["drops"][cause] for cause in DROP_CAUSES]
         all_row = rows[-1]
         drops = result.drops_by_cause
         assert int(all_row["drops_queue_overflow"]) == drops["queue-overflow"]
@@ -119,7 +123,7 @@ class TestGoldenDigest:
         digests = [hashlib.sha256(text.encode()).hexdigest() for text in
                    (result_csv_text(result), protocol_log_csv_text(rows))]
         assert digests == [
-            "94e8650116786d0e86bf798852da76b7300a8c9250a35b7eef5fc9c07c57ee9b",
+            "ec45f2a11b920009fe243cf05cefe1a2a2b875057cdd5d42d4299d07c777ddbd",
             "a097f737ae9cfc178ae225828ad994d58ef88e0c2e60b6f6c5f617c23a9874d9",
         ]
 
@@ -361,6 +365,19 @@ class TestGridFile:
                          "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_of_range_point_fails_before_any_run(self, tmp_path, capsys):
+        config_path = tmp_path / "cfg.yaml"
+        config_path.write_text("duration_s: 2\n")
+        out = tmp_path / "out"
+        code = cli_main(["sweep", "--config", str(config_path),
+                         "--grid", self.write_grid(
+                             tmp_path, "w_ts: [0.0, 1.5]\nmu_ts: [2.0]\n"
+                             "density: [100]\n"),
+                         "--reps", "2", "--workers", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "runs").exists()
 
     def test_int_and_float_values_name_the_same_runs(self, tmp_path):
         ints = cli._load_grid(self.write_grid(

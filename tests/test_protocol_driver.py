@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from manetsim.packets import PacketClass
-from manetsim.routing import ProtocolParams, ScoringWeights, SourceProtocol
+from manetsim.config import RunConfig
+from manetsim.routing import SourceProtocol
 
 
 class Harness:
@@ -21,7 +22,7 @@ class Harness:
         self.ts = ts
         self.protocol = SourceProtocol(
             flow_id=0, src=0, dst=n - 1,
-            params=ProtocolParams(weights=ScoringWeights(w_ts)),
+            config=RunConfig().replace(w_ts=w_ts),
             ts_matrix=ts, connectivity=lambda t: adj,
             send=self.sent.append, now=lambda: self.clock,
             schedule=self.schedule)
@@ -88,7 +89,7 @@ class TestDecision:
             payload = reply_payload(iteration.index, path, **overrides)
             h.protocol.on_probe_reply_at_source(FakeReply(payload))
         h.run_pending(until=iteration.started_at
-                      + h.protocol.params.decision_delay_s)
+                      + h.protocol.config.decision_delay_s)
         return iteration
 
     def test_no_replies_means_no_route_and_hold_last_nstate(self):
@@ -176,7 +177,7 @@ class TestCollectors:
                 h.protocol.on_probe_at_destination(probe)
         assert list(h.protocol._collectors) == [(it.index, answered)]
         h.run_pending(until=it.started_at
-                      + h.protocol.params.decision_delay_s)
+                      + h.protocol.config.decision_delay_s)
         assert h.protocol._collectors == {}
         sent = len(h.sent)
         h.protocol.on_probe_at_destination(

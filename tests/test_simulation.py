@@ -151,6 +151,17 @@ class TestAccounting:
             for k in ("video-i", "video-p", "video-b"))
         assert video_generated == result.total_generated
 
+    def test_per_flow_drops_sum_to_video_class_drops(self):
+        result = self.run_default()
+        for flow in result.flows:
+            assert flow["generated"] == (flow["delivered"]
+                                         + sum(flow["drops"].values()))
+        for cause in result.drops_by_cause:
+            assert sum(f["drops"][cause] for f in result.flows) == sum(
+                result.class_counters[k]["drops"][cause]
+                for k in ("video-i", "video-p", "video-b"))
+        assert any(sum(f["drops"].values()) for f in result.flows)
+
     def test_drop_causes_sum(self):
         result = self.run_default()
         total_drops = sum(
