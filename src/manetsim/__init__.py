@@ -1,5 +1,6 @@
-"""Packet-level MANET simulator with QoS- and tie-strength-aware multipath
-source routing, plus the experiment harness for the w_ts sweep study."""
+"""Packet-level MANET simulator with QoS- and tie-strength-aware source
+routing (single-path forwarding over multipath probing), plus the experiment
+harness for the w_ts sweep study."""
 
 from .config import RunConfig, load_config, load_config_file
 from .engine import Simulator

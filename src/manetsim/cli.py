@@ -105,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="manetsim",
         description="Packet-level MANET simulator with QoS plus tie-strength "
-                    "multipath source routing")
+                    "source routing: single-path forwarding over multipath "
+                    "probing")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run one scenario")

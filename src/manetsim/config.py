@@ -47,6 +47,8 @@ class MacConfig:
     service: str = "strict"
 
     def __post_init__(self):
+        if self.queue_capacity < 1:
+            raise ConfigError("queue_capacity must be at least 1")
         if self.service != "strict":
             raise ConfigError(
                 f"unsupported service discipline {self.service!r}")
@@ -133,6 +135,8 @@ class RunConfig:
         ScoringWeights(self.w_ts)  # range check
         if self.beacon_period_s <= 0:
             raise ConfigError("beacon_period_s must be positive")
+        if self.pm_train < 1:
+            raise ConfigError("pm_train must be at least 1")
         # t_routing = alpha_tune * nstate + beta_tune with nstate in [0, 1];
         # each decision schedules the next iteration t_routing after the
         # start of its own, so that must not come before the decision

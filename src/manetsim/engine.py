@@ -91,11 +91,10 @@ class Simulator:
         if end < self.clock:
             raise SchedulingError(
                 f"run_until({end}) would move the clock backward from {self.clock}")
-        while True:
-            t = self.queue.peek_time()
-            if t is None or t > end:
-                break
-            at, action = self.queue.pop()
+        heap = self.queue._heap
+        pop = self.queue.pop
+        while heap and heap[0][0] <= end:
+            at, action = pop()
             self.clock = at
             action()
         self.clock = end

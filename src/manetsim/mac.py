@@ -37,8 +37,13 @@ PRIORITY_MAP: dict[PacketClass, AccessCategory] = {
 DEFAULT_QUEUE_CAPACITY = 50  # packets per access category
 
 
+# Keyed by the member's ``_value_``: a member as key runs the Python-level
+# ``Enum.__hash__`` on every lookup, once per enqueued packet.
+_CATEGORY_BY_VALUE = {klass._value_: ac for klass, ac in PRIORITY_MAP.items()}
+
+
 def category_of(packet: Packet) -> AccessCategory:
-    return PRIORITY_MAP[packet.klass]
+    return _CATEGORY_BY_VALUE[packet.klass._value_]
 
 
 @dataclass

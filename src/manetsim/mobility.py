@@ -178,6 +178,30 @@ def position_at(trace: MobilityTrace, node: int, t: float) -> tuple[float, float
             ys[i] + frac * (ys[i + 1] - ys[i]))
 
 
+def segment_at(trace: MobilityTrace, node: int,
+               t: float) -> tuple[float, float, float, float,
+                                  float | None, float | None]:
+    """The waypoint segment holding t: ``(start, end, x, y, dx, dy)``.
+
+    For every s in [start, end), :func:`position_at` gives (x, y) if dx is
+    None or s == start, and else ``x + frac * dx`` (likewise y) with
+    ``frac = (s - start) / (end - start)``.  ``start`` is never below 0, so
+    negative times stay outside.
+    """
+    if node not in trace.waypoints:
+        raise KeyError(f"unknown node {node}")
+    if not (0.0 <= t <= trace.duration):
+        raise ValueError(f"t={t} outside [0, {trace.duration}]")
+    times, xs, ys = trace.waypoints[node]
+    i = bisect.bisect_right(times, t) - 1
+    if i < 0:
+        return 0.0, times[0], xs[0], ys[0], None, None
+    if i >= len(times) - 1:
+        return times[-1], math.inf, xs[-1], ys[-1], None, None
+    return (times[i], times[i + 1], xs[i], ys[i],
+            xs[i + 1] - xs[i], ys[i + 1] - ys[i])
+
+
 class WaypointArrays:
     """A trace's waypoints as padded arrays, to interpolate every node at once.
 
@@ -185,6 +209,9 @@ class WaypointArrays:
     pad column of time +inf at its last position, so every row has a
     segment end.  ``positions_at`` applies the same float operations as
     :func:`position_at`, so each coordinate equals it exactly.
+
+    Each row's current segment is kept between calls; it is looked up again
+    only when ``t`` reaches some row's next waypoint or goes backward.
     """
 
     def __init__(self, trace: MobilityTrace):
@@ -205,23 +232,36 @@ class WaypointArrays:
             self.ys[row, k:] = ys[-1]
             self.last[row] = k - 1
         self._rows = np.arange(len(ids))
+        self._enter_segments(0.0)
+
+    def _enter_segments(self, t: float) -> None:
+        """Each row's segment at t, valid for queries in [t, next waypoint)."""
+        i = np.count_nonzero(self.times <= t, axis=1) - 1  # bisect_right - 1
+        seg = np.maximum(i, 0)
+        rows = self._rows
+        self._t0 = self.times[rows, seg]
+        self._x0 = self.xs[rows, seg]
+        self._y0 = self.ys[rows, seg]
+        self._dt = self.times[rows, seg + 1] - self._t0
+        self._dx = self.xs[rows, seg + 1] - self._x0
+        self._dy = self.ys[rows, seg + 1] - self._y0
+        # before the first waypoint or after the last
+        self._hold = (i < 0) | (i >= self.last)
+        self._since = t
+        self._until = float(self.times[rows, i + 1].min())
 
     def positions_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(xs, ys) of every node at t, in ``trace.node_ids`` order."""
         if not (0.0 <= t <= self.duration):
             raise ValueError(f"t={t} outside [0, {self.duration}]")
-        i = np.count_nonzero(self.times <= t, axis=1) - 1  # bisect_right - 1
-        seg = np.maximum(i, 0)
-        rows = self._rows
-        t0 = self.times[rows, seg]
-        x0 = self.xs[rows, seg]
-        y0 = self.ys[rows, seg]
-        frac = (t - t0) / (self.times[rows, seg + 1] - t0)
-        x = x0 + frac * (self.xs[rows, seg + 1] - x0)
-        y = y0 + frac * (self.ys[rows, seg + 1] - y0)
-        # before the first waypoint, after the last or exactly on one
-        hold = (i < 0) | (i >= self.last) | (t0 == t)
-        return np.where(hold, x0, x), np.where(hold, y0, y)
+        if not self._since <= t < self._until:
+            self._enter_segments(t)
+        t0 = self._t0
+        frac = (t - t0) / self._dt
+        x = self._x0 + frac * self._dx
+        y = self._y0 + frac * self._dy
+        hold = self._hold | (t0 == t)  # exactly on a waypoint holds too
+        return np.where(hold, self._x0, x), np.where(hold, self._y0, y)
 
 
 def velocity_at(trace: MobilityTrace, node: int, t: float) -> tuple[float, float]:

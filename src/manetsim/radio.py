@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +61,9 @@ class RadioSpec:
         return self.max_corruption_prob * min(1.0, max(0.0, frac))
 
 
-@dataclass(frozen=True)
-class LinkState:
+# Per-hop records are tuples: a frozen dataclass pays one
+# ``object.__setattr__`` per field on every hop.
+class LinkState(NamedTuple):
     node_a: int
     node_b: int
     distance_m: float
@@ -69,8 +71,7 @@ class LinkState:
     usable: bool
 
 
-@dataclass(frozen=True)
-class TransmitOutcome:
+class TransmitOutcome(NamedTuple):
     status: str  # "delivered" | "corrupted" | "dropped"
     delay_s: float = 0.0
     cause: str | None = None
@@ -129,8 +130,10 @@ class Medium:
         linked = d2 <= r2
         # x * x and x ** 2 differ by at most an ulp, far inside this margin
         edge = np.abs(d2 - r2) <= 1e-12 * r2
-        for i, j in zip(*np.nonzero(edge)):
-            linked[i, j] = float(dx[i, j]) ** 2 + float(dy[i, j]) ** 2 <= r2
+        if edge.any():
+            for i, j in zip(*np.nonzero(edge)):
+                linked[i, j] = (float(dx[i, j]) ** 2 + float(dy[i, j]) ** 2
+                                <= r2)
         np.fill_diagonal(linked, False)
         # row-major order: each node's neighbours come out ascending
         nbrs = self._ids[np.flatnonzero(linked) % len(self._ids)].tolist()

@@ -1,4 +1,5 @@
-"""QoS- and tie-strength-aware multipath source routing.
+"""QoS- and tie-strength-aware source routing: single-path forwarding over
+multipath probing.
 
 A source periodically (every adaptive t_routing seconds) discovers the
 simple paths to its destination over the instantaneous connectivity graph,
@@ -47,6 +48,10 @@ class CustomerRequest:
 class DiscoveryLimits:
     ttl: int = 10
     max_paths: int = 10
+
+    def __post_init__(self):
+        if self.ttl < 1 or self.max_paths < 1:
+            raise ValueError("ttl and max_paths must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -176,7 +181,8 @@ def update_t_routing(nstate: float, alpha: float = 10.0,
     return alpha * nstate + beta
 
 
-def _bfs_distance(adj: dict[int, list[int]], target: int) -> dict[int, int]:
+def bfs_distance(adj: dict[int, list[int]], target: int) -> dict[int, int]:
+    """Hop count to ``target`` from every node that can reach it."""
     dist = {target: 0}
     frontier = deque([target])
     while frontier:
@@ -201,7 +207,7 @@ def discover_paths(adj: dict[int, list[int]], src: int, dst: int,
         raise ValueError("source and destination must differ")
     if src not in adj or dst not in adj:
         return []
-    dist = _bfs_distance(adj, dst)
+    dist = bfs_distance(adj, dst)
     if src not in dist or dist[src] > limits.ttl:
         return []
     found: list[tuple[int, ...]] = []

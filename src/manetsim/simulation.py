@@ -13,7 +13,8 @@ from .engine import Simulator
 from .mac import MacLayer
 from .packets import DROP_CAUSES, Packet, PacketClass
 from .radio import Medium, transmission_delay
-from .routing import DiscoveryLimits, SourceProtocol, discover_paths
+from .routing import (DiscoveryLimits, SourceProtocol, bfs_distance,
+                      discover_paths)
 from .social import generate_ts_matrix, validate_ts_matrix
 from .video import CbrSpec, VideoSource, decodeable_gops, packetize
 
@@ -114,6 +115,11 @@ class SimulationRun:
         self.trace = mobility_trace
         self.node_ids = self.trace.node_ids
         self._waypoints = mob.WaypointArrays(self.trace)
+        # no segment holds any time until the first lookup
+        self._segments = {node: (math.inf, -math.inf, 0.0, 0.0, None, None)
+                          for node in self.node_ids}
+        self._load_bucket: float | None = None
+        self._load_adj: dict[int, list[int]] = {}
         self.medium = Medium(config.radio, self._position_of,
                              self._positions_at, self.node_ids)
         self.mac = MacLayer(self.node_ids, capacity=config.mac.queue_capacity,
@@ -139,7 +145,18 @@ class SimulationRun:
     # -- topology helpers ----------------------------------------------------
 
     def _position_of(self, node: int, t: float):
-        return mob.position_at(self.trace, node, min(t, self.trace.duration))
+        """``mob.position_at`` at min(t, duration), from the node's current
+        waypoint segment; a bisect only when t leaves that segment."""
+        t = min(t, self.trace.duration)
+        start, end, x, y, dx, dy = segment = self._segments[node]
+        if not start <= t < end:
+            start, end, x, y, dx, dy = segment = mob.segment_at(
+                self.trace, node, t)
+            self._segments[node] = segment
+        if dx is None or t == start:
+            return x, y
+        frac = (t - start) / (end - start)
+        return x + frac * dx, y + frac * dy
 
     def _positions_at(self, t: float):
         return self._waypoints.positions_at(min(t, self.trace.duration))
@@ -148,7 +165,14 @@ class SimulationRun:
         return math.floor(t / TOPOLOGY_QUANTUM_S) * TOPOLOGY_QUANTUM_S
 
     def _neighbors_of(self, node: int, t: float):
-        return self.medium.connectivity(self._bucket(t))[node]
+        """Neighbours in the snapshot of t's bucket, which is held here so
+        that exact-time queries to the medium's one-entry cache between two
+        loads of one bucket do not make it rebuild."""
+        bucket = self._bucket(t)
+        if bucket != self._load_bucket:
+            self._load_bucket = bucket
+            self._load_adj = self.medium.connectivity(bucket)
+        return self._load_adj[node]
 
     def _velocity_of(self, node: int, t: float):
         return mob.velocity_at(self.trace, node, min(t, self.trace.duration))
@@ -172,28 +196,14 @@ class SimulationRun:
         choice = rng.sample(self.node_ids, count)
         for min_hops in range(min(self.config.flow_min_hops, ttl), 0, -1):
             for _ in range(100):
+                # the graph is undirected: hops from dst equal hops to it
                 if all(min_hops
-                       <= self._hops_between(adj, choice[i], choice[i + 1])
+                       <= bfs_distance(adj, choice[i + 1]).get(choice[i],
+                                                               math.inf)
                        <= ttl for i in range(0, count, 2)):
                     return choice
                 choice = rng.sample(self.node_ids, count)
         return choice  # nothing connected after many tries: run as drawn
-
-    @staticmethod
-    def _hops_between(adj: dict[int, list[int]], src: int, dst: int) -> float:
-        frontier = [src]
-        seen = {src: 0}
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for nbr in adj[node]:
-                    if nbr not in seen:
-                        seen[nbr] = seen[node] + 1
-                        if nbr == dst:
-                            return seen[nbr]
-                        nxt.append(nbr)
-            frontier = nxt
-        return math.inf
 
     def _setup_flows(self) -> None:
         config = self.config
@@ -304,9 +314,17 @@ class SimulationRun:
         busy = outcome.delay_s
         if outcome.status == "corrupted":
             self._drop(packet, outcome.cause)
+            self.sim.schedule(t + busy, lambda: self._tx_done(node))
         else:
-            self.sim.schedule(t + busy, lambda: self._receive(nxt, packet))
-        self.sim.schedule(t + busy, lambda: self._tx_done(node))
+            self.sim.schedule(t + busy,
+                              lambda: self._hop_done(node, nxt, packet))
+
+    def _hop_done(self, node: int, nxt: int, packet: Packet) -> None:
+        """The frame reaches nxt, then node's radio is free: one event, in
+        the order of two events at one time with consecutive sequence
+        numbers, which nothing can run between."""
+        self._receive(nxt, packet)
+        self._tx_done(node)
 
     def _tx_done(self, node: int) -> None:
         self.mac.nodes[node].transmitting = False

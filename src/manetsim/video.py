@@ -40,6 +40,8 @@ class GopModel:
             raise ValueError("GoP pattern may only contain I, P and B")
         if self.fps <= 0 or self.target_rate_bps <= 0:
             raise ValueError("fps and target rate must be positive")
+        if self.max_packet_bytes < 1:
+            raise ValueError("max_packet_bytes must be at least 1")
 
     @property
     def frame_interval(self) -> float:

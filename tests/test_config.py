@@ -95,9 +95,16 @@ class TestValidation:
         "cbr: {refresh_s: 0.0}\n",
         "routing: {beacon_period_s: 0.0}\n",
         "routing: {beta_tune: 1.0}\n",
+        "routing: {pm_train: 0}\n",
+        "routing: {max_paths: 0}\n",
+        "routing: {ttl: 0}\n",
+        "mac: {queue_capacity: 0}\n",
+        "video: {max_packet_bytes: 0}\n",
     ], ids=["null-duration", "null-w_ts", "null-tx_range", "null-ttl",
             "null-max_speed", "scalar-section", "zero-cbr-refresh",
-            "zero-beacon-period", "t_routing-below-decision-delay"])
+            "zero-beacon-period", "t_routing-below-decision-delay",
+            "zero-probe-train", "zero-max-paths", "zero-ttl",
+            "zero-queue-capacity", "zero-packet-bytes"])
     def test_value_that_would_crash_or_hang_the_run(self, text):
         with pytest.raises(ConfigError):
             load_config(text)

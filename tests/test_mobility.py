@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from manetsim.config import CbrConfig, RunConfig, VideoConfig
 from manetsim.mobility import (AreaSpec, MobilityTrace, TraceFormatError,
                                WaypointArrays, generate_waypoint_trace,
                                import_trace, position_at, velocity_at)
+from manetsim.simulation import SimulationRun
 
 AREA = AreaSpec(520.0, 520.0, 27)
 
@@ -113,13 +115,51 @@ class TestPositionAt:
         assert (vx, vy) == (10.0, 0.0)
 
 
+def walk_query_orders(seed):
+    """(trace, orders): a random walk with pauses, and its query times in
+    ascending, descending and shuffled order.  The times include every
+    waypoint up to the duration, the float just below each, and random
+    times."""
+    rng = random.Random(seed)
+    trace = generate_waypoint_trace(AreaSpec(520.0, 520.0, 8), 2.0, 200.0,
+                                    rng, pause_s=5.0, warmup_s=50.0)
+    on_waypoints = [t for times, _, _ in trace.waypoints.values()
+                    for t in times if t <= trace.duration]
+    ascending = sorted(set(
+        [0.0, trace.duration] + on_waypoints
+        + [math.nextafter(t, -math.inf) for t in on_waypoints if t > 0.0]
+        + [rng.uniform(0.0, trace.duration) for _ in range(300)]))
+    shuffled = list(ascending)
+    rng.shuffle(shuffled)
+    return trace, [ascending, ascending[::-1], shuffled]
+
+
+def short_trace():
+    """Waypoints that start after 0 or end before the duration, and a
+    segment starting at -0.0, which only the exact-waypoint rule returns
+    as -0.0 (-0.0 + 0.0 * dx is 0.0)."""
+    trace = MobilityTrace(area=AreaSpec(520.0, 520.0, 5), duration=100.0)
+    trace.waypoints[0] = ([10.0, 30.0], [0.0, 90.0], [5.0, 7.0])
+    trace.waypoints[1] = ([0.0, 20.0, 50.0], [1.0, 2.5, 400.0],
+                          [3.0, 3.0, 0.0])
+    trace.waypoints[2] = ([0.0], [260.0], [130.0])
+    trace.waypoints[3] = ([40.0], [17.0], [19.0])
+    trace.waypoints[4] = ([0.0, 20.0, 60.0], [5.0, -0.0, 80.0],
+                          [5.0, -0.0, 9.0])
+    return trace
+
+
+SHORT_TRACE_TIMES = [0.0, 5.0, 10.0, 12.5, 20.0, 29.9, 30.0, 40.0, 49.99,
+                     50.0, 60.0, 100.0, 49.99, 10.0, 5.0, 30.0, 0.0]
+
+
 class TestWaypointArrays:
     """All-node interpolation against the scalar position_at loop, bit for
     bit."""
 
     @staticmethod
-    def assert_matches_scalar(trace, times):
-        arrays = WaypointArrays(trace)
+    def assert_matches_scalar(trace, times, arrays=None):
+        arrays = arrays or WaypointArrays(trace)
         for t in times:
             xs, ys = arrays.positions_at(t)
             got = [(x.hex(), y.hex()) for x, y in zip(xs.tolist(),
@@ -140,20 +180,59 @@ class TestWaypointArrays:
             self.assert_matches_scalar(trace, times)
 
     def test_before_first_after_last_and_static_nodes(self):
-        trace = MobilityTrace(area=AreaSpec(520.0, 520.0, 4), duration=100.0)
-        trace.waypoints[0] = ([10.0, 30.0], [0.0, 90.0], [5.0, 7.0])
-        trace.waypoints[1] = ([0.0, 20.0, 50.0], [1.0, 2.5, 400.0],
-                              [3.0, 3.0, 0.0])
-        trace.waypoints[2] = ([0.0], [260.0], [130.0])
-        trace.waypoints[3] = ([40.0], [17.0], [19.0])
-        times = [0.0, 5.0, 10.0, 12.5, 20.0, 29.9, 30.0, 40.0, 49.99, 50.0,
-                 60.0, 100.0]
-        self.assert_matches_scalar(trace, times)
+        self.assert_matches_scalar(short_trace(), SHORT_TRACE_TIMES)
+
+    def test_kept_segments_in_order_backward_and_on_waypoints(self):
+        # one WaypointArrays per trace, so each order starts where the last
+        # one left its segments
+        trace, orders = walk_query_orders(5)
+        arrays = WaypointArrays(trace)
+        for times in orders:
+            self.assert_matches_scalar(trace, times, arrays)
 
     def test_time_out_of_range(self):
         arrays = WaypointArrays(hand_trace())
         with pytest.raises(ValueError):
             arrays.positions_at(10.5)
+
+
+class TestSimulationPositionCursor:
+    """SimulationRun._position_of keeps each node's segment between calls;
+    it must equal position_at bit for bit in any query order."""
+
+    @staticmethod
+    def make_run(trace):
+        config = RunConfig(node_count=len(trace.waypoints),
+                           duration_s=trace.duration,
+                           video=VideoConfig(flows=0), cbr=CbrConfig(flows=0))
+        return SimulationRun(config, mobility_trace=trace)
+
+    @staticmethod
+    def assert_matches_scalar(run, trace, times):
+        for t in times:
+            for node in trace.node_ids:
+                got = tuple(c.hex() for c in run._position_of(node, t))
+                want = tuple(c.hex() for c in position_at(
+                    trace, node, min(t, trace.duration)))
+                assert got == want, f"node {node}, t={t!r}"
+
+    def test_random_walk_in_order_backward_and_on_waypoints(self):
+        trace, orders = walk_query_orders(6)
+        run = self.make_run(trace)
+        for times in orders:
+            self.assert_matches_scalar(run, trace, times)
+
+    def test_before_first_after_last_and_past_the_end(self):
+        trace = short_trace()
+        run = self.make_run(trace)
+        self.assert_matches_scalar(run, trace,
+                                   SHORT_TRACE_TIMES + [150.0, 30.0, 1e9])
+
+    def test_negative_time_rejected_like_position_at(self):
+        run = self.make_run(short_trace())
+        run._position_of(0, 5.0)  # before node 0's first waypoint at 10.0
+        with pytest.raises(ValueError):
+            run._position_of(0, -1.0)
 
 
 class TestImport:

@@ -5,7 +5,7 @@ import pytest
 
 from manetsim.config import CbrConfig, RunConfig, SocialConfig, VideoConfig
 from manetsim.mobility import AreaSpec, MobilityTrace
-from manetsim.packets import PacketClass
+from manetsim.packets import Packet, PacketClass
 from manetsim.radio import RadioSpec
 from manetsim.simulation import SimulationRun, run_simulation
 
@@ -77,6 +77,22 @@ class TestTwoNodeIdle:
     def test_selected_path_ts_from_matrix(self):
         run, result = self.run()
         assert result.ts_time_mean == pytest.approx(4.0)
+
+
+class TestHopEvents:
+    def test_delivered_hop_costs_one_completion_event(self):
+        # no flows: between beacons, one injected frame is the only traffic
+        config = two_node_config(duration_s=2.0, video=VideoConfig(flows=0))
+        trace = static_trace([(100.0, 100.0), (120.0, 100.0)], duration=2.0)
+        run = SimulationRun(config, mobility_trace=trace, ts_matrix=full_ts(2))
+        run.sim.run_until(0.2)  # the beacons of t=0 are done, t=0.5 is next
+        before = run.sim.queue.processed
+        run._inject(Packet(klass=PacketClass.CBR, size_bytes=1500, src=0,
+                           dst=1, route=(0, 1), created_at=0.2))
+        run.sim.run_until(0.3)
+        assert run.classes[PacketClass.CBR].delivered == 1
+        # the transmission, then reception and end of transmission together
+        assert run.sim.queue.processed - before == 2
 
 
 class TestProbeLossEstimate:
