@@ -39,6 +39,14 @@ class MobilityConfig:
     warmup_s: float = 300.0
     trace_path: str | None = None
 
+    def __post_init__(self):
+        # the walk would skip a negative pause without a word, and a
+        # fraction above 1 would draw speeds above max_speed_mps
+        if self.pause_s < 0:
+            raise ConfigError("pause_s may not be negative")
+        if not 0.0 <= self.min_speed_fraction <= 1.0:
+            raise ConfigError("min_speed_fraction must be in [0, 1]")
+
 
 @dataclass(frozen=True)
 class MacConfig:
@@ -49,6 +57,8 @@ class MacConfig:
     def __post_init__(self):
         if self.queue_capacity < 1:
             raise ConfigError("queue_capacity must be at least 1")
+        if self.access_delay_s < 0:
+            raise ConfigError("access_delay_s may not be negative")
         if self.service != "strict":
             raise ConfigError(
                 f"unsupported service discipline {self.service!r}")
@@ -67,6 +77,8 @@ class VideoConfig:
 
     def __post_init__(self):
         self.gop_model()  # validates the pattern and the rates
+        if self.flows < 0 or self.start_s < 0:
+            raise ConfigError("flows and start_s may not be negative")
 
     def gop_model(self) -> GopModel:
         return GopModel(pattern=self.pattern, fps=self.fps,
@@ -83,6 +95,8 @@ class CbrConfig:
     refresh_s: float = 5.0
 
     def __post_init__(self):
+        if self.flows < 0:
+            raise ConfigError("flows may not be negative")
         if self.flows > 0:
             CbrSpec(self.rate_bps, self.packet_bytes)  # range check
         if self.refresh_s <= 0:
@@ -137,6 +151,17 @@ class RunConfig:
             raise ConfigError("beacon_period_s must be positive")
         if self.pm_train < 1:
             raise ConfigError("pm_train must be at least 1")
+        if self.flow_min_hops < 1:  # below 1 no endpoint pair is checked
+            raise ConfigError("flow_min_hops must be at least 1")
+        # a negative size or delay would schedule an event in the past
+        for name in ("beacon_bytes", "pm_bytes", "pmr_bytes", "pm_spacing_s"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} may not be negative")
+        # at zero every decision comes before any probe reply (no route),
+        # and every reply leaves at its train's first probe (loss 1 - 1/train)
+        for name in ("decision_delay_s", "probe_window_s"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
         # t_routing = alpha_tune * nstate + beta_tune with nstate in [0, 1];
         # each decision schedules the next iteration t_routing after the
         # start of its own, so that must not come before the decision

@@ -16,7 +16,7 @@ from .radio import Medium, transmission_delay
 from .routing import (DiscoveryLimits, SourceProtocol, bfs_distance,
                       discover_paths)
 from .social import generate_ts_matrix, validate_ts_matrix
-from .video import CbrSpec, VideoSource, decodeable_gops, packetize
+from .video import CbrSpec, VideoFrame, VideoSource, packetize
 
 VIDEO_CLASSES = (PacketClass.VIDEO_I, PacketClass.VIDEO_P, PacketClass.VIDEO_B)
 
@@ -40,8 +40,8 @@ class FlowStats:
     last_delay: float | None = None
     drops: dict[str, int] = field(
         default_factory=lambda: {cause: 0 for cause in DROP_CAUSES})
-    # per generated video packet: [gop_index, is_i_frame, delivered]
-    video_log: list = field(default_factory=list)
+    # per GoP: its I-frame packets generated and not yet delivered
+    gop_i_pending: list[int] = field(default_factory=list)
 
     @property
     def loss_fraction(self) -> float:
@@ -56,6 +56,36 @@ class FlowStats:
     @property
     def mean_jitter_s(self) -> float:
         return self.jitter_sum / self.jitter_n if self.jitter_n else 0.0
+
+    @property
+    def decodable_gop_fraction(self) -> float:
+        """Fraction of GoPs whose I packets all arrived, one dropped or in
+        flight at the end counting as lost; a GoP with no I frame counts."""
+        if not self.gop_i_pending:
+            return 1.0
+        return self.gop_i_pending.count(0) / len(self.gop_i_pending)
+
+    def count_generated(self, frame: VideoFrame,
+                        packets: list[Packet]) -> None:
+        """Count a new frame's packets and tag each I packet with its GoP."""
+        if frame.frame_index == 0:  # any frame type may open a GoP
+            self.gop_i_pending.append(0)
+        for packet in packets:
+            self.generated += 1
+            self.generated_bytes += packet.size_bytes
+            if packet.klass is PacketClass.VIDEO_I:
+                self.gop_i_pending[frame.gop_index] += 1
+                packet.payload["gop"] = frame.gop_index
+
+    def count_delivered(self, packet: Packet, delay: float) -> None:
+        self.delivered += 1
+        self.delay_sum += delay
+        if self.last_delay is not None:
+            self.jitter_sum += abs(delay - self.last_delay)
+            self.jitter_n += 1
+        self.last_delay = delay
+        if packet.klass is PacketClass.VIDEO_I:
+            self.gop_i_pending[packet.payload["gop"]] -= 1
 
 
 @dataclass
@@ -363,15 +393,8 @@ class SimulationRun:
             self.protocols[packet.flow_id].on_probe_reply_at_source(packet)
             return
         if packet.klass in VIDEO_CLASSES:
-            stats = self.flow_stats[packet.flow_id]
-            stats.delivered += 1
-            delay = self.sim.clock - packet.created_at
-            stats.delay_sum += delay
-            if stats.last_delay is not None:
-                stats.jitter_sum += abs(delay - stats.last_delay)
-                stats.jitter_n += 1
-            stats.last_delay = delay
-            stats.video_log[packet.payload["log_index"]][2] = True
+            self.flow_stats[packet.flow_id].count_delivered(
+                packet, self.sim.clock - packet.created_at)
 
     def _drop(self, packet: Packet, cause: str) -> None:
         self.drops[cause] += 1
@@ -392,12 +415,8 @@ class SimulationRun:
         packets = packetize(frame, self.config.video.max_packet_bytes,
                             src=stats.src, dst=stats.dst, route=route,
                             flow_id=flow_id)
+        stats.count_generated(frame, packets)
         for packet in packets:
-            stats.generated += 1
-            stats.generated_bytes += packet.size_bytes
-            packet.payload["log_index"] = len(stats.video_log)
-            stats.video_log.append(
-                [frame.gop_index, frame.frame_type == "I", False])
             if protocol.active_route is None:
                 self.classes[packet.klass].generated += 1
                 self._drop(packet, "no-route")
@@ -467,7 +486,7 @@ class SimulationRun:
                 "mean_delay_s": stats.mean_delay_s,
                 "mean_jitter_s": stats.mean_jitter_s,
                 "delay_sum": stats.delay_sum,
-                "decodable_gop_fraction": decodeable_gops(stats.video_log),
+                "decodable_gop_fraction": stats.decodable_gop_fraction,
                 "ts_time_mean": protocol.ts_time_mean,
                 "iterations": len(protocol.iterations),
                 "mean_t_routing": protocol.mean_t_routing,

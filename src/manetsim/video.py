@@ -1,6 +1,5 @@
 """VBR video source with a repeating I/P/B frame pattern, packetization with
-per-type priorities, decode-ability accounting, and constant-bitrate
-interferers.
+per-type priorities, and constant-bitrate interferers.
 
 Frame sizes follow lognormal distributions whose means keep the I:P:B ratio
 at 5:2:1 and the long-run bitrate at the configured target.  A frame-size
@@ -111,25 +110,6 @@ def packetize(frame: VideoFrame, max_packet_bytes: int = 1500,
             klass=klass, size_bytes=size, src=src, dst=dst, route=route,
             created_at=frame.generated_at, flow_id=flow_id, seq=i))
     return packets
-
-
-def decodeable_gops(delivery_log) -> float:
-    """Fraction of GoPs whose I-frame packets all arrived.
-
-    ``delivery_log`` holds one entry per generated video packet:
-    (gop_index, is_i_frame, delivered).  A GoP missing any I packet counts
-    as undecodable; GoPs without I entries do not occur by construction
-    (every pattern starts with I).
-    """
-    gop_ok: dict[int, bool] = {}
-    for gop_index, is_i, delivered in delivery_log:
-        if gop_index not in gop_ok:
-            gop_ok[gop_index] = True
-        if is_i and not delivered:
-            gop_ok[gop_index] = False
-    if not gop_ok:
-        return 1.0
-    return sum(gop_ok.values()) / len(gop_ok)
 
 
 @dataclass(frozen=True)

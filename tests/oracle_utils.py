@@ -1,5 +1,6 @@
-"""Shared oracle helpers: brute-force path scoring against networkx, and
-deterministic pseudo-random qualifications keyed by path."""
+"""Shared oracle helpers: brute-force path scoring against networkx,
+deterministic pseudo-random qualifications keyed by path, and the
+per-packet definition of the decodable-GoP fraction."""
 
 from __future__ import annotations
 
@@ -95,3 +96,21 @@ def run_oracle_trial(seed: int) -> bool:
                                             request)
     got, got_paths = pipeline_best(adj, src, dst, seed, ts, weights, request)
     return expect == got and expect_paths == got_paths
+
+
+def decodable_gop_fraction(video_log) -> float:
+    """Fraction of GoPs whose I-frame packets all arrived.
+
+    ``video_log`` holds one entry per generated video packet:
+    (gop_index, is_i_frame, delivered).  A GoP missing any I packet counts
+    as undecodable; a GoP without I entries counts as decodable.
+    """
+    gop_ok: dict[int, bool] = {}
+    for gop_index, is_i, delivered in video_log:
+        if gop_index not in gop_ok:
+            gop_ok[gop_index] = True
+        if is_i and not delivered:
+            gop_ok[gop_index] = False
+    if not gop_ok:
+        return 1.0
+    return sum(gop_ok.values()) / len(gop_ok)

@@ -7,6 +7,7 @@ from manetsim.config import (CbrConfig, ConfigError, MacConfig, RunConfig,
                              VideoConfig, dump_config, load_config)
 from manetsim.harness import point_config
 from manetsim.radio import RadioSpec
+from manetsim.simulation import run_simulation
 
 
 class TestDefaults:
@@ -100,14 +101,45 @@ class TestValidation:
         "routing: {ttl: 0}\n",
         "mac: {queue_capacity: 0}\n",
         "video: {max_packet_bytes: 0}\n",
+        "mac: {access_delay_s: -0.01}\n",
+        "video: {start_s: -1.0}\n",
+        "routing: {pm_spacing_s: -0.01}\n",
+        "routing: {decision_delay_s: -1.0}\n",
+        "routing: {decision_delay_s: 0.0}\n",
+        "routing: {probe_window_s: 0.0}\n",
+        "routing: {beacon_bytes: -32}\n",
+        "routing: {pm_bytes: -64}\n",
+        "routing: {pmr_bytes: -128}\n",
+        "video: {flows: -1}\n",
+        "cbr: {flows: -1}\n",
+        "flow_min_hops: 0\n",
+        "mobility: {min_speed_fraction: 2.0}\n",
+        "mobility: {pause_s: -1.0}\n",
     ], ids=["null-duration", "null-w_ts", "null-tx_range", "null-ttl",
             "null-max_speed", "scalar-section", "zero-cbr-refresh",
             "zero-beacon-period", "t_routing-below-decision-delay",
             "zero-probe-train", "zero-max-paths", "zero-ttl",
-            "zero-queue-capacity", "zero-packet-bytes"])
+            "zero-queue-capacity", "zero-packet-bytes",
+            "negative-access-delay", "negative-video-start",
+            "negative-pm-spacing", "negative-decision-delay",
+            "zero-decision-delay", "zero-probe-window",
+            "negative-beacon-bytes", "negative-pm-bytes",
+            "negative-pmr-bytes", "negative-video-flows",
+            "negative-cbr-flows", "zero-flow-min-hops",
+            "min-speed-above-max", "negative-pause"])
     def test_value_that_would_crash_or_hang_the_run(self, text):
         with pytest.raises(ConfigError):
             load_config(text)
+
+    def test_zero_sizes_and_delays_stay_legal(self):
+        # zero air time for signalling, no access delay and no spacing are
+        # idealisations the model can run; only negative values break it
+        config = load_config(
+            "nodes: 10\nduration_s: 5\nmac: {access_delay_s: 0.0}\n"
+            "video: {start_s: 0.0}\nrouting: {beacon_bytes: 0, pm_bytes: 0, "
+            "pmr_bytes: 0, pm_spacing_s: 0.0}\n")
+        result, _ = run_simulation(config)
+        assert result.total_generated > 0
 
     @pytest.mark.parametrize("cls, kwargs, match", [
         (MacConfig, {"service": "weighted"}, "service"),

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+import oracle_utils
 from manetsim.mac import AccessCategory, category_of
 from manetsim.packets import PacketClass
-from manetsim.video import (CbrSpec, GopModel, VideoSource, decodeable_gops,
+from manetsim.simulation import FlowStats
+from manetsim.video import (CbrSpec, GopModel, VideoFrame, VideoSource,
                             load_frame_trace, packetize)
 
 
@@ -106,30 +108,92 @@ class TestPacketize:
         assert [p.size_bytes for p in packets] == [1500, 1500, 100]
 
 
-class TestDecodeableGops:
+class TestGopCounters:
+    """FlowStats' per-GoP I-packet counters against the per-packet oracle."""
+
+    @staticmethod
+    def fraction(log, rng=None):
+        """Feed a (gop_index, is_i, delivered) log to a FlowStats, one
+        single-packet frame per entry, GoPs in order; deliveries are
+        interleaved with generation at random when rng is given, else all
+        follow it."""
+        stats = FlowStats(0, 0, 1)
+        in_flight = []
+        for gop, is_i, delivered in log:
+            opens = len(stats.gop_i_pending) == gop
+            frame = VideoFrame(gop, 0 if opens else 1, "I" if is_i else "B",
+                               100, 0.0)
+            packets = packetize(frame, 1500)
+            stats.count_generated(frame, packets)
+            if delivered:
+                in_flight.extend(packets)
+            while rng is not None and in_flight and rng.random() < 0.5:
+                stats.count_delivered(
+                    in_flight.pop(rng.randrange(len(in_flight))), 0.0)
+        for packet in in_flight:
+            stats.count_delivered(packet, 0.0)
+        assert stats.generated == len(log)
+        return stats.decodable_gop_fraction
+
+    def check(self, log, expect):
+        assert self.fraction(log) == expect
+        assert oracle_utils.decodable_gop_fraction(log) == expect
+
     def test_no_losses(self):
-        log = [(0, True, True), (0, False, True), (1, True, True)]
-        assert decodeable_gops(log) == 1.0
+        self.check([(0, True, True), (0, False, True), (1, True, True)], 1.0)
 
     def test_every_i_frame_lost(self):
-        log = [(0, True, False), (1, True, False)]
-        assert decodeable_gops(log) == 0.0
+        self.check([(0, True, False), (1, True, False)], 0.0)
+
+    def test_one_of_two_i_packets_lost(self):
+        self.check([(0, True, True), (0, True, False), (0, False, True)], 0.0)
+
+    def test_gops_without_i_count_as_decodable(self):
+        self.check([(0, False, False), (1, True, False), (2, False, True)],
+                   2 / 3)
 
     def test_constructed_ratio(self):
         log = []
         for gop in range(10):
-            lost_i = gop < 3
-            log.append((gop, True, not lost_i))
+            log.append((gop, True, gop >= 3))
             log.append((gop, False, False))  # lost B never matters
-        assert decodeable_gops(log) == pytest.approx(0.7)
+        self.check(log, 0.7)
 
     def test_monotone_in_loss_removal(self):
         log = [(0, True, False), (1, True, True)]
         healed = [(0, True, True), (1, True, True)]
-        assert decodeable_gops(healed) >= decodeable_gops(log)
+        assert self.fraction(healed) > self.fraction(log)
 
     def test_empty_log(self):
-        assert decodeable_gops([]) == 1.0
+        self.check([], 1.0)
+
+    def test_equal_to_oracle_on_random_logs(self):
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(300):
+            p_i, p_delivered = rng.random(), rng.random()
+            log = [(gop, rng.random() < p_i, rng.random() < p_delivered)
+                   for gop in range(rng.randint(0, 12))
+                   for _ in range(rng.randint(1, 6))]
+            assert (self.fraction(log, rng)
+                    == oracle_utils.decodable_gop_fraction(log))
+            if not log:
+                seen.add("empty")
+            if {g for g, _, _ in log} - {g for g, is_i, _ in log if is_i}:
+                seen.add("gop-without-i")
+            if any(is_i and not delivered for _, is_i, delivered in log):
+                seen.add("lost-i")
+        assert seen == {"empty", "gop-without-i", "lost-i"}
+
+    def test_memory_per_gop_not_per_packet(self):
+        stats = FlowStats(0, 0, 1)
+        source = VideoSource(GopModel())
+        rng = random.Random(5)
+        for _ in range(10 * len(GopModel().pattern)):
+            frame = source.next_frame(rng, 0.0)
+            stats.count_generated(frame, packetize(frame, 200))
+        assert stats.generated > 100
+        assert len(stats.gop_i_pending) == 10
 
 
 class TestCbr:
