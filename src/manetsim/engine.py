@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import random
 from typing import Callable, Sequence
 
@@ -52,24 +53,28 @@ class RngStreams:
 
 
 class EventQueue:
-    """Time-ordered event queue with FIFO tie-break among equal timestamps."""
+    """Time-ordered event queue with FIFO tie-break among equal timestamps.
+
+    Entries are ``(at, seq, handler, args)``.  ``Simulator`` pushes to and
+    pops from the heap itself, one event at a time, and adds the events it
+    ran to ``processed``.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._next_seq = 0
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
+        self._seq = itertools.count()
         self.processed = 0
 
-    def push(self, at: float, action: Callable[[], None]) -> None:
-        heapq.heappush(self._heap, (at, self._next_seq, action))
-        self._next_seq += 1
+    def push(self, at: float, handler: Callable[..., None], *args) -> None:
+        heapq.heappush(self._heap, (at, next(self._seq), handler, args))
 
     def peek_time(self) -> float | None:
         return self._heap[0][0] if self._heap else None
 
-    def pop(self) -> tuple[float, Callable[[], None]]:
-        at, _seq, action = heapq.heappop(self._heap)
+    def pop(self) -> tuple[float, Callable[..., None], tuple]:
+        at, _seq, handler, args = heapq.heappop(self._heap)
         self.processed += 1
-        return at, action
+        return at, handler, args
 
 
 class Simulator:
@@ -79,22 +84,31 @@ class Simulator:
         self.clock = 0.0
         self.queue = EventQueue()
         self.rng = RngStreams(master_seed)
+        self._heap = self.queue._heap
+        self._seq = self.queue._seq
 
-    def schedule(self, at: float, action: Callable[[], None]) -> None:
+    def schedule(self, at: float, handler: Callable[..., None],
+                 *args) -> None:
+        """Run ``handler(*args)`` at time ``at``."""
         if at < self.clock:
             raise SchedulingError(
                 f"cannot schedule at t={at}: clock already at t={self.clock}")
-        self.queue.push(at, action)
+        heapq.heappush(self._heap, (at, next(self._seq), handler, args))
 
     def run_until(self, end: float) -> None:
         """Process every event with timestamp <= end, then set clock = end."""
         if end < self.clock:
             raise SchedulingError(
                 f"run_until({end}) would move the clock backward from {self.clock}")
-        heap = self.queue._heap
-        pop = self.queue.pop
-        while heap and heap[0][0] <= end:
-            at, action = pop()
-            self.clock = at
-            action()
+        heap = self._heap
+        pop = heapq.heappop
+        ran = 0
+        try:
+            while heap and heap[0][0] <= end:
+                at, _seq, handler, args = pop(heap)
+                ran += 1
+                self.clock = at
+                handler(*args)
+        finally:
+            self.queue.processed += ran
         self.clock = end

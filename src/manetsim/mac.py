@@ -50,25 +50,9 @@ def category_of(packet: Packet) -> AccessCategory:
 class NodeQueues:
     """Per-node MAC state: four FIFO queues plus the half-duplex flag."""
 
-    capacity: int = DEFAULT_QUEUE_CAPACITY
     queues: tuple[deque, deque, deque, deque] = field(
         default_factory=lambda: (deque(), deque(), deque(), deque()))
     transmitting: bool = False
-
-    def enqueue(self, packet: Packet) -> bool:
-        """Append to the mapped queue; False means queue-overflow drop."""
-        q = self.queues[category_of(packet)]
-        if len(q) >= self.capacity:
-            return False
-        q.append(packet)
-        return True
-
-    def dequeue_next(self) -> Packet | None:
-        """Head of the lowest-numbered nonempty queue (strict priority)."""
-        for q in self.queues:
-            if q:
-                return q.popleft()
-        return None
 
 
 class MacLayer:
@@ -81,22 +65,32 @@ class MacLayer:
     def __init__(self, node_ids: list[int],
                  capacity: int = DEFAULT_QUEUE_CAPACITY,
                  neighbor_provider=None):
-        self.nodes = {n: NodeQueues(capacity=capacity) for n in node_ids}
+        self.nodes = {n: NodeQueues() for n in node_ids}
+        self.capacity = capacity  # packets per access category
         self._neighbor_provider = neighbor_provider  # (node, t) -> iterable
         self._backlogged: set[int] = set()
 
     def enqueue(self, node: int, packet: Packet) -> bool:
-        if self.nodes[node].enqueue(packet):
-            self._backlogged.add(node)
-            return True
-        return False
+        """Append to the node's mapped queue; False means queue-overflow
+        drop."""
+        q = self.nodes[node].queues[_CATEGORY_BY_VALUE[packet.klass._value_]]
+        if len(q) >= self.capacity:
+            return False
+        q.append(packet)
+        self._backlogged.add(node)
+        return True
 
     def dequeue_next(self, node: int) -> Packet | None:
-        state = self.nodes[node]
-        packet = state.dequeue_next()
-        if not any(state.queues):
-            self._backlogged.discard(node)
-        return packet
+        """Head of the node's lowest-numbered nonempty queue (strict
+        priority)."""
+        queues = self.nodes[node].queues
+        for q in queues:
+            if q:
+                packet = q.popleft()
+                if not (queues[0] or queues[1] or queues[2] or queues[3]):
+                    self._backlogged.discard(node)
+                return packet
+        return None
 
     def neighborhood_load(self, node: int, t: float) -> int:
         """1 + number of neighbors with a nonempty MAC queue at t."""

@@ -22,7 +22,7 @@ DROP_CAUSES = ("queue-overflow", "link-break", "corruption", "no-route",
                "end-of-run")
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     klass: PacketClass
     size_bytes: int
@@ -34,9 +34,3 @@ class Packet:
     seq: int | None = None
     payload: dict = field(default_factory=dict)
     hop_index: int = 0              # index into route of the current holder
-
-    @property
-    def next_node(self) -> int | None:
-        if self.hop_index + 1 < len(self.route):
-            return self.route[self.hop_index + 1]
-        return None

@@ -77,6 +77,9 @@ class TransmitOutcome(NamedTuple):
     cause: str | None = None
 
 
+_LINK_BREAK = TransmitOutcome("dropped", cause="link-break")
+
+
 def transmission_delay(spec: RadioSpec, size_bytes: int,
                        load_factor: float) -> float:
     """size / effective rate, with the nominal rate shared among contenders."""
@@ -100,6 +103,18 @@ class Medium:
         self.node_ids = sorted(node_ids)
         self._ids = np.array(self.node_ids)
         self._graph_cache: dict[float, dict[int, list[int]]] = {}
+        # the spec's constants for the per-hop calls, which repeat the
+        # float operations of RadioSpec.snr, transmission_delay and
+        # RadioSpec.corruption_probability in the same order
+        self._tx_range = spec.tx_range_m
+        self._tx_power = spec.tx_power_dbm
+        self._ref_loss = spec.ref_loss_db
+        self._loss_slope = 10.0 * spec.path_loss_exponent
+        self._noise_floor = spec.noise_floor_dbm
+        self._bitrate = spec.nominal_bitrate_bps
+        self._threshold = spec.snr_threshold_db
+        self._span = spec.corruption_span_db
+        self._max_corruption = spec.max_corruption_prob
 
     def link_state(self, a: int, b: int, t: float) -> LinkState:
         if a == b:
@@ -107,8 +122,10 @@ class Medium:
         xa, ya = self._position_of(a, t)
         xb, yb = self._position_of(b, t)
         dist = math.hypot(xb - xa, yb - ya)
-        return LinkState(a, b, dist, self.spec.snr(dist),
-                         usable=dist <= self.spec.tx_range_m)
+        loss = self._ref_loss + self._loss_slope * math.log10(
+            dist if dist > 1.0 else 1.0)
+        return LinkState(a, b, dist, self._tx_power - loss - self._noise_floor,
+                         dist <= self._tx_range)
 
     def connectivity(self, t: float) -> dict[int, list[int]]:
         """Adjacency lists (sorted) of the unit-disk graph at time t.
@@ -154,11 +171,12 @@ class Medium:
         unusable link drop with cause "link-break".
         """
         if not link.usable:
-            return TransmitOutcome("dropped", cause="link-break")
-        delay = (transmission_delay(self.spec, size_bytes, load_factor)
-                 + link.distance_m / SPEED_OF_LIGHT)
-        p = self.spec.corruption_probability(link.snr_db)
+            return _LINK_BREAK
+        rate = self._bitrate / (load_factor if load_factor > 1.0 else 1.0)
+        delay = size_bytes * 8.0 / rate + link.distance_m / SPEED_OF_LIGHT
+        frac = 1.0 - (link.snr_db - self._threshold) / self._span
+        p = self._max_corruption * (
+            1.0 if frac >= 1.0 else frac if frac > 0.0 else 0.0)
         if p > 0.0 and rng.random() < p:
-            return TransmitOutcome("corrupted", delay_s=delay,
-                                   cause="corruption")
-        return TransmitOutcome("delivered", delay_s=delay)
+            return TransmitOutcome("corrupted", delay, "corruption")
+        return TransmitOutcome("delivered", delay)

@@ -331,9 +331,9 @@ class SourceProtocol:
                         "min_rate_bps": math.inf,
                         "rel_speed_sum": 0.0, "rel_speed_links": 0,
                     })
-                self._schedule(send_at, lambda p=packet: self._send(p))
-        self._schedule(t + self.config.decision_delay_s,
-                       lambda it=iteration: self._decide(it))
+                self._schedule(send_at, self._send, packet)
+        self._schedule(t + self.config.decision_delay_s, self._decide,
+                       iteration)
         return iteration
 
     def on_probe_at_destination(self, packet: Packet) -> None:
@@ -348,8 +348,7 @@ class SourceProtocol:
                          "speeds": [], "emitted": False}
             self._collectors[key] = collector
             if now < info["window_end"]:
-                self._schedule(info["window_end"],
-                               lambda k=key: self._emit_reply(k))
+                self._schedule(info["window_end"], self._emit_reply, key)
         if collector["emitted"]:
             return
         collector["delays"].append(now - packet.created_at)

@@ -60,7 +60,7 @@ class FlowStats:
     @property
     def decodable_gop_fraction(self) -> float:
         """Fraction of GoPs whose I packets all arrived, one dropped or in
-        flight at the end counting as lost; a GoP with no I frame counts."""
+        flight at the end counting as lost."""
         if not self.gop_i_pending:
             return 1.0
         return self.gop_i_pending.count(0) / len(self.gop_i_pending)
@@ -68,7 +68,7 @@ class FlowStats:
     def count_generated(self, frame: VideoFrame,
                         packets: list[Packet]) -> None:
         """Count a new frame's packets and tag each I packet with its GoP."""
-        if frame.frame_index == 0:  # any frame type may open a GoP
+        if frame.frame_index == 0:  # an I frame opens the GoP
             self.gop_i_pending.append(0)
         for packet in packets:
             self.generated += 1
@@ -177,7 +177,8 @@ class SimulationRun:
     def _position_of(self, node: int, t: float):
         """``mob.position_at`` at min(t, duration), from the node's current
         waypoint segment; a bisect only when t leaves that segment."""
-        t = min(t, self.trace.duration)
+        if t > self.trace.duration:
+            t = self.trace.duration
         start, end, x, y, dx, dy = segment = self._segments[node]
         if not start <= t < end:
             start, end, x, y, dx, dy = segment = mob.segment_at(
@@ -191,21 +192,30 @@ class SimulationRun:
     def _positions_at(self, t: float):
         return self._waypoints.positions_at(min(t, self.trace.duration))
 
-    def _bucket(self, t: float) -> float:
-        return math.floor(t / TOPOLOGY_QUANTUM_S) * TOPOLOGY_QUANTUM_S
-
     def _neighbors_of(self, node: int, t: float):
         """Neighbours in the snapshot of t's bucket, which is held here so
         that exact-time queries to the medium's one-entry cache between two
         loads of one bucket do not make it rebuild."""
-        bucket = self._bucket(t)
+        bucket = math.floor(t / TOPOLOGY_QUANTUM_S) * TOPOLOGY_QUANTUM_S
         if bucket != self._load_bucket:
             self._load_bucket = bucket
             self._load_adj = self.medium.connectivity(bucket)
         return self._load_adj[node]
 
     def _velocity_of(self, node: int, t: float):
-        return mob.velocity_at(self.trace, node, min(t, self.trace.duration))
+        """``mob.velocity_at`` at min(t, duration), from the node's current
+        waypoint segment, which ``_position_of`` has entered for the link
+        just measured at t."""
+        if t > self.trace.duration:
+            t = self.trace.duration
+        start, end, _x, _y, dx, dy = segment = self._segments[node]
+        if not start <= t < end:
+            start, end, _x, _y, dx, dy = segment = mob.segment_at(
+                self.trace, node, t)
+            self._segments[node] = segment
+        if dx is None:
+            return 0.0, 0.0
+        return dx / (end - start), dy / (end - start)
 
     # -- model assembly ------------------------------------------------------
 
@@ -252,24 +262,23 @@ class SimulationRun:
             self.protocols[flow_id] = protocol
             self.sim.schedule(0.0, protocol.start_iteration)
             source = VideoSource(self._gop_model, trace=self._frame_trace)
-            self.sim.schedule(
-                config.video.start_s,
-                lambda fid=flow_id, s=source: self._video_tick(fid, s))
+            self.sim.schedule(config.video.start_s, self._video_tick,
+                              flow_id, source)
         base = 2 * config.video.flows
         for c in range(config.cbr.flows):
             src, dst = endpoints[base + 2 * c], endpoints[base + 2 * c + 1]
             spec = CbrSpec(config.cbr.rate_bps, config.cbr.packet_bytes)
             self.cbr_state[c] = {"src": src, "dst": dst, "spec": spec,
                                  "route": None}
-            self.sim.schedule(0.0, lambda cid=c: self._cbr_refresh(cid))
-            self.sim.schedule(0.0, lambda cid=c: self._cbr_tick(cid))
+            self.sim.schedule(0.0, self._cbr_refresh, c)
+            self.sim.schedule(0.0, self._cbr_tick, c)
 
     def _setup_beacons(self) -> None:
         # deterministic stagger spreads beacon transmissions inside a period
         period = self.config.beacon_period_s
         for i, node in enumerate(self.node_ids):
             offset = period * i / max(1, len(self.node_ids))
-            self.sim.schedule(offset, lambda n=node: self._beacon_tick(n))
+            self.sim.schedule(offset, self._beacon_tick, node)
 
     # -- beacons --------------------------------------------------------------
 
@@ -285,8 +294,8 @@ class SimulationRun:
             self._kick(node)
         else:
             self._drop(packet, "queue-overflow")
-        self.sim.schedule(t + self.config.beacon_period_s,
-                          lambda: self._beacon_tick(node))
+        self.sim.schedule(t + self.config.beacon_period_s, self._beacon_tick,
+                          node)
 
     def _deliver_beacon(self) -> None:
         """Count the beacon delivered.  Beacons matter to the model only as
@@ -317,8 +326,7 @@ class SimulationRun:
         load = self.mac.neighborhood_load(node, t)
         # contention before the frame goes on air, scaled by local load
         access = self.config.mac.access_delay_s * load
-        self.sim.schedule(t + access,
-                          lambda: self._transmit(node, packet, load))
+        self.sim.schedule(t + access, self._transmit, node, packet, load)
 
     def _transmit(self, node: int, packet: Packet, load: float) -> None:
         t = self.sim.clock
@@ -326,28 +334,27 @@ class SimulationRun:
             self._deliver_beacon()
             busy = transmission_delay(self.config.radio,
                                       packet.size_bytes, load)
-            self.sim.schedule(t + busy, lambda: self._tx_done(node))
+            self.sim.schedule(t + busy, self._tx_done, node)
             return
-        nxt = packet.next_node
-        if nxt is None:
+        hop = packet.hop_index + 1
+        if hop >= len(packet.route):
             self._tx_done(node)
             return
+        nxt = packet.route[hop]
         link = self.medium.link_state(node, nxt, t)
         outcome = self.medium.transmit(link, packet.size_bytes, load,
                                        self._channel)
         if packet.klass is PacketClass.PROBE:
             self._record_probe_link(packet, link, load, t)
-        if outcome.status == "dropped":
-            self._drop(packet, outcome.cause)
-            self._tx_done(node)
+        status, busy, cause = outcome
+        if status == "delivered":
+            self.sim.schedule(t + busy, self._hop_done, node, nxt, packet)
             return
-        busy = outcome.delay_s
-        if outcome.status == "corrupted":
-            self._drop(packet, outcome.cause)
-            self.sim.schedule(t + busy, lambda: self._tx_done(node))
-        else:
-            self.sim.schedule(t + busy,
-                              lambda: self._hop_done(node, nxt, packet))
+        self._drop(packet, cause)
+        if status == "dropped":
+            self._tx_done(node)
+        else:  # corrupted: the frame still takes its air time
+            self.sim.schedule(t + busy, self._tx_done, node)
 
     def _hop_done(self, node: int, nxt: int, packet: Packet) -> None:
         """The frame reaches nxt, then node's radio is free: one event, in
@@ -423,7 +430,7 @@ class SimulationRun:
             else:
                 self._inject(packet)
         self.sim.schedule(t + self._gop_model.frame_interval,
-                          lambda: self._video_tick(flow_id, source))
+                          self._video_tick, flow_id, source)
 
     def _cbr_refresh(self, cbr_id: int) -> None:
         t = self.sim.clock
@@ -435,8 +442,8 @@ class SimulationRun:
                                DiscoveryLimits(ttl=self.config.limits.ttl,
                                                max_paths=1))
         state["route"] = paths[0] if paths else None
-        self.sim.schedule(t + self.config.cbr.refresh_s,
-                          lambda: self._cbr_refresh(cbr_id))
+        self.sim.schedule(t + self.config.cbr.refresh_s, self._cbr_refresh,
+                          cbr_id)
 
     def _cbr_tick(self, cbr_id: int) -> None:
         t = self.sim.clock
@@ -453,8 +460,7 @@ class SimulationRun:
             self._drop(packet, "no-route")
         else:
             self._inject(packet)
-        self.sim.schedule(t + state["spec"].interval,
-                          lambda: self._cbr_tick(cbr_id))
+        self.sim.schedule(t + state["spec"].interval, self._cbr_tick, cbr_id)
 
     # -- run ----------------------------------------------------------------------
 

@@ -66,29 +66,40 @@ class VideoFrame:
 
 class VideoSource:
     """Generates frames in pattern order with lognormal sizes, or replays an
-    imported frame trace."""
+    imported frame trace, cyclically, opening a GoP at each of its I
+    frames."""
 
     def __init__(self, model: GopModel,
                  trace: list[tuple[str, int]] | None = None):
+        if trace is not None and (not trace or trace[0][0] != "I"):
+            raise ValueError("a frame trace must start with an I frame")
         self.model = model
         self._trace = trace
         self._counter = 0
+        self._gop = -1  # of the last traced frame
+        self._position = 0
         means = model.mean_sizes()
         # lognormal location parameter chosen so E[size] matches the mean
         self._mu_log = {t: math.log(m) - model.sigma_log ** 2 / 2.0
                         for t, m in means.items()}
 
     def next_frame(self, rng: random.Random, now: float) -> VideoFrame:
+        if self._trace is not None:
+            ftype, size = self._trace[self._counter % len(self._trace)]
+            self._counter += 1
+            if ftype == "I":
+                self._gop += 1
+                self._position = 0
+            else:
+                self._position += 1
+            return VideoFrame(self._gop, self._position, ftype, size, now)
         pattern = self.model.pattern
         position = self._counter % len(pattern)
         gop = self._counter // len(pattern)
         self._counter += 1
-        if self._trace is not None:
-            ftype, size = self._trace[(self._counter - 1) % len(self._trace)]
-        else:
-            ftype = pattern[position]
-            size = max(1, round(rng.lognormvariate(
-                self._mu_log[ftype], self.model.sigma_log)))
+        ftype = pattern[position]
+        size = max(1, round(rng.lognormvariate(
+            self._mu_log[ftype], self.model.sigma_log)))
         return VideoFrame(gop, position, ftype, size, now)
 
 
@@ -130,8 +141,10 @@ class CbrSpec:
 
 
 def load_frame_trace(text: str) -> list[tuple[str, int]]:
-    """Rows of (frame_index, type, size_bytes), comma or whitespace split."""
-    frames: list[tuple[int, str, int]] = []
+    """Rows of (frame_index, type, size_bytes), comma or whitespace split;
+    the frame of the lowest index must be an I frame, which opens the first
+    GoP."""
+    frames: list[tuple[int, str, int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -148,8 +161,12 @@ def load_frame_trace(text: str) -> list[tuple[str, int]]:
         if size_i <= 0:
             raise ValueError(
                 f"frame trace line {lineno}: size must be positive")
-        frames.append((int(index), ftype, size_i))
+        frames.append((int(index), ftype, size_i, lineno))
     if not frames:
         raise ValueError("empty frame trace")
     frames.sort(key=lambda f: f[0])
-    return [(ftype, size) for _, ftype, size in frames]
+    _, ftype, _, lineno = frames[0]
+    if ftype != "I":
+        raise ValueError(f"frame trace line {lineno}: the first frame must "
+                         f"be an I frame, which opens a GoP")
+    return [(ftype, size) for _, ftype, size, _ in frames]

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from manetsim.engine import (DEFAULT_STREAMS, RngStreams, SchedulingError,
-                             Simulator, UnknownStreamError, derive_stream_seed)
+from manetsim.engine import (DEFAULT_STREAMS, EventQueue, RngStreams,
+                             SchedulingError, Simulator, UnknownStreamError,
+                             derive_stream_seed)
 
 
 def collect(sim, log, label):
@@ -67,6 +68,84 @@ class TestEventOrdering:
         sim.run_until(101.0)
         assert seen == sorted(seen)
         assert len(seen) == len(times)
+
+
+class TestHandlerArguments:
+    def test_fifo_among_equal_timestamps_with_arguments(self):
+        sim = Simulator()
+        log = []
+        for label in ("a", "b", "c", "d"):
+            sim.schedule(5.0, log.append, label)
+        sim.schedule(4.0, log.append, "first")
+        sim.run_until(10.0)
+        assert log == ["first", "a", "b", "c", "d"]
+
+    def test_arguments_reach_the_handler_unchanged(self):
+        sim = Simulator()
+        payload, key = {"x": [1, 2]}, (3, (4, 5))
+        calls = []
+        sim.schedule(1.0, lambda *args: calls.append(args), payload, key, None)
+        sim.schedule(2.0, lambda *args: calls.append(args))
+        sim.run_until(3.0)
+        assert calls == [(payload, key, None), ()]
+        assert calls[0][0] is payload and calls[0][1] is key
+
+    def test_bound_method_handler(self):
+        sim = Simulator()
+        log = []
+        sim.schedule(1.0, log.extend, [sim, "x"])
+        sim.run_until(1.0)
+        assert log == [sim, "x"]
+
+    def test_scheduling_in_past_with_arguments_rejected(self):
+        sim = Simulator()
+        sim.run_until(2.0)
+        with pytest.raises(SchedulingError):
+            sim.schedule(1.0, print, "never")
+        assert sim.queue.peek_time() is None
+
+    def test_processed_counts_events_run(self):
+        sim = Simulator()
+        for t in (1.0, 2.0, 3.0, 4.0):
+            sim.schedule(t, lambda: None)
+        sim.run_until(2.5)
+        assert sim.queue.processed == 2
+        sim.run_until(10.0)
+        assert sim.queue.processed == 4
+
+    def test_processed_counts_events_run_when_a_handler_raises(self):
+        sim = Simulator()
+        log = []
+
+        def fail():
+            raise RuntimeError("handler failed")
+
+        sim.schedule(1.0, log.append, 1)
+        sim.schedule(2.0, log.append, 2)
+        sim.schedule(3.0, fail)
+        sim.schedule(4.0, log.append, 4)
+        with pytest.raises(RuntimeError, match="handler failed"):
+            sim.run_until(10.0)
+        assert log == [1, 2]
+        assert sim.queue.processed == 3  # the failing event ran too
+        assert sim.clock == 3.0
+        sim.run_until(10.0)
+        assert log == [1, 2, 4]
+        assert sim.queue.processed == 4
+
+
+class TestEventQueue:
+    def test_push_pop_in_time_then_insertion_order(self):
+        queue = EventQueue()
+        queue.push(2.0, print, "late")
+        queue.push(1.0, print, "a", "b")
+        queue.push(1.0, print)
+        assert queue.peek_time() == 1.0
+        assert [queue.pop() for _ in range(3)] == [
+            (1.0, print, ("a", "b")), (1.0, print, ()),
+            (2.0, print, ("late",))]
+        assert queue.processed == 3
+        assert queue.peek_time() is None
 
 
 class TestRngStreams:

@@ -1,6 +1,6 @@
 import random
 
-from manetsim.mac import AccessCategory, MacLayer, NodeQueues, PRIORITY_MAP
+from manetsim.mac import AccessCategory, MacLayer, PRIORITY_MAP, category_of
 from manetsim.packets import Packet, PacketClass
 
 
@@ -28,43 +28,62 @@ class TestPriorityMap:
 
 
 class TestNodeQueues:
+    """One node's four queues, through ``MacLayer.enqueue``/``dequeue_next``."""
+
     def test_enqueue_to_mapped_queue(self):
-        q = NodeQueues()
-        q.enqueue(packet(PacketClass.VIDEO_I))
-        assert len(q.queues[AccessCategory.AC1]) == 1
+        mac = MacLayer([0])
+        mac.enqueue(0, packet(PacketClass.VIDEO_I))
+        assert len(mac.nodes[0].queues[AccessCategory.AC1]) == 1
 
     def test_capacity_fifty_then_overflow(self):
-        q = NodeQueues()
+        mac = MacLayer([0])
         for _ in range(50):
-            assert q.enqueue(packet(PacketClass.CBR)) is True
-        assert q.enqueue(packet(PacketClass.CBR)) is False  # the 51st
+            assert mac.enqueue(0, packet(PacketClass.CBR)) is True
+        assert mac.enqueue(0, packet(PacketClass.CBR)) is False  # the 51st
 
     def test_overflow_is_per_category(self):
-        q = NodeQueues()
+        mac = MacLayer([0])
         for _ in range(50):
-            q.enqueue(packet(PacketClass.CBR))
-        assert q.enqueue(packet(PacketClass.VIDEO_I)) is True
+            mac.enqueue(0, packet(PacketClass.CBR))
+        assert mac.enqueue(0, packet(PacketClass.VIDEO_I)) is True
+
+    def test_overflow_is_per_node(self):
+        mac = MacLayer([0, 1], capacity=2)
+        for _ in range(2):
+            mac.enqueue(0, packet(PacketClass.CBR))
+        assert mac.enqueue(0, packet(PacketClass.CBR)) is False
+        assert mac.enqueue(1, packet(PacketClass.CBR)) is True
 
     def test_strict_priority(self):
-        q = NodeQueues()
-        q.enqueue(packet(PacketClass.VIDEO_B))
-        q.enqueue(packet(PacketClass.VIDEO_I))
-        assert q.dequeue_next().klass is PacketClass.VIDEO_I
-        assert q.dequeue_next().klass is PacketClass.VIDEO_B
+        mac = MacLayer([0])
+        mac.enqueue(0, packet(PacketClass.VIDEO_B))
+        mac.enqueue(0, packet(PacketClass.VIDEO_I))
+        assert mac.dequeue_next(0).klass is PacketClass.VIDEO_I
+        assert mac.dequeue_next(0).klass is PacketClass.VIDEO_B
 
     def test_empty_returns_none(self):
-        assert NodeQueues().dequeue_next() is None
+        assert MacLayer([0]).dequeue_next(0) is None
 
     def test_only_low_priority_served(self):
-        q = NodeQueues()
-        q.enqueue(packet(PacketClass.VIDEO_B))
-        assert q.dequeue_next().klass is PacketClass.VIDEO_B
+        mac = MacLayer([0])
+        mac.enqueue(0, packet(PacketClass.VIDEO_B))
+        assert mac.dequeue_next(0).klass is PacketClass.VIDEO_B
 
     def test_fifo_within_queue(self):
-        q = NodeQueues()
+        mac = MacLayer([0])
         for i in range(5):
-            q.enqueue(packet(PacketClass.CBR, seq=i))
-        assert [q.dequeue_next().seq for _ in range(5)] == [0, 1, 2, 3, 4]
+            mac.enqueue(0, packet(PacketClass.CBR, seq=i))
+        assert [mac.dequeue_next(0).seq for _ in range(5)] == [0, 1, 2, 3, 4]
+
+    def test_every_class_reaches_its_category(self):
+        mac = MacLayer([0])
+        for klass in PacketClass:
+            mac.enqueue(0, packet(klass))
+        for ac in AccessCategory:
+            assert [p.klass for p in mac.nodes[0].queues[ac]] == [
+                k for k in PacketClass if PRIORITY_MAP[k] is ac]
+            assert all(category_of(p) is ac
+                       for p in mac.nodes[0].queues[ac])
 
 
 class TestNeighborhoodLoad:
@@ -115,7 +134,7 @@ class TestDifferentiationUnderSaturation:
     def test_drop_ordering_with_mixed_offered_load(self):
         # one queue set, equal offered packets per class, service far below
         # the offered rate: lower categories must lose no more than higher
-        q = NodeQueues()
+        mac = MacLayer([0])
         drops = {c: 0 for c in ("I", "P", "B")}
         offered = {c: 0 for c in ("I", "P", "B")}
         served = 0
@@ -124,10 +143,10 @@ class TestDifferentiationUnderSaturation:
                                 ("P", PacketClass.VIDEO_P),
                                 ("B", PacketClass.VIDEO_B)):
                 offered[name] += 1
-                if not q.enqueue(packet(klass)):
+                if not mac.enqueue(0, packet(klass)):
                     drops[name] += 1
             if round_idx % 2 == 0:  # serve 1 of every 6 offered
-                if q.dequeue_next() is not None:
+                if mac.dequeue_next(0) is not None:
                     served += 1
         rate = {c: drops[c] / offered[c] for c in drops}
         assert rate["I"] <= rate["P"] <= rate["B"]

@@ -16,7 +16,7 @@ class Harness:
     def __init__(self, adj, n=6, w_ts=0.0):
         self.clock = 0.0
         self.sent = []
-        self.pending = []  # (time, action)
+        self.pending = []  # (time, action, args)
         ts = np.full((n, n), 3, dtype=np.int64)
         np.fill_diagonal(ts, 0)
         self.ts = ts
@@ -27,19 +27,19 @@ class Harness:
             send=self.sent.append, now=lambda: self.clock,
             schedule=self.schedule)
 
-    def schedule(self, at, action):
-        self.pending.append((at, action))
+    def schedule(self, at, action, *args):
+        self.pending.append((at, action, args))
 
     def run_pending(self, until):
         while True:
-            due = [(t, a) for t, a in self.pending if t <= until]
+            due = [entry for entry in self.pending if entry[0] <= until]
             if not due:
                 break
             due.sort(key=lambda x: x[0])
-            t, action = due[0]
-            self.pending.remove((t, action))
+            t, action, args = entry = due[0]
+            self.pending.remove(entry)
             self.clock = max(self.clock, t)
-            action()
+            action(*args)
         self.clock = until
 
 

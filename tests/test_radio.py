@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from manetsim.mobility import (AreaSpec, WaypointArrays,
                                generate_waypoint_trace, position_at)
-from manetsim.radio import Medium, RadioSpec, transmission_delay
+from manetsim.radio import (SPEED_OF_LIGHT, Medium, RadioSpec,
+                            transmission_delay)
 
 
 def static_medium(positions, spec=None):
@@ -159,6 +160,89 @@ class TestTransmit:
         rng = random.Random(3)
         assert all(medium.transmit(link, 100, 1.0, rng).status == "delivered"
                    for _ in range(2000))
+
+
+class FixedDraw:
+    """A channel stream whose every draw is ``value``; counts the draws."""
+
+    def __init__(self, value):
+        self.value = value
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self.value
+
+
+HOP_SPECS = [RadioSpec(),
+             RadioSpec(tx_range_m=250.0, path_loss_exponent=2.7,
+                       nominal_bitrate_bps=2e6, max_corruption_prob=0.3,
+                       corruption_span_db=7.5)]
+# each spec with 0, 0.5 m, the 1 m reference, a mid distance, and its
+# range with one ulp either side
+HOP_CASES = [(spec, dist) for spec in HOP_SPECS for dist in (
+    0.0, 0.5, 1.0, 37.25, math.nextafter(spec.tx_range_m, 0.0),
+    spec.tx_range_m, math.nextafter(spec.tx_range_m, math.inf))]
+HOP_LOADS = [0, 0.5, 1, 11]
+
+
+class TestFusedHopOracle:
+    """``link_state`` and ``transmit`` against the RadioSpec definitions
+    they inline: equal bit for bit, not approximately."""
+
+    @pytest.mark.parametrize("spec,dist", HOP_CASES)
+    def test_link_state_snr_and_usable(self, spec, dist):
+        link = static_medium({0: (0.0, 0.0), 1: (dist, 0.0)},
+                             spec).link_state(0, 1, 0.0)
+        assert (link.node_a, link.node_b) == (0, 1)
+        assert link.distance_m == dist
+        assert link.snr_db == spec.snr(dist)
+        assert link.usable is (dist <= spec.tx_range_m)
+
+    @pytest.mark.parametrize("load", HOP_LOADS)
+    @pytest.mark.parametrize("spec,dist", HOP_CASES)
+    def test_transmit_delay_and_corruption_probability(self, spec, dist,
+                                                       load):
+        medium = static_medium({0: (0.0, 0.0), 1: (dist, 0.0)}, spec)
+        link = medium.link_state(0, 1, 0.0)
+        if not link.usable:
+            rng = FixedDraw(0.0)
+            outcome = medium.transmit(link, 1500, load, rng)
+            assert outcome == ("dropped", 0.0, "link-break")
+            assert rng.draws == 0
+            return
+        delay = (transmission_delay(spec, 1500, load)
+                 + dist / SPEED_OF_LIGHT)
+        p = spec.corruption_probability(spec.snr(dist))
+        # corrupted exactly when the draw falls below p
+        at_p = FixedDraw(p)
+        assert medium.transmit(link, 1500, load, at_p) == (
+            "delivered", delay, None)
+        assert at_p.draws == (1 if p > 0.0 else 0)
+        if p > 0.0:
+            below = medium.transmit(link, 1500, load,
+                                    FixedDraw(math.nextafter(p, 0.0)))
+            assert below == ("corrupted", delay, "corruption")
+
+    @given(st.floats(min_value=0.0, max_value=200.0),
+           st.floats(min_value=0.0, max_value=60.0),
+           st.integers(min_value=1, max_value=3000))
+    @settings(max_examples=300, deadline=None)
+    def test_random_hops_match_definitions(self, dist, load, size):
+        spec = RadioSpec()
+        medium = static_medium({0: (0.0, 0.0), 1: (dist, 0.0)}, spec)
+        link = medium.link_state(0, 1, 0.0)
+        assert link.snr_db == spec.snr(dist)
+        if link.usable:
+            p = spec.corruption_probability(link.snr_db)
+            delay = (transmission_delay(spec, size, load)
+                     + dist / SPEED_OF_LIGHT)
+            assert medium.transmit(link, size, load, FixedDraw(p)) == (
+                "delivered", delay, None)
+            if p > 0.0:
+                assert medium.transmit(
+                    link, size, load, FixedDraw(math.nextafter(p, 0.0))
+                ).status == "corrupted"
 
 
 class TestConnectivityGraph:

@@ -1,15 +1,18 @@
 """Integration tests: the full stack on small controlled scenarios."""
 
 import gc
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracle_utils
+from manetsim import mobility as mob
 from manetsim import simulation
 from manetsim.config import CbrConfig, RunConfig, SocialConfig, VideoConfig
-from manetsim.harness import point_config, run_once_to_dir, scenario_seed
+from manetsim.harness import (point_config, protocol_log_csv_text,
+                              result_csv_text, run_once_to_dir, scenario_seed)
 from manetsim.mobility import AreaSpec, MobilityTrace
 from manetsim.packets import Packet, PacketClass
 from manetsim.radio import RadioSpec
@@ -99,6 +102,58 @@ class TestHopEvents:
         assert run.classes[PacketClass.CBR].delivered == 1
         # the transmission, then reception and end of transmission together
         assert run.sim.queue.processed - before == 2
+
+
+class TestVelocityOracle:
+    """``_velocity_of`` reads the segment ``_position_of`` holds; it must
+    equal ``mob.velocity_at`` at min(t, duration) wherever it is asked."""
+
+    @staticmethod
+    def make_run(duration=40.0):
+        config = two_node_config(node_count=3, duration_s=duration,
+                                 video=VideoConfig(flows=0))
+        trace = MobilityTrace(area=AreaSpec(520.0, 520.0, 3),
+                              duration=duration)
+        # moves, pauses from 10 s to 12.5 s, moves, stops at 30 s
+        trace.waypoints[0] = ([0.0, 10.0, 12.5, 30.0],
+                              [0.0, 30.0, 30.0, 100.0],
+                              [0.0, 40.0, 40.0, 7.0])
+        trace.waypoints[1] = ([0.0], [200.0], [200.0])
+        trace.waypoints[2] = ([2.0, 8.0], [50.0, 50.0], [0.0, 90.0])
+        return SimulationRun(config, mobility_trace=trace,
+                             ts_matrix=full_ts(3))
+
+    TIMES = [0.0, 1.0, 2.0, 5.0, 8.0, 10.0, 11.0, 12.5, 20.0, 30.0, 35.0,
+             40.0, 45.0, 1e9]
+
+    def expected(self, run, node, t):
+        return mob.velocity_at(run.trace, node, min(t, run.trace.duration))
+
+    @pytest.mark.parametrize("t", TIMES)
+    def test_fresh_lookup(self, t):
+        run = self.make_run()
+        for node in run.node_ids:
+            assert run._velocity_of(node, t) == self.expected(run, node, t)
+
+    def test_after_position_lookups_in_any_order(self):
+        run = self.make_run()
+        rng = np.random.default_rng(3)
+        times = self.TIMES + list(rng.uniform(0.0, 50.0, 200))
+        rng.shuffle(times)
+        for t in times:
+            for node in run.node_ids:
+                run._position_of(node, t)
+                assert run._velocity_of(node, t) == self.expected(
+                    run, node, t), (node, t)
+
+    def test_random_waypoint_trace(self):
+        run = SimulationRun(sparse27_config(30.0))
+        rng = np.random.default_rng(8)
+        for t in sorted(rng.uniform(0.0, 31.0, 300)):
+            for node in run.node_ids:
+                run._position_of(node, t)
+                assert run._velocity_of(node, t) == self.expected(
+                    run, node, t)
 
 
 class TestProbeLossEstimate:
@@ -213,6 +268,23 @@ def sparse27_config(duration_s):
                             duration_s=duration_s)
 
 
+class TestGoldenDigest:
+    def test_lossy_sparse_run_bytes(self):
+        # 27 nodes for 40 s: all five drop causes and probe link records;
+        # a change that claims to keep behaviour keeps these digests
+        run = SimulationRun(sparse27_config(40.0))
+        result = run.run()
+        assert all(result.drops_by_cause.values())
+        assert run.classes[PacketClass.PROBE].delivered > 0
+        digests = [hashlib.sha256(text.encode()).hexdigest() for text in
+                   (result_csv_text(result),
+                    protocol_log_csv_text(run.protocol_log_rows()))]
+        assert digests == [
+            "ab3a05be55863f325097305a8a5f6158ea40a8a13ecbd2ae411bde3001c886b4",
+            "29850193ce927b40aff9812aad52834a3de96e26d8532764a87b4a38f1c2f309",
+        ]
+
+
 class TestDecodableGops:
     """A run's decodable_gop_fraction against the per-packet oracle, from
     every video packet's (GoP, is-I, delivered) recorded around the run."""
@@ -255,25 +327,29 @@ class TestDecodableGops:
             assert flow["decodable_gop_fraction"] == self.oracle(
                 entries, flow["flow_id"])
 
-    def test_frame_trace_with_gops_that_do_not_start_with_i(
+    def test_frame_trace_opens_a_gop_at_each_i_frame(
             self, monkeypatch, tmp_path):
-        # 30 frames, one I: of every 5 GoPs of 12 frames, 3 have no I frame
-        # and one has it in the middle
+        # 30 frames with I frames at 0 and 17: GoPs of 17 and 13 frames,
+        # neither a multiple of the 12-frame pattern
         trace = tmp_path / "frames.txt"
-        trace.write_text("0 I 9000\n" + "".join(
-            f"{i} {'P' if i % 3 == 0 else 'B'} {700 + 37 * i}\n"
-            for i in range(1, 30)))
+        trace.write_text("".join(
+            f"{i} {'I' if i in (0, 17) else 'P' if i % 3 == 0 else 'B'} "
+            f"{9000 if i in (0, 17) else 700 + 37 * i}\n"
+            for i in range(30)))
         config = sparse27_config(40.0).replace(
             video=VideoConfig(trace_path=str(trace)))
         entries = self.record(monkeypatch)
         result = run_once_to_dir(config, str(tmp_path / "out"))
-        with_i = {gop for _, gop, is_i, _ in entries.values() if is_i}
-        gops = {gop for _, gop, _, _ in entries.values()}
-        assert with_i and gops - with_i
         for flow in result.flows:
+            fid = flow["flow_id"]
+            flow_entries = [e for e in entries.values()
+                            if e[0].flow_id == fid]
+            gops = {gop for _, gop, _, _ in flow_entries}
+            with_i = {gop for _, gop, is_i, _ in flow_entries if is_i}
+            assert gops == with_i == set(range(len(gops)))
             assert 0.0 < flow["decodable_gop_fraction"] < 1.0
             assert flow["decodable_gop_fraction"] == self.oracle(
-                entries, flow["flow_id"])
+                entries, fid)
 
 
 class TestMemory:

@@ -227,3 +227,24 @@ class TestFrameTrace:
     def test_empty(self):
         with pytest.raises(ValueError):
             load_frame_trace("# nothing\n")
+
+    def test_first_frame_must_be_i(self):
+        # the lowest index is on line 3
+        with pytest.raises(ValueError, match="line 3.*I frame"):
+            load_frame_trace("1, I, 500\n2, B, 300\n0, P, 2000\n")
+
+    def test_source_rejects_trace_without_leading_i(self):
+        with pytest.raises(ValueError, match="I frame"):
+            VideoSource(GopModel(), trace=[("P", 900), ("I", 100)])
+
+    def test_gop_opens_at_each_traced_i_frame(self):
+        source = VideoSource(GopModel(), trace=[
+            ("I", 900), ("B", 100), ("P", 300), ("I", 800), ("B", 90)])
+        rng = random.Random(4)
+        frames = [source.next_frame(rng, 0.0) for _ in range(12)]
+        assert [(f.gop_index, f.frame_index) for f in frames] == [
+            (0, 0), (0, 1), (0, 2), (1, 0), (1, 1),
+            (2, 0), (2, 1), (2, 2), (3, 0), (3, 1),
+            (4, 0), (4, 1)]
+        assert all((f.frame_index == 0) == (f.frame_type == "I")
+                   for f in frames)
