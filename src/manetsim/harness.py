@@ -203,13 +203,16 @@ def run_sweep(base: RunConfig, spec: SweepSpec, out_dir: str,
     """All grid points x repetitions; returns the aggregated sweep table.
 
     Every run's configuration is built, and so checked, before any runs."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     tasks = [(point_config(base, w, mu, den,
                            point_seed(base.master_seed, w, mu, den, rep)),
               w, mu, den, rep, out_dir)
              for w, mu, den in spec.points()
              for rep in range(spec.repetitions)]
     if workers is None:
-        workers = min(len(tasks), os.cpu_count() or 1)
+        workers = os.cpu_count() or 1
+    workers = min(workers, len(tasks))  # no more processes than runs
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             rows = pool.map(_run_point, tasks)

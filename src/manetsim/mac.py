@@ -67,8 +67,11 @@ class MacLayer:
                  neighbor_provider=None):
         self.nodes = {n: NodeQueues() for n in node_ids}
         self.capacity = capacity  # packets per access category
-        self._neighbor_provider = neighbor_provider  # (node, t) -> iterable
-        self._backlogged: set[int] = set()
+        # (node, t) -> sized collection of node's neighbours at t; it may
+        # leave out those that are not backlogged
+        self._neighbor_provider = neighbor_provider
+        # nodes with a nonempty queue, for reading only
+        self.backlogged: set[int] = set()
 
     def enqueue(self, node: int, packet: Packet) -> bool:
         """Append to the node's mapped queue; False means queue-overflow
@@ -77,7 +80,7 @@ class MacLayer:
         if len(q) >= self.capacity:
             return False
         q.append(packet)
-        self._backlogged.add(node)
+        self.backlogged.add(node)
         return True
 
     def dequeue_next(self, node: int) -> Packet | None:
@@ -88,7 +91,7 @@ class MacLayer:
             if q:
                 packet = q.popleft()
                 if not (queues[0] or queues[1] or queues[2] or queues[3]):
-                    self._backlogged.discard(node)
+                    self.backlogged.discard(node)
                 return packet
         return None
 
@@ -96,5 +99,5 @@ class MacLayer:
         """1 + number of neighbors with a nonempty MAC queue at t."""
         if self._neighbor_provider is None:
             return 1
-        return 1 + len(self._backlogged.intersection(
+        return 1 + len(self.backlogged.intersection(
             self._neighbor_provider(node, t)))

@@ -13,8 +13,6 @@ import math
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 class TraceFormatError(ValueError):
     """A waypoint trace file violated the format or its invariants."""
@@ -200,68 +198,6 @@ def segment_at(trace: MobilityTrace, node: int,
         return times[-1], math.inf, xs[-1], ys[-1], None, None
     return (times[i], times[i + 1], xs[i], ys[i],
             xs[i + 1] - xs[i], ys[i + 1] - ys[i])
-
-
-class WaypointArrays:
-    """A trace's waypoints as padded arrays, to interpolate every node at once.
-
-    Row k holds node ``trace.node_ids[k]``: its waypoints, then at least one
-    pad column of time +inf at its last position, so every row has a
-    segment end.  ``positions_at`` applies the same float operations as
-    :func:`position_at`, so each coordinate equals it exactly.
-
-    Each row's current segment is kept between calls; it is looked up again
-    only when ``t`` reaches some row's next waypoint or goes backward.
-    """
-
-    def __init__(self, trace: MobilityTrace):
-        ids = trace.node_ids
-        width = 1 + max(len(trace.waypoints[n][0]) for n in ids)
-        self.duration = trace.duration
-        self.times = np.full((len(ids), width), np.inf)
-        self.xs = np.empty((len(ids), width))
-        self.ys = np.empty((len(ids), width))
-        self.last = np.empty(len(ids), dtype=np.intp)
-        for row, node in enumerate(ids):
-            times, xs, ys = trace.waypoints[node]
-            k = len(times)
-            self.times[row, :k] = times
-            self.xs[row, :k] = xs
-            self.xs[row, k:] = xs[-1]
-            self.ys[row, :k] = ys
-            self.ys[row, k:] = ys[-1]
-            self.last[row] = k - 1
-        self._rows = np.arange(len(ids))
-        self._enter_segments(0.0)
-
-    def _enter_segments(self, t: float) -> None:
-        """Each row's segment at t, valid for queries in [t, next waypoint)."""
-        i = np.count_nonzero(self.times <= t, axis=1) - 1  # bisect_right - 1
-        seg = np.maximum(i, 0)
-        rows = self._rows
-        self._t0 = self.times[rows, seg]
-        self._x0 = self.xs[rows, seg]
-        self._y0 = self.ys[rows, seg]
-        self._dt = self.times[rows, seg + 1] - self._t0
-        self._dx = self.xs[rows, seg + 1] - self._x0
-        self._dy = self.ys[rows, seg + 1] - self._y0
-        # before the first waypoint or after the last
-        self._hold = (i < 0) | (i >= self.last)
-        self._since = t
-        self._until = float(self.times[rows, i + 1].min())
-
-    def positions_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(xs, ys) of every node at t, in ``trace.node_ids`` order."""
-        if not (0.0 <= t <= self.duration):
-            raise ValueError(f"t={t} outside [0, {self.duration}]")
-        if not self._since <= t < self._until:
-            self._enter_segments(t)
-        t0 = self._t0
-        frac = (t - t0) / self._dt
-        x = self._x0 + frac * self._dx
-        y = self._y0 + frac * self._dy
-        hold = self._hold | (t0 == t)  # exactly on a waypoint holds too
-        return np.where(hold, self._x0, x), np.where(hold, self._y0, y)
 
 
 def velocity_at(trace: MobilityTrace, node: int, t: float) -> tuple[float, float]:

@@ -87,19 +87,38 @@ def transmission_delay(spec: RadioSpec, size_bytes: int,
     return size_bytes * 8.0 / effective_rate
 
 
+# Pairs whose squared distance lies within this fraction of the squared
+# range are decided by the ``**`` expression; x * x and x ** 2 differ by at
+# most an ulp, far inside this margin.
+_EDGE_REL = 1e-12
+
+
+def in_range(dx: float, dy: float, r2: float) -> bool:
+    """The unit-disk rule: nodes at offset (dx, dy) are linked when
+    ``dx ** 2 + dy ** 2`` is at most the squared range ``r2``.
+
+    Python's ``x ** 2`` goes through libm ``pow``, which can round the last
+    bit differently from ``x * x``; the cheaper ``dx * dx + dy * dy``
+    decides every pair except those that close to the range edge.
+    """
+    d2 = dx * dx + dy * dy
+    if abs(d2 - r2) <= _EDGE_REL * r2:
+        return dx ** 2 + dy ** 2 <= r2
+    return d2 <= r2
+
+
 class Medium:
     """Instantaneous connectivity and delivery over a mobility trace.
 
     Pure function of (positions, RadioSpec, rng stream); the only state is a
-    one-entry cache of the last connectivity snapshot, keyed by query time.
+    one-entry cache of the last connectivity snapshot, keyed by query time,
+    which serves route discovery, the CBR route refresh and endpoint
+    picking (the MAC load factor tests its few pairs with ``in_range``).
     """
 
-    def __init__(self, spec: RadioSpec, position_of, positions_at,
-                 node_ids: list[int]):
+    def __init__(self, spec: RadioSpec, position_of, node_ids: list[int]):
         self.spec = spec
         self._position_of = position_of  # callable (node, t) -> (x, y)
-        # callable t -> (xs, ys) arrays, one entry per node in sorted order
-        self._positions_at = positions_at
         self.node_ids = sorted(node_ids)
         self._ids = np.array(self.node_ids)
         self._graph_cache: dict[float, dict[int, list[int]]] = {}
@@ -128,29 +147,23 @@ class Medium:
                          dist <= self._tx_range)
 
     def connectivity(self, t: float) -> dict[int, list[int]]:
-        """Adjacency lists (sorted) of the unit-disk graph at time t.
-
-        A pair is linked when ``(xb - xa) ** 2 + (yb - ya) ** 2`` is at most
-        the squared range.  Python's ``x ** 2`` goes through libm ``pow``,
-        which can round the last bit differently from the ``x * x`` taken
-        here, so pairs that close to the range edge are decided by the
-        scalar expression.
-        """
+        """Adjacency lists (sorted) of the unit-disk graph at time t: each
+        pair decided by ``in_range``, over the whole network at once."""
         cached = self._graph_cache.get(t)
         if cached is not None:
             return cached
-        xs, ys = self._positions_at(t)
+        xs, ys = np.array([self._position_of(n, t) for n in self.node_ids],
+                          dtype=float).T
         dx = xs - xs[:, None]  # dx[i, j] = xs[j] - xs[i]
         dy = ys - ys[:, None]
         d2 = dx * dx + dy * dy
         r2 = self.spec.tx_range_m ** 2
         linked = d2 <= r2
-        # x * x and x ** 2 differ by at most an ulp, far inside this margin
-        edge = np.abs(d2 - r2) <= 1e-12 * r2
+        # in_range's edge test, then its own verdict on the pairs it flags
+        edge = np.abs(d2 - r2) <= _EDGE_REL * r2
         if edge.any():
             for i, j in zip(*np.nonzero(edge)):
-                linked[i, j] = (float(dx[i, j]) ** 2 + float(dy[i, j]) ** 2
-                                <= r2)
+                linked[i, j] = in_range(float(dx[i, j]), float(dy[i, j]), r2)
         np.fill_diagonal(linked, False)
         # row-major order: each node's neighbours come out ascending
         nbrs = self._ids[np.flatnonzero(linked) % len(self._ids)].tolist()

@@ -12,7 +12,7 @@ from .config import RunConfig
 from .engine import Simulator
 from .mac import MacLayer
 from .packets import DROP_CAUSES, Packet, PacketClass
-from .radio import Medium, transmission_delay
+from .radio import Medium, in_range, transmission_delay
 from .routing import (DiscoveryLimits, SourceProtocol, bfs_distance,
                       discover_paths)
 from .social import generate_ts_matrix, validate_ts_matrix
@@ -20,9 +20,10 @@ from .video import CbrSpec, VideoFrame, VideoSource, packetize
 
 VIDEO_CLASSES = (PacketClass.VIDEO_I, PacketClass.VIDEO_P, PacketClass.VIDEO_B)
 
-# Connectivity snapshots for the MAC load factor are quantized to this grid;
-# at 2 m/s nodes move 0.2 m per quantum, far below the 120 m range.
-# Exact times are still used for per-hop link SNR and for route discovery.
+# The MAC load factor takes positions at the start of the 0.1 s bucket that
+# holds the query time; at 2 m/s nodes move 0.2 m per quantum, far below the
+# 120 m range.  Exact times are still used for per-hop link SNR and for the
+# connectivity snapshots of route discovery.
 TOPOLOGY_QUANTUM_S = 0.1
 
 
@@ -144,14 +145,13 @@ class SimulationRun:
                 warmup_s=config.mobility.warmup_s)
         self.trace = mobility_trace
         self.node_ids = self.trace.node_ids
-        self._waypoints = mob.WaypointArrays(self.trace)
         # no segment holds any time until the first lookup
         self._segments = {node: (math.inf, -math.inf, 0.0, 0.0, None, None)
                           for node in self.node_ids}
+        self._range_sq = config.radio.tx_range_m ** 2
         self._load_bucket: float | None = None
-        self._load_adj: dict[int, list[int]] = {}
-        self.medium = Medium(config.radio, self._position_of,
-                             self._positions_at, self.node_ids)
+        self._load_positions: dict[int, tuple[float, float]] = {}
+        self.medium = Medium(config.radio, self._position_of, self.node_ids)
         self.mac = MacLayer(self.node_ids, capacity=config.mac.queue_capacity,
                             neighbor_provider=self._neighbors_of)
         if ts_matrix is None:
@@ -189,18 +189,35 @@ class SimulationRun:
         frac = (t - start) / (end - start)
         return x + frac * dx, y + frac * dy
 
-    def _positions_at(self, t: float):
-        return self._waypoints.positions_at(min(t, self.trace.duration))
+    def _neighbors_of(self, node: int, t: float) -> list[int]:
+        """The backlogged nodes linked to ``node`` in the unit-disk graph at
+        the start of t's bucket, which are all the MAC load counts.
 
-    def _neighbors_of(self, node: int, t: float):
-        """Neighbours in the snapshot of t's bucket, which is held here so
-        that exact-time queries to the medium's one-entry cache between two
-        loads of one bucket do not make it rebuild."""
+        Only those pairs are tested, with ``in_range``; the positions of the
+        nodes touched are kept for the rest of the bucket."""
+        backlogged = self.mac.backlogged
+        if len(backlogged) == (node in backlogged):  # no other node
+            return []
         bucket = math.floor(t / TOPOLOGY_QUANTUM_S) * TOPOLOGY_QUANTUM_S
         if bucket != self._load_bucket:
             self._load_bucket = bucket
-            self._load_adj = self.medium.connectivity(bucket)
-        return self._load_adj[node]
+            self._load_positions = {}
+        positions = self._load_positions
+        here = positions.get(node)
+        if here is None:
+            here = positions[node] = self._position_of(node, bucket)
+        x, y = here
+        r2 = self._range_sq
+        nbrs = []
+        for other in backlogged:
+            if other == node:
+                continue
+            there = positions.get(other)
+            if there is None:
+                there = positions[other] = self._position_of(other, bucket)
+            if in_range(there[0] - x, there[1] - y, r2):
+                nbrs.append(other)
+        return nbrs
 
     def _velocity_of(self, node: int, t: float):
         """``mob.velocity_at`` at min(t, duration), from the node's current

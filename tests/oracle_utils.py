@@ -1,18 +1,22 @@
 """Shared oracle helpers: brute-force path scoring against networkx,
-deterministic pseudo-random qualifications keyed by path, and the
-per-packet definition of the decodable-GoP fraction."""
+deterministic pseudo-random qualifications keyed by path, the per-packet
+definition of the decodable-GoP fraction, and the whole-network snapshot
+definition of the MAC load factor."""
 
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 
 import networkx as nx
 import numpy as np
 
+from manetsim.radio import Medium
 from manetsim.routing import (CustomerRequest, DiscoveryLimits,
                               PathQualification, ScoringWeights,
                               discover_paths, mscore, qualify, select_best)
+from manetsim.simulation import TOPOLOGY_QUANTUM_S
 from manetsim.social import generate_ts_matrix, path_mean_ts
 
 
@@ -114,3 +118,12 @@ def decodable_gop_fraction(video_log) -> float:
     if not gop_ok:
         return 1.0
     return sum(gop_ok.values()) / len(gop_ok)
+
+
+def snapshot_load(backlogged: set[int], medium: Medium, node: int,
+                  t: float) -> int:
+    """The MAC load factor of ``node`` at t: 1 + the backlogged nodes among
+    its neighbours in the whole unit-disk graph at the start of t's
+    ``TOPOLOGY_QUANTUM_S`` bucket."""
+    bucket = math.floor(t / TOPOLOGY_QUANTUM_S) * TOPOLOGY_QUANTUM_S
+    return 1 + len(backlogged.intersection(medium.connectivity(bucket)[node]))

@@ -7,7 +7,7 @@ import os
 import pytest
 from scipy import stats as scipy_stats
 
-from manetsim import cli
+from manetsim import cli, harness
 from manetsim.cli import main as cli_main
 from manetsim.config import RunConfig, load_config_file
 from manetsim.harness import (SweepSpec, aggregate_sweep, mean_ci,
@@ -138,6 +138,31 @@ class TestSweep:
     def test_repetitions_floor(self):
         with pytest.raises(ValueError):
             SweepSpec(repetitions=1)
+
+    def test_pool_no_larger_than_the_runs(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Records its size and runs the tasks in this process."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(harness.multiprocessing, "Pool", RecordingPool)
+        spec = SweepSpec(w_ts_grid=(0.0,), mu_grid=(3.0,),
+                         density_grid=(100,), repetitions=2)
+        run_sweep(tiny_config().replace(duration_s=2.0), spec,
+                  str(tmp_path), workers=64)
+        assert sizes == [2]
 
     def test_sweep_outputs(self, tiny_sweep):
         out, spec, base, table = tiny_sweep
@@ -378,6 +403,20 @@ class TestGridFile:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (out / "runs").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_fail_before_any_run(self, tmp_path, capsys,
+                                                   workers):
+        config_path = tmp_path / "cfg.yaml"
+        config_path.write_text("nodes: 4\nduration_s: 2\n")
+        out = tmp_path / "out"
+        code = cli_main(["sweep", "--config", str(config_path),
+                         "--reps", "2", "--workers", workers,
+                         "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "workers" in err
+        assert not out.exists()
 
     def test_int_and_float_values_name_the_same_runs(self, tmp_path):
         ints = cli._load_grid(self.write_grid(

@@ -5,8 +5,8 @@ import pytest
 
 from manetsim.config import CbrConfig, RunConfig, VideoConfig
 from manetsim.mobility import (AreaSpec, MobilityTrace, TraceFormatError,
-                               WaypointArrays, generate_waypoint_trace,
-                               import_trace, position_at, velocity_at)
+                               generate_waypoint_trace, import_trace,
+                               position_at, velocity_at)
 from manetsim.simulation import SimulationRun
 
 AREA = AreaSpec(520.0, 520.0, 27)
@@ -151,49 +151,6 @@ def short_trace():
 
 SHORT_TRACE_TIMES = [0.0, 5.0, 10.0, 12.5, 20.0, 29.9, 30.0, 40.0, 49.99,
                      50.0, 60.0, 100.0, 49.99, 10.0, 5.0, 30.0, 0.0]
-
-
-class TestWaypointArrays:
-    """All-node interpolation against the scalar position_at loop, bit for
-    bit."""
-
-    @staticmethod
-    def assert_matches_scalar(trace, times, arrays=None):
-        arrays = arrays or WaypointArrays(trace)
-        for t in times:
-            xs, ys = arrays.positions_at(t)
-            got = [(x.hex(), y.hex()) for x, y in zip(xs.tolist(),
-                                                      ys.tolist())]
-            want = [tuple(c.hex() for c in position_at(trace, node, t))
-                    for node in trace.node_ids]
-            assert got == want, f"t={t!r}"
-
-    def test_random_walks_at_random_and_waypoint_times(self):
-        rng = random.Random(11)
-        for pause in (0.0, 5.0):
-            trace = generate_waypoint_trace(AREA, 2.0, 200.0, rng,
-                                            pause_s=pause, warmup_s=50.0)
-            on_waypoints = [t for times, _, _ in trace.waypoints.values()
-                            for t in times if t <= trace.duration]
-            times = ([0.0, trace.duration] + on_waypoints
-                     + [rng.uniform(0.0, 200.0) for _ in range(300)])
-            self.assert_matches_scalar(trace, times)
-
-    def test_before_first_after_last_and_static_nodes(self):
-        self.assert_matches_scalar(short_trace(), SHORT_TRACE_TIMES)
-
-    def test_kept_segments_in_order_backward_and_on_waypoints(self):
-        # one WaypointArrays per trace, so each order starts where the last
-        # one left its segments
-        trace, orders = walk_query_orders(5)
-        arrays = WaypointArrays(trace)
-        for times in orders:
-            self.assert_matches_scalar(trace, times, arrays)
-
-    def test_time_out_of_range(self):
-        arrays = WaypointArrays(hand_trace())
-        with pytest.raises(ValueError):
-            arrays.positions_at(10.5)
 
 
 class TestSimulationPositionCursor:

@@ -1,23 +1,17 @@
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from manetsim.mobility import (AreaSpec, WaypointArrays,
-                               generate_waypoint_trace, position_at)
+from manetsim.mobility import AreaSpec, generate_waypoint_trace, position_at
 from manetsim.radio import (SPEED_OF_LIGHT, Medium, RadioSpec,
                             transmission_delay)
 
 
 def static_medium(positions, spec=None):
-    spec = spec or RadioSpec()
-    ids = sorted(positions)
-    xs = np.array([positions[n][0] for n in ids])
-    ys = np.array([positions[n][1] for n in ids])
-    return Medium(spec, lambda node, t: positions[node],
-                  lambda t: (xs, ys), ids)
+    return Medium(spec or RadioSpec(), lambda node, t: positions[node],
+                  sorted(positions))
 
 
 def pairwise_connectivity(spec, position_of, node_ids, t):
@@ -265,7 +259,7 @@ class TestConnectivityGraph:
         trace = generate_waypoint_trace(AreaSpec(520.0, 520.0, 54), 2.0,
                                         200.0, rng, warmup_s=300.0)
         medium = Medium(spec, lambda n, t: position_at(trace, n, t),
-                        WaypointArrays(trace).positions_at, trace.node_ids)
+                        trace.node_ids)
         times = [0.0, 200.0] + [rng.uniform(0.0, 200.0) for _ in range(150)]
         times += [t for n in range(10) for t in trace.waypoints[n][0]
                   if t <= 200.0]

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from manetsim.harness import (point_config, protocol_log_csv_text,
                               result_csv_text, run_once_to_dir, scenario_seed)
 from manetsim.mobility import AreaSpec, MobilityTrace
 from manetsim.packets import Packet, PacketClass
-from manetsim.radio import RadioSpec
+from manetsim.radio import Medium, RadioSpec
 from manetsim.simulation import SimulationRun, run_simulation
 
 
@@ -283,6 +284,103 @@ class TestGoldenDigest:
             "ab3a05be55863f325097305a8a5f6158ea40a8a13ecbd2ae411bde3001c886b4",
             "29850193ce927b40aff9812aad52834a3de96e26d8532764a87b4a38f1c2f309",
         ]
+
+
+class TestLoadOracle:
+    """The MAC load factor from the backlogged nodes alone equals its
+    definition on the whole-network snapshot, on every load of a run."""
+
+    def test_dense_run_every_load_equals_snapshot_definition(self):
+        config = point_config(RunConfig(), 0.2, 3.0, 200,
+                              scenario_seed(1, 3.0, 200, 0)).replace(
+                                  duration_s=20.0)
+        run = SimulationRun(config)
+        assert len(run.node_ids) == 54
+        # the oracle's own medium, positions from the scalar definition
+        trace = run.trace
+        oracle_medium = Medium(
+            config.radio,
+            lambda n, t: mob.position_at(trace, n, min(t, trace.duration)),
+            run.node_ids)
+        load = run.mac.neighborhood_load
+        seen = {"calls": 0, "others_backlogged": 0, "contended": 0}
+
+        def checked_load(node, t):
+            got = load(node, t)
+            backlogged = run.mac.backlogged
+            assert got == oracle_utils.snapshot_load(
+                backlogged, oracle_medium, node, t), f"node {node}, t={t!r}"
+            seen["calls"] += 1
+            seen["others_backlogged"] += bool(backlogged - {node})
+            seen["contended"] += got > 1
+            return got
+
+        run.mac.neighborhood_load = checked_load
+        run.run()
+        # both paths ran: loads with no other node backlogged, and loads
+        # whose pair tests found backlogged neighbours
+        assert seen["calls"] > 6000
+        assert seen["calls"] - seen["others_backlogged"] > 1000
+        assert seen["contended"] > 3000
+
+
+class TestLoadRangeEdge:
+    """Pairs at exactly the range, and one float step inward and outward:
+    ``Medium.connectivity`` and the load path's pair rule agree on each."""
+
+    R = RadioSpec().tx_range_m
+
+    @staticmethod
+    def backlog_both(run):
+        for node in (0, 1):
+            run.mac.enqueue(node, Packet(
+                klass=PacketClass.CBR, size_bytes=1500, src=node,
+                dst=1 - node, route=(node, 1 - node), created_at=0.0))
+
+    @staticmethod
+    def offsets(dx, dy):
+        """(offset, linked): (dx, dy) at the range, then each nonzero
+        coordinate one ``nextafter`` step toward 0 (inside) and away from
+        it (outside)."""
+        out = [((dx, dy), True)]
+        for toward, linked in ((0.0, True), (math.inf, False)):
+            if dx:
+                out.append(((math.nextafter(dx, toward), dy), linked))
+            if dy:
+                out.append(((dx, math.nextafter(dy, toward)), linked))
+        return out
+
+    @pytest.mark.parametrize("far", [(R, 0.0), (0.0, R), (72.0, 96.0)],
+                             ids=["x-axis", "y-axis", "3-4-5"])
+    def test_load_path_agrees_with_connectivity(self, far):
+        config = two_node_config(duration_s=5.0, video=VideoConfig(flows=0))
+        for offset, linked in self.offsets(*far):
+            run = SimulationRun(config, ts_matrix=full_ts(2),
+                                mobility_trace=static_trace(
+                                    [(0.0, 0.0), offset], duration=5.0))
+            adj = run.medium.connectivity(0.0)
+            assert adj == ({0: [1], 1: [0]} if linked else {0: [], 1: []}), (
+                f"offset {offset!r}")
+            self.backlog_both(run)
+            for node in (0, 1):
+                # t = 0.05 s lies in the bucket that starts at 0
+                assert run._neighbors_of(node, 0.05) == adj[node], (
+                    f"offset {offset!r}, node {node}")
+
+    def test_positions_taken_at_the_bucket_start(self):
+        # 2 m/s apart each: out of range 0.0125 s into the bucket [0, 0.1)
+        trace = MobilityTrace(area=AreaSpec(520.0, 520.0, 2), duration=5.0)
+        trace.waypoints[0] = ([0.0, 5.0], [10.0, 0.0], [0.0, 0.0])
+        trace.waypoints[1] = ([0.0, 5.0], [self.R + 9.95, self.R + 19.95],
+                              [0.0, 0.0])
+        run = SimulationRun(
+            two_node_config(duration_s=5.0, video=VideoConfig(flows=0)),
+            mobility_trace=trace, ts_matrix=full_ts(2))
+        self.backlog_both(run)
+        assert not run.medium.link_state(0, 1, 0.05).usable
+        assert run._neighbors_of(0, 0.05) == [1]
+        assert run._neighbors_of(1, 0.05) == [0]
+        assert run._neighbors_of(0, 0.15) == []
 
 
 class TestDecodableGops:
