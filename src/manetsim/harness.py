@@ -16,7 +16,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 
-from scipy import stats as scipy_stats
+from scipy.special import stdtrit
 
 from .config import RunConfig, SocialConfig
 from .mobility import AreaSpec, import_trace
@@ -194,7 +194,8 @@ def mean_ci(values, confidence: float = DEFAULT_CONFIDENCE):
         return mean, 0.0
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
     sem = (variance / n) ** 0.5
-    t_crit = scipy_stats.t.ppf(0.5 + confidence / 2.0, n - 1)
+    # the Student-t quantile function that scipy.stats.t.ppf evaluates
+    t_crit = float(stdtrit(n - 1, 0.5 + confidence / 2.0))
     return mean, t_crit * sem
 
 

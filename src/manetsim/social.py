@@ -350,19 +350,28 @@ def path_mean_ts(path, ts_matrix: np.ndarray) -> PathTieStrength:
 
 def clipped_normal_quantized_mean(mu: float, sigma: float) -> float:
     """Expected value of round-then-clamp of N(mu, sigma) onto {0..4},
-    from the normal CDF; used as an independent check of the generator."""
-    from scipy.stats import norm
+    from the normal CDF; used as an independent check of the generator.
+
+    sigma = 0 is the point mass at mu, quantised as the generator does."""
+    from scipy.special import ndtr
+
+    if sigma < 0:
+        raise ValueError("sigma must be nonnegative")
+    if sigma == 0:
+        return float(min(TS_SCALE_MAX, max(0, math.floor(mu + 0.5))))
+
+    def cdf(x):  # what scipy.stats.norm.cdf(x, loc=mu, scale=sigma) computes
+        return ndtr((x - mu) / sigma)
 
     expected = 0.0
     for level in range(TS_SCALE_MAX + 1):
         lo = level - 0.5
         hi = level + 0.5
         if level == 0:
-            p = norm.cdf(hi, loc=mu, scale=sigma)
+            p = cdf(hi)
         elif level == TS_SCALE_MAX:
-            p = 1.0 - norm.cdf(lo, loc=mu, scale=sigma)
+            p = 1.0 - cdf(lo)
         else:
-            p = (norm.cdf(hi, loc=mu, scale=sigma)
-                 - norm.cdf(lo, loc=mu, scale=sigma))
+            p = cdf(hi) - cdf(lo)
         expected += level * p
     return expected

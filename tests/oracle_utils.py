@@ -1,7 +1,8 @@
 """Shared oracle helpers: brute-force path scoring against networkx,
 deterministic pseudo-random qualifications keyed by path, the per-packet
-definition of the decodable-GoP fraction, and the whole-network snapshot
-definition of the MAC load factor."""
+definition of the decodable-GoP fraction, the whole-network snapshot
+definition of the MAC load factor, and the quantised normal mean written
+with scipy.stats."""
 
 from __future__ import annotations
 
@@ -11,13 +12,14 @@ import random
 
 import networkx as nx
 import numpy as np
+from scipy.stats import norm
 
 from manetsim.radio import Medium
 from manetsim.routing import (CustomerRequest, DiscoveryLimits,
                               PathQualification, ScoringWeights,
                               discover_paths, mscore, qualify, select_best)
 from manetsim.simulation import TOPOLOGY_QUANTUM_S
-from manetsim.social import generate_ts_matrix, path_mean_ts
+from manetsim.social import TS_SCALE_MAX, generate_ts_matrix, path_mean_ts
 
 
 def stable_rng(*key) -> random.Random:
@@ -127,3 +129,21 @@ def snapshot_load(backlogged: set[int], medium: Medium, node: int,
     ``TOPOLOGY_QUANTUM_S`` bucket."""
     bucket = math.floor(t / TOPOLOGY_QUANTUM_S) * TOPOLOGY_QUANTUM_S
     return 1 + len(backlogged.intersection(medium.connectivity(bucket)[node]))
+
+
+def norm_quantized_mean(mu: float, sigma: float) -> float:
+    """Expected value of round-then-clamp of N(mu, sigma) onto {0..4},
+    summed from ``scipy.stats.norm.cdf`` (sigma > 0)."""
+    expected = 0.0
+    for level in range(TS_SCALE_MAX + 1):
+        lo = level - 0.5
+        hi = level + 0.5
+        if level == 0:
+            p = norm.cdf(hi, loc=mu, scale=sigma)
+        elif level == TS_SCALE_MAX:
+            p = 1.0 - norm.cdf(lo, loc=mu, scale=sigma)
+        else:
+            p = (norm.cdf(hi, loc=mu, scale=sigma)
+                 - norm.cdf(lo, loc=mu, scale=sigma))
+        expected += level * p
+    return expected

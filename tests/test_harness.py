@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import io
 import os
+import subprocess
+import sys
 
 import pytest
 from scipy import stats as scipy_stats
@@ -68,6 +70,19 @@ class TestMeanCi:
         t_crit = scipy_stats.t.ppf(0.95, 4)
         assert half == pytest.approx(t_crit * sem)
         assert half == pytest.approx(1.5076, abs=1e-3)
+
+    def test_halfwidth_equals_the_scipy_stats_quantile(self):
+        import random
+        rng = random.Random(11)
+        for n in range(2, 61):
+            values = [rng.gauss(0.3, 0.1) for _ in range(n)]
+            mean = sum(values) / n
+            sem = (sum((v - mean) ** 2 for v in values) / (n - 1) / n) ** 0.5
+            for c in (0.5, 0.8, 0.9, 0.95, 0.99):
+                _, half = mean_ci(values, confidence=c)
+                assert type(half) is float
+                assert half == scipy_stats.t.ppf(0.5 + c / 2, n - 1) * sem, \
+                    (n, c)
 
     def test_single_value_has_zero_width(self):
         assert mean_ci([2.5]) == (2.5, 0.0)
@@ -163,6 +178,20 @@ class TestSweep:
         run_sweep(tiny_config().replace(duration_s=2.0), spec,
                   str(tmp_path), workers=64)
         assert sizes == [2]
+
+    def test_pool_writes_the_serial_bytes(self, tmp_path):
+        spec = SweepSpec(w_ts_grid=(0.0, 1.0), mu_grid=(3.0,),
+                         density_grid=(100,), repetitions=2)
+        base = tiny_config().replace(duration_s=3.0)
+        outputs = []
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}"
+            run_sweep(base, spec, str(out), workers=workers)
+            outputs.append({str(path.relative_to(out)): path.read_bytes()
+                            for path in out.rglob("*") if path.is_file()})
+        assert "sweep_table.csv" in outputs[0] and "manifest" in outputs[0]
+        assert len(outputs[0]) == 2 + 4 * 2  # table, manifest, 4 runs
+        assert outputs[0] == outputs[1]
 
     def test_sweep_outputs(self, tiny_sweep):
         out, spec, base, table = tiny_sweep
@@ -282,6 +311,39 @@ class TestCli:
         code = cli_main(["simulate", "--config", str(config_path)])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+IMPORT_GUARD = """
+import sys
+from manetsim.cli import main
+config, grid, out = sys.argv[1:]
+assert main(["simulate", "--config", config, "--out", out + "/sim"]) == 0
+assert main(["sweep", "--config", config, "--grid", grid, "--workers", "1",
+             "--out", out + "/sweep"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "stats"]))
+"""
+
+
+class TestImportPath:
+    def test_commands_do_not_load_scipy_stats(self, tmp_path):
+        # scipy.stats takes most of a second to import; the CLI needs
+        # only scipy.special
+        config_path = tmp_path / "cfg.yaml"
+        config_path.write_text("nodes: 10\nduration_s: 5\n"
+                               "area_width_m: 350\narea_height_m: 350\n")
+        grid_path = tmp_path / "grid.yaml"
+        grid_path.write_text("w_ts: [0.2]\nmu_ts: [3.0]\ndensity: [100]\n"
+                             "repetitions: 2\n")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_GUARD, str(config_path),
+             str(grid_path), str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+            capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "sim" / "result.csv").exists()
+        assert (tmp_path / "sweep" / "sweep_table.csv").exists()
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestCliFileInterfaces:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
+import oracle_utils
 from manetsim.social import (ALL_SIGNS, FACEBOOK_SIGNS, TWITTER_SIGNS,
                              NormalizationStats, TieSignLedger, TieSignWeights,
                              clipped_normal_quantized_mean,
@@ -295,6 +296,35 @@ class TestTsMatrix:
         m[1, 1] = 2
         with pytest.raises(ValueError):
             validate_ts_matrix(m)
+
+
+class TestQuantizedNormalMean:
+    def test_equals_the_scipy_stats_formula(self):
+        # the scipy.special form must give the same bits as norm.cdf
+        for mu in (-1.5, -0.5, 0.0, 0.3, 1.0, 1.5, 2.0, 2.7, 3.0, 4.0, 4.5,
+                   6.0):
+            for sigma in (1e-6, 0.01, 0.25, 0.5, 1.0, 1.7, 3.0, 10.0):
+                assert (clipped_normal_quantized_mean(mu, sigma)
+                        == oracle_utils.norm_quantized_mean(mu, sigma)), \
+                    (mu, sigma)
+
+    def test_negative_sigma_rejected(self):
+        with pytest.raises(ValueError):
+            clipped_normal_quantized_mean(1.0, -0.5)
+
+    @pytest.mark.parametrize("mu,level", [
+        (-2.0, 0), (0.0, 0), (0.49, 0), (0.5, 1), (1.0, 1), (2.5, 3),
+        (3.49, 3), (3.5, 4), (4.0, 4), (9.0, 4)])
+    def test_zero_sigma_is_the_quantised_point_mass(self, mu, level):
+        mean = clipped_normal_quantized_mean(mu, 0.0)
+        assert mean == level
+        assert isinstance(mean, float)
+
+    @pytest.mark.parametrize("mu", [-1.0, 0.5, 1.0, 2.5, 3.2, 7.0])
+    def test_zero_sigma_matrix_mean_equals_the_oracle(self, mu):
+        m = generate_ts_matrix(6, mu, 0.0, random.Random(9))
+        off = m[~np.eye(6, dtype=bool)]
+        assert off.mean() == clipped_normal_quantized_mean(mu, 0.0)
 
 
 class TestPathMeanTs:
