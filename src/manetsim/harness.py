@@ -123,11 +123,11 @@ def load_run_inputs(config: RunConfig):
 
 def run_once_to_dir(config: RunConfig, out_dir: str):
     """Run one simulation and persist result.csv plus protocol_log.csv."""
+    os.makedirs(out_dir, exist_ok=True)  # a bad --out fails before the run
     mobility_trace, ts_matrix, frame_trace = load_run_inputs(config)
     result, log_rows = run_simulation(config, mobility_trace=mobility_trace,
                                       ts_matrix=ts_matrix,
                                       frame_trace=frame_trace)
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "result.csv"), "w", encoding="utf-8") as fh:
         fh.write(result_csv_text(result))
     with open(os.path.join(out_dir, "protocol_log.csv"), "w",
@@ -214,13 +214,13 @@ def run_sweep(base: RunConfig, spec: SweepSpec, out_dir: str,
     if workers is None:
         workers = os.cpu_count() or 1
     workers = min(workers, len(tasks))  # no more processes than runs
+    os.makedirs(out_dir, exist_ok=True)
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             rows = pool.map(_run_point, tasks)
     else:
         rows = [_run_point(t) for t in tasks]
 
-    os.makedirs(out_dir, exist_ok=True)
     manifest_rows = sorted(
         (r["w_ts"], r["mu_ts"], r["density"], r["rep"], r["seed"],
          r["config_hash"]) for r in rows)

@@ -332,6 +332,9 @@ class SimulationRun:
             self._drop(packet, "queue-overflow")
 
     def _kick(self, node: int) -> None:
+        """Decide the hop of node's next frame as it leaves the queue, from
+        the link at its on-air time (positions come from the trace, and the
+        frame is the sender's until ``_receive``); one event ends the hop."""
         state = self.mac.nodes[node]
         if state.transmitting:
             return
@@ -342,36 +345,34 @@ class SimulationRun:
         t = self.sim.clock
         load = self.mac.neighborhood_load(node, t)
         # contention before the frame goes on air, scaled by local load
-        access = self.config.mac.access_delay_s * load
-        self.sim.schedule(t + access, self._transmit, node, packet, load)
-
-    def _transmit(self, node: int, packet: Packet, load: float) -> None:
-        t = self.sim.clock
+        t_air = t + self.config.mac.access_delay_s * load
+        # an outcome on air after the end is left to end-of-run accounting
+        booked = t_air <= self.config.duration_s
         if packet.klass is PacketClass.BEACON:
-            self._deliver_beacon()
+            if booked:
+                self._deliver_beacon()
             busy = transmission_delay(self.config.radio,
                                       packet.size_bytes, load)
-            self.sim.schedule(t + busy, self._tx_done, node)
+            self.sim.schedule(t_air + busy, self._tx_done, node)
             return
         hop = packet.hop_index + 1
         if hop >= len(packet.route):
-            self._tx_done(node)
+            self.sim.schedule(t_air, self._tx_done, node)
             return
         nxt = packet.route[hop]
-        link = self.medium.link_state(node, nxt, t)
-        outcome = self.medium.transmit(link, packet.size_bytes, load,
-                                       self._channel)
+        link = self.medium.link_state(node, nxt, t_air)
+        status, busy, cause = self.medium.transmit(
+            link, packet.size_bytes, load, self._channel)
         if packet.klass is PacketClass.PROBE:
-            self._record_probe_link(packet, link, load, t)
-        status, busy, cause = outcome
+            self._record_probe_link(packet, link, load, t_air)
         if status == "delivered":
-            self.sim.schedule(t + busy, self._hop_done, node, nxt, packet)
+            self.sim.schedule(t_air + busy, self._hop_done, node, nxt, packet)
             return
-        self._drop(packet, cause)
-        if status == "dropped":
-            self._tx_done(node)
-        else:  # corrupted: the frame still takes its air time
-            self.sim.schedule(t + busy, self._tx_done, node)
+        if booked:
+            self._drop(packet, cause)
+        # a corrupted frame still takes its air time
+        self.sim.schedule(t_air if status == "dropped" else t_air + busy,
+                          self._tx_done, node)
 
     def _hop_done(self, node: int, nxt: int, packet: Packet) -> None:
         """The frame reaches nxt, then node's radio is free: one event, in

@@ -1,8 +1,8 @@
 """Shared oracle helpers: brute-force path scoring against networkx,
 deterministic pseudo-random qualifications keyed by path, the per-packet
 definition of the decodable-GoP fraction, the whole-network snapshot
-definition of the MAC load factor, and the quantised normal mean written
-with scipy.stats."""
+definition of the MAC load factor, the quantised normal mean written
+with scipy.stats, and the two-event per-hop path."""
 
 from __future__ import annotations
 
@@ -14,11 +14,12 @@ import networkx as nx
 import numpy as np
 from scipy.stats import norm
 
-from manetsim.radio import Medium
+from manetsim.packets import Packet, PacketClass
+from manetsim.radio import Medium, transmission_delay
 from manetsim.routing import (CustomerRequest, DiscoveryLimits,
                               PathQualification, ScoringWeights,
                               discover_paths, mscore, qualify, select_best)
-from manetsim.simulation import TOPOLOGY_QUANTUM_S
+from manetsim.simulation import TOPOLOGY_QUANTUM_S, SimulationRun
 from manetsim.social import TS_SCALE_MAX, generate_ts_matrix, path_mean_ts
 
 
@@ -147,3 +148,51 @@ def norm_quantized_mean(mu: float, sigma: float) -> float:
                  - norm.cdf(lo, loc=mu, scale=sigma))
         expected += level * p
     return expected
+
+
+class TwoEventRun(SimulationRun):
+    """A run whose hops cost two events: ``_kick`` schedules ``_transmit``
+    after the access delay, and ``_transmit`` decides the hop when the frame
+    goes on air.  It draws the channel stream in on-air order, so with no
+    channel draws its output equals ``SimulationRun``'s byte for byte."""
+
+    def _kick(self, node: int) -> None:
+        state = self.mac.nodes[node]
+        if state.transmitting:
+            return
+        packet = self.mac.dequeue_next(node)
+        if packet is None:
+            return
+        state.transmitting = True
+        t = self.sim.clock
+        load = self.mac.neighborhood_load(node, t)
+        access = self.config.mac.access_delay_s * load
+        self.sim.schedule(t + access, self._transmit, node, packet, load)
+
+    def _transmit(self, node: int, packet: Packet, load: float) -> None:
+        t = self.sim.clock
+        if packet.klass is PacketClass.BEACON:
+            self._deliver_beacon()
+            busy = transmission_delay(self.config.radio,
+                                      packet.size_bytes, load)
+            self.sim.schedule(t + busy, self._tx_done, node)
+            return
+        hop = packet.hop_index + 1
+        if hop >= len(packet.route):
+            self._tx_done(node)
+            return
+        nxt = packet.route[hop]
+        link = self.medium.link_state(node, nxt, t)
+        outcome = self.medium.transmit(link, packet.size_bytes, load,
+                                       self._channel)
+        if packet.klass is PacketClass.PROBE:
+            self._record_probe_link(packet, link, load, t)
+        status, busy, cause = outcome
+        if status == "delivered":
+            self.sim.schedule(t + busy, self._hop_done, node, nxt, packet)
+            return
+        self._drop(packet, cause)
+        if status == "dropped":
+            self._tx_done(node)
+        else:  # corrupted: the frame still takes its air time
+            self.sim.schedule(t + busy, self._tx_done, node)

@@ -138,8 +138,8 @@ class TestGoldenDigest:
         digests = [hashlib.sha256(text.encode()).hexdigest() for text in
                    (result_csv_text(result), protocol_log_csv_text(rows))]
         assert digests == [
-            "ec45f2a11b920009fe243cf05cefe1a2a2b875057cdd5d42d4299d07c777ddbd",
-            "a097f737ae9cfc178ae225828ad994d58ef88e0c2e60b6f6c5f617c23a9874d9",
+            "ea4edb928ad4b63f2918b277e64aa185c7440da5bfa6388c47f10b6e8e685fb0",
+            "61fd46d218b8af254cf0639bc1f72f6f50d769a425b6110f1724b461ce853d82",
         ]
 
 
@@ -346,12 +346,70 @@ class TestImportPath:
         assert proc.stdout.splitlines()[-1] == "[]"
 
 
+FREEZE_CHECK = """
+import gc
+from manetsim import cli
+seen = []
+cli._cmd_report = lambda args: seen.append(gc.get_freeze_count()) or 0
+before = gc.get_freeze_count()
+assert cli.main(["report", "--in", "unused"]) == 0
+print(before, seen[0])
+"""
+
+
+class TestGcFreeze:
+    def test_command_runs_with_the_imports_frozen(self):
+        # the import-time objects stay out of the collections a run starts
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", FREEZE_CHECK],
+            env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        before, during = map(int, proc.stdout.split())
+        assert before == 0
+        assert during > 10_000
+
+
 class TestCliFileInterfaces:
     def write_config(self, tmp_path, nodes=4):
         path = tmp_path / "cfg.yaml"
         path.write_text(f"nodes: {nodes}\nduration_s: 6\n"
                         "video: {flows: 1}\ncbr: {flows: 0}\n")
         return path
+
+    @staticmethod
+    def command_args(command, tmp_path):
+        if command == "simulate":
+            return []
+        grid = tmp_path / "grid.yaml"
+        grid.write_text("w_ts: [0.2]\nmu_ts: [3.0]\ndensity: [100]\n")
+        return ["--grid", str(grid), "--reps", "2", "--workers", "1"]
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_directory_as_config_fails_cleanly(self, tmp_path, capsys,
+                                               command):
+        code = cli_main([command, "--config", str(tmp_path),
+                         "--out", str(tmp_path / "out")]
+                        + self.command_args(command, tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_regular_file_as_out_fails_before_any_run(
+            self, tmp_path, capsys, monkeypatch, command):
+        ran = []
+        monkeypatch.setattr(harness, "run_simulation",
+                            lambda *args, **kwargs: ran.append(args))
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        code = cli_main([command, "--config",
+                         str(self.write_config(tmp_path)), "--out", str(out)]
+                        + self.command_args(command, tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text() == "kept\n"
+        assert not ran
 
     def test_mobility_trace_flag(self, tmp_path):
         config_path = self.write_config(tmp_path)

@@ -1,9 +1,11 @@
 """Integration tests: the full stack on small controlled scenarios."""
 
+import dataclasses
 import gc
 import hashlib
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -101,8 +103,120 @@ class TestHopEvents:
                            dst=1, route=(0, 1), created_at=0.2))
         run.sim.run_until(0.3)
         assert run.classes[PacketClass.CBR].delivered == 1
-        # the transmission, then reception and end of transmission together
-        assert run.sim.queue.processed - before == 2
+        # the hop is decided at dequeue; reception and end of transmission
+        # are its one event
+        assert run.sim.queue.processed - before == 1
+
+
+class TestHopOracle:
+    """With no channel draws, deciding a hop at dequeue gives the bytes of
+    the two-event path that decides it on air."""
+
+    @pytest.mark.parametrize("config", [
+        point_config(RunConfig(), 0.2, 3.0, 200,
+                     scenario_seed(1, 3.0, 200, 0)).replace(duration_s=20.0),
+        point_config(RunConfig(), 0.8, 1.0, 100,
+                     scenario_seed(1, 1.0, 100, 0)).replace(duration_s=60.0),
+    ], ids=["dense54-20s", "sparse27-60s"])
+    def test_bytes_equal_the_two_event_path(self, config):
+        config = config.replace(radio=dataclasses.replace(
+            config.radio, max_corruption_prob=0.0))
+        runs = [SimulationRun(config), oracle_utils.TwoEventRun(config)]
+        texts = []
+        for run in runs:
+            result = run.run()
+            assert result.drops_by_cause["link-break"] > 0
+            assert run.classes[PacketClass.PROBE].delivered > 0
+            texts.append((result_csv_text(result),
+                          protocol_log_csv_text(run.protocol_log_rows())))
+        assert texts[0] == texts[1]
+        assert runs[0].sim.queue.processed < runs[1].sim.queue.processed
+
+
+class TestOnAirAfterTheEnd:
+    """A frame that leaves the queue before the end but would go on air
+    after it is booked end-of-run, as the run's end finds it; one on air
+    before the end is booked by its outcome."""
+
+    DURATION = 2.0
+
+    def counters(self, klass, distance, on_air, channel=None):
+        config = two_node_config(duration_s=self.DURATION,
+                                 video=VideoConfig(flows=0))
+        trace = static_trace([(100.0, 100.0), (100.0 + distance, 100.0)],
+                             duration=self.DURATION)
+        run = SimulationRun(config, mobility_trace=trace, ts_matrix=full_ts(2))
+        if channel is not None:
+            run._channel = channel
+        # load 1, so the frame goes on air one access delay after dequeue
+        access = config.mac.access_delay_s
+        t = self.DURATION - access + (access / 2 if on_air == "after"
+                                      else -access / 2)
+        run.sim.run_until(t)
+        assert not run.mac.backlogged
+        assert not any(state.transmitting for state in run.mac.nodes.values())
+        route = (0,) if klass is PacketClass.BEACON else (0, 1)
+        run._inject(Packet(klass=klass, size_bytes=1000, src=0,
+                           dst=route[-1], route=route, created_at=t))
+        run.run()
+        counters = run.classes[klass]
+        drops = {cause: n for cause, n in counters.drops.items() if n}
+        return counters, drops
+
+    @pytest.mark.parametrize("on_air", ["before", "after"])
+    def test_link_break(self, on_air):
+        _, drops = self.counters(PacketClass.CBR, 500.0, on_air)
+        assert drops == ({"link-break": 1} if on_air == "before"
+                         else {"end-of-run": 1})
+
+    @pytest.mark.parametrize("on_air", ["before", "after"])
+    def test_corruption(self, on_air):
+        class Corrupting:
+            def random(self):
+                return 0.0
+
+        _, drops = self.counters(PacketClass.CBR, 100.0, on_air,
+                                 Corrupting())
+        assert drops == ({"corruption": 1} if on_air == "before"
+                         else {"end-of-run": 1})
+
+    @pytest.mark.parametrize("on_air", ["before", "after"])
+    def test_beacon(self, on_air):
+        counters, drops = self.counters(PacketClass.BEACON, 50.0, on_air)
+        if on_air == "before":
+            assert drops == {}
+            assert counters.delivered == counters.generated
+        else:
+            assert drops == {"end-of-run": 1}
+            assert counters.delivered == counters.generated - 1
+
+
+class TestProbeLinkOnAir:
+    def test_probe_records_the_link_at_its_on_air_time(self):
+        # node 1 moves at 10 m/s until it stops at t=1; the probe leaves the
+        # queue before then and goes on air after
+        config = two_node_config(duration_s=2.0, video=VideoConfig(flows=0))
+        trace = MobilityTrace(area=AreaSpec(520.0, 520.0, 2), duration=2.0)
+        trace.waypoints[0] = ([0.0], [100.0], [100.0])
+        trace.waypoints[1] = ([0.0, 1.0], [110.0, 120.0], [100.0, 100.0])
+        run = SimulationRun(config, mobility_trace=trace, ts_matrix=full_ts(2))
+        arrived = []
+        run.protocols[0] = SimpleNamespace(
+            on_probe_at_destination=arrived.append)
+        t = 1.0 - config.mac.access_delay_s / 2
+        run.sim.run_until(t)
+        assert not run.mac.backlogged
+        run._inject(Packet(
+            klass=PacketClass.PROBE, size_bytes=1000, src=0, dst=1,
+            route=(0, 1), created_at=t, flow_id=0,
+            payload={"min_margin_db": math.inf, "min_rate_bps": math.inf,
+                     "rel_speed_sum": 0.0, "rel_speed_links": 0}))
+        run.sim.run_until(config.duration_s)
+        [probe] = arrived
+        assert probe.payload["min_margin_db"] == (
+            config.radio.snr(20.0) - config.radio.snr_threshold_db)
+        assert probe.payload["rel_speed_sum"] == 0.0
+        assert probe.payload["rel_speed_links"] == 1
 
 
 class TestVelocityOracle:
@@ -281,8 +395,8 @@ class TestGoldenDigest:
                    (result_csv_text(result),
                     protocol_log_csv_text(run.protocol_log_rows()))]
         assert digests == [
-            "ab3a05be55863f325097305a8a5f6158ea40a8a13ecbd2ae411bde3001c886b4",
-            "29850193ce927b40aff9812aad52834a3de96e26d8532764a87b4a38f1c2f309",
+            "1904b3848661a1872bbf16adb36ccc018092d17d7ae50c68becef12414ccdc86",
+            "16af2af71c47e1d14d1bb9ca1032415e79496130db2f1089718e73feee75278d",
         ]
 
 
