@@ -22,13 +22,13 @@ def _cmd_simulate(args) -> int:
         config = config.replace(master_seed=args.seed)
     if args.mobility_trace:
         config = config.replace(mobility=dataclasses.replace(
-            config.mobility, trace_path=args.mobility_trace))
+            config.mobility, trace=args.mobility_trace))
     if args.ts_matrix:
         config = config.replace(social=dataclasses.replace(
-            config.social, matrix_path=args.ts_matrix))
+            config.social, matrix=args.ts_matrix))
     if args.video_trace:
         config = config.replace(video=dataclasses.replace(
-            config.video, trace_path=args.video_trace))
+            config.video, trace=args.video_trace))
     result = run_once_to_dir(config, args.out)
     print(f"run complete: {result.total_delivered}/{result.total_generated} "
           f"video packets delivered "

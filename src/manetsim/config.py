@@ -37,7 +37,7 @@ class MobilityConfig:
     pause_s: float = 0.0
     min_speed_fraction: float = 0.1
     warmup_s: float = 300.0
-    trace_path: str | None = None
+    trace: str | None = None
 
     def __post_init__(self):
         # the walk would skip a negative pause without a word, and a
@@ -52,16 +52,12 @@ class MobilityConfig:
 class MacConfig:
     queue_capacity: int = 50
     access_delay_s: float = 0.006  # per-hop channel-access latency at load 1
-    service: str = "strict"
 
     def __post_init__(self):
         if self.queue_capacity < 1:
             raise ConfigError("queue_capacity must be at least 1")
         if self.access_delay_s < 0:
             raise ConfigError("access_delay_s may not be negative")
-        if self.service != "strict":
-            raise ConfigError(
-                f"unsupported service discipline {self.service!r}")
 
 
 @dataclass(frozen=True)
@@ -73,7 +69,7 @@ class VideoConfig:
     sigma_log: float = 0.3
     max_packet_bytes: int = 1500
     start_s: float = 0.0
-    trace_path: str | None = None
+    trace: str | None = None
 
     def __post_init__(self):
         self.gop_model()  # validates the pattern and the rates
@@ -107,7 +103,7 @@ class CbrConfig:
 class SocialConfig:
     mu_ts: float = 3.0
     sigma_ts: float = 1.0
-    matrix_path: str | None = None
+    matrix: str | None = None
 
     def __post_init__(self):
         if self.sigma_ts <= 0:
@@ -128,7 +124,6 @@ class RunConfig:
     cbr: CbrConfig = field(default_factory=CbrConfig)
     request: CustomerRequest = field(default_factory=CustomerRequest)
     w_ts: float = 0.0
-    raw_sum_score: bool = False
     flow_min_hops: int = 2
     social: SocialConfig = field(default_factory=SocialConfig)
     limits: DiscoveryLimits = field(default_factory=DiscoveryLimits)
@@ -199,14 +194,14 @@ _SECTIONS = (
                          "path_loss_exponent", "nominal_bitrate_bps",
                          "snr_threshold_db", "ref_loss_db",
                          "max_corruption_prob", "corruption_span_db")),
-    ("mac", "mac.", ("queue_capacity", "access_delay_s", "service")),
+    ("mac", "mac.", ("queue_capacity", "access_delay_s")),
     ("video", "video.", ("flows", "fps", "target_rate_bps", "pattern",
                          "sigma_log", "max_packet_bytes", "start_s",
                          "trace")),
     ("cbr", "cbr.", ("flows", "rate_bps", "packet_bytes", "refresh_s")),
     ("customer_request", "request.", ("bw_min_bps", "loss_max",
                                       "delay_max_s", "jitter_max_s")),
-    ("scoring", "", ("w_ts", "raw_sum_score")),
+    ("scoring", "", ("w_ts",)),
     ("social", "social.", ("mu_ts", "sigma_ts", "matrix")),
     ("routing", "", ("ttl", "max_paths", "beacon_period_s", "beacon_bytes",
                      "pm_train", "pm_spacing_s", "pm_bytes", "pmr_bytes",
@@ -214,8 +209,7 @@ _SECTIONS = (
                      "beta_tune")),
 )
 # keys whose field has another name or sits one level further down
-_RENAMED = {"nodes": "node_count", "trace": "trace_path",
-            "matrix": "matrix_path", "ttl": "limits.ttl",
+_RENAMED = {"nodes": "node_count", "ttl": "limits.ttl",
             "max_paths": "limits.max_paths"}
 # (section, key, RunConfig attribute path) of every key; the one derived
 # key, "density", sets node_count from the area instead

@@ -2,9 +2,10 @@
 over (w_ts, mu_ts, density) with seed repetitions, confidence-interval
 aggregation, and figure-data export.
 
-Every run's seed derives from (master_seed, point coordinates, repetition)
-through a hash, so adding grid points or repetitions never changes the
-scenarios of existing ones.
+Every run's seed derives from (master_seed, mu_ts, density, repetition)
+through a hash and not from w_ts: each repetition runs every weight on the
+same network (common random numbers), and adding grid points or
+repetitions never changes the scenarios of existing ones.
 """
 
 from __future__ import annotations
@@ -47,20 +48,13 @@ SWEEP_FIELDS = ("w_ts", "mu_ts", "density", "repetitions",
                 "decodable_mean", "decodable_ci")
 
 
-def point_seed(master_seed: int, w_ts: float, mu_ts: float, density: int,
-               repetition: int) -> int:
-    key = f"{master_seed}/w={w_ts!r}/mu={mu_ts!r}/den={density}/rep={repetition}"
-    digest = hashlib.sha256(key.encode()).digest()
-    return int.from_bytes(digest[:8], "big") >> 1  # keep it positive
-
-
 def scenario_seed(master_seed: int, mu_ts: float, density: int,
                   repetition: int) -> int:
     """Seed shared across w_ts values (common random numbers), so comparing
     weight settings on one repetition compares the same network."""
     key = f"{master_seed}/scenario/mu={mu_ts!r}/den={density}/rep={repetition}"
     digest = hashlib.sha256(key.encode()).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
+    return int.from_bytes(digest[:8], "big") >> 1  # keep it positive
 
 
 def _fmt(value) -> str:
@@ -104,19 +98,19 @@ def protocol_log_csv_text(rows) -> str:
 def load_run_inputs(config: RunConfig):
     """Resolve optional external files named in the configuration."""
     mobility_trace = None
-    if config.mobility.trace_path:
-        with open(config.mobility.trace_path, encoding="utf-8") as fh:
+    if config.mobility.trace:
+        with open(config.mobility.trace, encoding="utf-8") as fh:
             mobility_trace = import_trace(
                 fh.read(),
                 AreaSpec(config.area_width_m, config.area_height_m, 1),
                 duration=config.duration_s)
     ts_matrix = None
-    if config.social.matrix_path:
-        with open(config.social.matrix_path, encoding="utf-8") as fh:
+    if config.social.matrix:
+        with open(config.social.matrix, encoding="utf-8") as fh:
             ts_matrix = load_ts_matrix(fh.read())
     frame_trace = None
-    if config.video.trace_path:
-        with open(config.video.trace_path, encoding="utf-8") as fh:
+    if config.video.trace:
+        with open(config.video.trace, encoding="utf-8") as fh:
             frame_trace = load_frame_trace(fh.read())
     return mobility_trace, ts_matrix, frame_trace
 
@@ -149,6 +143,11 @@ class SweepSpec:
             raise ValueError("need at least 2 repetitions for intervals")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must be in (0, 1)")
+        # a repeated value would run and count the same runs twice
+        for name in ("w_ts_grid", "mu_grid", "density_grid"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} repeats a value: {values!r}")
 
     def points(self):
         for density in self.density_grid:
@@ -164,7 +163,7 @@ def point_config(base: RunConfig, w_ts: float, mu_ts: float,
     return base.replace(
         node_count=area.node_count, master_seed=seed, w_ts=w_ts,
         social=SocialConfig(mu_ts=mu_ts, sigma_ts=base.social.sigma_ts,
-                            matrix_path=base.social.matrix_path))
+                            matrix=base.social.matrix))
 
 
 def _run_point(task):
@@ -207,7 +206,7 @@ def run_sweep(base: RunConfig, spec: SweepSpec, out_dir: str,
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     tasks = [(point_config(base, w, mu, den,
-                           point_seed(base.master_seed, w, mu, den, rep)),
+                           scenario_seed(base.master_seed, mu, den, rep)),
               w, mu, den, rep, out_dir)
              for w, mu, den in spec.points()
              for rep in range(spec.repetitions)]

@@ -130,30 +130,26 @@ def filter_paths(quals: list[PathQualification],
             and q.jitter_s <= request.jitter_max_s]
 
 
-def mscore(qual: PathQualification, mean_ts: float, weights: ScoringWeights,
-           raw_sum: bool = False) -> float:
+def mscore(qual: PathQualification, mean_ts: float,
+           weights: ScoringWeights) -> float:
     """Blend the QoS qualifications with the path tie strength.
 
-    The default normalization averages the seven qualifications and rescales
-    the 0-4 tie strength to [0, 1], which makes w_ts = 0.125 give every
-    individual metric (QoS or social) the same effective weight.  The
-    raw-sum variant keeps the unnormalized terms for comparison.
+    The normalization averages the seven qualifications and rescales the
+    0-4 tie strength to [0, 1], which makes w_ts = 0.125 give every
+    individual metric (QoS or social) the same effective weight.
     """
-    if raw_sum:
-        return (weights.w_qos * sum(qual.qualifications)
-                + weights.w_ts * mean_ts)
     return (weights.w_qos * (sum(qual.qualifications) / QOS_METRIC_COUNT)
             + weights.w_ts * (mean_ts / TS_SCALE))
 
 
 def select_best(candidates: list[tuple[PathQualification, float]],
-                weights: ScoringWeights, raw_sum: bool = False,
+                weights: ScoringWeights,
                 ) -> tuple[PathQualification, float, float] | None:
     """Argmax of mscore; ties break on fewer hops, then lexicographic path."""
     best = None
     best_key = None
     for qual, mean_ts in candidates:
-        score = mscore(qual, mean_ts, weights, raw_sum)
+        score = mscore(qual, mean_ts, weights)
         key = (-score, qual.hops, qual.path)
         if best_key is None or key < best_key:
             best_key = key
@@ -427,8 +423,7 @@ class SourceProtocol:
             # no path met the request: keep streaming on the best-scored
             # usable path rather than stalling
             pool = candidates
-        choice = select_best(pool, self.weights,
-                             self.config.raw_sum_score)
+        choice = select_best(pool, self.weights)
         if choice is not None:
             qual, ts, score = choice
             iteration.selected = qual.path

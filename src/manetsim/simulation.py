@@ -160,6 +160,11 @@ class SimulationRun:
                 self.sim.rng.stream("social"))
         else:
             validate_ts_matrix(ts_matrix)
+            if ts_matrix.shape != (len(self.node_ids),) * 2:
+                raise ValueError(
+                    f"tie-strength matrix is {ts_matrix.shape[0]} x "
+                    f"{ts_matrix.shape[1]}, but the run has "
+                    f"{len(self.node_ids)} nodes")
         self.ts_matrix = ts_matrix
         self.drops = {cause: 0 for cause in DROP_CAUSES}
         self.classes = {klass: ClassCounters() for klass in PacketClass}

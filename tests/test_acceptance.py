@@ -1,10 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line.  The trend criteria run full-scale scenarios (54 or 27
 nodes, 200 s) over repeated seeds; a session fixture computes them once
-through a worker pool."""
+with the sweep harness, which publishes the figure data the same way."""
 
 import math
-import multiprocessing
 import random
 import statistics
 import time
@@ -15,8 +14,8 @@ from scipy import stats as scipy_stats
 
 import oracle_utils
 from manetsim.config import CbrConfig, RunConfig, SocialConfig, VideoConfig
-from manetsim.harness import (SweepSpec, point_config, point_seed,
-                              run_once_to_dir, run_sweep, scenario_seed)
+from manetsim.harness import (SweepSpec, point_config, run_once_to_dir,
+                              run_sweep, scenario_seed)
 from manetsim.mobility import AreaSpec, MobilityTrace
 from manetsim.routing import update_t_routing
 from manetsim.simulation import SimulationRun, run_simulation
@@ -36,32 +35,23 @@ def report(criterion: str, passed: bool, detail: str = "") -> None:
     print(f"ACCEPTANCE {marker} {criterion}: {detail}")
 
 
-def _trend_worker(args):
-    """One full-scale run; scenario seed shared across w (common random
-    numbers), so weight settings are compared on identical networks."""
-    w, mu, density, rep = args
-    base = RunConfig()
-    seed = scenario_seed(base.master_seed, mu, density, rep)
-    config = point_config(base, w, mu, density, seed)
-    result, _ = run_simulation(config)
-    return args, {"loss": result.pooled_loss, "delay": result.pooled_delay,
-                  "ts": result.ts_time_mean}
-
-
 @pytest.fixture(scope="session")
-def trend_data():
-    tasks = []
-    for w in W_GRID_TREND:
-        tasks += [(w, 3.0, 200, r) for r in range(REPS)]
-    for w in W_GRID_FULL:
-        tasks += [(w, 1.0, 100, r) for r in range(REPS)]
-        tasks += [(w, 4.0, 200, r) for r in range(REPS)]
-    tasks += [(0.0, 3.0, 100, r) for r in range(REPS)]
-    with multiprocessing.Pool(2) as pool:
-        rows = pool.map(_trend_worker, tasks)
+def trend_data(tmp_path_factory):
+    """{(mu, density, w): {rep: metrics}} from one sweep per series; the
+    sweep shares each repetition's seed across w (common random numbers),
+    so weight settings are compared on identical networks."""
     data = {}
-    for (w, mu, density, rep), metrics in rows:
-        data.setdefault((mu, density, w), {})[rep] = metrics
+    for w_grid, mu, density in ((W_GRID_TREND, 3.0, 200),
+                                (W_GRID_FULL, 1.0, 100),
+                                (W_GRID_FULL, 4.0, 200),
+                                ((0.0,), 3.0, 100)):
+        out = str(tmp_path_factory.mktemp("trend"))
+        run_sweep(RunConfig(), SweepSpec(w_ts_grid=w_grid, mu_grid=(mu,),
+                                         density_grid=(density,),
+                                         repetitions=REPS), out, workers=2)
+        for (w, mu_ts, den, rep), metrics in oracle_utils.sweep_runs(
+                out).items():
+            data.setdefault((mu_ts, den, w), {})[rep] = metrics
     return data
 
 
@@ -268,7 +258,7 @@ class TestCriterion08MacDifferentiation:
 class TestCriterion09Determinism:
     def test_sweep_point_byte_identical(self, tmp_path):
         base = RunConfig()
-        seed = point_seed(base.master_seed, 0.2, 3.0, 100, 0)
+        seed = scenario_seed(base.master_seed, 3.0, 100, 0)
         config = point_config(base, 0.2, 3.0, 100, seed)
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

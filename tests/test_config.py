@@ -78,10 +78,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="sigma"):
             load_config("social: {sigma_ts: 0.0}\n")
 
-    def test_unsupported_mac_service(self):
-        with pytest.raises(ConfigError, match="service"):
-            load_config("mac: {service: weighted}\n")
-
     def test_bad_gop_pattern(self):
         with pytest.raises(ConfigError, match="video"):
             load_config("video: {pattern: BIP}\n")
@@ -142,7 +138,7 @@ class TestValidation:
         assert result.total_generated > 0
 
     @pytest.mark.parametrize("cls, kwargs, match", [
-        (MacConfig, {"service": "weighted"}, "service"),
+        (MacConfig, {"queue_capacity": 0}, "queue_capacity"),
         (VideoConfig, {"pattern": "BIP"}, "I frame"),
         (CbrConfig, {"rate_bps": 0.0}, "rate"),
         (CbrConfig, {"refresh_s": 0.0}, "refresh_s"),

@@ -9,11 +9,12 @@ import sys
 import pytest
 from scipy import stats as scipy_stats
 
+import oracle_utils
 from manetsim import cli, harness
 from manetsim.cli import main as cli_main
 from manetsim.config import RunConfig, load_config_file
 from manetsim.harness import (SweepSpec, aggregate_sweep, mean_ci,
-                              parse_sweep_table, point_config, point_seed,
+                              parse_sweep_table, point_config,
                               protocol_log_csv_text, result_csv_text,
                               run_once_to_dir, run_sweep, scenario_seed,
                               write_report)
@@ -39,25 +40,21 @@ def tiny_sweep(tmp_path_factory):
 
 
 class TestSeeds:
-    def test_point_seed_deterministic(self):
-        assert point_seed(1, 0.4, 3.0, 200, 2) == point_seed(1, 0.4, 3.0, 200, 2)
-
-    def test_point_seed_sensitive_to_every_coordinate(self):
-        base = point_seed(1, 0.4, 3.0, 200, 2)
-        assert base != point_seed(2, 0.4, 3.0, 200, 2)
-        assert base != point_seed(1, 0.6, 3.0, 200, 2)
-        assert base != point_seed(1, 0.4, 2.0, 200, 2)
-        assert base != point_seed(1, 0.4, 3.0, 100, 2)
-        assert base != point_seed(1, 0.4, 3.0, 200, 3)
+    def test_scenario_seed_sensitive_to_every_coordinate(self):
+        base = scenario_seed(1, 3.0, 200, 2)
+        assert base != scenario_seed(2, 3.0, 200, 2)
+        assert base != scenario_seed(1, 2.0, 200, 2)
+        assert base != scenario_seed(1, 3.0, 100, 2)
+        assert base != scenario_seed(1, 3.0, 200, 3)
 
     def test_scenario_seed_shared_across_weights(self):
         assert scenario_seed(1, 3.0, 200, 0) == scenario_seed(1, 3.0, 200, 0)
         assert scenario_seed(1, 3.0, 200, 0) != scenario_seed(1, 3.0, 200, 1)
 
     def test_adding_grid_points_never_changes_existing_seeds(self):
-        # seeds depend only on the point coordinates, not the grid shape
-        full = [point_seed(1, w, 3.0, 200, 0) for w in (0.0, 0.5, 1.0)]
-        subset = [point_seed(1, w, 3.0, 200, 0) for w in (0.0, 1.0)]
+        # seeds depend only on the scenario coordinates, not the grid shape
+        full = [scenario_seed(1, mu, 200, 0) for mu in (1.0, 2.0, 3.0)]
+        subset = [scenario_seed(1, mu, 200, 0) for mu in (1.0, 3.0)]
         assert [full[0], full[2]] == subset
 
 
@@ -213,14 +210,34 @@ class TestSweep:
         lines = (out / "manifest").read_text().splitlines()
         assert lines[0] == "w_ts,mu_ts,density,rep,seed,config_hash"
         assert len(lines) == 5
+        seeds: dict[tuple, set] = {}
         for line in lines[1:]:
             w, mu, den, rep, seed, chash = line.split(",")
-            expected_seed = point_seed(base.master_seed, float(w), float(mu),
-                                       int(den), int(rep))
+            expected_seed = scenario_seed(base.master_seed, float(mu),
+                                          int(den), int(rep))
             assert int(seed) == expected_seed
             cfg = point_config(base, float(w), float(mu), int(den),
                                expected_seed)
             assert chash == cfg.config_hash()
+            seeds.setdefault((mu, den, rep), set()).add(int(seed))
+        # one seed per scenario, shared by its w_ts values ...
+        assert all(len(s) == 1 for s in seeds.values())
+        # ... and a different one for every (mu, density, rep)
+        assert len(set.union(*seeds.values())) == len(seeds) == 2
+
+    def test_runs_equal_direct_simulations(self, tiny_sweep):
+        # the acceptance suite reads its trend data from sweep runs: each
+        # must be the run of point_config at the scenario seed, exactly
+        out, spec, base, _ = tiny_sweep
+        runs = oracle_utils.sweep_runs(str(out))
+        assert len(runs) == 4
+        for (w, mu, den, rep), metrics in runs.items():
+            result, _ = run_simulation(point_config(
+                base, w, mu, den,
+                scenario_seed(base.master_seed, mu, den, rep)))
+            assert metrics == {"loss": result.pooled_loss,
+                               "delay": result.pooled_delay,
+                               "ts": result.ts_time_mean}
 
     def test_aggregation_matches_recomputation(self, tiny_sweep):
         out, _, _, table = tiny_sweep
@@ -446,7 +463,7 @@ class TestCliFileInterfaces:
                          "--mobility-trace", str(trace_path)]) == 0
         loaded = load_config_file(config_path)
         assert seen == [loaded.replace(mobility=dataclasses.replace(
-            loaded.mobility, trace_path=str(trace_path)))]
+            loaded.mobility, trace=str(trace_path)))]
         assert seen[0].mobility.warmup_s == 45.0
 
     def test_ts_matrix_flag(self, tmp_path):
@@ -464,6 +481,22 @@ class TestCliFileInterfaces:
                     if line.rsplit(",", 1)[1]]
         assert ts_cells and all(float(c) == 4.0 for c in ts_cells)
 
+    @pytest.mark.parametrize("size", [5, 30], ids=["smaller", "larger"])
+    def test_ts_matrix_of_another_size_fails_before_the_run(
+            self, tmp_path, capsys, size):
+        config_path = self.write_config(tmp_path, nodes=12)
+        matrix_path = tmp_path / "ts.txt"
+        matrix_path.write_text(f"{size}\n" + "".join(
+            " ".join("0" if i == j else "4" for j in range(size)) + "\n"
+            for i in range(size)))
+        out = tmp_path / "out"
+        code = cli_main(["simulate", "--config", str(config_path),
+                         "--out", str(out), "--ts-matrix", str(matrix_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"is {size} x {size}" in err
+        assert not (out / "result.csv").exists()
+
     def test_video_trace_flag(self, tmp_path):
         config_path = self.write_config(tmp_path)
         frames = tmp_path / "frames.txt"
@@ -479,6 +512,7 @@ class TestCliFileInterfaces:
         trace_path = tmp_path / "trace.txt"
         trace_path.write_text("0.0 100.0\n")
         code = cli_main(["simulate", "--config", str(config_path),
+                         "--out", str(tmp_path / "out"),
                          "--mobility-trace", str(trace_path)])
         assert code == 2
         assert "line 1" in capsys.readouterr().err
@@ -499,8 +533,14 @@ class TestGridFile:
         "density: [100.0]\n",
         "density: []\n",
         "repetitions: 2.5\n",
+        # a repeated value would run each of its runs twice, into one
+        # directory, and count it twice in the sweep table
+        "w_ts: [0, 0.0]\nmu_ts: [3]\ndensity: [100]\n",
+        "w_ts: [0]\nmu_ts: [3, 3.0]\ndensity: [100]\n",
+        "w_ts: [0]\nmu_ts: [3]\ndensity: [100, 100]\n",
     ], ids=["scalar", "duplicate-key", "yaml-syntax", "string", "bool",
-            "float-density", "empty-list", "float-repetitions"])
+            "float-density", "empty-list", "float-repetitions",
+            "repeated-w_ts", "repeated-mu_ts", "repeated-density"])
     def test_bad_grid_fails_cleanly(self, tmp_path, capsys, text):
         config_path = tmp_path / "cfg.yaml"
         config_path.write_text("nodes: 4\nduration_s: 2\n")
@@ -543,7 +583,8 @@ class TestGridFile:
             tmp_path, "w_ts: [0, 1]\nmu_ts: [2]\ndensity: [100]\n"))
         floats = cli._load_grid(self.write_grid(
             tmp_path, "w_ts: [0.0, 1.0]\nmu_ts: [2.0]\ndensity: [100]\n"))
-        assert ([point_seed(1, *point, 0) for point in ints.points()]
-                == [point_seed(1, *point, 0) for point in floats.points()])
+        assert ([scenario_seed(1, mu, den, 0) for _, mu, den in ints.points()]
+                == [scenario_seed(1, mu, den, 0)
+                    for _, mu, den in floats.points()])
         assert list(map(repr, ints.points())) == [
             "(0.0, 2.0, 100)", "(1.0, 2.0, 100)"]

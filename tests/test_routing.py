@@ -121,12 +121,6 @@ class TestMscore:
         assert d_quals == pytest.approx(0.125 * 0.07, abs=1e-12)
         assert w.w_qos / 7 == pytest.approx(0.125)
 
-    def test_raw_sum_variant(self):
-        q = qual_with_values((0, 1), [0.5] * 7)
-        w = ScoringWeights(0.4)
-        assert mscore(q, 3.0, w, raw_sum=True) == pytest.approx(
-            0.6 * 3.5 + 0.4 * 3.0)
-
     @given(st.floats(min_value=0.01, max_value=1.0),
            st.floats(min_value=0.0, max_value=3.9),
            st.floats(min_value=0.0, max_value=0.1))

@@ -549,7 +549,7 @@ class TestDecodableGops:
             f"{9000 if i in (0, 17) else 700 + 37 * i}\n"
             for i in range(30)))
         config = sparse27_config(40.0).replace(
-            video=VideoConfig(trace_path=str(trace)))
+            video=VideoConfig(trace=str(trace)))
         entries = self.record(monkeypatch)
         result = run_once_to_dir(config, str(tmp_path / "out"))
         for flow in result.flows:
