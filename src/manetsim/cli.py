@@ -11,9 +11,7 @@ import sys
 from .config import (ConfigError, RunConfig, as_type, dump_config,
                      load_config_file, load_yaml)
 from .harness import (SweepSpec, point_config, run_once_to_dir, run_sweep,
-                      parse_sweep_table, write_report, DEFAULT_W_TS_GRID,
-                      DEFAULT_MU_GRID, DEFAULT_DENSITY_GRID,
-                      DEFAULT_REPETITIONS, DEFAULT_CONFIDENCE)
+                      parse_sweep_table, write_report)
 
 
 def _cmd_simulate(args) -> int:
@@ -39,10 +37,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _grid_list(data: dict, key: str, kind, default: tuple) -> tuple:
-    if key not in data:
-        return default
-    values = data[key]
+def _grid_list(key: str, values, kind) -> tuple:
     if not isinstance(values, list) or not values:
         raise ConfigError(
             f"grid {key}: expected a non-empty list, got {values!r}")
@@ -52,6 +47,8 @@ def _grid_list(data: dict, key: str, kind, default: tuple) -> tuple:
 
 
 def _load_grid(path: str | None) -> SweepSpec:
+    """The sweep grid a file sets; a key it leaves out keeps the SweepSpec
+    default."""
     if path is None:
         return SweepSpec()
     with open(path, encoding="utf-8") as fh:
@@ -62,14 +59,16 @@ def _load_grid(path: str | None) -> SweepSpec:
                            "confidence"}
     if unknown:
         raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
-    return SweepSpec(
-        w_ts_grid=_grid_list(data, "w_ts", float, DEFAULT_W_TS_GRID),
-        mu_grid=_grid_list(data, "mu_ts", float, DEFAULT_MU_GRID),
-        density_grid=_grid_list(data, "density", int, DEFAULT_DENSITY_GRID),
-        repetitions=as_type("grid repetitions",
-                            data.get("repetitions", DEFAULT_REPETITIONS), int),
-        confidence=as_type("grid confidence",
-                           data.get("confidence", DEFAULT_CONFIDENCE), float))
+    kwargs = {}
+    for key, name, kind in (("w_ts", "w_ts_grid", float),
+                            ("mu_ts", "mu_grid", float),
+                            ("density", "density_grid", int)):
+        if key in data:
+            kwargs[name] = _grid_list(key, data[key], kind)
+    for key, kind in (("repetitions", int), ("confidence", float)):
+        if key in data:
+            kwargs[key] = as_type(f"grid {key}", data[key], kind)
+    return SweepSpec(**kwargs)
 
 
 def _cmd_sweep(args) -> int:

@@ -5,7 +5,10 @@ keys and out-of-range values are rejected with the offending key path.
 
 Each key is declared once, as a dataclass field that gives its type and
 default; ``_KEYS`` maps it to its YAML section and name for both
-``parse_config`` and ``dump_config``.  Type checks happen while parsing;
+``parse_config`` and ``dump_config``.  A nested section's keys are the init
+fields of its type, several of which live next to the code they configure
+(``RadioSpec``, ``VideoConfig``, ``CbrConfig``, ``CustomerRequest``) and are
+re-exported here.  Type checks happen while parsing;
 range and consistency checks live in the dataclasses' ``__post_init__``, so
 a configuration built in Python is checked the same way as a loaded file.
 """
@@ -16,7 +19,7 @@ import functools
 import hashlib
 import json
 import typing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from operator import attrgetter
 
 import yaml
@@ -24,7 +27,7 @@ import yaml
 from .mobility import AreaSpec
 from .radio import RadioSpec
 from .routing import CustomerRequest, DiscoveryLimits, ScoringWeights
-from .video import CbrSpec, GopModel
+from .video import CbrConfig, VideoConfig
 
 
 class ConfigError(ValueError):
@@ -40,6 +43,13 @@ class MobilityConfig:
     trace: str | None = None
 
     def __post_init__(self):
+        # path qualification divides by max_speed_mps also when a trace
+        # moves the nodes, and a trace ignores warmup_s that the walk, built
+        # only once a run starts, would reject
+        if self.max_speed_mps <= 0:
+            raise ConfigError("max_speed_mps must be positive")
+        if self.warmup_s < 0:
+            raise ConfigError("warmup_s may not be negative")
         # the walk would skip a negative pause without a word, and a
         # fraction above 1 would draw speeds above max_speed_mps
         if self.pause_s < 0:
@@ -58,45 +68,6 @@ class MacConfig:
             raise ConfigError("queue_capacity must be at least 1")
         if self.access_delay_s < 0:
             raise ConfigError("access_delay_s may not be negative")
-
-
-@dataclass(frozen=True)
-class VideoConfig:
-    flows: int = 2
-    fps: float = 25.0
-    target_rate_bps: float = 150_000.0
-    pattern: str = "IBBPBBPBBPBB"
-    sigma_log: float = 0.3
-    max_packet_bytes: int = 1500
-    start_s: float = 0.0
-    trace: str | None = None
-
-    def __post_init__(self):
-        self.gop_model()  # validates the pattern and the rates
-        if self.flows < 0 or self.start_s < 0:
-            raise ConfigError("flows and start_s may not be negative")
-
-    def gop_model(self) -> GopModel:
-        return GopModel(pattern=self.pattern, fps=self.fps,
-                        target_rate_bps=self.target_rate_bps,
-                        sigma_log=self.sigma_log,
-                        max_packet_bytes=self.max_packet_bytes)
-
-
-@dataclass(frozen=True)
-class CbrConfig:
-    flows: int = 1
-    rate_bps: float = 300_000.0
-    packet_bytes: int = 1500
-    refresh_s: float = 5.0
-
-    def __post_init__(self):
-        if self.flows < 0:
-            raise ConfigError("flows may not be negative")
-        if self.flows > 0:
-            CbrSpec(self.rate_bps, self.packet_bytes)  # range check
-        if self.refresh_s <= 0:
-            raise ConfigError("refresh_s must be positive")
 
 
 @dataclass(frozen=True)
@@ -184,25 +155,19 @@ class RunConfig:
 
 # The YAML sections, each with the prefix that turns its keys into
 # RunConfig attribute paths and its keys in the order dump_config writes
-# them.  A key's type and default are those of the field its path names.
+# them: a nested section names its type, whose init fields are its keys.
+# A key's type and default are those of the field its path names.
 _SECTIONS = (
     ("", "", ("area_width_m", "area_height_m", "nodes", "duration_s",
               "master_seed", "flow_min_hops")),
-    ("mobility", "mobility.", ("max_speed_mps", "pause_s",
-                               "min_speed_fraction", "warmup_s", "trace")),
-    ("radio", "radio.", ("tx_range_m", "noise_floor_dbm",
-                         "path_loss_exponent", "nominal_bitrate_bps",
-                         "snr_threshold_db", "ref_loss_db",
-                         "max_corruption_prob", "corruption_span_db")),
-    ("mac", "mac.", ("queue_capacity", "access_delay_s")),
-    ("video", "video.", ("flows", "fps", "target_rate_bps", "pattern",
-                         "sigma_log", "max_packet_bytes", "start_s",
-                         "trace")),
-    ("cbr", "cbr.", ("flows", "rate_bps", "packet_bytes", "refresh_s")),
-    ("customer_request", "request.", ("bw_min_bps", "loss_max",
-                                      "delay_max_s", "jitter_max_s")),
+    ("mobility", "mobility.", MobilityConfig),
+    ("radio", "radio.", RadioSpec),
+    ("mac", "mac.", MacConfig),
+    ("video", "video.", VideoConfig),
+    ("cbr", "cbr.", CbrConfig),
+    ("customer_request", "request.", CustomerRequest),
     ("scoring", "", ("w_ts",)),
-    ("social", "social.", ("mu_ts", "sigma_ts", "matrix")),
+    ("social", "social.", SocialConfig),
     ("routing", "", ("ttl", "max_paths", "beacon_period_s", "beacon_bytes",
                      "pm_train", "pm_spacing_s", "pm_bytes", "pmr_bytes",
                      "probe_window_s", "decision_delay_s", "alpha_tune",
@@ -213,8 +178,11 @@ _RENAMED = {"nodes": "node_count", "ttl": "limits.ttl",
             "max_paths": "limits.max_paths"}
 # (section, key, RunConfig attribute path) of every key; the one derived
 # key, "density", sets node_count from the area instead
-_KEYS = tuple((section, key, prefix + _RENAMED.get(key, key))
-              for section, prefix, keys in _SECTIONS for key in keys)
+_KEYS = tuple(
+    (section, key, prefix + _RENAMED.get(key, key))
+    for section, prefix, keys in _SECTIONS
+    for key in (keys if isinstance(keys, tuple)
+                else [f.name for f in fields(keys) if f.init]))
 
 
 @functools.cache

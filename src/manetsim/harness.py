@@ -26,10 +26,6 @@ from .simulation import run_simulation
 from .social import load_ts_matrix
 from .video import load_frame_trace
 
-DEFAULT_W_TS_GRID = (0.0, 0.125, 0.2, 0.4, 0.6, 0.8, 1.0)
-DEFAULT_MU_GRID = (1.0, 2.0, 3.0, 4.0)
-DEFAULT_DENSITY_GRID = (100, 200)
-DEFAULT_REPETITIONS = 5
 DEFAULT_CONFIDENCE = 0.90
 
 RESULT_FIELDS = ("flow_id", "src", "dst", "generated", "delivered",
@@ -132,10 +128,10 @@ def run_once_to_dir(config: RunConfig, out_dir: str):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    w_ts_grid: tuple = DEFAULT_W_TS_GRID
-    mu_grid: tuple = DEFAULT_MU_GRID
-    density_grid: tuple = DEFAULT_DENSITY_GRID
-    repetitions: int = DEFAULT_REPETITIONS
+    w_ts_grid: tuple = (0.0, 0.125, 0.2, 0.4, 0.6, 0.8, 1.0)
+    mu_grid: tuple = (1.0, 2.0, 3.0, 4.0)
+    density_grid: tuple = (100, 200)
+    repetitions: int = 5
     confidence: float = DEFAULT_CONFIDENCE
 
     def __post_init__(self):

@@ -39,6 +39,8 @@ class RadioSpec:
             raise ValueError("nominal_bitrate_bps must be positive")
         if not 0.0 <= self.max_corruption_prob <= 1.0:
             raise ValueError("max_corruption_prob must be in [0, 1]")
+        if self.corruption_span_db <= 0:  # the margin is divided by it
+            raise ValueError("corruption_span_db must be positive")
         # Calibration identity: snr(tx_range) == snr_threshold exactly.
         object.__setattr__(
             self, "tx_power_dbm",

@@ -16,7 +16,7 @@ from .radio import Medium, in_range, transmission_delay
 from .routing import (DiscoveryLimits, SourceProtocol, bfs_distance,
                       discover_paths)
 from .social import generate_ts_matrix, validate_ts_matrix
-from .video import CbrSpec, VideoFrame, VideoSource, packetize
+from .video import VideoFrame, VideoSource, packetize
 
 VIDEO_CLASSES = (PacketClass.VIDEO_I, PacketClass.VIDEO_P, PacketClass.VIDEO_B)
 
@@ -173,7 +173,6 @@ class SimulationRun:
         self.cbr_state: dict[int, dict] = {}
         self._frame_trace = frame_trace
         self._channel = self.sim.rng.stream("channel")
-        self._gop_model = config.video.gop_model()
         self._setup_flows()
         self._setup_beacons()
 
@@ -226,15 +225,9 @@ class SimulationRun:
 
     def _velocity_of(self, node: int, t: float):
         """``mob.velocity_at`` at min(t, duration), from the node's current
-        waypoint segment, which ``_position_of`` has entered for the link
-        just measured at t."""
-        if t > self.trace.duration:
-            t = self.trace.duration
-        start, end, _x, _y, dx, dy = segment = self._segments[node]
-        if not start <= t < end:
-            start, end, _x, _y, dx, dy = segment = mob.segment_at(
-                self.trace, node, t)
-            self._segments[node] = segment
+        waypoint segment, which ``_position_of`` enters."""
+        self._position_of(node, t)
+        start, end, _x, _y, dx, dy = self._segments[node]
         if dx is None:
             return 0.0, 0.0
         return dx / (end - start), dy / (end - start)
@@ -283,15 +276,13 @@ class SimulationRun:
                 schedule=self.sim.schedule)
             self.protocols[flow_id] = protocol
             self.sim.schedule(0.0, protocol.start_iteration)
-            source = VideoSource(self._gop_model, trace=self._frame_trace)
+            source = VideoSource(config.video, trace=self._frame_trace)
             self.sim.schedule(config.video.start_s, self._video_tick,
                               flow_id, source)
         base = 2 * config.video.flows
         for c in range(config.cbr.flows):
             src, dst = endpoints[base + 2 * c], endpoints[base + 2 * c + 1]
-            spec = CbrSpec(config.cbr.rate_bps, config.cbr.packet_bytes)
-            self.cbr_state[c] = {"src": src, "dst": dst, "spec": spec,
-                                 "route": None}
+            self.cbr_state[c] = {"src": src, "dst": dst, "route": None}
             self.sim.schedule(0.0, self._cbr_refresh, c)
             self.sim.schedule(0.0, self._cbr_tick, c)
 
@@ -452,7 +443,7 @@ class SimulationRun:
                 self._drop(packet, "no-route")
             else:
                 self._inject(packet)
-        self.sim.schedule(t + self._gop_model.frame_interval,
+        self.sim.schedule(t + self.config.video.frame_interval,
                           self._video_tick, flow_id, source)
 
     def _cbr_refresh(self, cbr_id: int) -> None:
@@ -474,7 +465,7 @@ class SimulationRun:
             return
         state = self.cbr_state[cbr_id]
         packet = Packet(klass=PacketClass.CBR,
-                        size_bytes=state["spec"].packet_bytes,
+                        size_bytes=self.config.cbr.packet_bytes,
                         src=state["src"], dst=state["dst"],
                         route=state["route"] or (state["src"], state["dst"]),
                         created_at=t)
@@ -483,7 +474,7 @@ class SimulationRun:
             self._drop(packet, "no-route")
         else:
             self._inject(packet)
-        self.sim.schedule(t + state["spec"].interval, self._cbr_tick, cbr_id)
+        self.sim.schedule(t + self.config.cbr.interval, self._cbr_tick, cbr_id)
 
     # -- run ----------------------------------------------------------------------
 

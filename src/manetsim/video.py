@@ -4,6 +4,10 @@ per-type priorities, and constant-bitrate interferers.
 Frame sizes follow lognormal distributions whose means keep the I:P:B ratio
 at 5:2:1 and the long-run bitrate at the configured target.  A frame-size
 trace can be imported instead for anyone holding real encoder output.
+
+``VideoConfig`` and ``CbrConfig`` are the ``video`` and ``cbr`` sections of
+the run configuration: their fields are the section's keys, and each checks
+its own ranges, as ``RadioSpec`` does for ``radio``.
 """
 
 from __future__ import annotations
@@ -20,17 +24,19 @@ FRAME_CLASS = {
     "B": PacketClass.VIDEO_B,
 }
 
-DEFAULT_PATTERN = "IBBPBBPBBPBB"
+SIZE_RATIO = {"I": 5.0, "P": 2.0, "B": 1.0}  # relative mean frame sizes
 
 
 @dataclass(frozen=True)
-class GopModel:
-    pattern: str = DEFAULT_PATTERN
+class VideoConfig:
+    flows: int = 2
     fps: float = 25.0
     target_rate_bps: float = 150_000.0
-    size_ratio: tuple[float, float, float] = (5.0, 2.0, 1.0)  # I : P : B
+    pattern: str = "IBBPBBPBBPBB"
     sigma_log: float = 0.3
     max_packet_bytes: int = 1500
+    start_s: float = 0.0
+    trace: str | None = None
 
     def __post_init__(self):
         if not self.pattern or self.pattern[0] != "I":
@@ -41,6 +47,8 @@ class GopModel:
             raise ValueError("fps and target rate must be positive")
         if self.max_packet_bytes < 1:
             raise ValueError("max_packet_bytes must be at least 1")
+        if self.flows < 0 or self.start_s < 0:
+            raise ValueError("flows and start_s may not be negative")
 
     @property
     def frame_interval(self) -> float:
@@ -49,10 +57,9 @@ class GopModel:
     def mean_sizes(self) -> dict[str, float]:
         """Mean frame size in bytes per type, calibrated to the target rate."""
         counts = {t: self.pattern.count(t) for t in "IPB"}
-        ratio = dict(zip("IPB", self.size_ratio))
         gop_bytes = self.target_rate_bps * len(self.pattern) / self.fps / 8.0
-        unit = gop_bytes / sum(counts[t] * ratio[t] for t in "IPB")
-        return {t: ratio[t] * unit for t in "IPB"}
+        unit = gop_bytes / sum(counts[t] * SIZE_RATIO[t] for t in "IPB")
+        return {t: SIZE_RATIO[t] * unit for t in "IPB"}
 
 
 @dataclass(frozen=True)
@@ -69,18 +76,18 @@ class VideoSource:
     imported frame trace, cyclically, opening a GoP at each of its I
     frames."""
 
-    def __init__(self, model: GopModel,
+    def __init__(self, video: VideoConfig,
                  trace: list[tuple[str, int]] | None = None):
         if trace is not None and (not trace or trace[0][0] != "I"):
             raise ValueError("a frame trace must start with an I frame")
-        self.model = model
+        self.video = video
         self._trace = trace
         self._counter = 0
         self._gop = -1  # of the last traced frame
         self._position = 0
-        means = model.mean_sizes()
+        means = video.mean_sizes()
         # lognormal location parameter chosen so E[size] matches the mean
-        self._mu_log = {t: math.log(m) - model.sigma_log ** 2 / 2.0
+        self._mu_log = {t: math.log(m) - video.sigma_log ** 2 / 2.0
                         for t, m in means.items()}
 
     def next_frame(self, rng: random.Random, now: float) -> VideoFrame:
@@ -93,13 +100,13 @@ class VideoSource:
             else:
                 self._position += 1
             return VideoFrame(self._gop, self._position, ftype, size, now)
-        pattern = self.model.pattern
+        pattern = self.video.pattern
         position = self._counter % len(pattern)
         gop = self._counter // len(pattern)
         self._counter += 1
         ftype = pattern[position]
         size = max(1, round(rng.lognormvariate(
-            self._mu_log[ftype], self.model.sigma_log)))
+            self._mu_log[ftype], self.video.sigma_log)))
         return VideoFrame(gop, position, ftype, size, now)
 
 
@@ -124,15 +131,22 @@ def packetize(frame: VideoFrame, max_packet_bytes: int = 1500,
 
 
 @dataclass(frozen=True)
-class CbrSpec:
+class CbrConfig:
+    flows: int = 1
     rate_bps: float = 300_000.0
     packet_bytes: int = 1500
+    refresh_s: float = 5.0  # period of the single-path route lookup
 
     def __post_init__(self):
-        if self.rate_bps <= 0:
-            raise ValueError("CBR rate must be positive")
-        if self.packet_bytes <= 0:
-            raise ValueError("CBR packet size must be positive")
+        if self.flows < 0:
+            raise ValueError("flows may not be negative")
+        if self.flows > 0:  # without flows the rate and size go unused
+            if self.rate_bps <= 0:
+                raise ValueError("CBR rate must be positive")
+            if self.packet_bytes <= 0:
+                raise ValueError("CBR packet size must be positive")
+        if self.refresh_s <= 0:
+            raise ValueError("refresh_s must be positive")
 
     @property
     def interval(self) -> float:

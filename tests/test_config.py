@@ -1,10 +1,11 @@
+import hashlib
 import re
 from pathlib import Path
 
 import pytest
 
-from manetsim.config import (CbrConfig, ConfigError, MacConfig, RunConfig,
-                             VideoConfig, dump_config, load_config)
+from manetsim.config import (_KEYS, CbrConfig, ConfigError, MacConfig,
+                             RunConfig, VideoConfig, dump_config, load_config)
 from manetsim.harness import point_config
 from manetsim.radio import RadioSpec
 from manetsim.simulation import run_simulation
@@ -111,6 +112,7 @@ class TestValidation:
         "flow_min_hops: 0\n",
         "mobility: {min_speed_fraction: 2.0}\n",
         "mobility: {pause_s: -1.0}\n",
+        "radio: {corruption_span_db: 0.0}\n",
     ], ids=["null-duration", "null-w_ts", "null-tx_range", "null-ttl",
             "null-max_speed", "scalar-section", "zero-cbr-refresh",
             "zero-beacon-period", "t_routing-below-decision-delay",
@@ -122,7 +124,7 @@ class TestValidation:
             "negative-beacon-bytes", "negative-pm-bytes",
             "negative-pmr-bytes", "negative-video-flows",
             "negative-cbr-flows", "zero-flow-min-hops",
-            "min-speed-above-max", "negative-pause"])
+            "min-speed-above-max", "negative-pause", "zero-corruption-span"])
     def test_value_that_would_crash_or_hang_the_run(self, text):
         with pytest.raises(ConfigError):
             load_config(text)
@@ -170,6 +172,16 @@ class TestRoundTrip:
         b = RunConfig()
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != a.replace(master_seed=2).config_hash()
+
+    def test_default_config_contract_is_pinned(self):
+        # the hash names every run in a sweep manifest, and the dump is the
+        # text gen-scenario writes: neither may move without a reason
+        assert RunConfig().config_hash() == (
+            "6f9c0a883aa0ab474af90be7dd1825c1ebaf95587f9a3bf71e17fa894446dffc")
+        dumped = dump_config(RunConfig()).encode()
+        assert hashlib.sha256(dumped).hexdigest() == (
+            "bf513ac552ca7c4ecd720863050a07aa1388aa0edc35aed7adb5eedf0e4629c2")
+        assert len(_KEYS) == 53
 
     def test_replace_keeps_other_fields(self):
         c = RunConfig().replace(w_ts=0.6)

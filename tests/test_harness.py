@@ -517,6 +517,34 @@ class TestCliFileInterfaces:
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mobility", ["max_speed_mps: 0.0",
+                                          "warmup_s: -1.0"],
+                             ids=["zero-max-speed", "negative-warmup"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_mobility_value_that_breaks_the_run_fails_before_it(
+            self, tmp_path, capsys, command, mobility):
+        # with a trace no walk is generated, so only the config boundary
+        # can catch the value before path qualification divides by the
+        # speed or the warm-up is silently ignored
+        config_path = tmp_path / "cfg.yaml"
+        config_path.write_text(
+            f"nodes: 4\nduration_s: 6\nmobility: {{{mobility}}}\n"
+            "video: {flows: 1}\ncbr: {flows: 0}\n")
+        trace_path = tmp_path / "trace.txt"
+        trace_path.write_text("0.0 100.0 100.0\n0.0 150.0 100.0\n"
+                              "0.0 150.0 150.0\n0.0 100.0 150.0\n")
+        extra = (["--mobility-trace", str(trace_path)]
+                 if command == "simulate"
+                 else self.command_args(command, tmp_path))
+        out = tmp_path / "out"
+        code = cli_main([command, "--config", str(config_path),
+                         "--out", str(out)] + extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and mobility.split(":")[0] in err
+        assert not (out / "result.csv").exists()
+        assert not (out / "runs").exists()
+
 
 class TestGridFile:
     def write_grid(self, tmp_path, text):

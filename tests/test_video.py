@@ -6,35 +6,35 @@ import oracle_utils
 from manetsim.mac import AccessCategory, category_of
 from manetsim.packets import PacketClass
 from manetsim.simulation import FlowStats
-from manetsim.video import (CbrSpec, GopModel, VideoFrame, VideoSource,
+from manetsim.video import (CbrConfig, VideoConfig, VideoFrame, VideoSource,
                             load_frame_trace, packetize)
 
 
 class TestGopModel:
     def test_pattern_must_start_with_i(self):
         with pytest.raises(ValueError):
-            GopModel(pattern="BBI")
+            VideoConfig(pattern="BBI")
 
     def test_pattern_alphabet(self):
         with pytest.raises(ValueError):
-            GopModel(pattern="IXB")
+            VideoConfig(pattern="IXB")
 
     def test_mean_sizes_hit_target_rate(self):
-        model = GopModel()
-        means = model.mean_sizes()
-        gop_bytes = sum(means[t] for t in model.pattern)
-        gop_seconds = len(model.pattern) / model.fps
+        video = VideoConfig()
+        means = video.mean_sizes()
+        gop_bytes = sum(means[t] for t in video.pattern)
+        gop_seconds = len(video.pattern) / video.fps
         assert gop_bytes * 8 / gop_seconds == pytest.approx(150_000, rel=1e-9)
 
     def test_size_ratio(self):
-        means = GopModel().mean_sizes()
+        means = VideoConfig().mean_sizes()
         assert means["I"] / means["B"] == pytest.approx(5.0)
         assert means["P"] / means["B"] == pytest.approx(2.0)
 
 
 class TestVideoSource:
     def test_every_twelfth_frame_is_i(self):
-        source = VideoSource(GopModel())
+        source = VideoSource(VideoConfig())
         rng = random.Random(1)
         types = [source.next_frame(rng, t * 0.04).frame_type
                  for t in range(48)]
@@ -42,7 +42,7 @@ class TestVideoSource:
             assert (ftype == "I") == (i % 12 == 0)
 
     def test_gop_and_frame_indices(self):
-        source = VideoSource(GopModel())
+        source = VideoSource(VideoConfig())
         rng = random.Random(1)
         frames = [source.next_frame(rng, 0.0) for _ in range(25)]
         assert frames[0].gop_index == 0 and frames[0].frame_index == 0
@@ -50,7 +50,7 @@ class TestVideoSource:
         assert frames[24].gop_index == 2
 
     def test_mean_size_ordering(self):
-        source = VideoSource(GopModel())
+        source = VideoSource(VideoConfig())
         rng = random.Random(2)
         sums = {"I": [0, 0], "P": [0, 0], "B": [0, 0]}
         for _ in range(10_000):
@@ -61,17 +61,17 @@ class TestVideoSource:
         assert mean["I"] > mean["P"] > mean["B"]
 
     def test_long_run_bitrate_within_five_percent(self):
-        model = GopModel()
-        source = VideoSource(model)
+        video = VideoConfig()
+        source = VideoSource(video)
         rng = random.Random(3)
         n = 24_000
         total_bytes = sum(source.next_frame(rng, 0.0).size_bytes
                           for _ in range(n))
-        rate = total_bytes * 8 / (n / model.fps)
+        rate = total_bytes * 8 / (n / video.fps)
         assert rate == pytest.approx(150_000, rel=0.05)
 
     def test_frame_trace_replay(self):
-        source = VideoSource(GopModel(), trace=[("I", 900), ("B", 100)])
+        source = VideoSource(VideoConfig(), trace=[("I", 900), ("B", 100)])
         rng = random.Random(4)
         a = source.next_frame(rng, 0.0)
         b = source.next_frame(rng, 0.04)
@@ -187,9 +187,9 @@ class TestGopCounters:
 
     def test_memory_per_gop_not_per_packet(self):
         stats = FlowStats(0, 0, 1)
-        source = VideoSource(GopModel())
+        source = VideoSource(VideoConfig())
         rng = random.Random(5)
-        for _ in range(10 * len(GopModel().pattern)):
+        for _ in range(10 * len(VideoConfig().pattern)):
             frame = source.next_frame(rng, 0.0)
             stats.count_generated(frame, packetize(frame, 200))
         assert stats.generated > 100
@@ -198,11 +198,12 @@ class TestGopCounters:
 
 class TestCbr:
     def test_fixed_interval(self):
-        assert CbrSpec(300_000.0, 1500).interval == pytest.approx(0.04)
+        cbr = CbrConfig(rate_bps=300_000.0, packet_bytes=1500)
+        assert cbr.interval == pytest.approx(0.04)
 
     def test_zero_rate_rejected(self):
         with pytest.raises(ValueError):
-            CbrSpec(0.0, 1500)
+            CbrConfig(rate_bps=0.0)
 
     def test_class_is_best_effort(self):
         from manetsim.packets import Packet
@@ -235,10 +236,10 @@ class TestFrameTrace:
 
     def test_source_rejects_trace_without_leading_i(self):
         with pytest.raises(ValueError, match="I frame"):
-            VideoSource(GopModel(), trace=[("P", 900), ("I", 100)])
+            VideoSource(VideoConfig(), trace=[("P", 900), ("I", 100)])
 
     def test_gop_opens_at_each_traced_i_frame(self):
-        source = VideoSource(GopModel(), trace=[
+        source = VideoSource(VideoConfig(), trace=[
             ("I", 900), ("B", 100), ("P", 300), ("I", 800), ("B", 90)])
         rng = random.Random(4)
         frames = [source.next_frame(rng, 0.0) for _ in range(12)]
