@@ -136,6 +136,16 @@ class RunConfig:
             raise ConfigError(
                 f"min(beta_tune, alpha_tune + beta_tune) = {shortest} is "
                 f"below decision_delay_s = {self.decision_delay_s}")
+        # a source queues a whole frame at one instant, so a mean I frame
+        # (the largest type) of more packets than a queue holds overflows an
+        # empty one; fps near 0 or a huge rate would build billions of them
+        video = self.video
+        if video.flows and video.trace is None:
+            i_packets = video.mean_sizes()["I"] / video.max_packet_bytes
+            if i_packets > self.mac.queue_capacity:
+                raise ConfigError(
+                    f"the mean I frame is {i_packets:.6g} packets, above "
+                    f"mac.queue_capacity: lower target_rate_bps or raise fps")
         self.area  # validates dimensions and node count
 
     @property

@@ -13,9 +13,9 @@ reproducibility guarantees hinge on two rules enforced here:
 from __future__ import annotations
 
 import hashlib
-import heapq
 import itertools
 import random
+from heapq import heappop, heappush
 from typing import Callable, Sequence
 
 
@@ -66,13 +66,13 @@ class EventQueue:
         self.processed = 0
 
     def push(self, at: float, handler: Callable[..., None], *args) -> None:
-        heapq.heappush(self._heap, (at, next(self._seq), handler, args))
+        heappush(self._heap, (at, next(self._seq), handler, args))
 
     def peek_time(self) -> float | None:
         return self._heap[0][0] if self._heap else None
 
     def pop(self) -> tuple[float, Callable[..., None], tuple]:
-        at, _seq, handler, args = heapq.heappop(self._heap)
+        at, _seq, handler, args = heappop(self._heap)
         self.processed += 1
         return at, handler, args
 
@@ -93,7 +93,7 @@ class Simulator:
         if at < self.clock:
             raise SchedulingError(
                 f"cannot schedule at t={at}: clock already at t={self.clock}")
-        heapq.heappush(self._heap, (at, next(self._seq), handler, args))
+        heappush(self._heap, (at, next(self._seq), handler, args))
 
     def run_until(self, end: float) -> None:
         """Process every event with timestamp <= end, then set clock = end."""
@@ -101,7 +101,7 @@ class Simulator:
             raise SchedulingError(
                 f"run_until({end}) would move the clock backward from {self.clock}")
         heap = self._heap
-        pop = heapq.heappop
+        pop = heappop
         ran = 0
         try:
             while heap and heap[0][0] <= end:

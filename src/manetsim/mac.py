@@ -37,13 +37,8 @@ PRIORITY_MAP: dict[PacketClass, AccessCategory] = {
 DEFAULT_QUEUE_CAPACITY = 50  # packets per access category
 
 
-# Keyed by the member's ``_value_``: a member as key runs the Python-level
-# ``Enum.__hash__`` on every lookup, once per enqueued packet.
-_CATEGORY_BY_VALUE = {klass._value_: ac for klass, ac in PRIORITY_MAP.items()}
-
-
 def category_of(packet: Packet) -> AccessCategory:
-    return _CATEGORY_BY_VALUE[packet.klass._value_]
+    return PRIORITY_MAP[packet.klass]
 
 
 @dataclass
@@ -76,7 +71,7 @@ class MacLayer:
     def enqueue(self, node: int, packet: Packet) -> bool:
         """Append to the node's mapped queue; False means queue-overflow
         drop."""
-        q = self.nodes[node].queues[_CATEGORY_BY_VALUE[packet.klass._value_]]
+        q = self.nodes[node].queues[PRIORITY_MAP[packet.klass]]
         if len(q) >= self.capacity:
             return False
         q.append(packet)
@@ -99,5 +94,5 @@ class MacLayer:
         """1 + number of neighbors with a nonempty MAC queue at t."""
         if self._neighbor_provider is None:
             return 1
-        return 1 + len(self.backlogged.intersection(
-            self._neighbor_provider(node, t)))
+        nbrs = self._neighbor_provider(node, t)
+        return 1 + len(self.backlogged.intersection(nbrs)) if nbrs else 1

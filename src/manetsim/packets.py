@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -14,6 +14,10 @@ class PacketClass(Enum):
     VIDEO_P = "video-p"
     VIDEO_B = "video-b"
     CBR = "cbr"
+
+    # singletons, so identity hashing agrees with equality and skips a Python
+    # call per dict lookup; it differs per process: iterate no set of them
+    __hash__ = object.__hash__
 
 
 # Drop causes used by the accounting; "end-of-run" covers packets still
@@ -32,5 +36,5 @@ class Packet:
     created_at: float
     flow_id: int | None = None
     seq: int | None = None
-    payload: dict = field(default_factory=dict)
+    payload: dict | None = None     # probes, replies and I packets only
     hop_index: int = 0              # index into route of the current holder

@@ -80,6 +80,7 @@ class TransmitOutcome(NamedTuple):
 
 
 _LINK_BREAK = TransmitOutcome("dropped", cause="link-break")
+_new = tuple.__new__  # the per-hop calls skip the NamedTuple's Python __new__
 
 
 def transmission_delay(spec: RadioSpec, size_bytes: int,
@@ -92,7 +93,7 @@ def transmission_delay(spec: RadioSpec, size_bytes: int,
 # Pairs whose squared distance lies within this fraction of the squared
 # range are decided by the ``**`` expression; x * x and x ** 2 differ by at
 # most an ulp, far inside this margin.
-_EDGE_REL = 1e-12
+EDGE_REL = 1e-12
 
 
 def in_range(dx: float, dy: float, r2: float) -> bool:
@@ -104,7 +105,7 @@ def in_range(dx: float, dy: float, r2: float) -> bool:
     decides every pair except those that close to the range edge.
     """
     d2 = dx * dx + dy * dy
-    if abs(d2 - r2) <= _EDGE_REL * r2:
+    if abs(d2 - r2) <= EDGE_REL * r2:
         return dx ** 2 + dy ** 2 <= r2
     return d2 <= r2
 
@@ -145,8 +146,9 @@ class Medium:
         dist = math.hypot(xb - xa, yb - ya)
         loss = self._ref_loss + self._loss_slope * math.log10(
             dist if dist > 1.0 else 1.0)
-        return LinkState(a, b, dist, self._tx_power - loss - self._noise_floor,
-                         dist <= self._tx_range)
+        return _new(LinkState, (a, b, dist,
+                                self._tx_power - loss - self._noise_floor,
+                                dist <= self._tx_range))
 
     def connectivity(self, t: float) -> dict[int, list[int]]:
         """Adjacency lists (sorted) of the unit-disk graph at time t: each
@@ -162,7 +164,7 @@ class Medium:
         r2 = self.spec.tx_range_m ** 2
         linked = d2 <= r2
         # in_range's edge test, then its own verdict on the pairs it flags
-        edge = np.abs(d2 - r2) <= _EDGE_REL * r2
+        edge = np.abs(d2 - r2) <= EDGE_REL * r2
         if edge.any():
             for i, j in zip(*np.nonzero(edge)):
                 linked[i, j] = in_range(float(dx[i, j]), float(dy[i, j]), r2)
@@ -193,5 +195,5 @@ class Medium:
         p = self._max_corruption * (
             1.0 if frac >= 1.0 else frac if frac > 0.0 else 0.0)
         if p > 0.0 and rng.random() < p:
-            return TransmitOutcome("corrupted", delay, "corruption")
-        return TransmitOutcome("delivered", delay)
+            return _new(TransmitOutcome, ("corrupted", delay, "corruption"))
+        return _new(TransmitOutcome, ("delivered", delay, None))

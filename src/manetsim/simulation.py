@@ -12,7 +12,7 @@ from .config import RunConfig
 from .engine import Simulator
 from .mac import MacLayer
 from .packets import DROP_CAUSES, Packet, PacketClass
-from .radio import Medium, in_range, transmission_delay
+from .radio import EDGE_REL, Medium, in_range, transmission_delay
 from .routing import (DiscoveryLimits, SourceProtocol, bfs_distance,
                       discover_paths)
 from .social import generate_ts_matrix, validate_ts_matrix
@@ -76,7 +76,7 @@ class FlowStats:
             self.generated_bytes += packet.size_bytes
             if packet.klass is PacketClass.VIDEO_I:
                 self.gop_i_pending[frame.gop_index] += 1
-                packet.payload["gop"] = frame.gop_index
+                packet.payload = {"gop": frame.gop_index}
 
     def count_delivered(self, packet: Packet, delay: float) -> None:
         self.delivered += 1
@@ -144,11 +144,14 @@ class SimulationRun:
                 min_speed_fraction=config.mobility.min_speed_fraction,
                 warmup_s=config.mobility.warmup_s)
         self.trace = mobility_trace
+        self._trace_end = mobility_trace.duration
         self.node_ids = self.trace.node_ids
         # no segment holds any time until the first lookup
         self._segments = {node: (math.inf, -math.inf, 0.0, 0.0, None, None)
                           for node in self.node_ids}
-        self._range_sq = config.radio.tx_range_m ** 2
+        r2 = self._range_sq = config.radio.tx_range_m ** 2
+        # squared distances outside in_range's edge recheck, either side
+        self._sure_in, self._sure_out = r2 - EDGE_REL * r2, r2 + EDGE_REL * r2
         self._load_bucket: float | None = None
         self._load_positions: dict[int, tuple[float, float]] = {}
         self.medium = Medium(config.radio, self._position_of, self.node_ids)
@@ -173,6 +176,12 @@ class SimulationRun:
         self.cbr_state: dict[int, dict] = {}
         self._frame_trace = frame_trace
         self._channel = self.sim.rng.stream("channel")
+        # what every hop reads, looked up once
+        self._access_delay = config.mac.access_delay_s
+        self._duration = config.duration_s
+        self._radio = config.radio
+        self._on_hop_done = self._hop_done
+        self._on_tx_done = self._tx_done
         self._setup_flows()
         self._setup_beacons()
 
@@ -181,8 +190,8 @@ class SimulationRun:
     def _position_of(self, node: int, t: float):
         """``mob.position_at`` at min(t, duration), from the node's current
         waypoint segment; a bisect only when t leaves that segment."""
-        if t > self.trace.duration:
-            t = self.trace.duration
+        if t > self._trace_end:
+            t = self._trace_end
         start, end, x, y, dx, dy = segment = self._segments[node]
         if not start <= t < end:
             start, end, x, y, dx, dy = segment = mob.segment_at(
@@ -197,8 +206,9 @@ class SimulationRun:
         """The backlogged nodes linked to ``node`` in the unit-disk graph at
         the start of t's bucket, which are all the MAC load counts.
 
-        Only those pairs are tested, with ``in_range``; the positions of the
-        nodes touched are kept for the rest of the bucket."""
+        Only those pairs are tested, by ``in_range``'s rule, inline away from
+        the edge; the positions of the nodes touched are kept for the bucket.
+        """
         backlogged = self.mac.backlogged
         if len(backlogged) == (node in backlogged):  # no other node
             return []
@@ -211,7 +221,7 @@ class SimulationRun:
         if here is None:
             here = positions[node] = self._position_of(node, bucket)
         x, y = here
-        r2 = self._range_sq
+        r2, sure_in, sure_out = self._range_sq, self._sure_in, self._sure_out
         nbrs = []
         for other in backlogged:
             if other == node:
@@ -219,7 +229,10 @@ class SimulationRun:
             there = positions.get(other)
             if there is None:
                 there = positions[other] = self._position_of(other, bucket)
-            if in_range(there[0] - x, there[1] - y, r2):
+            dx = there[0] - x
+            dy = there[1] - y
+            d2 = dx * dx + dy * dy
+            if d2 < sure_in or (d2 <= sure_out and in_range(dx, dy, r2)):
                 nbrs.append(other)
         return nbrs
 
@@ -330,30 +343,31 @@ class SimulationRun:
     def _kick(self, node: int) -> None:
         """Decide the hop of node's next frame as it leaves the queue, from
         the link at its on-air time (positions come from the trace, and the
-        frame is the sender's until ``_receive``); one event ends the hop."""
-        state = self.mac.nodes[node]
+        frame is the sender's until ``_hop_done``); one event ends the
+        hop."""
+        mac = self.mac
+        if node not in mac.backlogged:  # every queue of node is empty
+            return
+        state = mac.nodes[node]
         if state.transmitting:
             return
-        packet = self.mac.dequeue_next(node)
-        if packet is None:
-            return
+        packet = mac.dequeue_next(node)
         state.transmitting = True
         t = self.sim.clock
-        load = self.mac.neighborhood_load(node, t)
+        load = mac.neighborhood_load(node, t)
         # contention before the frame goes on air, scaled by local load
-        t_air = t + self.config.mac.access_delay_s * load
+        t_air = t + self._access_delay * load
         # an outcome on air after the end is left to end-of-run accounting
-        booked = t_air <= self.config.duration_s
+        booked = t_air <= self._duration
         if packet.klass is PacketClass.BEACON:
             if booked:
                 self._deliver_beacon()
-            busy = transmission_delay(self.config.radio,
-                                      packet.size_bytes, load)
-            self.sim.schedule(t_air + busy, self._tx_done, node)
+            busy = transmission_delay(self._radio, packet.size_bytes, load)
+            self.sim.schedule(t_air + busy, self._on_tx_done, node)
             return
         hop = packet.hop_index + 1
         if hop >= len(packet.route):
-            self.sim.schedule(t_air, self._tx_done, node)
+            self.sim.schedule(t_air, self._on_tx_done, node)
             return
         nxt = packet.route[hop]
         link = self.medium.link_state(node, nxt, t_air)
@@ -362,20 +376,28 @@ class SimulationRun:
         if packet.klass is PacketClass.PROBE:
             self._record_probe_link(packet, link, load, t_air)
         if status == "delivered":
-            self.sim.schedule(t_air + busy, self._hop_done, node, nxt, packet)
+            self.sim.schedule(t_air + busy, self._on_hop_done, node, nxt,
+                              packet)
             return
         if booked:
             self._drop(packet, cause)
         # a corrupted frame still takes its air time
         self.sim.schedule(t_air if status == "dropped" else t_air + busy,
-                          self._tx_done, node)
+                          self._on_tx_done, node)
 
     def _hop_done(self, node: int, nxt: int, packet: Packet) -> None:
-        """The frame reaches nxt, then node's radio is free: one event, in
-        the order of two events at one time with consecutive sequence
-        numbers, which nothing can run between."""
-        self._receive(nxt, packet)
-        self._tx_done(node)
+        """The frame reaches nxt, which delivers or queues it, then node's
+        radio is free: one event, in the order of two events at one time
+        with consecutive sequence numbers, which nothing can run between."""
+        packet.hop_index += 1
+        if nxt == packet.route[-1]:
+            self._delivered(packet)
+        elif self.mac.enqueue(nxt, packet):
+            self._kick(nxt)
+        else:
+            self._drop(packet, "queue-overflow")
+        self.mac.nodes[node].transmitting = False
+        self._kick(node)
 
     def _tx_done(self, node: int) -> None:
         self.mac.nodes[node].transmitting = False
@@ -392,16 +414,6 @@ class SimulationRun:
         vb = self._velocity_of(link.node_b, t)
         info["rel_speed_sum"] += math.hypot(vb[0] - va[0], vb[1] - va[1])
         info["rel_speed_links"] += 1
-
-    def _receive(self, node: int, packet: Packet) -> None:
-        packet.hop_index += 1
-        if node == packet.route[-1]:
-            self._delivered(packet)
-            return
-        if self.mac.enqueue(node, packet):
-            self._kick(node)
-        else:
-            self._drop(packet, "queue-overflow")
 
     # -- delivery and drop accounting ------------------------------------------
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .packets import Packet, PacketClass
 
@@ -62,8 +63,7 @@ class VideoConfig:
         return {t: SIZE_RATIO[t] * unit for t in "IPB"}
 
 
-@dataclass(frozen=True)
-class VideoFrame:
+class VideoFrame(NamedTuple):  # a frozen dataclass pays a setattr per field
     gop_index: int
     frame_index: int  # position within the GoP pattern
     frame_type: str
@@ -124,9 +124,8 @@ def packetize(frame: VideoFrame, max_packet_bytes: int = 1500,
     for i in range(n):
         size = min(max_packet_bytes, remaining)
         remaining -= size
-        packets.append(Packet(
-            klass=klass, size_bytes=size, src=src, dst=dst, route=route,
-            created_at=frame.generated_at, flow_id=flow_id, seq=i))
+        packets.append(Packet(klass, size, src, dst, route,
+                              frame.generated_at, flow_id, i))
     return packets
 
 

@@ -1,5 +1,7 @@
 import hashlib
+import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -113,6 +115,9 @@ class TestValidation:
         "mobility: {min_speed_fraction: 2.0}\n",
         "mobility: {pause_s: -1.0}\n",
         "radio: {corruption_span_db: 0.0}\n",
+        "video: {fps: 1.0e-9}\n",
+        # YAML 1.1 reads an exponent without its sign, 1.0e15, as a string
+        "video: {target_rate_bps: 1.0e+15}\n",
     ], ids=["null-duration", "null-w_ts", "null-tx_range", "null-ttl",
             "null-max_speed", "scalar-section", "zero-cbr-refresh",
             "zero-beacon-period", "t_routing-below-decision-delay",
@@ -124,10 +129,29 @@ class TestValidation:
             "negative-beacon-bytes", "negative-pm-bytes",
             "negative-pmr-bytes", "negative-video-flows",
             "negative-cbr-flows", "zero-flow-min-hops",
-            "min-speed-above-max", "negative-pause", "zero-corruption-span"])
+            "min-speed-above-max", "negative-pause", "zero-corruption-span",
+            "tiny-fps", "huge-target-rate"])
     def test_value_that_would_crash_or_hang_the_run(self, text):
         with pytest.raises(ConfigError):
             load_config(text)
+
+    def test_mean_i_frame_up_to_the_queue_capacity(self):
+        # 12-frame GoP of 19 size units, I = 5 units: at 25 fps a target of
+        # 4.75 Mb/s makes the mean I frame exactly 50 packets of 1500 bytes
+        edge = 4.75e6
+        assert VideoConfig(target_rate_bps=edge).mean_sizes()["I"] == 75000.0
+        RunConfig(video=VideoConfig(target_rate_bps=edge))
+        above = VideoConfig(target_rate_bps=math.nextafter(edge, math.inf))
+        with pytest.raises(ConfigError, match="mean I frame"):
+            RunConfig(video=above)
+        # the rule counts against the configured queue and packet size
+        RunConfig(video=above, mac=MacConfig(queue_capacity=51))
+        with pytest.raises(ConfigError, match="mean I frame"):
+            RunConfig(video=VideoConfig(target_rate_bps=edge,
+                                        max_packet_bytes=1499))
+        # without flows, or with a frame trace, nothing is drawn from it
+        RunConfig(video=replace(above, flows=0))
+        RunConfig(video=replace(above, trace="frames.csv"))
 
     def test_zero_sizes_and_delays_stay_legal(self):
         # zero air time for signalling, no access delay and no spacing are

@@ -388,6 +388,37 @@ class TestGcFreeze:
         assert during > 10_000
 
 
+SIMULATE = """
+import sys
+from manetsim.cli import main
+sys.exit(main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+class TestHashSeed:
+    def test_outputs_do_not_depend_on_the_process(self, tmp_path):
+        # packet classes hash by identity, and strings by PYTHONHASHSEED:
+        # both differ between processes, and no output may follow them
+        config_path = tmp_path / "cfg.yaml"
+        config_path.write_text("nodes: 14\nduration_s: 15\nmaster_seed: 5\n"
+                               "area_width_m: 400\narea_height_m: 400\n")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"hashseed{hash_seed}"
+            proc = subprocess.run(
+                [sys.executable, "-c", SIMULATE, str(config_path), str(out)],
+                env=dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
+                         PYTHONHASHSEED=hash_seed),
+                capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / name).read_text() for name in
+                            ("result.csv", "protocol_log.csv")])
+        assert outputs[0] == outputs[1]
+        result, log = outputs[0]
+        assert len(result.splitlines()) > 2 and len(log.splitlines()) > 2
+
+
 class TestCliFileInterfaces:
     def write_config(self, tmp_path, nodes=4):
         path = tmp_path / "cfg.yaml"

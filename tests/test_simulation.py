@@ -12,7 +12,7 @@ import pytest
 
 import oracle_utils
 from manetsim import mobility as mob
-from manetsim import simulation
+from manetsim import radio, simulation
 from manetsim.config import CbrConfig, RunConfig, SocialConfig, VideoConfig
 from manetsim.harness import (point_config, protocol_log_csv_text,
                               result_csv_text, run_once_to_dir, scenario_seed)
@@ -106,6 +106,74 @@ class TestHopEvents:
         # the hop is decided at dequeue; reception and end of transmission
         # are its one event
         assert run.sim.queue.processed - before == 1
+
+    @staticmethod
+    def idle_run():
+        config = two_node_config(duration_s=2.0, video=VideoConfig(flows=0))
+        trace = static_trace([(100.0, 100.0), (120.0, 100.0)], duration=2.0)
+        run = SimulationRun(config, mobility_trace=trace, ts_matrix=full_ts(2))
+        run.sim.run_until(0.2)  # the beacons of t=0 are done, t=0.5 is next
+        calls = []
+
+        def refuse(name):
+            def called(*args):
+                calls.append(name)
+                raise AssertionError(f"{name} called")
+            return called
+
+        for name in ("dequeue_next", "neighborhood_load"):
+            setattr(run.mac, name, refuse(name))
+        run.sim.schedule = refuse("schedule")
+        return run, calls
+
+    def test_kick_on_an_empty_queue_does_nothing(self):
+        run, calls = self.idle_run()
+        assert not run.mac.backlogged
+        for node in (0, 1):
+            run._kick(node)
+        assert calls == []
+        assert not any(state.transmitting for state in run.mac.nodes.values())
+
+    def test_kick_on_a_busy_radio_does_nothing(self):
+        run, calls = self.idle_run()
+        run.mac.nodes[0].transmitting = True
+        assert run.mac.enqueue(0, Packet(
+            klass=PacketClass.CBR, size_bytes=1500, src=0, dst=1,
+            route=(0, 1), created_at=0.2))
+        run._kick(0)
+        assert calls == []
+        assert run.mac.backlogged == {0}
+
+
+class TestPayload:
+    def test_only_probes_replies_and_i_packets_carry_one(self):
+        config = two_node_config(duration_s=6.0, cbr=CbrConfig(flows=1),
+                                 node_count=4)
+        trace = static_trace([(100.0, 100.0), (200.0, 100.0),
+                              (300.0, 100.0), (400.0, 100.0)], duration=6.0)
+        run = SimulationRun(config, mobility_trace=trace, ts_matrix=full_ts(4))
+        seen = {}
+        enqueue = run.mac.enqueue
+
+        def recording_enqueue(node, packet):
+            seen[id(packet)] = packet  # the entry keeps the packet, and its id
+            return enqueue(node, packet)
+
+        run.mac.enqueue = recording_enqueue
+        run.run()
+        by_class = {}
+        for packet in seen.values():
+            by_class.setdefault(packet.klass, []).append(packet)
+        assert set(by_class) == set(PacketClass)
+        for klass in (PacketClass.BEACON, PacketClass.CBR,
+                      PacketClass.VIDEO_P, PacketClass.VIDEO_B):
+            assert all(p.payload is None for p in by_class[klass]), klass
+        i_packets = by_class[PacketClass.VIDEO_I]
+        assert all(p.payload == {"gop": round(p.created_at * 25.0) // 12}
+                   for p in i_packets)
+        assert len({p.payload["gop"] for p in i_packets}) > 10
+        for klass in (PacketClass.PROBE, PacketClass.PROBE_REPLY):
+            assert all(p.payload["iteration"] >= 0 for p in by_class[klass])
 
 
 class TestHopOracle:
@@ -480,6 +548,42 @@ class TestLoadRangeEdge:
                 # t = 0.05 s lies in the bucket that starts at 0
                 assert run._neighbors_of(node, 0.05) == adj[node], (
                     f"offset {offset!r}, node {node}")
+
+    def test_imported_static_trace_one_ulp_either_side(self):
+        # node 0 at the origin; the others at the range from it, one float
+        # step inside or outside, and around the squared distances 1e-12 of
+        # r2 inside and outside the range, where in_range's edge recheck
+        # begins and ends; the trace goes through the importer's text format
+        points, linked = [(0.0, 0.0)], []
+        for far in ((self.R, 0.0), (0.0, self.R), (72.0, 96.0)):
+            for offset, verdict in self.offsets(*far):
+                points.append(offset)
+                linked.append(verdict)
+        for scale, verdict in ((1.0 - radio.EDGE_REL, True),
+                               (1.0 + radio.EDGE_REL, False)):
+            x = self.R * math.sqrt(scale)
+            for px in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)):
+                points.append((px, 0.0))
+                linked.append(verdict)
+        text = "\n".join(f"0.0 {x!r} {y!r}" for x, y in points)
+        trace = mob.import_trace(text, AreaSpec(520.0, 520.0, len(points)),
+                                 duration=5.0)
+        config = two_node_config(duration_s=5.0, node_count=len(points),
+                                 video=VideoConfig(flows=0))
+        run = SimulationRun(config, mobility_trace=trace,
+                            ts_matrix=full_ts(len(points)))
+        r2 = config.radio.tx_range_m ** 2
+        assert [radio.in_range(x, y, r2) for x, y in points[1:]] == linked
+        adj = run.medium.connectivity(0.0)
+        for node in range(len(points)):  # every node backlogged
+            assert run.mac.enqueue(node, Packet(
+                klass=PacketClass.CBR, size_bytes=1500, src=node, dst=0,
+                route=(node, 0), created_at=0.0))
+        for node, (x, y) in enumerate(points):
+            rule = [other for other, (ox, oy) in enumerate(points)
+                    if other != node and radio.in_range(ox - x, oy - y, r2)]
+            got = sorted(run._neighbors_of(node, 0.05))
+            assert got == rule == adj[node], f"node {node} at {(x, y)!r}"
 
     def test_positions_taken_at_the_bucket_start(self):
         # 2 m/s apart each: out of range 0.0125 s into the bucket [0, 0.1)
