@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import re
 import typing
 from dataclasses import asdict, dataclass, field, fields, replace
 from operator import attrgetter
@@ -242,6 +243,14 @@ def _strict_mapping(loader, node, deep=False):
 
 _StrictLoader.add_constructor(
     yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _strict_mapping)
+# YAML 1.2 floats, which YAML 1.1 reads as strings when the exponent has no
+# sign or the mantissa no dot (2.5e6, 1e2, 6e-3, .5e2); a dot or an exponent
+# is required, so 100 stays an int
+_StrictLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+(?=[eE]))"
+               r"(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"))
 
 
 def parse_config(data: dict) -> RunConfig:

@@ -21,27 +21,33 @@ from scipy.special import stdtrit
 
 from .config import RunConfig, SocialConfig
 from .mobility import AreaSpec, import_trace
-from .packets import DROP_CAUSES
-from .simulation import run_simulation
+from .simulation import PROTOCOL_LOG_FIELDS, RESULT_FIELDS, run_simulation
 from .social import load_ts_matrix
 from .video import load_frame_trace
 
 DEFAULT_CONFIDENCE = 0.90
 
-RESULT_FIELDS = ("flow_id", "src", "dst", "generated", "delivered",
-                 "loss_fraction", "mean_delay_s", "mean_jitter_s",
-                 "decodable_gop_fraction", "ts_time_mean", "iterations",
-                 "mean_t_routing", "drops_queue_overflow", "drops_link_break",
-                 "drops_corruption", "drops_no_route", "drops_end_of_run")
+# each sweep metric and the result.csv column it reads: the 'all' row's
+# cell, or the mean of the flows' cells where the 'all' row leaves it empty
+SWEEP_METRICS = (("loss", "loss_fraction"), ("delay", "mean_delay_s"),
+                 ("jitter", "mean_jitter_s"), ("ts", "ts_time_mean"),
+                 ("decodable", "decodable_gop_fraction"))
 
-PROTOCOL_LOG_FIELDS = ("flow", "iteration", "t", "discovered", "usable",
-                       "survivors", "nstate", "t_routing", "selected",
-                       "mscore", "mean_ts")
+# the figure-data files of each (mu_ts, density) and the metrics they plot
+FIGURES = (("loss_ts", ("loss", "ts")), ("delay", ("delay",)))
 
-SWEEP_FIELDS = ("w_ts", "mu_ts", "density", "repetitions",
-                "loss_mean", "loss_ci", "delay_mean", "delay_ci",
-                "jitter_mean", "jitter_ci", "ts_mean", "ts_ci",
-                "decodable_mean", "decodable_ci")
+
+def _stat_fields(metrics) -> tuple:
+    """The mean and interval half-width columns of ``metrics``."""
+    return tuple(f"{m}_{stat}" for m in metrics for stat in ("mean", "ci"))
+
+
+# the sweep table's columns and their types: the point, then the metrics
+SWEEP_TYPES = {"w_ts": float, "mu_ts": float, "density": int,
+               "repetitions": int,
+               **dict.fromkeys(_stat_fields(m for m, _ in SWEEP_METRICS),
+                               float)}
+SWEEP_FIELDS = tuple(SWEEP_TYPES)
 
 
 def scenario_seed(master_seed: int, mu_ts: float, density: int,
@@ -59,36 +65,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_text(fields, rows) -> str:
+    """CSV text of ``rows``: one line per row, its cells named by
+    ``fields``, under a header of those names."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
+    for row in rows:
+        writer.writerow([_fmt(row[k]) for k in fields])
+    return buf.getvalue()
+
+
 def result_csv_text(result) -> str:
     """One row per video flow with its drops by cause, plus an 'all' row
     with the drops of every packet class."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RESULT_FIELDS)
-    for f in result.flows:
-        writer.writerow([
-            f["flow_id"], f["src"], f["dst"], f["generated"], f["delivered"],
-            _fmt(f["loss_fraction"]), _fmt(f["mean_delay_s"]),
-            _fmt(f["mean_jitter_s"]), _fmt(f["decodable_gop_fraction"]),
-            _fmt(f["ts_time_mean"]), f["iterations"],
-            _fmt(f["mean_t_routing"])] + [f["drops"][c] for c in DROP_CAUSES])
-    writer.writerow([
-        "all", "", "", result.total_generated, result.total_delivered,
-        _fmt(result.pooled_loss), _fmt(result.pooled_delay), "", "",
-        _fmt(result.ts_time_mean), result.iterations,
-        _fmt(result.mean_t_routing)]
-        + [result.drops_by_cause[c] for c in DROP_CAUSES])
-    return buf.getvalue()
+    return _csv_text(RESULT_FIELDS, [*result.flows, result.total])
 
 
 def protocol_log_csv_text(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(PROTOCOL_LOG_FIELDS)
-    for row in rows:
-        writer.writerow([_fmt(row[k]) if isinstance(row[k], float)
-                         else row[k] for k in PROTOCOL_LOG_FIELDS])
-    return buf.getvalue()
+    return _csv_text(PROTOCOL_LOG_FIELDS, rows)
 
 
 def load_run_inputs(config: RunConfig):
@@ -169,16 +164,14 @@ def _run_point(task):
     point_dir = os.path.join(
         out_dir, "runs", f"w{w_ts}_mu{mu}_den{density}", f"seed{seed}")
     result = run_once_to_dir(config, point_dir)
-    return {
-        "w_ts": w_ts, "mu_ts": mu, "density": density, "rep": rep,
-        "seed": seed, "config_hash": config.config_hash(),
-        "loss": result.pooled_loss, "delay": result.pooled_delay,
-        "jitter": (sum(f["mean_jitter_s"] for f in result.flows)
-                   / max(1, len(result.flows))),
-        "ts": result.ts_time_mean,
-        "decodable": (sum(f["decodable_gop_fraction"] for f in result.flows)
-                      / max(1, len(result.flows))),
-    }
+    summary = {"w_ts": w_ts, "mu_ts": mu, "density": density, "rep": rep,
+               "seed": seed, "config_hash": config.config_hash()}
+    for metric, column in SWEEP_METRICS:
+        summary[metric] = result.total[column]
+        if summary[metric] == "":
+            summary[metric] = (sum(f[column] for f in result.flows)
+                               / max(1, len(result.flows)))
+    return summary
 
 
 def mean_ci(values, confidence: float = DEFAULT_CONFIDENCE):
@@ -216,18 +209,15 @@ def run_sweep(base: RunConfig, spec: SweepSpec, out_dir: str,
     else:
         rows = [_run_point(t) for t in tasks]
 
-    manifest_rows = sorted(
-        (r["w_ts"], r["mu_ts"], r["density"], r["rep"], r["seed"],
-         r["config_hash"]) for r in rows)
+    fields = ("w_ts", "mu_ts", "density", "rep", "seed", "config_hash")
     with open(os.path.join(out_dir, "manifest"), "w", encoding="utf-8") as fh:
-        fh.write("w_ts,mu_ts,density,rep,seed,config_hash\n")
-        for row in manifest_rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(_csv_text(fields, sorted(
+            rows, key=lambda r: tuple(r[k] for k in fields))))
 
     table = aggregate_sweep(rows, spec.confidence)
     with open(os.path.join(out_dir, "sweep_table.csv"), "w",
               encoding="utf-8") as fh:
-        fh.write(sweep_table_csv_text(table))
+        fh.write(_csv_text(SWEEP_FIELDS, table))
     return table
 
 
@@ -241,42 +231,20 @@ def aggregate_sweep(rows: list[dict], confidence: float) -> list[dict]:
         group = by_point[(w_ts, mu, density)]
         entry = {"w_ts": w_ts, "mu_ts": mu, "density": density,
                  "repetitions": len(group)}
-        for metric, out in (("loss", "loss"), ("delay", "delay"),
-                            ("jitter", "jitter"), ("ts", "ts"),
-                            ("decodable", "decodable")):
-            mean, ci = mean_ci([g[metric] for g in group], confidence)
-            entry[f"{out}_mean"] = mean
-            entry[f"{out}_ci"] = ci
+        for metric, _ in SWEEP_METRICS:
+            entry[f"{metric}_mean"], entry[f"{metric}_ci"] = mean_ci(
+                [g[metric] for g in group], confidence)
         table.append(entry)
     return table
 
 
-def sweep_table_csv_text(table: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_FIELDS)
-    for row in table:
-        writer.writerow([_fmt(row[k]) for k in SWEEP_FIELDS])
-    return buf.getvalue()
-
-
 def parse_sweep_table(text: str) -> list[dict]:
-    reader = csv.DictReader(io.StringIO(text))
-    table = []
-    for raw in reader:
-        row: dict = {}
-        for key in SWEEP_FIELDS:
-            value = raw[key]
-            if key in ("density", "repetitions"):
-                row[key] = int(value)
-            else:
-                row[key] = float(value)
-        table.append(row)
-    return table
+    return [{key: kind(raw[key]) for key, kind in SWEEP_TYPES.items()}
+            for raw in csv.DictReader(io.StringIO(text))]
 
 
 def write_report(table: list[dict], out_dir: str) -> list[str]:
-    """Figure-data CSVs: loss+ts and delay series per (mu, density)."""
+    """Figure-data CSVs: the FIGURES series over w_ts per (mu, density)."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
     pairs = sorted({(row["mu_ts"], row["density"]) for row in table})
@@ -284,23 +252,9 @@ def write_report(table: list[dict], out_dir: str) -> list[str]:
         series = sorted((row for row in table
                          if row["mu_ts"] == mu and row["density"] == density),
                         key=lambda r: r["w_ts"])
-        loss_path = os.path.join(
-            out_dir, f"loss_ts_mu{mu:g}_den{density}.csv")
-        with open(loss_path, "w", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("w_ts", "loss_mean", "loss_ci",
-                             "ts_mean", "ts_ci"))
-            for row in series:
-                writer.writerow([_fmt(row[k]) for k in
-                                 ("w_ts", "loss_mean", "loss_ci",
-                                  "ts_mean", "ts_ci")])
-        delay_path = os.path.join(
-            out_dir, f"delay_mu{mu:g}_den{density}.csv")
-        with open(delay_path, "w", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("w_ts", "delay_mean", "delay_ci"))
-            for row in series:
-                writer.writerow([_fmt(row[k]) for k in
-                                 ("w_ts", "delay_mean", "delay_ci")])
-        written.extend([loss_path, delay_path])
+        for name, metrics in FIGURES:
+            path = os.path.join(out_dir, f"{name}_mu{mu:g}_den{density}.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(_csv_text(("w_ts", *_stat_fields(metrics)), series))
+            written.append(path)
     return written

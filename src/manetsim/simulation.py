@@ -5,7 +5,7 @@ social matrix, routing protocol and traffic sources, plus result accounting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import mobility as mob
 from .config import RunConfig
@@ -27,20 +27,41 @@ VIDEO_CLASSES = (PacketClass.VIDEO_I, PacketClass.VIDEO_P, PacketClass.VIDEO_B)
 TOPOLOGY_QUANTUM_S = 0.1
 
 
+# the columns of result.csv, in order: one row per video flow, then 'all'
+DROP_FIELDS = tuple("drops_" + cause.replace("-", "_")
+                    for cause in DROP_CAUSES)
+RESULT_FIELDS = ("flow_id", "src", "dst", "generated", "delivered",
+                 "loss_fraction", "mean_delay_s", "mean_jitter_s",
+                 "decodable_gop_fraction", "ts_time_mean", "iterations",
+                 "mean_t_routing", *DROP_FIELDS)
+
+
+@dataclass(kw_only=True)
+class Counters:
+    """The packets of one class or one video flow, by outcome."""
+    generated: int = 0
+    delivered: int = 0
+    drops: dict[str, int] = field(
+        default_factory=lambda: {cause: 0 for cause in DROP_CAUSES})
+
+    def book_end_of_run(self) -> None:
+        """Packets still queued or mid-hop when the clock stops never
+        arrived: count them as end-of-run drops."""
+        residual = self.generated - self.delivered - sum(self.drops.values())
+        assert residual >= 0, "accounting bug: more outcomes than packets"
+        self.drops["end-of-run"] += residual
+
+
 @dataclass
-class FlowStats:
+class FlowStats(Counters):
     flow_id: int
     src: int
     dst: int
-    generated: int = 0
     generated_bytes: int = 0
-    delivered: int = 0
     delay_sum: float = 0.0
     jitter_sum: float = 0.0
     jitter_n: int = 0
     last_delay: float | None = None
-    drops: dict[str, int] = field(
-        default_factory=lambda: {cause: 0 for cause in DROP_CAUSES})
     # per GoP: its I-frame packets generated and not yet delivered
     gop_i_pending: list[int] = field(default_factory=list)
 
@@ -88,43 +109,48 @@ class FlowStats:
         if packet.klass is PacketClass.VIDEO_I:
             self.gop_i_pending[packet.payload["gop"]] -= 1
 
+    def row(self, **cells) -> dict:
+        """The result.csv row of these packets, keyed by RESULT_FIELDS in
+        order: the counts and their statistics, then ``cells``, which add
+        the routing columns and may replace any other."""
+        row = {"flow_id": self.flow_id, "src": self.src, "dst": self.dst,
+               "generated": self.generated, "delivered": self.delivered,
+               "loss_fraction": self.loss_fraction,
+               "mean_delay_s": self.mean_delay_s,
+               "mean_jitter_s": self.mean_jitter_s,
+               "decodable_gop_fraction": self.decodable_gop_fraction,
+               **{name: self.drops[cause]
+                  for cause, name in zip(DROP_CAUSES, DROP_FIELDS)},
+               **cells}
+        assert row.keys() == set(RESULT_FIELDS), sorted(row)
+        return {name: row[name] for name in RESULT_FIELDS}
 
-@dataclass
-class ClassCounters:
-    generated: int = 0
-    delivered: int = 0
-    drops: dict[str, int] = field(
-        default_factory=lambda: {cause: 0 for cause in DROP_CAUSES})
 
-    @property
-    def dropped(self) -> int:
-        return sum(self.drops.values())
+def _cell(name: str):
+    """A RunResult attribute that reads one cell of the 'all' row."""
+    return property(lambda self: self.total[name])
 
 
 @dataclass
 class RunResult:
-    duration_s: float
+    """A run's result.csv rows, each keyed by RESULT_FIELDS in order: one
+    per video flow, and ``total``, the 'all' row, which pools the flows'
+    packets and counts the drops of every packet class."""
     flows: list[dict]
-    drops_by_cause: dict[str, int]
+    total: dict
     class_counters: dict[str, dict]
-    total_generated: int
-    total_delivered: int
-    iterations: int
-    mean_t_routing: float
-    ts_time_mean: float
+
+    total_generated = _cell("generated")
+    total_delivered = _cell("delivered")
+    pooled_loss = _cell("loss_fraction")
+    pooled_delay = _cell("mean_delay_s")
+    ts_time_mean = _cell("ts_time_mean")
+    iterations = _cell("iterations")
 
     @property
-    def pooled_loss(self) -> float:
-        if self.total_generated == 0:
-            return 0.0
-        return 1.0 - self.total_delivered / self.total_generated
-
-    @property
-    def pooled_delay(self) -> float:
-        delivered = sum(f["delivered"] for f in self.flows)
-        if delivered == 0:
-            return 0.0
-        return sum(f["delay_sum"] for f in self.flows) / delivered
+    def drops_by_cause(self) -> dict[str, int]:
+        return {cause: self.total[name]
+                for cause, name in zip(DROP_CAUSES, DROP_FIELDS)}
 
 
 class SimulationRun:
@@ -169,8 +195,7 @@ class SimulationRun:
                     f"{ts_matrix.shape[1]}, but the run has "
                     f"{len(self.node_ids)} nodes")
         self.ts_matrix = ts_matrix
-        self.drops = {cause: 0 for cause in DROP_CAUSES}
-        self.classes = {klass: ClassCounters() for klass in PacketClass}
+        self.classes = {klass: Counters() for klass in PacketClass}
         self.flow_stats: dict[int, FlowStats] = {}
         self.protocols: dict[int, SourceProtocol] = {}
         self.cbr_state: dict[int, dict] = {}
@@ -430,7 +455,6 @@ class SimulationRun:
                 packet, self.sim.clock - packet.created_at)
 
     def _drop(self, packet: Packet, cause: str) -> None:
-        self.drops[cause] += 1
         self.classes[packet.klass].drops[cause] += 1
         if packet.klass in VIDEO_CLASSES:
             self.flow_stats[packet.flow_id].drops[cause] += 1
@@ -495,55 +519,38 @@ class SimulationRun:
         self.sim.run_until(duration)
         for protocol in self.protocols.values():
             protocol.finalize(duration)
-        # packets still queued or mid-hop when the clock stops never arrived
-        for counters in self.classes.values():
-            residual = counters.generated - counters.delivered - counters.dropped
-            assert residual >= 0, "accounting bug: more outcomes than packets"
-            if residual:
-                counters.drops["end-of-run"] += residual
-                self.drops["end-of-run"] += residual
-        for stats in self.flow_stats.values():
-            residual = (stats.generated - stats.delivered
-                        - sum(stats.drops.values()))
-            assert residual >= 0, "accounting bug: more outcomes than packets"
-            stats.drops["end-of-run"] += residual
+        for counters in (*self.classes.values(), *self.flow_stats.values()):
+            counters.book_end_of_run()
+        # the 'all' row: the flows' packets and the drops of every class
+        total = FlowStats("all", "", "", drops={
+            cause: sum(c.drops[cause] for c in self.classes.values())
+            for cause in DROP_CAUSES})
         flows = []
         for flow_id, stats in sorted(self.flow_stats.items()):
             protocol = self.protocols[flow_id]
-            flows.append({
-                "flow_id": flow_id, "src": stats.src, "dst": stats.dst,
-                "generated": stats.generated, "delivered": stats.delivered,
-                "offered_bps": stats.generated_bytes * 8 / duration,
-                "loss_fraction": stats.loss_fraction,
-                "mean_delay_s": stats.mean_delay_s,
-                "mean_jitter_s": stats.mean_jitter_s,
-                "delay_sum": stats.delay_sum,
-                "decodable_gop_fraction": stats.decodable_gop_fraction,
-                "ts_time_mean": protocol.ts_time_mean,
-                "iterations": len(protocol.iterations),
-                "mean_t_routing": protocol.mean_t_routing,
-                "drops": dict(stats.drops),
-            })
-        total_generated = sum(f["generated"] for f in flows)
-        total_delivered = sum(f["delivered"] for f in flows)
-        iterations = sum(f["iterations"] for f in flows)
+            flows.append(stats.row(ts_time_mean=protocol.ts_time_mean,
+                                   iterations=len(protocol.iterations),
+                                   mean_t_routing=protocol.mean_t_routing))
+            total.generated += stats.generated
+            total.delivered += stats.delivered
+            total.delay_sum += stats.delay_sum
         t_routings = [f["mean_t_routing"] for f in flows
                       if f["mean_t_routing"] > 0]
         ts_means = [f["ts_time_mean"] for f in flows]
         return RunResult(
-            duration_s=duration, flows=flows, drops_by_cause=dict(self.drops),
-            class_counters={
-                klass.value: {"generated": c.generated,
-                              "delivered": c.delivered,
-                              "drops": dict(c.drops)}
-                for klass, c in self.classes.items()},
-            total_generated=total_generated, total_delivered=total_delivered,
-            iterations=iterations,
-            mean_t_routing=(sum(t_routings) / len(t_routings)
-                            if t_routings else 0.0),
-            ts_time_mean=(sum(ts_means) / len(ts_means) if ts_means else 0.0))
+            flows=flows,
+            total=total.row(
+                mean_jitter_s="", decodable_gop_fraction="",
+                ts_time_mean=(sum(ts_means) / len(ts_means)
+                              if ts_means else 0.0),
+                iterations=sum(f["iterations"] for f in flows),
+                mean_t_routing=(sum(t_routings) / len(t_routings)
+                                if t_routings else 0.0)),
+            class_counters={klass.value: asdict(c)
+                            for klass, c in self.classes.items()})
 
     def protocol_log_rows(self) -> list[dict]:
+        """One row per routing iteration, keyed by PROTOCOL_LOG_FIELDS."""
         rows = []
         for flow_id, protocol in sorted(self.protocols.items()):
             for it in protocol.iterations:
@@ -564,6 +571,11 @@ class SimulationRun:
                     if it.selected_mean_ts is not None else "",
                 })
         return rows
+
+
+PROTOCOL_LOG_FIELDS = ("flow", "iteration", "t", "discovered", "usable",
+                       "survivors", "nstate", "t_routing", "selected",
+                       "mscore", "mean_ts")
 
 
 def run_simulation(config: RunConfig, mobility_trace=None, ts_matrix=None,

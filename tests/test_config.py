@@ -2,9 +2,11 @@ import hashlib
 import math
 import re
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
+import yaml
 
 from manetsim.config import (_KEYS, CbrConfig, ConfigError, MacConfig,
                              RunConfig, VideoConfig, dump_config, load_config)
@@ -72,6 +74,27 @@ class TestValidation:
     def test_wrong_type(self):
         with pytest.raises(ConfigError, match="duration_s"):
             load_config("duration_s: fast\n")
+
+    @pytest.mark.parametrize("text, path, value", [
+        ("video: {target_rate_bps: 2.5e6}\n", "video.target_rate_bps", 2.5e6),
+        ("duration_s: 1e2\n", "duration_s", 100.0),
+        ("mac: {access_delay_s: 6e-3}\n", "mac.access_delay_s", 0.006),
+        ("duration_s: .5e2\n", "duration_s", 50.0),
+        ("scoring: {w_ts: 2E-1}\n", "w_ts", 0.2),
+        ("duration_s: +1.5e+1\n", "duration_s", 15.0),
+    ])
+    def test_float_notations(self, text, path, value):
+        # YAML 1.2's floats; YAML 1.1 reads all but the last as strings
+        config = load_config(text)
+        assert attrgetter(path)(config) == value
+        assert type(attrgetter(path)(config)) is float
+
+    def test_float_notation_is_no_int(self):
+        with pytest.raises(ConfigError, match="nodes: expected int, got 100"):
+            load_config("nodes: 1e2\n")
+        assert load_config("nodes: 100\n").node_count == 100
+        # the loader's rule only: PyYAML's own SafeLoader is left as it was
+        assert yaml.safe_load("v: 1e2") == {"v": "1e2"}
 
     def test_negative_duration(self):
         with pytest.raises(ConfigError):

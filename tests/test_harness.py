@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from scipy import stats as scipy_stats
@@ -13,8 +14,8 @@ import oracle_utils
 from manetsim import cli, harness
 from manetsim.cli import main as cli_main
 from manetsim.config import RunConfig, load_config_file
-from manetsim.harness import (SweepSpec, aggregate_sweep, mean_ci,
-                              parse_sweep_table, point_config,
+from manetsim.harness import (RESULT_FIELDS, SweepSpec, aggregate_sweep,
+                              mean_ci, parse_sweep_table, point_config,
                               protocol_log_csv_text, result_csv_text,
                               run_once_to_dir, run_sweep, scenario_seed,
                               write_report)
@@ -104,13 +105,38 @@ class TestResultCsv:
             assert int(parsed["generated"]) == flow["generated"]
             assert float(parsed["loss_fraction"]) == flow["loss_fraction"]
             assert float(parsed["ts_time_mean"]) == flow["ts_time_mean"]
-            assert [int(parsed["drops_" + cause.replace("-", "_")])
-                    for cause in DROP_CAUSES] == [
-                        flow["drops"][cause] for cause in DROP_CAUSES]
+            drops = ["drops_" + cause.replace("-", "_")
+                     for cause in DROP_CAUSES]
+            assert [int(parsed[name]) for name in drops] == [
+                flow[name] for name in drops]
         all_row = rows[-1]
         drops = result.drops_by_cause
         assert int(all_row["drops_queue_overflow"]) == drops["queue-overflow"]
         assert int(all_row["drops_link_break"]) == drops["link-break"]
+
+    def test_rows_are_the_result_fields(self, tmp_path):
+        # the file's header and every row of the result are RESULT_FIELDS
+        # in order, and a sweep run's jitter and decodable fraction are
+        # the means of the flows' cells in its file
+        config = tiny_config()
+        summary = harness._run_point((config, 0.2, 3.0, 100, 0,
+                                      str(tmp_path)))
+        path = (tmp_path / "runs" / "w0.2_mu3.0_den100"
+                / f"seed{config.master_seed}" / "result.csv")
+        with path.open(encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            *flows, all_row = reader
+        assert tuple(reader.fieldnames) == RESULT_FIELDS
+        assert flows
+        for metric, column in (("jitter", "mean_jitter_s"),
+                               ("decodable", "decodable_gop_fraction")):
+            assert all_row[column] == ""
+            assert summary[metric] == (sum(float(f[column]) for f in flows)
+                                       / len(flows))
+        result, _ = run_simulation(config)
+        assert len(result.flows) == len(flows)
+        for row in (*result.flows, result.total):
+            assert tuple(row) == RESULT_FIELDS
 
     def test_run_once_writes_files(self, tmp_path):
         out = tmp_path / "run"
@@ -138,6 +164,29 @@ class TestGoldenDigest:
             "ea4edb928ad4b63f2918b277e64aa185c7440da5bfa6388c47f10b6e8e685fb0",
             "61fd46d218b8af254cf0639bc1f72f6f50d769a425b6110f1724b461ce853d82",
         ]
+
+    def test_small_sweep_and_report_bytes(self, tmp_path):
+        # 2 weights x 2 repetitions of a 20 s, 27-node scenario, then the
+        # figure data: the sweep path's bytes, pinned like the runs'
+        spec = SweepSpec(w_ts_grid=(0.0, 0.6), mu_grid=(2.0,),
+                         density_grid=(100,), repetitions=2)
+        table = run_sweep(RunConfig().replace(duration_s=20.0), spec,
+                          str(tmp_path), workers=1)
+        report = write_report(table, str(tmp_path / "report"))
+        files = [tmp_path / "manifest", tmp_path / "sweep_table.csv",
+                 *map(Path, report)]
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in files}
+        assert digests == {
+            "manifest":
+            "e7fd2bacfbc6eb574b832d57baf590ede75b22c425e75f561cc30843368db15d",
+            "sweep_table.csv":
+            "0c89081b8e49c1c54a7890fc7f03df98385035aea336e383994929c04369fcb6",
+            "loss_ts_mu2_den100.csv":
+            "897dbd940b44d7ab3bf9336583a240234dd7940ffb1d361a448e3bc40a09b47a",
+            "delay_mu2_den100.csv":
+            "5b8ce14382193d06a9a11e5c9c21cf01a225ce0f80d24f972ab84d3649c4d2c9",
+        }
 
 
 class TestSweep:

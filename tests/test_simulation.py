@@ -17,9 +17,9 @@ from manetsim.config import CbrConfig, RunConfig, SocialConfig, VideoConfig
 from manetsim.harness import (point_config, protocol_log_csv_text,
                               result_csv_text, run_once_to_dir, scenario_seed)
 from manetsim.mobility import AreaSpec, MobilityTrace
-from manetsim.packets import Packet, PacketClass
+from manetsim.packets import DROP_CAUSES, Packet, PacketClass
 from manetsim.radio import Medium, RadioSpec
-from manetsim.simulation import SimulationRun, run_simulation
+from manetsim.simulation import DROP_FIELDS, SimulationRun, run_simulation
 
 
 def static_trace(positions, duration=60.0, width=520.0, height=520.0):
@@ -414,13 +414,13 @@ class TestAccounting:
     def test_per_flow_drops_sum_to_video_class_drops(self):
         result = self.run_default()
         for flow in result.flows:
-            assert flow["generated"] == (flow["delivered"]
-                                         + sum(flow["drops"].values()))
-        for cause in result.drops_by_cause:
-            assert sum(f["drops"][cause] for f in result.flows) == sum(
+            assert flow["generated"] == (
+                flow["delivered"] + sum(flow[name] for name in DROP_FIELDS))
+        for cause, name in zip(DROP_CAUSES, DROP_FIELDS):
+            assert sum(f[name] for f in result.flows) == sum(
                 result.class_counters[k]["drops"][cause]
                 for k in ("video-i", "video-p", "video-b"))
-        assert any(sum(f["drops"].values()) for f in result.flows)
+        assert any(sum(f[name] for name in DROP_FIELDS) for f in result.flows)
 
     def test_drop_causes_sum(self):
         result = self.run_default()
@@ -438,10 +438,11 @@ class TestAccounting:
     def test_offered_video_load_near_target(self):
         config = RunConfig().replace(duration_s=120.0, node_count=10,
                                      master_seed=6)
-        result, _ = run_simulation(config)
-        for flow in result.flows:
-            assert flow["offered_bps"] == pytest.approx(
-                config.video.target_rate_bps, rel=0.05)
+        run = SimulationRun(config)
+        run.run()
+        for stats in run.flow_stats.values():
+            assert stats.generated_bytes * 8 / config.duration_s == (
+                pytest.approx(config.video.target_rate_bps, rel=0.05))
 
 
 def sparse27_config(duration_s):
