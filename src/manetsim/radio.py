@@ -128,7 +128,7 @@ class Medium:
         # the spec's constants for the per-hop calls, which repeat the
         # float operations of RadioSpec.snr, transmission_delay and
         # RadioSpec.corruption_probability in the same order
-        self._tx_range = spec.tx_range_m
+        self._range_sq = spec.tx_range_m ** 2
         self._tx_power = spec.tx_power_dbm
         self._ref_loss = spec.ref_loss_db
         self._loss_slope = 10.0 * spec.path_loss_exponent
@@ -143,12 +143,15 @@ class Medium:
             raise ValueError("no self links")
         xa, ya = self._position_of(a, t)
         xb, yb = self._position_of(b, t)
-        dist = math.hypot(xb - xa, yb - ya)
+        dx = xb - xa
+        dy = yb - ya
+        dist = math.hypot(dx, dy)
         loss = self._ref_loss + self._loss_slope * math.log10(
             dist if dist > 1.0 else 1.0)
+        # usable by the rule connectivity uses, so a discovered hop is usable
         return _new(LinkState, (a, b, dist,
                                 self._tx_power - loss - self._noise_floor,
-                                dist <= self._tx_range))
+                                in_range(dx, dy, self._range_sq)))
 
     def connectivity(self, t: float) -> dict[int, list[int]]:
         """Adjacency lists (sorted) of the unit-disk graph at time t: each
@@ -161,7 +164,7 @@ class Medium:
         dx = xs - xs[:, None]  # dx[i, j] = xs[j] - xs[i]
         dy = ys - ys[:, None]
         d2 = dx * dx + dy * dy
-        r2 = self.spec.tx_range_m ** 2
+        r2 = self._range_sq
         linked = d2 <= r2
         # in_range's edge test, then its own verdict on the pairs it flags
         edge = np.abs(d2 - r2) <= EDGE_REL * r2

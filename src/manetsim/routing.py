@@ -247,7 +247,6 @@ class MonitoringIteration:
     discovered: list[tuple[int, ...]]
     qualifications: dict[tuple[int, ...], PathQualification] = field(
         default_factory=dict)
-    mean_ts: dict[tuple[int, ...], float] = field(default_factory=dict)
     survivors: list[tuple[int, ...]] = field(default_factory=list)
     selected: tuple[int, ...] | None = None
     selected_score: float | None = None
@@ -286,13 +285,9 @@ class SourceProtocol:
         self._decided_through = -1
         # destination-side collectors: (iteration, path) -> raw samples
         self._collectors: dict[tuple[int, tuple[int, ...]], dict] = {}
-        # source-side probe replies: iteration -> {path: payload}
+        # source-side probe replies: iteration -> {path: qualify's arguments}
         self._replies: dict[int, dict[tuple[int, ...], dict]] = {}
-        # tie-strength exposure accounting (decision intervals only)
-        self._ts_weight = 0.0
-        self._ts_time = 0.0
-        self._last_decision_at: float | None = None
-        self._last_decision_ts: float | None = None
+        self.ts_time_mean = 0.0  # set by finalize
 
     # -- monitoring cycle ---------------------------------------------------
 
@@ -309,7 +304,6 @@ class SourceProtocol:
             # decision completes
             self.active_route = paths[0]
             self._bootstrap = False
-        window_end = t + self.config.probe_window_s
         for k, path in enumerate(paths):
             for j in range(self.config.pm_train):
                 # trains interleave round-robin across paths so one signaling
@@ -320,10 +314,7 @@ class SourceProtocol:
                     src=self.src, dst=self.dst, route=path,
                     created_at=send_at, flow_id=self.flow_id, seq=j,
                     payload={
-                        "iteration": index, "path": path,
-                        "train": self.config.pm_train,
-                        "window_end": window_end,
-                        "min_margin_db": math.inf,
+                        "iteration": index, "min_margin_db": math.inf,
                         "min_rate_bps": math.inf,
                         "rel_speed_sum": 0.0, "rel_speed_links": 0,
                     })
@@ -334,17 +325,20 @@ class SourceProtocol:
 
     def on_probe_at_destination(self, packet: Packet) -> None:
         info = packet.payload
-        if info["iteration"] <= self._decided_through:
+        index = info["iteration"]
+        if index <= self._decided_through:
             return  # a reply now would reach the source after the decision
-        key = (info["iteration"], info["path"])
+        key = (index, packet.route)
         now = self._now()
+        window_end = (self.iterations[index].started_at
+                      + self.config.probe_window_s)
         collector = self._collectors.get(key)
         if collector is None:
             collector = {"delays": [], "margins": [], "rates": [],
                          "speeds": [], "emitted": False}
             self._collectors[key] = collector
-            if now < info["window_end"]:
-                self._schedule(info["window_end"], self._emit_reply, key)
+            if now < window_end:
+                self._schedule(window_end, self._emit_reply, key)
         if collector["emitted"]:
             return
         collector["delays"].append(now - packet.created_at)
@@ -353,7 +347,8 @@ class SourceProtocol:
         if info["rel_speed_links"]:
             collector["speeds"].append(
                 info["rel_speed_sum"] / info["rel_speed_links"])
-        if len(collector["delays"]) >= info["train"] or now >= info["window_end"]:
+        if (len(collector["delays"]) >= self.config.pm_train
+                or now >= window_end):
             self._emit_reply(key)
 
     def _emit_reply(self, key: tuple[int, tuple[int, ...]]) -> None:
@@ -367,18 +362,16 @@ class SourceProtocol:
         if len(delays) > 1:
             jitter = (sum(abs(b - a) for a, b in zip(delays, delays[1:]))
                       / (len(delays) - 1))
-        train = self.config.pm_train
         payload = {
             "iteration": iteration, "path": path,
-            "received": len(delays), "train": train,
-            "loss": 1.0 - len(delays) / train,
-            "mean_delay_s": sum(delays) / len(delays),
+            "bw_bps": sum(collector["rates"]) / len(delays),
+            "loss": 1.0 - len(delays) / self.config.pm_train,
+            "delay_s": sum(delays) / len(delays),
             "jitter_s": jitter,
             "rm_margin_db": sum(collector["margins"]) / len(delays),
-            "bottleneck_bps": sum(collector["rates"]) / len(delays),
-            "rel_speed_mps": (sum(collector["speeds"])
-                              / len(collector["speeds"])
-                              if collector["speeds"] else 0.0),
+            "mm_speed_mps": (sum(collector["speeds"])
+                             / len(collector["speeds"])
+                             if collector["speeds"] else 0.0),
         }
         reply = Packet(
             klass=PacketClass.PROBE_REPLY, size_bytes=self.config.pmr_bytes,
@@ -399,30 +392,19 @@ class SourceProtocol:
         replies = self._replies.pop(iteration.index, {})
         candidates: list[tuple[PathQualification, float]] = []
         for path in iteration.discovered:
-            info = replies.get(path)
-            if info is None:
+            reply = replies.get(path)
+            if reply is None:
                 continue  # path dead this iteration (probes or reply lost)
-            qual = qualify(
-                path=path, iteration=iteration.index,
-                bw_bps=info["bottleneck_bps"], loss=info["loss"],
-                delay_s=info["mean_delay_s"], jitter_s=info["jitter_s"],
-                rm_margin_db=info["rm_margin_db"],
-                mm_speed_mps=info["rel_speed_mps"],
-                request=self.config.request,
-                max_speed_mps=self.config.mobility.max_speed_mps)
-            ts = path_mean_ts(path, self.ts_matrix).mean_ts
+            qual = qualify(**reply, request=self.config.request,
+                           max_speed_mps=self.config.mobility.max_speed_mps)
             iteration.qualifications[path] = qual
-            iteration.mean_ts[path] = ts
-            candidates.append((qual, ts))
-        survivors = filter_paths([q for q, _ in candidates],
-                                 self.config.request)
-        iteration.survivors = [q.path for q in survivors]
-        if survivors:
-            pool = [(q, iteration.mean_ts[q.path]) for q in survivors]
-        else:
-            # no path met the request: keep streaming on the best-scored
-            # usable path rather than stalling
-            pool = candidates
+            candidates.append((qual, path_mean_ts(path, self.ts_matrix)))
+        iteration.survivors = [q.path for q in filter_paths(
+            [q for q, _ in candidates], self.config.request)]
+        # no path met the request: keep streaming on the best-scored usable
+        # path rather than stalling
+        pool = [c for c in candidates
+                if c[0].path in iteration.survivors] or candidates
         choice = select_best(pool, self.weights)
         if choice is not None:
             qual, ts, score = choice
@@ -434,33 +416,26 @@ class SourceProtocol:
         iteration.nstate = self.nstate
         iteration.t_routing = update_t_routing(
             self.nstate, self.config.alpha_tune, self.config.beta_tune)
-        self._account_ts_interval(iteration.started_at
-                                  + self.config.decision_delay_s)
-        self._last_decision_at = (iteration.started_at
-                                  + self.config.decision_delay_s)
-        self._last_decision_ts = iteration.selected_mean_ts
         self.active_route = iteration.selected
         self._schedule(iteration.started_at + iteration.t_routing,
                        self.start_iteration)
 
     # -- reporting ----------------------------------------------------------
 
-    def _account_ts_interval(self, until: float) -> None:
-        if (self._last_decision_at is not None
-                and self._last_decision_ts is not None
-                and until > self._last_decision_at):
-            span = until - self._last_decision_at
-            self._ts_weight += span * self._last_decision_ts
-            self._ts_time += span
-
     def finalize(self, end: float) -> None:
-        self._account_ts_interval(end)
-        self._last_decision_at = None
-
-    @property
-    def ts_time_mean(self) -> float:
-        """Time-weighted mean tie strength of the selected paths."""
-        return self._ts_weight / self._ts_time if self._ts_time > 0 else 0.0
+        """Set ``ts_time_mean``, the time-weighted mean tie strength of the
+        selected paths: each decided iteration's selection holds from its
+        decision to the next decision, or to ``end``."""
+        delay = self.config.decision_delay_s
+        decided = self.iterations[:self._decided_through + 1]
+        untils = [it.started_at + delay for it in decided[1:]] + [end]
+        weight = time = 0.0
+        for it, until in zip(decided, untils):
+            at = it.started_at + delay
+            if it.selected_mean_ts is not None and until > at:
+                weight += (until - at) * it.selected_mean_ts
+                time += until - at
+        self.ts_time_mean = weight / time if time > 0 else 0.0
 
     @property
     def mean_t_routing(self) -> float:

@@ -390,11 +390,7 @@ class SimulationRun:
             busy = transmission_delay(self._radio, packet.size_bytes, load)
             self.sim.schedule(t_air + busy, self._on_tx_done, node)
             return
-        hop = packet.hop_index + 1
-        if hop >= len(packet.route):
-            self.sim.schedule(t_air, self._on_tx_done, node)
-            return
-        nxt = packet.route[hop]
+        nxt = packet.route[packet.hop_index + 1]
         link = self.medium.link_state(node, nxt, t_air)
         status, busy, cause = self.medium.transmit(
             link, packet.size_bytes, load, self._channel)

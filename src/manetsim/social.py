@@ -318,14 +318,7 @@ def load_ts_matrix(text: str) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class PathTieStrength:
-    path: tuple[int, ...]
-    ts_values: tuple[int, ...]
-    mean_ts: float
-
-
-def path_mean_ts(path, ts_matrix: np.ndarray) -> PathTieStrength:
+def path_mean_ts(path, ts_matrix: np.ndarray) -> float:
     """Geometric mean of the directed per-link tie strengths along a path.
 
     A single zero link annihilates the whole product, so the mean is zero
@@ -339,13 +332,11 @@ def path_mean_ts(path, ts_matrix: np.ndarray) -> PathTieStrength:
             raise ValueError(f"repeated consecutive node {a} in path")
     values = tuple(int(ts_matrix[a, b]) for a, b in zip(path, path[1:]))
     if any(v == 0 for v in values):
-        mean = 0.0
-    else:
-        product = 1.0
-        for v in values:
-            product *= v
-        mean = product ** (1.0 / len(values))
-    return PathTieStrength(path, values, mean)
+        return 0.0
+    product = 1.0
+    for v in values:
+        product *= v
+    return product ** (1.0 / len(values))
 
 
 def clipped_normal_quantized_mean(mu: float, sigma: float) -> float:

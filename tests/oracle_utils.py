@@ -75,7 +75,7 @@ def brute_force_best(adj: dict, src: int, dst: int, salt: int,
         path = tuple(path)
         all_paths.append(path)
         qual = pseudo_qualification(path, salt, request)
-        ts = path_mean_ts(path, ts_matrix).mean_ts
+        ts = path_mean_ts(path, ts_matrix)
         score = mscore(qual, ts, weights)
         key = (-score, len(path) - 1, path)
         if best_key is None or key < best_key:
@@ -90,7 +90,7 @@ def pipeline_best(adj: dict, src: int, dst: int, salt: int,
     limits = DiscoveryLimits(ttl=len(adj), max_paths=10**6)
     paths = discover_paths(adj, src, dst, limits)
     candidates = [(pseudo_qualification(p, salt, request),
-                   path_mean_ts(p, ts_matrix).mean_ts) for p in paths]
+                   path_mean_ts(p, ts_matrix)) for p in paths]
     choice = select_best(candidates, weights)
     return (choice[0].path if choice else None), set(paths)
 

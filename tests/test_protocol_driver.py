@@ -51,10 +51,9 @@ def diamond(n=6):
 
 def reply_payload(iteration, path, loss=0.0, delay=0.05, jitter=0.001,
                   bw=300_000.0, margin=15.0, speed=0.5):
-    return {"iteration": iteration, "path": path, "received": 10, "train": 10,
-            "loss": loss, "mean_delay_s": delay, "jitter_s": jitter,
-            "rm_margin_db": margin, "bottleneck_bps": bw,
-            "rel_speed_mps": speed}
+    return {"iteration": iteration, "path": path, "bw_bps": bw, "loss": loss,
+            "delay_s": delay, "jitter_s": jitter, "rm_margin_db": margin,
+            "mm_speed_mps": speed}
 
 
 class FakeReply:
@@ -197,6 +196,35 @@ class TestExposureAccounting:
         h.protocol.finalize(10.0)
         expected_ts = it0.selected_mean_ts
         assert h.protocol.ts_time_mean == pytest.approx(expected_ts)
+
+    @pytest.mark.parametrize("tail", [0.0, 1.5], ids=["end-on-decision",
+                                                       "end-after-decision"])
+    def test_unselected_interval_is_skipped(self, tail):
+        # the 1 -> 3 branch has tie strength 1, the 2 -> 4 branch 4
+        h = Harness(diamond())
+        h.ts[0, 1] = h.ts[1, 3] = h.ts[3, 5] = 1
+        h.ts[0, 2] = h.ts[2, 4] = h.ts[4, 5] = 4
+        weak, strong = (0, 1, 3, 5), (0, 2, 4, 5)
+        h.protocol.start_iteration()
+        for answered in ([weak], [], [strong]):
+            it = h.protocol.iterations[-1]
+            TestDecision().decide(h, {path: {} for path in answered})
+            h.run_pending(until=it.started_at + it.t_routing)
+        it0, it1, it2 = h.protocol.iterations[:3]
+        assert it0.selected == weak and it2.selected == strong
+        assert it1.selected is None
+        delay = h.protocol.config.decision_delay_s
+        d0, d1, d2 = (it.started_at + delay for it in (it0, it1, it2))
+        end = d2 + tail
+        h.protocol.finalize(end)
+        # weak from d0 to d1, nothing from d1 to d2, strong from d2 to the end
+        weight = (d1 - d0) * it0.selected_mean_ts
+        time = d1 - d0
+        if end > d2:
+            weight += (end - d2) * it2.selected_mean_ts
+            time += end - d2
+        assert h.protocol.ts_time_mean == weight / time
+        assert it0.selected_mean_ts == 1.0
 
     def test_no_decisions_yield_zero(self):
         h = Harness(diamond())

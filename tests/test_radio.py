@@ -74,6 +74,20 @@ class TestLinkState:
         medium = static_medium({0: (0.0, 0.0), 1: (121.0, 0.0)})
         assert medium.link_state(0, 1, 0.0).usable is False
 
+    @pytest.mark.parametrize("a, b, linked", [
+        ((397.947453749145, 309.31468317518636),
+         (324.9179523818797, 214.09550480208446), True),
+        ((366.15740655496506, 324.0581318338633),
+         (484.14227443583013, 302.15902337861297), False),
+    ])
+    def test_usable_agrees_with_connectivity_at_the_edge(self, a, b, linked):
+        # hypot(dx, dy) <= range and dx ** 2 + dy ** 2 <= range ** 2 round
+        # differently at these pairs, one ulp from the range
+        medium = static_medium({0: a, 1: b})
+        assert (medium.connectivity(0.0)[0] == [1]) is linked
+        assert medium.link_state(0, 1, 0.0).usable is linked
+        assert medium.link_state(1, 0, 0.0).usable is linked
+
     def test_self_link_rejected(self):
         medium = static_medium({0: (0.0, 0.0), 1: (50.0, 0.0)})
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import hashlib
+import inspect
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -19,6 +20,7 @@ from manetsim.harness import (point_config, protocol_log_csv_text,
 from manetsim.mobility import AreaSpec, MobilityTrace
 from manetsim.packets import DROP_CAUSES, Packet, PacketClass
 from manetsim.radio import Medium, RadioSpec
+from manetsim.routing import qualify
 from manetsim.simulation import DROP_FIELDS, SimulationRun, run_simulation
 
 
@@ -174,6 +176,16 @@ class TestPayload:
         assert len({p.payload["gop"] for p in i_packets}) > 10
         for klass in (PacketClass.PROBE, PacketClass.PROBE_REPLY):
             assert all(p.payload["iteration"] >= 0 for p in by_class[klass])
+        # a probe carries only what the hops it crosses measure
+        assert all(set(p.payload) == {"iteration", "min_margin_db",
+                                      "min_rate_bps", "rel_speed_sum",
+                                      "rel_speed_links"}
+                   for p in by_class[PacketClass.PROBE])
+        # a reply carries qualify's raw measurement arguments, nothing else
+        params = set(inspect.signature(qualify).parameters)
+        params -= {"request", "max_speed_mps"}
+        assert all(set(p.payload) == params
+                   for p in by_class[PacketClass.PROBE_REPLY])
 
 
 class TestHopOracle:

@@ -338,20 +338,20 @@ class TestPathMeanTs:
 
     def test_constant_sequence(self):
         m, path = self.matrix_for([4, 4, 4])
-        assert path_mean_ts(path, m).mean_ts == pytest.approx(4.0, abs=1e-12)
+        assert path_mean_ts(path, m) == pytest.approx(4.0, abs=1e-12)
 
     def test_zero_annihilates(self):
         m, path = self.matrix_for([2, 0, 3])
-        assert path_mean_ts(path, m).mean_ts == 0.0
+        assert path_mean_ts(path, m) == 0.0
 
     def test_two_link_geometric_mean(self):
         m, path = self.matrix_for([1, 4])
-        assert path_mean_ts(path, m).mean_ts == pytest.approx(2.0, abs=1e-12)
+        assert path_mean_ts(path, m) == pytest.approx(2.0, abs=1e-12)
 
     def test_uses_travel_direction_only(self):
         m, path = self.matrix_for([3, 3])
         m[1, 0] = 0  # reverse-direction tie ignored
-        assert path_mean_ts(path, m).mean_ts == pytest.approx(3.0, abs=1e-12)
+        assert path_mean_ts(path, m) == pytest.approx(3.0, abs=1e-12)
 
     def test_repeated_consecutive_node_rejected(self):
         m, _ = self.matrix_for([1, 1])
@@ -369,11 +369,11 @@ class TestPathMeanTs:
     @settings(max_examples=200, deadline=None)
     def test_bounds_permutation_and_am_gm(self, values, rnd):
         m, path = self.matrix_for(values)
-        gm = path_mean_ts(path, m).mean_ts
+        gm = path_mean_ts(path, m)
         assert min(values) - 1e-9 <= gm <= max(values) + 1e-9
         am = sum(values) / len(values)
         assert gm <= am + 1e-9
         shuffled = list(values)
         rnd.shuffle(shuffled)
         m2, path2 = self.matrix_for(shuffled)
-        assert path_mean_ts(path2, m2).mean_ts == pytest.approx(gm, rel=1e-12)
+        assert path_mean_ts(path2, m2) == pytest.approx(gm, rel=1e-12)
