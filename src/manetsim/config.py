@@ -27,7 +27,7 @@ import yaml
 
 from .mobility import AreaSpec
 from .radio import RadioSpec
-from .routing import CustomerRequest, DiscoveryLimits, ScoringWeights
+from .routing import CustomerRequest, DiscoveryLimits
 from .video import CbrConfig, VideoConfig
 
 
@@ -113,7 +113,8 @@ class RunConfig:
     def __post_init__(self):
         if self.duration_s <= 0:
             raise ConfigError("duration_s must be positive")
-        ScoringWeights(self.w_ts)  # range check
+        if not 0.0 <= self.w_ts <= 1.0:
+            raise ConfigError(f"w_ts={self.w_ts} outside [0, 1]")
         if self.beacon_period_s <= 0:
             raise ConfigError("beacon_period_s must be positive")
         if self.pm_train < 1:
@@ -148,6 +149,12 @@ class RunConfig:
                     f"the mean I frame is {i_packets:.6g} packets, above "
                     f"mac.queue_capacity: lower target_rate_bps or raise fps")
         self.area  # validates dimensions and node count
+        # two distinct endpoints per flow; a tie-strength matrix needs two
+        needed = max(2, 2 * (video.flows + self.cbr.flows))
+        if self.node_count < needed:
+            raise ConfigError(
+                f"node_count = {self.node_count} is below {needed}: two "
+                f"nodes per video and CBR flow, and at least two")
 
     @property
     def area(self) -> AreaSpec:

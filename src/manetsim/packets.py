@@ -32,7 +32,7 @@ class Packet:
     size_bytes: int
     src: int
     dst: int
-    route: tuple[int, ...]          # full source route, src first
+    route: tuple[int, ...] | None   # full source route, src first, if any
     created_at: float
     flow_id: int | None = None
     seq: int | None = None

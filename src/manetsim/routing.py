@@ -55,21 +55,6 @@ class DiscoveryLimits:
 
 
 @dataclass(frozen=True)
-class ScoringWeights:
-    """Complementary weights for the QoS block and the tie-strength term."""
-
-    w_ts: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.w_ts <= 1.0:
-            raise ValueError(f"w_ts={self.w_ts} outside [0, 1]")
-
-    @property
-    def w_qos(self) -> float:
-        return 1.0 - self.w_ts
-
-
-@dataclass(frozen=True)
 class PathQualification:
     """Raw per-path measurements and their [0, 1] qualifications (1 = best)."""
 
@@ -130,26 +115,26 @@ def filter_paths(quals: list[PathQualification],
             and q.jitter_s <= request.jitter_max_s]
 
 
-def mscore(qual: PathQualification, mean_ts: float,
-           weights: ScoringWeights) -> float:
-    """Blend the QoS qualifications with the path tie strength.
+def mscore(qual: PathQualification, mean_ts: float, w_ts: float) -> float:
+    """Blend the QoS qualifications with the path tie strength, weighted
+    1 - w_ts and w_ts.
 
     The normalization averages the seven qualifications and rescales the
     0-4 tie strength to [0, 1], which makes w_ts = 0.125 give every
     individual metric (QoS or social) the same effective weight.
     """
-    return (weights.w_qos * (sum(qual.qualifications) / QOS_METRIC_COUNT)
-            + weights.w_ts * (mean_ts / TS_SCALE))
+    return ((1.0 - w_ts) * (sum(qual.qualifications) / QOS_METRIC_COUNT)
+            + w_ts * (mean_ts / TS_SCALE))
 
 
 def select_best(candidates: list[tuple[PathQualification, float]],
-                weights: ScoringWeights,
+                w_ts: float,
                 ) -> tuple[PathQualification, float, float] | None:
     """Argmax of mscore; ties break on fewer hops, then lexicographic path."""
     best = None
     best_key = None
     for qual, mean_ts in candidates:
-        score = mscore(qual, mean_ts, weights)
+        score = mscore(qual, mean_ts, w_ts)
         key = (-score, qual.hops, qual.path)
         if best_key is None or key < best_key:
             best_key = key
@@ -272,7 +257,6 @@ class SourceProtocol:
         self.src = src
         self.dst = dst
         self.config = config
-        self.weights = ScoringWeights(config.w_ts)
         self.ts_matrix = ts_matrix
         self._connectivity = connectivity  # (t) -> adjacency dict
         self._send = send
@@ -405,7 +389,7 @@ class SourceProtocol:
         # path rather than stalling
         pool = [c for c in candidates
                 if c[0].path in iteration.survivors] or candidates
-        choice = select_best(pool, self.weights)
+        choice = select_best(pool, self.config.w_ts)
         if choice is not None:
             qual, ts, score = choice
             iteration.selected = qual.path

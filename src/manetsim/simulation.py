@@ -337,28 +337,21 @@ class SimulationRun:
         t = self.sim.clock
         if t >= self.config.duration_s:
             return
-        packet = Packet(klass=PacketClass.BEACON,
-                        size_bytes=self.config.beacon_bytes,
-                        src=node, dst=-1, route=(node,), created_at=t)
-        self.classes[packet.klass].generated += 1
-        if self.mac.enqueue(node, packet):
-            self._kick(node)
-        else:
-            self._drop(packet, "queue-overflow")
+        self._inject(Packet(klass=PacketClass.BEACON,
+                            size_bytes=self.config.beacon_bytes,
+                            src=node, dst=-1, route=(node,), created_at=t))
         self.sim.schedule(t + self.config.beacon_period_s, self._beacon_tick,
                           node)
-
-    def _deliver_beacon(self) -> None:
-        """Count the beacon delivered.  Beacons matter to the model only as
-        AC0 frames that take queue space and air time, which feeds the MAC
-        load factor; nothing reads their reception."""
-        self.classes[PacketClass.BEACON].delivered += 1
 
     # -- MAC service loop -----------------------------------------------------
 
     def _inject(self, packet: Packet) -> None:
-        """Entry point for locally generated packets (data, probes, replies)."""
+        """The one way into the network: count the packet generated, then
+        queue it at its holder, or drop it (no route, or a full queue)."""
         self.classes[packet.klass].generated += 1
+        if packet.route is None:
+            self._drop(packet, "no-route")
+            return
         node = packet.route[packet.hop_index]
         if self.mac.enqueue(node, packet):
             self._kick(node)
@@ -385,8 +378,10 @@ class SimulationRun:
         # an outcome on air after the end is left to end-of-run accounting
         booked = t_air <= self._duration
         if packet.klass is PacketClass.BEACON:
+            # one on air counts as delivered: a beacon is an AC0 frame that
+            # takes queue space and air time, and nothing reads its reception
             if booked:
-                self._deliver_beacon()
+                self._delivered(packet)
             busy = transmission_delay(self._radio, packet.size_bytes, load)
             self.sim.schedule(t_air + busy, self._on_tx_done, node)
             return
@@ -439,6 +434,7 @@ class SimulationRun:
     # -- delivery and drop accounting ------------------------------------------
 
     def _delivered(self, packet: Packet) -> None:
+        """The one place a packet is counted delivered."""
         self.classes[packet.klass].delivered += 1
         if packet.klass is PacketClass.PROBE:
             self.protocols[packet.flow_id].on_probe_at_destination(packet)
@@ -462,19 +458,14 @@ class SimulationRun:
         if t >= self.config.duration_s:
             return
         stats = self.flow_stats[flow_id]
-        protocol = self.protocols[flow_id]
         frame = source.next_frame(self.sim.rng.stream("traffic"), t)
-        route = protocol.active_route or (stats.src, stats.dst)
         packets = packetize(frame, self.config.video.max_packet_bytes,
-                            src=stats.src, dst=stats.dst, route=route,
+                            src=stats.src, dst=stats.dst,
+                            route=self.protocols[flow_id].active_route,
                             flow_id=flow_id)
         stats.count_generated(frame, packets)
         for packet in packets:
-            if protocol.active_route is None:
-                self.classes[packet.klass].generated += 1
-                self._drop(packet, "no-route")
-            else:
-                self._inject(packet)
+            self._inject(packet)
         self.sim.schedule(t + self.config.video.frame_interval,
                           self._video_tick, flow_id, source)
 
@@ -496,16 +487,10 @@ class SimulationRun:
         if t >= self.config.duration_s:
             return
         state = self.cbr_state[cbr_id]
-        packet = Packet(klass=PacketClass.CBR,
-                        size_bytes=self.config.cbr.packet_bytes,
-                        src=state["src"], dst=state["dst"],
-                        route=state["route"] or (state["src"], state["dst"]),
-                        created_at=t)
-        if state["route"] is None:
-            self.classes[packet.klass].generated += 1
-            self._drop(packet, "no-route")
-        else:
-            self._inject(packet)
+        self._inject(Packet(klass=PacketClass.CBR,
+                            size_bytes=self.config.cbr.packet_bytes,
+                            src=state["src"], dst=state["dst"],
+                            route=state["route"], created_at=t))
         self.sim.schedule(t + self.config.cbr.interval, self._cbr_tick, cbr_id)
 
     # -- run ----------------------------------------------------------------------

@@ -111,7 +111,7 @@ class VideoSource:
 
 
 def packetize(frame: VideoFrame, max_packet_bytes: int = 1500,
-              src: int = 0, dst: int = 0, route: tuple[int, ...] = (),
+              src: int = 0, dst: int = 0, route: tuple[int, ...] | None = None,
               flow_id: int | None = None) -> list[Packet]:
     """Fragment a frame into packets of at most max_packet_bytes, each
     tagged with the frame's priority class."""
@@ -154,9 +154,9 @@ class CbrConfig:
 
 
 def load_frame_trace(text: str) -> list[tuple[str, int]]:
-    """Rows of (frame_index, type, size_bytes), comma or whitespace split;
-    the frame of the lowest index must be an I frame, which opens the first
-    GoP."""
+    """Rows of (frame_index, type, size_bytes), comma or whitespace split,
+    each index once; the frame of the lowest index must be an I frame, which
+    opens the first GoP."""
     frames: list[tuple[int, str, int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -178,6 +178,10 @@ def load_frame_trace(text: str) -> list[tuple[str, int]]:
     if not frames:
         raise ValueError("empty frame trace")
     frames.sort(key=lambda f: f[0])
+    for (index, *_, first), (other, *_, lineno) in zip(frames, frames[1:]):
+        if index == other:
+            raise ValueError(f"frame trace line {lineno}: frame index "
+                             f"{index} repeats line {first}")
     _, ftype, _, lineno = frames[0]
     if ftype != "I":
         raise ValueError(f"frame trace line {lineno}: the first frame must "

@@ -20,8 +20,8 @@ from scipy.stats import norm
 from manetsim.packets import Packet, PacketClass
 from manetsim.radio import Medium, transmission_delay
 from manetsim.routing import (CustomerRequest, DiscoveryLimits,
-                              PathQualification, ScoringWeights,
-                              discover_paths, mscore, qualify, select_best)
+                              PathQualification, discover_paths, mscore,
+                              qualify, select_best)
 from manetsim.simulation import TOPOLOGY_QUANTUM_S, SimulationRun
 from manetsim.social import TS_SCALE_MAX, generate_ts_matrix, path_mean_ts
 
@@ -59,7 +59,7 @@ def random_connected_graph(rng: random.Random,
 
 
 def brute_force_best(adj: dict, src: int, dst: int, salt: int,
-                     ts_matrix: np.ndarray, weights: ScoringWeights,
+                     ts_matrix: np.ndarray, w_ts: float,
                      request: CustomerRequest):
     """Score every simple path via networkx enumeration and return the
     argmax under the same tie-break (fewer hops, then lexicographic)."""
@@ -76,7 +76,7 @@ def brute_force_best(adj: dict, src: int, dst: int, salt: int,
         all_paths.append(path)
         qual = pseudo_qualification(path, salt, request)
         ts = path_mean_ts(path, ts_matrix)
-        score = mscore(qual, ts, weights)
+        score = mscore(qual, ts, w_ts)
         key = (-score, len(path) - 1, path)
         if best_key is None or key < best_key:
             best_key = key
@@ -85,13 +85,13 @@ def brute_force_best(adj: dict, src: int, dst: int, salt: int,
 
 
 def pipeline_best(adj: dict, src: int, dst: int, salt: int,
-                  ts_matrix: np.ndarray, weights: ScoringWeights,
+                  ts_matrix: np.ndarray, w_ts: float,
                   request: CustomerRequest):
     limits = DiscoveryLimits(ttl=len(adj), max_paths=10**6)
     paths = discover_paths(adj, src, dst, limits)
     candidates = [(pseudo_qualification(p, salt, request),
                    path_mean_ts(p, ts_matrix)) for p in paths]
-    choice = select_best(candidates, weights)
+    choice = select_best(candidates, w_ts)
     return (choice[0].path if choice else None), set(paths)
 
 
@@ -100,11 +100,11 @@ def run_oracle_trial(seed: int) -> bool:
     rng = stable_rng("trial", seed)
     adj, src, dst = random_connected_graph(rng)
     ts = generate_ts_matrix(len(adj), rng.uniform(0.5, 3.5), 1.0, rng)
-    weights = ScoringWeights(w_ts=rng.choice([0.0, 0.125, 0.4, 0.8, 1.0]))
+    w_ts = rng.choice([0.0, 0.125, 0.4, 0.8, 1.0])
     request = CustomerRequest()
-    expect, expect_paths = brute_force_best(adj, src, dst, seed, ts, weights,
+    expect, expect_paths = brute_force_best(adj, src, dst, seed, ts, w_ts,
                                             request)
-    got, got_paths = pipeline_best(adj, src, dst, seed, ts, weights, request)
+    got, got_paths = pipeline_best(adj, src, dst, seed, ts, w_ts, request)
     return expect == got and expect_paths == got_paths
 
 
@@ -175,7 +175,7 @@ class TwoEventRun(SimulationRun):
     def _transmit(self, node: int, packet: Packet, load: float) -> None:
         t = self.sim.clock
         if packet.klass is PacketClass.BEACON:
-            self._deliver_beacon()
+            self._delivered(packet)
             busy = transmission_delay(self.config.radio,
                                       packet.size_bytes, load)
             self.sim.schedule(t + busy, self._tx_done, node)

@@ -651,7 +651,7 @@ class TestGridFile:
             "repeated-w_ts", "repeated-mu_ts", "repeated-density"])
     def test_bad_grid_fails_cleanly(self, tmp_path, capsys, text):
         config_path = tmp_path / "cfg.yaml"
-        config_path.write_text("nodes: 4\nduration_s: 2\n")
+        config_path.write_text("nodes: 6\nduration_s: 2\n")
         code = cli_main(["sweep", "--config", str(config_path),
                          "--grid", self.write_grid(tmp_path, text),
                          "--reps", "2", "--workers", "1",
@@ -672,11 +672,28 @@ class TestGridFile:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (out / "runs").exists()
 
+    def test_too_few_nodes_for_the_flows_fail_before_any_run(self, tmp_path,
+                                                             capsys):
+        # density 5 puts one node in the default area, which cannot hold
+        # the default flows' six endpoints
+        config_path = tmp_path / "cfg.yaml"
+        config_path.write_text("duration_s: 2\n")
+        out = tmp_path / "out"
+        code = cli_main(["sweep", "--config", str(config_path),
+                         "--grid", self.write_grid(
+                             tmp_path, "w_ts: [0.0]\nmu_ts: [2.0]\n"
+                             "density: [100, 5]\n"),
+                         "--reps", "2", "--workers", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "node_count = 1 is below 6" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_fail_before_any_run(self, tmp_path, capsys,
                                                    workers):
         config_path = tmp_path / "cfg.yaml"
-        config_path.write_text("nodes: 4\nduration_s: 2\n")
+        config_path.write_text("nodes: 6\nduration_s: 2\n")
         out = tmp_path / "out"
         code = cli_main(["sweep", "--config", str(config_path),
                          "--reps", "2", "--workers", workers,

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_utils
 from manetsim.routing import (CustomerRequest, DiscoveryLimits,
-                              PathQualification, ScoringWeights,
-                              discover_paths, filter_paths, mscore, qualify,
-                              select_best, update_nstate, update_t_routing)
+                              PathQualification, discover_paths, filter_paths,
+                              mscore, qualify, select_best, update_nstate,
+                              update_t_routing)
 
 
 def make_qual(path=(0, 1, 2), **overrides):
@@ -29,22 +29,15 @@ def qual_with_values(path, values):
 
 
 class TestWeights:
-    def test_range_enforced(self):
-        with pytest.raises(ValueError):
-            ScoringWeights(1.3)
-        with pytest.raises(ValueError):
-            ScoringWeights(-0.1)
-
-    def test_complement_is_exact_on_grid(self):
-        for w in (0.0, 0.125, 0.2, 0.4, 0.6, 0.8, 1.0):
-            weights = ScoringWeights(w)
-            assert weights.w_qos + weights.w_ts == 1.0
-
-    @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+    # config.RunConfig checks the range (test_config.py::test_w_ts_range)
+    @given(st.sampled_from((0.0, 0.125, 0.2, 0.4, 0.6, 0.8, 1.0))
+           | st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     @settings(max_examples=500, deadline=None)
     def test_complement_exact_everywhere(self, w):
-        weights = ScoringWeights(w)
-        assert weights.w_qos + weights.w_ts == 1.0
+        # 1 - w_ts and w_ts sum to exactly 1, so a path perfect on both
+        # terms scores exactly 1
+        assert (1.0 - w) + w == 1.0
+        assert mscore(qual_with_values((0, 1), [1.0] * 7), 4.0, w) == 1.0
 
 
 class TestQualify:
@@ -102,24 +95,23 @@ class TestMscore:
     def test_perfect_path(self):
         q = qual_with_values((0, 1), [1.0] * 7)
         for w in (0.0, 0.3, 1.0):
-            assert mscore(q, 4.0, ScoringWeights(w)) == pytest.approx(1.0)
+            assert mscore(q, 4.0, w) == pytest.approx(1.0)
 
     def test_ts_ignored_at_zero_weight(self):
         q = qual_with_values((0, 1), [0.5] * 7)
-        w = ScoringWeights(0.0)
-        assert mscore(q, 0.0, w) == mscore(q, 4.0, w)
+        assert mscore(q, 0.0, 0.0) == mscore(q, 4.0, 0.0)
 
     def test_equal_effective_weights_at_one_eighth(self):
         # at w_ts = 0.125 a bump in one qualification moves the score by
         # exactly as much as the same bump in the rescaled tie strength
-        w = ScoringWeights(0.125)
+        w = 0.125
         base = qual_with_values((0, 1), [0.5] * 7)
         bumped = qual_with_values((0, 1), [0.5] * 6 + [0.5 + 0.07])
         d_quals = mscore(bumped, 2.0, w) - mscore(base, 2.0, w)
         d_ts = mscore(base, 2.0 + 0.07 * 4.0, w) - mscore(base, 2.0, w)
         assert d_quals == pytest.approx(d_ts, abs=1e-12)
         assert d_quals == pytest.approx(0.125 * 0.07, abs=1e-12)
-        assert w.w_qos / 7 == pytest.approx(0.125)
+        assert (1.0 - w) / 7 == pytest.approx(0.125)
 
     @given(st.floats(min_value=0.01, max_value=1.0),
            st.floats(min_value=0.0, max_value=3.9),
@@ -127,8 +119,8 @@ class TestMscore:
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_ts(self, w_ts, ts, bump):
         q = qual_with_values((0, 1), [0.5] * 7)
-        w = ScoringWeights(w_ts)
-        assert mscore(q, min(4.0, ts + bump), w) >= mscore(q, ts, w) - 1e-15
+        assert (mscore(q, min(4.0, ts + bump), w_ts)
+                >= mscore(q, ts, w_ts) - 1e-15)
 
     @given(st.floats(min_value=0.0, max_value=0.99),
            st.integers(min_value=0, max_value=6),
@@ -139,30 +131,29 @@ class TestMscore:
         q = qual_with_values((0, 1), values)
         values[idx] = min(1.0, values[idx] + bump)
         q2 = qual_with_values((0, 1), values)
-        w = ScoringWeights(w_ts)
-        assert mscore(q2, 2.0, w) >= mscore(q, 2.0, w) - 1e-15
+        assert mscore(q2, 2.0, w_ts) >= mscore(q, 2.0, w_ts) - 1e-15
 
 
 class TestSelect:
     def test_single_candidate(self):
         q = make_qual(path=(0, 1))
-        choice = select_best([(q, 2.0)], ScoringWeights(0.5))
+        choice = select_best([(q, 2.0)], 0.5)
         assert choice[0].path == (0, 1)
 
     def test_tie_breaks_on_fewer_hops(self):
         short = qual_with_values((0, 3), [0.5] * 7)
         long = qual_with_values((0, 1, 3), [0.5] * 7)
-        choice = select_best([(long, 2.0), (short, 2.0)], ScoringWeights(0.0))
+        choice = select_best([(long, 2.0), (short, 2.0)], 0.0)
         assert choice[0].path == (0, 3)
 
     def test_tie_breaks_lexicographically(self):
         a = qual_with_values((0, 1, 3), [0.5] * 7)
         b = qual_with_values((0, 2, 3), [0.5] * 7)
-        choice = select_best([(b, 2.0), (a, 2.0)], ScoringWeights(0.0))
+        choice = select_best([(b, 2.0), (a, 2.0)], 0.0)
         assert choice[0].path == (0, 1, 3)
 
     def test_empty_gives_none(self):
-        assert select_best([], ScoringWeights(0.0)) is None
+        assert select_best([], 0.0) is None
 
     def test_oracle_equivalence_sample(self):
         # the acceptance suite runs the full 200-graph version
@@ -251,7 +242,7 @@ class TestSelfConfiguration:
 class TestRankingInvarianceAtZeroWeight:
     def test_ts_matrix_never_changes_argmax(self):
         rng = random.Random(77)
-        weights = ScoringWeights(0.0)
+        w_ts = 0.0
         request = CustomerRequest()
         for trial in range(30):
             adj, src, dst = oracle_utils.random_connected_graph(rng)
@@ -259,7 +250,7 @@ class TestRankingInvarianceAtZeroWeight:
             m1 = oracle_utils.generate_ts_matrix(n, 2.0, 1.0, rng)
             m2 = oracle_utils.generate_ts_matrix(n, 3.0, 1.0, rng)
             a, _ = oracle_utils.pipeline_best(adj, src, dst, trial, m1,
-                                              weights, request)
+                                              w_ts, request)
             b, _ = oracle_utils.pipeline_best(adj, src, dst, trial, m2,
-                                              weights, request)
+                                              w_ts, request)
             assert a == b

@@ -481,6 +481,44 @@ class TestGoldenDigest:
         ]
 
 
+class RecordingRun(SimulationRun):
+    """A run that keeps every packet passing each accounting point; the
+    overrides are also what ``SourceProtocol`` is handed as ``send``."""
+
+    def __init__(self, *args, **kwargs):
+        self.injected, self.delivered, self.dropped = [], [], []
+        super().__init__(*args, **kwargs)
+
+    def _inject(self, packet):
+        self.injected.append(packet)
+        super()._inject(packet)
+
+    def _delivered(self, packet):
+        self.delivered.append(packet)
+        super()._delivered(packet)
+
+    def _drop(self, packet, cause):
+        self.dropped.append(packet)
+        super()._drop(packet, cause)
+
+
+class TestCounterWriters:
+    def test_one_writer_per_class_counter(self):
+        # the lossy golden run: every class, all five drop causes
+        run = RecordingRun(sparse27_config(40.0))
+        run.run()
+        injected = {id(p) for p in run.injected}
+        assert len(injected) == len(run.injected)
+        outcomes = [id(p) for p in run.delivered + run.dropped]
+        assert len(set(outcomes)) == len(outcomes)
+        assert injected.issuperset(outcomes)
+        for klass, counters in run.classes.items():
+            assert counters.generated == sum(
+                p.klass is klass for p in run.injected) > 0, klass
+            assert counters.delivered == sum(
+                p.klass is klass for p in run.delivered), klass
+
+
 class TestLoadOracle:
     """The MAC load factor from the backlogged nodes alone equals its
     definition on the whole-network snapshot, on every load of a run."""

@@ -229,6 +229,12 @@ class TestFrameTrace:
         with pytest.raises(ValueError):
             load_frame_trace("# nothing\n")
 
+    def test_repeated_index(self):
+        # two "frame 0"s would both play
+        with pytest.raises(ValueError, match="line 2: frame index 0 repeats "
+                                             "line 1"):
+            load_frame_trace("0 I 100\n0 P 50\n1 B 10\n")
+
     def test_first_frame_must_be_i(self):
         # the lowest index is on line 3
         with pytest.raises(ValueError, match="line 3.*I frame"):
