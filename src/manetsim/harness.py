@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from scipy.special import stdtrit
 
-from .config import RunConfig, SocialConfig
+from .config import ConfigError, RunConfig, SocialConfig
 from .mobility import AreaSpec, import_trace
 from .simulation import PROTOCOL_LOG_FIELDS, RESULT_FIELDS, run_simulation
 from .social import load_ts_matrix
@@ -87,22 +87,31 @@ def protocol_log_csv_text(rows) -> str:
 
 
 def load_run_inputs(config: RunConfig):
-    """Resolve optional external files named in the configuration."""
-    mobility_trace = None
+    """Resolve optional external files named in the configuration; a
+    mobility trace or tie-strength matrix must hold ``node_count`` nodes."""
+    def read(path):
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+    nodes = config.node_count
+    mobility_trace = ts_matrix = frame_trace = None
     if config.mobility.trace:
-        with open(config.mobility.trace, encoding="utf-8") as fh:
-            mobility_trace = import_trace(
-                fh.read(),
-                AreaSpec(config.area_width_m, config.area_height_m, 1),
-                duration=config.duration_s)
-    ts_matrix = None
+        mobility_trace = import_trace(
+            read(config.mobility.trace),
+            AreaSpec(config.area_width_m, config.area_height_m, 1),
+            duration=config.duration_s)
+        n = len(mobility_trace.node_ids)
+        if n != nodes:
+            raise ConfigError(f"mobility.trace {config.mobility.trace} has "
+                              f"{n} nodes, but the run has {nodes}")
     if config.social.matrix:
-        with open(config.social.matrix, encoding="utf-8") as fh:
-            ts_matrix = load_ts_matrix(fh.read())
-    frame_trace = None
+        ts_matrix = load_ts_matrix(read(config.social.matrix))
+        n = len(ts_matrix)
+        if n != nodes:
+            raise ConfigError(f"social.matrix {config.social.matrix} is {n} "
+                              f"x {n}, but the run has {nodes} nodes")
     if config.video.trace:
-        with open(config.video.trace, encoding="utf-8") as fh:
-            frame_trace = load_frame_trace(fh.read())
+        frame_trace = load_frame_trace(read(config.video.trace))
     return mobility_trace, ts_matrix, frame_trace
 
 
@@ -191,7 +200,8 @@ def run_sweep(base: RunConfig, spec: SweepSpec, out_dir: str,
               workers: int | None = None) -> list[dict]:
     """All grid points x repetitions; returns the aggregated sweep table.
 
-    Every run's configuration is built, and so checked, before any runs."""
+    Every run's configuration is built and its input files are read, and
+    so checked, before any runs."""
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     tasks = [(point_config(base, w, mu, den,
@@ -199,6 +209,8 @@ def run_sweep(base: RunConfig, spec: SweepSpec, out_dir: str,
               w, mu, den, rep, out_dir)
              for w, mu, den in spec.points()
              for rep in range(spec.repetitions)]
+    for config in {task[0].node_count: task[0] for task in tasks}.values():
+        load_run_inputs(config)
     if workers is None:
         workers = os.cpu_count() or 1
     workers = min(workers, len(tasks))  # no more processes than runs

@@ -254,9 +254,7 @@ def import_trace(text: str, area: AreaSpec,
         node += 1
     if not waypoints:
         raise TraceFormatError("no nodes in trace")
-    trace = MobilityTrace(
+    return MobilityTrace(
         area=AreaSpec(area.width_m, area.height_m, node),
         duration=duration if duration is not None else last_time,
         waypoints=waypoints)
-    trace.validate()
-    return trace

@@ -15,8 +15,6 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 
@@ -116,19 +114,20 @@ class Medium:
     Pure function of (positions, RadioSpec, rng stream); the only state is a
     one-entry cache of the last connectivity snapshot, keyed by query time,
     which serves route discovery, the CBR route refresh and endpoint
-    picking (the MAC load factor tests its few pairs with ``in_range``).
+    picking (the MAC load factor tests its few pairs by the same band test).
     """
 
     def __init__(self, spec: RadioSpec, position_of, node_ids: list[int]):
         self.spec = spec
         self._position_of = position_of  # callable (node, t) -> (x, y)
         self.node_ids = sorted(node_ids)
-        self._ids = np.array(self.node_ids)
+        r2 = self.range_sq = spec.tx_range_m ** 2
+        # squared distances outside in_range's edge recheck, either side
+        self.sure_in, self.sure_out = r2 - EDGE_REL * r2, r2 + EDGE_REL * r2
         self._graph_cache: dict[float, dict[int, list[int]]] = {}
         # the spec's constants for the per-hop calls, which repeat the
         # float operations of RadioSpec.snr, transmission_delay and
         # RadioSpec.corruption_probability in the same order
-        self._range_sq = spec.tx_range_m ** 2
         self._tx_power = spec.tx_power_dbm
         self._ref_loss = spec.ref_loss_db
         self._loss_slope = 10.0 * spec.path_loss_exponent
@@ -151,34 +150,27 @@ class Medium:
         # usable by the rule connectivity uses, so a discovered hop is usable
         return _new(LinkState, (a, b, dist,
                                 self._tx_power - loss - self._noise_floor,
-                                in_range(dx, dy, self._range_sq)))
+                                in_range(dx, dy, self.range_sq)))
 
     def connectivity(self, t: float) -> dict[int, list[int]]:
         """Adjacency lists (sorted) of the unit-disk graph at time t: each
-        pair decided by ``in_range``, over the whole network at once."""
+        pair decided by the band test, over the whole network at once."""
         cached = self._graph_cache.get(t)
         if cached is not None:
             return cached
-        xs, ys = np.array([self._position_of(n, t) for n in self.node_ids],
-                          dtype=float).T
-        dx = xs - xs[:, None]  # dx[i, j] = xs[j] - xs[i]
-        dy = ys - ys[:, None]
-        d2 = dx * dx + dy * dy
-        r2 = self._range_sq
-        linked = d2 <= r2
-        # in_range's edge test, then its own verdict on the pairs it flags
-        edge = np.abs(d2 - r2) <= EDGE_REL * r2
-        if edge.any():
-            for i, j in zip(*np.nonzero(edge)):
-                linked[i, j] = in_range(float(dx[i, j]), float(dy[i, j]), r2)
-        np.fill_diagonal(linked, False)
-        # row-major order: each node's neighbours come out ascending
-        nbrs = self._ids[np.flatnonzero(linked) % len(self._ids)].tolist()
-        adj: dict[int, list[int]] = {}
-        start = 0
-        for node, count in zip(self.node_ids, linked.sum(axis=1).tolist()):
-            adj[node] = nbrs[start:start + count]
-            start += count
+        placed = [(n, *self._position_of(n, t)) for n in self.node_ids]
+        r2, sure_in, sure_out = self.range_sq, self.sure_in, self.sure_out
+        adj: dict[int, list[int]] = {node: [] for node in self.node_ids}
+        # pairs in ascending order: each node's neighbours come out sorted
+        for i, (a, xa, ya) in enumerate(placed):
+            nbrs = adj[a]
+            for b, xb, yb in placed[i + 1:]:
+                dx = xb - xa
+                dy = yb - ya
+                d2 = dx * dx + dy * dy
+                if d2 < sure_in or (d2 <= sure_out and in_range(dx, dy, r2)):
+                    nbrs.append(b)
+                    adj[b].append(a)
         self._graph_cache = {t: adj}
         return adj
 

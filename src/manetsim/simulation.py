@@ -12,7 +12,7 @@ from .config import RunConfig
 from .engine import Simulator
 from .mac import MacLayer
 from .packets import DROP_CAUSES, Packet, PacketClass
-from .radio import EDGE_REL, Medium, in_range, transmission_delay
+from .radio import Medium, in_range, transmission_delay
 from .routing import (DiscoveryLimits, SourceProtocol, bfs_distance,
                       discover_paths)
 from .social import generate_ts_matrix, validate_ts_matrix
@@ -175,9 +175,6 @@ class SimulationRun:
         # no segment holds any time until the first lookup
         self._segments = {node: (math.inf, -math.inf, 0.0, 0.0, None, None)
                           for node in self.node_ids}
-        r2 = self._range_sq = config.radio.tx_range_m ** 2
-        # squared distances outside in_range's edge recheck, either side
-        self._sure_in, self._sure_out = r2 - EDGE_REL * r2, r2 + EDGE_REL * r2
         self._load_bucket: float | None = None
         self._load_positions: dict[int, tuple[float, float]] = {}
         self.medium = Medium(config.radio, self._position_of, self.node_ids)
@@ -189,11 +186,10 @@ class SimulationRun:
                 self.sim.rng.stream("social"))
         else:
             validate_ts_matrix(ts_matrix)
-            if ts_matrix.shape != (len(self.node_ids),) * 2:
-                raise ValueError(
-                    f"tie-strength matrix is {ts_matrix.shape[0]} x "
-                    f"{ts_matrix.shape[1]}, but the run has "
-                    f"{len(self.node_ids)} nodes")
+            n = len(ts_matrix)
+            if n != len(self.node_ids):
+                raise ValueError(f"tie-strength matrix is {n} x {n}, but "
+                                 f"the run has {len(self.node_ids)} nodes")
         self.ts_matrix = ts_matrix
         self.classes = {klass: Counters() for klass in PacketClass}
         self.flow_stats: dict[int, FlowStats] = {}
@@ -231,8 +227,8 @@ class SimulationRun:
         """The backlogged nodes linked to ``node`` in the unit-disk graph at
         the start of t's bucket, which are all the MAC load counts.
 
-        Only those pairs are tested, by ``in_range``'s rule, inline away from
-        the edge; the positions of the nodes touched are kept for the bucket.
+        Only those pairs are tested, by the medium's band test written
+        inline; the positions of the nodes touched are kept for the bucket.
         """
         backlogged = self.mac.backlogged
         if len(backlogged) == (node in backlogged):  # no other node
@@ -246,7 +242,8 @@ class SimulationRun:
         if here is None:
             here = positions[node] = self._position_of(node, bucket)
         x, y = here
-        r2, sure_in, sure_out = self._range_sq, self._sure_in, self._sure_out
+        medium = self.medium
+        r2, sure_in, sure_out = medium.range_sq, medium.sure_in, medium.sure_out
         nbrs = []
         for other in backlogged:
             if other == node:

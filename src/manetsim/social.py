@@ -14,8 +14,6 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class SignType:
@@ -260,43 +258,49 @@ def quantize_tie_strength(ts: float) -> int:
 
 
 def generate_ts_matrix(n: int, mu: float, sigma: float,
-                       rng: random.Random) -> np.ndarray:
-    """Quantized asymmetric tie-strength matrix for a scenario.
-
-    Each ordered off-diagonal entry is an independent normal draw rounded to
-    the nearest integer and clamped to [0, 4]; the diagonal is zero.
+                       rng: random.Random) -> list[list[int]]:
+    """Quantized asymmetric tie-strength matrix for a scenario: n rows of n
+    integers, each ordered off-diagonal entry an independent normal draw,
+    in row-major order, rounded to the nearest integer and clamped to
+    [0, 4]; the diagonal is zero.
     """
     if n < 2:
         raise ValueError("need at least two nodes")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    m = np.zeros((n, n), dtype=np.int64)
+    m = [[0] * n for _ in range(n)]
     for u in range(n):
         for v in range(n):
             if u == v:
                 continue
             draw = rng.gauss(mu, sigma)
-            m[u, v] = min(TS_SCALE_MAX, max(0, int(math.floor(draw + 0.5))))
+            m[u][v] = min(TS_SCALE_MAX, max(0, int(math.floor(draw + 0.5))))
     return m
 
 
-def validate_ts_matrix(m: np.ndarray) -> None:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+def validate_ts_matrix(m) -> None:
+    """Check a tie-strength matrix: any square sequence of rows of numbers."""
+    n = len(m)
+    try:
+        square = n > 0 and all(len(row) == n for row in m)
+    except TypeError:  # a row that is a single number
+        square = False
+    if not square:
         raise ValueError("tie-strength matrix must be square")
-    if np.any(np.diag(m) != 0):
+    if any(m[i][i] != 0 for i in range(n)):
         raise ValueError("tie-strength diagonal must be zero")
-    if np.any(m < 0) or np.any(m > TS_SCALE_MAX):
+    if not all(0 <= v <= TS_SCALE_MAX for row in m for v in row):
         raise ValueError("tie-strength entries must lie in [0, 4]")
 
 
-def dump_ts_matrix(m: np.ndarray) -> str:
+def dump_ts_matrix(m) -> str:
     """Text form: header line "n", then n rows of n integers."""
-    lines = [str(m.shape[0])]
+    lines = [str(len(m))]
     lines.extend(" ".join(str(int(v)) for v in row) for row in m)
     return "\n".join(lines) + "\n"
 
 
-def load_ts_matrix(text: str) -> np.ndarray:
+def load_ts_matrix(text: str) -> list[list[int]]:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines())
              if ln and not ln.startswith("#")]
     if not lines:
@@ -313,12 +317,11 @@ def load_ts_matrix(text: str) -> np.ndarray:
         if len(fields) != n:
             raise ValueError(f"matrix row {i}: expected {n} entries")
         rows.append([int(f) for f in fields])
-    m = np.array(rows, dtype=np.int64)
-    validate_ts_matrix(m)
-    return m
+    validate_ts_matrix(rows)
+    return rows
 
 
-def path_mean_ts(path, ts_matrix: np.ndarray) -> float:
+def path_mean_ts(path, ts_matrix) -> float:
     """Geometric mean of the directed per-link tie strengths along a path.
 
     A single zero link annihilates the whole product, so the mean is zero
@@ -330,7 +333,7 @@ def path_mean_ts(path, ts_matrix: np.ndarray) -> float:
     for a, b in zip(path, path[1:]):
         if a == b:
             raise ValueError(f"repeated consecutive node {a} in path")
-    values = tuple(int(ts_matrix[a, b]) for a, b in zip(path, path[1:]))
+    values = tuple(int(ts_matrix[a][b]) for a, b in zip(path, path[1:]))
     if any(v == 0 for v in values):
         return 0.0
     product = 1.0

@@ -412,6 +412,28 @@ class TestImportPath:
         assert proc.stdout.splitlines()[-1] == "[]"
 
 
+MODEL_GUARD = """
+import sys
+from manetsim.config import RunConfig
+from manetsim.simulation import run_simulation
+run_simulation(RunConfig(duration_s=5.0))
+print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
+"""
+
+
+class TestModelImports:
+    def test_a_run_loads_neither_numpy_nor_scipy(self):
+        # the model is plain Python: only the harness's Student-t interval
+        # needs scipy, which brings numpy with it
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", MODEL_GUARD],
+            env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+
 FREEZE_CHECK = """
 import gc
 from manetsim import cli
@@ -576,6 +598,52 @@ class TestCliFileInterfaces:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"is {size} x {size}" in err
         assert not (out / "result.csv").exists()
+
+    @staticmethod
+    def write_trace(tmp_path, nodes):
+        path = tmp_path / "trace.txt"
+        path.write_text("".join(f"0.0 {50.0 + 60.0 * i} 100.0\n"
+                                for i in range(nodes)))
+        return path
+
+    def test_mobility_trace_of_another_size_fails_before_the_run(
+            self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli_main(["simulate", "--config",
+                         str(self.write_config(tmp_path, nodes=8)),
+                         "--out", str(out), "--mobility-trace",
+                         str(self.write_trace(tmp_path, 6))])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "has 6 nodes" in err
+        assert "the run has 8" in err
+        assert not (out / "result.csv").exists()
+
+    @pytest.mark.parametrize("key", ["mobility", "social"])
+    def test_sweep_input_of_one_density_fails_before_any_run(
+            self, tmp_path, capsys, key):
+        # density 100 gives 27 nodes and 200 gives 54: a file of 6 or 27
+        # nodes fits at most the first, so the sweep must not start
+        if key == "mobility":
+            entry = f"trace: {self.write_trace(tmp_path, 6)}"
+        else:
+            matrix = tmp_path / "ts.txt"
+            matrix.write_text("27\n" + "".join(
+                " ".join("0" if i == j else "3" for j in range(27)) + "\n"
+                for i in range(27)))
+            entry = f"matrix: {matrix}"
+        config_path = tmp_path / "cfg.yaml"
+        config_path.write_text(f"duration_s: 2\n{key}: {{{entry}}}\n")
+        grid = tmp_path / "grid.yaml"
+        grid.write_text("w_ts: [0.0]\nmu_ts: [3.0]\ndensity: [100, 200]\n")
+        out = tmp_path / "out"
+        code = cli_main(["sweep", "--config", str(config_path),
+                         "--grid", str(grid), "--reps", "2", "--workers",
+                         "1", "--out", str(out)])
+        assert code == 2
+        assert not (out / "runs").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key}." in err
 
     def test_video_trace_flag(self, tmp_path):
         config_path = self.write_config(tmp_path)

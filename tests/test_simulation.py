@@ -5,6 +5,7 @@ import gc
 import hashlib
 import inspect
 import math
+import random
 import tracemalloc
 from types import SimpleNamespace
 
@@ -91,6 +92,20 @@ class TestTwoNodeIdle:
     def test_selected_path_ts_from_matrix(self):
         run, result = self.run()
         assert result.ts_time_mean == pytest.approx(4.0)
+
+
+class TestTsMatrixRows:
+    def test_list_rows_run_as_the_same_numpy_array(self):
+        config = RunConfig().replace(duration_s=15.0, node_count=14,
+                                     area_width_m=400.0, area_height_m=400.0,
+                                     master_seed=5)
+        rng = random.Random(7)
+        rows = [[0 if u == v else rng.randint(0, 4) for v in range(14)]
+                for u in range(14)]
+        listed, array = (run_simulation(config, ts_matrix=m)[0]
+                         for m in (rows, np.array(rows)))
+        assert result_csv_text(listed) == result_csv_text(array)
+        assert listed.ts_time_mean > 0  # the selected paths read the matrix
 
 
 class TestHopEvents:

@@ -250,7 +250,7 @@ class TestQuantize:
 
 class TestTsMatrix:
     def test_degenerate_sigma_pins_the_mean(self):
-        m = generate_ts_matrix(5, 4.0, 1e-12, random.Random(1))
+        m = np.array(generate_ts_matrix(5, 4.0, 1e-12, random.Random(1)))
         off = m[~np.eye(5, dtype=bool)]
         assert (off == 4).all()
 
@@ -259,12 +259,12 @@ class TestTsMatrix:
         assert (np.diag(m) == 0).all()
 
     def test_entries_in_range(self):
-        m = generate_ts_matrix(27, 1.0, 1.0, random.Random(3))
+        m = np.array(generate_ts_matrix(27, 1.0, 1.0, random.Random(3)))
         assert m.min() >= 0 and m.max() <= 4
 
     def test_sample_mean_matches_quadrature_oracle(self):
         oracle = clipped_normal_quantized_mean(1.0, 1.0)
-        m = generate_ts_matrix(27, 1.0, 1.0, random.Random(4))
+        m = np.array(generate_ts_matrix(27, 1.0, 1.0, random.Random(4)))
         off = m[~np.eye(27, dtype=bool)]
         assert abs(off.mean() - oracle) < 0.15
         assert abs(off.mean() - 1.0) < 0.2
@@ -273,23 +273,25 @@ class TestTsMatrix:
         # An entry is nonzero when its N(1, 1) draw rounds to at least 1,
         # i.e. the draw is >= 0.5: probability 1 - Phi(-0.5) ~= 0.691.
         n = 100
-        m = generate_ts_matrix(n, 1.0, 1.0, random.Random(8))
+        m = np.array(generate_ts_matrix(n, 1.0, 1.0, random.Random(8)))
         off = m[~np.eye(n, dtype=bool)]
         p = 1.0 - norm.cdf(-0.5)
         se = math.sqrt(p * (1.0 - p) / off.size)
         assert abs((off > 0).mean() - p) < 4.0 * se
 
     def test_asymmetry_possible(self):
-        m = generate_ts_matrix(27, 2.0, 1.0, random.Random(5))
+        m = np.array(generate_ts_matrix(27, 2.0, 1.0, random.Random(5)))
         assert (m != m.T).any()
 
     def test_file_round_trip(self):
         m = generate_ts_matrix(9, 2.0, 1.0, random.Random(6))
-        assert (load_ts_matrix(dump_ts_matrix(m)) == m).all()
+        assert load_ts_matrix(dump_ts_matrix(m)) == m
 
     def test_load_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             load_ts_matrix("2\n0 1\n")
+        with pytest.raises(ValueError):  # a 0 x 0 matrix holds no run
+            load_ts_matrix("0\n")
 
     def test_validate_rejects_nonzero_diagonal(self):
         m = np.zeros((3, 3), dtype=np.int64)
@@ -322,7 +324,7 @@ class TestQuantizedNormalMean:
 
     @pytest.mark.parametrize("mu", [-1.0, 0.5, 1.0, 2.5, 3.2, 7.0])
     def test_zero_sigma_matrix_mean_equals_the_oracle(self, mu):
-        m = generate_ts_matrix(6, mu, 0.0, random.Random(9))
+        m = np.array(generate_ts_matrix(6, mu, 0.0, random.Random(9)))
         off = m[~np.eye(6, dtype=bool)]
         assert off.mean() == clipped_normal_quantized_mean(mu, 0.0)
 
