@@ -15,15 +15,14 @@ import hashlib
 import io
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from scipy.special import stdtrit
 
-from .config import ConfigError, RunConfig, SocialConfig
-from .mobility import AreaSpec, import_trace
-from .simulation import PROTOCOL_LOG_FIELDS, RESULT_FIELDS, run_simulation
-from .social import load_ts_matrix
-from .video import load_frame_trace
+from .config import RunConfig
+from .mobility import AreaSpec
+from .simulation import (PROTOCOL_LOG_FIELDS, RESULT_FIELDS, run_inputs,
+                         run_simulation)
 
 DEFAULT_CONFIDENCE = 0.90
 
@@ -86,42 +85,10 @@ def protocol_log_csv_text(rows) -> str:
     return _csv_text(PROTOCOL_LOG_FIELDS, rows)
 
 
-def load_run_inputs(config: RunConfig):
-    """Resolve optional external files named in the configuration; a
-    mobility trace or tie-strength matrix must hold ``node_count`` nodes."""
-    def read(path):
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-
-    nodes = config.node_count
-    mobility_trace = ts_matrix = frame_trace = None
-    if config.mobility.trace:
-        mobility_trace = import_trace(
-            read(config.mobility.trace),
-            AreaSpec(config.area_width_m, config.area_height_m, 1),
-            duration=config.duration_s)
-        n = len(mobility_trace.node_ids)
-        if n != nodes:
-            raise ConfigError(f"mobility.trace {config.mobility.trace} has "
-                              f"{n} nodes, but the run has {nodes}")
-    if config.social.matrix:
-        ts_matrix = load_ts_matrix(read(config.social.matrix))
-        n = len(ts_matrix)
-        if n != nodes:
-            raise ConfigError(f"social.matrix {config.social.matrix} is {n} "
-                              f"x {n}, but the run has {nodes} nodes")
-    if config.video.trace:
-        frame_trace = load_frame_trace(read(config.video.trace))
-    return mobility_trace, ts_matrix, frame_trace
-
-
 def run_once_to_dir(config: RunConfig, out_dir: str):
     """Run one simulation and persist result.csv plus protocol_log.csv."""
     os.makedirs(out_dir, exist_ok=True)  # a bad --out fails before the run
-    mobility_trace, ts_matrix, frame_trace = load_run_inputs(config)
-    result, log_rows = run_simulation(config, mobility_trace=mobility_trace,
-                                      ts_matrix=ts_matrix,
-                                      frame_trace=frame_trace)
+    result, log_rows = run_simulation(config)
     with open(os.path.join(out_dir, "result.csv"), "w", encoding="utf-8") as fh:
         fh.write(result_csv_text(result))
     with open(os.path.join(out_dir, "protocol_log.csv"), "w",
@@ -162,8 +129,7 @@ def point_config(base: RunConfig, w_ts: float, mu_ts: float,
                                  density)
     return base.replace(
         node_count=area.node_count, master_seed=seed, w_ts=w_ts,
-        social=SocialConfig(mu_ts=mu_ts, sigma_ts=base.social.sigma_ts,
-                            matrix=base.social.matrix))
+        social=replace(base.social, mu_ts=mu_ts))
 
 
 def _run_point(task):
@@ -210,7 +176,7 @@ def run_sweep(base: RunConfig, spec: SweepSpec, out_dir: str,
              for w, mu, den in spec.points()
              for rep in range(spec.repetitions)]
     for config in {task[0].node_count: task[0] for task in tasks}.values():
-        load_run_inputs(config)
+        run_inputs(config)
     if workers is None:
         workers = os.cpu_count() or 1
     workers = min(workers, len(tasks))  # no more processes than runs
@@ -251,8 +217,13 @@ def aggregate_sweep(rows: list[dict], confidence: float) -> list[dict]:
 
 
 def parse_sweep_table(text: str) -> list[dict]:
-    return [{key: kind(raw[key]) for key, kind in SWEEP_TYPES.items()}
-            for raw in csv.DictReader(io.StringIO(text))]
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    if (len(rows) < 2 or tuple(rows[0]) != SWEEP_FIELDS
+            or any(len(row) != len(SWEEP_FIELDS) for row in rows)):
+        raise ValueError("not a sweep table: it needs the header "
+                         f"{','.join(SWEEP_FIELDS)} and rows of as many cells")
+    return [{key: kind(cell) for (key, kind), cell
+             in zip(SWEEP_TYPES.items(), row)} for row in rows[1:]]
 
 
 def write_report(table: list[dict], out_dir: str) -> list[str]:

@@ -72,12 +72,11 @@ class LinkState(NamedTuple):
 
 
 class TransmitOutcome(NamedTuple):
-    status: str  # "delivered" | "corrupted" | "dropped"
     delay_s: float = 0.0
-    cause: str | None = None
+    cause: str | None = None  # None when delivered
 
 
-_LINK_BREAK = TransmitOutcome("dropped", cause="link-break")
+_LINK_BREAK = TransmitOutcome(cause="link-break")
 _new = tuple.__new__  # the per-hop calls skip the NamedTuple's Python __new__
 
 
@@ -190,5 +189,5 @@ class Medium:
         p = self._max_corruption * (
             1.0 if frac >= 1.0 else frac if frac > 0.0 else 0.0)
         if p > 0.0 and rng.random() < p:
-            return _new(TransmitOutcome, ("corrupted", delay, "corruption"))
-        return _new(TransmitOutcome, ("delivered", delay, None))
+            return _new(TransmitOutcome, (delay, "corruption"))
+        return _new(TransmitOutcome, (delay, None))

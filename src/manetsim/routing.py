@@ -17,13 +17,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .packets import Packet, PacketClass
-from .social import path_mean_ts
+from .social import TS_SCALE_MAX, path_mean_ts
 
 if TYPE_CHECKING:
     from .config import RunConfig
 
 QOS_METRIC_COUNT = 7
-TS_SCALE = 4.0
 RM_SPAN_DB = 20.0  # SNR margin that earns the full radio-margin qualification
 
 
@@ -124,7 +123,7 @@ def mscore(qual: PathQualification, mean_ts: float, w_ts: float) -> float:
     individual metric (QoS or social) the same effective weight.
     """
     return ((1.0 - w_ts) * (sum(qual.qualifications) / QOS_METRIC_COUNT)
-            + w_ts * (mean_ts / TS_SCALE))
+            + w_ts * (mean_ts / TS_SCALE_MAX))
 
 
 def select_best(candidates: list[tuple[PathQualification, float]],
@@ -299,8 +298,7 @@ class SourceProtocol:
                     created_at=send_at, flow_id=self.flow_id, seq=j,
                     payload={
                         "iteration": index, "min_margin_db": math.inf,
-                        "min_rate_bps": math.inf,
-                        "rel_speed_sum": 0.0, "rel_speed_links": 0,
+                        "min_rate_bps": math.inf, "rel_speed_sum": 0.0,
                     })
                 self._schedule(send_at, self._send, packet)
         self._schedule(t + self.config.decision_delay_s, self._decide,
@@ -328,9 +326,9 @@ class SourceProtocol:
         collector["delays"].append(now - packet.created_at)
         collector["margins"].append(info["min_margin_db"])
         collector["rates"].append(info["min_rate_bps"])
-        if info["rel_speed_links"]:
-            collector["speeds"].append(
-                info["rel_speed_sum"] / info["rel_speed_links"])
+        # one link recorded per hop of a delivered probe
+        collector["speeds"].append(
+            info["rel_speed_sum"] / (len(packet.route) - 1))
         if (len(collector["delays"]) >= self.config.pm_train
                 or now >= window_end):
             self._emit_reply(key)
@@ -353,9 +351,7 @@ class SourceProtocol:
             "delay_s": sum(delays) / len(delays),
             "jitter_s": jitter,
             "rm_margin_db": sum(collector["margins"]) / len(delays),
-            "mm_speed_mps": (sum(collector["speeds"])
-                             / len(collector["speeds"])
-                             if collector["speeds"] else 0.0),
+            "mm_speed_mps": sum(collector["speeds"]) / len(delays),
         }
         reply = Packet(
             klass=PacketClass.PROBE_REPLY, size_bytes=self.config.pmr_bytes,

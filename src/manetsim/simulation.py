@@ -6,17 +6,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 from . import mobility as mob
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .engine import Simulator
 from .mac import MacLayer
 from .packets import DROP_CAUSES, Packet, PacketClass
 from .radio import Medium, in_range, transmission_delay
 from .routing import (DiscoveryLimits, SourceProtocol, bfs_distance,
                       discover_paths)
-from .social import generate_ts_matrix, validate_ts_matrix
-from .video import VideoFrame, VideoSource, packetize
+from .social import generate_ts_matrix, load_ts_matrix, validate_ts_matrix
+from .video import VideoFrame, VideoSource, load_frame_trace, packetize
 
 VIDEO_CLASSES = (PacketClass.VIDEO_I, PacketClass.VIDEO_P, PacketClass.VIDEO_B)
 
@@ -153,12 +154,47 @@ class RunResult:
                 for cause, name in zip(DROP_CAUSES, DROP_FIELDS)}
 
 
+def run_inputs(config: RunConfig, mobility_trace=None, ts_matrix=None,
+               frame_trace=None):
+    """The mobility trace, tie-strength matrix and frame trace of a run:
+    each is the object given, which takes precedence, or else the file its
+    config key names, read and checked, or else None, and the run draws its
+    own.  A trace or matrix must hold ``config.node_count`` nodes."""
+    nodes = config.node_count
+    named = "the given mobility trace"
+    if mobility_trace is None and config.mobility.trace:
+        named = f"mobility.trace {config.mobility.trace}"
+        mobility_trace = mob.import_trace(
+            Path(config.mobility.trace).read_text(encoding="utf-8"),
+            mob.AreaSpec(config.area_width_m, config.area_height_m, 1),
+            duration=config.duration_s)
+    n = nodes if mobility_trace is None else len(mobility_trace.node_ids)
+    if n != nodes:
+        raise ConfigError(f"{named} has {n} nodes, but the run has {nodes}")
+    named = "the given tie-strength matrix"
+    if ts_matrix is not None:
+        validate_ts_matrix(ts_matrix)
+    elif config.social.matrix:
+        named = f"social.matrix {config.social.matrix}"
+        ts_matrix = load_ts_matrix(
+            Path(config.social.matrix).read_text(encoding="utf-8"))
+    n = nodes if ts_matrix is None else len(ts_matrix)
+    if n != nodes:
+        raise ConfigError(f"{named} is {n} x {n}, but the run has {nodes}")
+    if frame_trace is None and config.video.trace:
+        frame_trace = load_frame_trace(
+            Path(config.video.trace).read_text(encoding="utf-8"))
+    return mobility_trace, ts_matrix, frame_trace
+
+
 class SimulationRun:
     """Builds the model from a RunConfig and executes it to completion."""
 
     def __init__(self, config: RunConfig,
                  mobility_trace: mob.MobilityTrace | None = None,
                  ts_matrix=None, frame_trace=None):
+        mobility_trace, ts_matrix, frame_trace = run_inputs(
+            config, mobility_trace, ts_matrix, frame_trace)
         self.config = config
         self.sim = Simulator(config.master_seed)
         area = config.area
@@ -184,12 +220,6 @@ class SimulationRun:
             ts_matrix = generate_ts_matrix(
                 len(self.node_ids), config.social.mu_ts, config.social.sigma_ts,
                 self.sim.rng.stream("social"))
-        else:
-            validate_ts_matrix(ts_matrix)
-            n = len(ts_matrix)
-            if n != len(self.node_ids):
-                raise ValueError(f"tie-strength matrix is {n} x {n}, but "
-                                 f"the run has {len(self.node_ids)} nodes")
         self.ts_matrix = ts_matrix
         self.classes = {klass: Counters() for klass in PacketClass}
         self.flow_stats: dict[int, FlowStats] = {}
@@ -279,8 +309,6 @@ class SimulationRun:
         Mid-run partitions still happen and still count.
         """
         rng = self.sim.rng.stream("traffic")
-        if count > len(self.node_ids):
-            raise ValueError("not enough nodes for the configured flows")
         adj = self.medium.connectivity(0.0)
         ttl = self.config.limits.ttl
         choice = rng.sample(self.node_ids, count)
@@ -384,19 +412,18 @@ class SimulationRun:
             return
         nxt = packet.route[packet.hop_index + 1]
         link = self.medium.link_state(node, nxt, t_air)
-        status, busy, cause = self.medium.transmit(
+        busy, cause = self.medium.transmit(
             link, packet.size_bytes, load, self._channel)
         if packet.klass is PacketClass.PROBE:
             self._record_probe_link(packet, link, load, t_air)
-        if status == "delivered":
+        if cause is None:
             self.sim.schedule(t_air + busy, self._on_hop_done, node, nxt,
                               packet)
             return
         if booked:
             self._drop(packet, cause)
-        # a corrupted frame still takes its air time
-        self.sim.schedule(t_air if status == "dropped" else t_air + busy,
-                          self._on_tx_done, node)
+        # a corrupted frame still takes its air time; a link break none
+        self.sim.schedule(t_air + busy, self._on_tx_done, node)
 
     def _hop_done(self, node: int, nxt: int, packet: Packet) -> None:
         """The frame reaches nxt, which delivers or queues it, then node's
@@ -426,7 +453,6 @@ class SimulationRun:
         va = self._velocity_of(link.node_a, t)
         vb = self._velocity_of(link.node_b, t)
         info["rel_speed_sum"] += math.hypot(vb[0] - va[0], vb[1] - va[1])
-        info["rel_speed_links"] += 1
 
     # -- delivery and drop accounting ------------------------------------------
 

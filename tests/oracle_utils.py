@@ -190,14 +190,14 @@ class TwoEventRun(SimulationRun):
                                        self._channel)
         if packet.klass is PacketClass.PROBE:
             self._record_probe_link(packet, link, load, t)
-        status, busy, cause = outcome
-        if status == "delivered":
+        busy, cause = outcome
+        if cause is None:
             self.sim.schedule(t + busy, self._hop_done, node, nxt, packet)
             return
         self._drop(packet, cause)
-        if status == "dropped":
+        if cause == "link-break":
             self._tx_done(node)
-        else:  # corrupted: the frame still takes its air time
+        else:  # corruption: the frame still takes its air time
             self.sim.schedule(t + busy, self._tx_done, node)
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,14 +14,15 @@ from scipy import stats as scipy_stats
 import oracle_utils
 from manetsim import cli, harness
 from manetsim.cli import main as cli_main
-from manetsim.config import RunConfig, load_config_file
-from manetsim.harness import (RESULT_FIELDS, SweepSpec, aggregate_sweep,
-                              mean_ci, parse_sweep_table, point_config,
-                              protocol_log_csv_text, result_csv_text,
-                              run_once_to_dir, run_sweep, scenario_seed,
-                              write_report)
+from manetsim.config import ConfigError, RunConfig, load_config_file
+from manetsim.harness import (RESULT_FIELDS, SWEEP_FIELDS, SweepSpec,
+                              aggregate_sweep, mean_ci, parse_sweep_table,
+                              point_config, protocol_log_csv_text,
+                              result_csv_text, run_once_to_dir, run_sweep,
+                              scenario_seed, write_report)
+from manetsim.mobility import AreaSpec, import_trace
 from manetsim.packets import DROP_CAUSES
-from manetsim.simulation import run_simulation
+from manetsim.simulation import SimulationRun, run_simulation
 
 
 def tiny_config():
@@ -371,6 +373,26 @@ class TestCli:
         assert code == 0
         assert list(fig_dir.glob("*.csv"))
 
+    @pytest.mark.parametrize("case", ["short-row", "missing-column",
+                                      "header-only", "empty"])
+    def test_report_rejects_what_is_not_a_sweep_table(self, tmp_path, capsys,
+                                                      case):
+        row = ["0.2", "3.0", "100", "2"] + ["0.5"] * (len(SWEEP_FIELDS) - 4)
+        lines = {"short-row": [SWEEP_FIELDS, row, row[:-1]],
+                 "missing-column": [SWEEP_FIELDS[:-1], row[:-1]],
+                 "header-only": [SWEEP_FIELDS],
+                 "empty": []}[case]
+        sweep_dir = tmp_path / "sweep"
+        sweep_dir.mkdir()
+        (sweep_dir / "sweep_table.csv").write_text(
+            "".join(",".join(line) + "\n" for line in lines))
+        fig_dir = tmp_path / "figures"
+        code = cli_main(["report", "--in", str(sweep_dir),
+                         "--out", str(fig_dir)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not fig_dir.exists()
+
     def test_bad_config_reports_error(self, tmp_path, capsys):
         config_path = tmp_path / "bad.yaml"
         config_path.write_text("scoring: {w_ts: 2.0}\n")
@@ -606,18 +628,33 @@ class TestCliFileInterfaces:
                                 for i in range(nodes)))
         return path
 
+    @pytest.mark.parametrize("entry", ["simulate", "SimulationRun(config)",
+                                       "given-trace"])
     def test_mobility_trace_of_another_size_fails_before_the_run(
-            self, tmp_path, capsys):
+            self, tmp_path, capsys, entry):
+        config_path = self.write_config(tmp_path, nodes=8)
+        trace_path = self.write_trace(tmp_path, 6)
         out = tmp_path / "out"
-        code = cli_main(["simulate", "--config",
-                         str(self.write_config(tmp_path, nodes=8)),
-                         "--out", str(out), "--mobility-trace",
-                         str(self.write_trace(tmp_path, 6))])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "has 6 nodes" in err
-        assert "the run has 8" in err
-        assert not (out / "result.csv").exists()
+        if entry == "simulate":
+            code = cli_main(["simulate", "--config", str(config_path),
+                             "--out", str(out), "--mobility-trace",
+                             str(trace_path)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: mobility.trace ")
+            assert not (out / "result.csv").exists()
+        else:
+            config, kwargs = load_config_file(config_path), {}
+            if entry == "given-trace":
+                kwargs["mobility_trace"] = import_trace(
+                    trace_path.read_text(), AreaSpec(520.0, 520.0, 1))
+            else:
+                config = config.replace(mobility=dataclasses.replace(
+                    config.mobility, trace=str(trace_path)))
+            with pytest.raises(ConfigError) as info:
+                SimulationRun(config, **kwargs)
+            err = str(info.value)
+        assert "has 6 nodes" in err and "the run has 8" in err
 
     @pytest.mark.parametrize("key", ["mobility", "social"])
     def test_sweep_input_of_one_density_fails_before_any_run(
@@ -655,15 +692,56 @@ class TestCliFileInterfaces:
         assert code == 0
         assert (out / "result.csv").exists()
 
-    def test_malformed_trace_fails_cleanly(self, tmp_path, capsys):
+    @pytest.mark.parametrize("entry", ["simulate", "SimulationRun(config)"])
+    @pytest.mark.parametrize("section,key,flag,text,message", [
+        ("mobility", "trace", "--mobility-trace", "0.0 100.0\n", "line 1"),
+        ("social", "matrix", "--ts-matrix",
+         "4\n0 4 4 4\n4 0 4 4\n4 4 0 9\n4 4 4 0\n", "lie in [0, 4]"),
+    ], ids=["trace", "matrix-entry-9"])
+    def test_malformed_input_fails_cleanly(self, tmp_path, capsys, entry,
+                                           section, key, flag, text,
+                                           message):
         config_path = self.write_config(tmp_path)
+        input_path = tmp_path / "input.txt"
+        input_path.write_text(text)
+        if entry == "simulate":
+            code = cli_main(["simulate", "--config", str(config_path),
+                             "--out", str(tmp_path / "out"),
+                             flag, str(input_path)])
+            assert code == 2
+            assert message in capsys.readouterr().err
+            return
+        config = load_config_file(config_path)
+        config = config.replace(**{section: dataclasses.replace(
+            getattr(config, section), **{key: str(input_path)})})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SimulationRun(config)
+
+    def test_run_simulation_reads_the_files_the_config_names(self,
+                                                             tmp_path):
+        # the same bytes as `manetsim simulate` of the same config file
         trace_path = tmp_path / "trace.txt"
-        trace_path.write_text("0.0 100.0\n")
-        code = cli_main(["simulate", "--config", str(config_path),
-                         "--out", str(tmp_path / "out"),
-                         "--mobility-trace", str(trace_path)])
-        assert code == 2
-        assert "line 1" in capsys.readouterr().err
+        trace_path.write_text("0.0 100.0 100.0 6.0 106.0 100.0\n"
+                              "0.0 150.0 100.0\n0.0 150.0 150.0\n"
+                              "0.0 100.0 150.0\n")
+        matrix_path = tmp_path / "ts.txt"
+        matrix_path.write_text("4\n0 4 1 4\n2 0 4 0\n4 3 0 4\n4 1 4 0\n")
+        frames_path = tmp_path / "frames.txt"
+        frames_path.write_text("0, I, 9000\n1, B, 500\n2, B, 400\n"
+                               "3, P, 1200\n")
+        config_path = tmp_path / "cfg.yaml"
+        config_path.write_text(
+            "nodes: 4\nduration_s: 6\nvideo: {flows: 1, "
+            f"trace: {frames_path}}}\ncbr: {{flows: 0}}\n"
+            f"mobility: {{trace: {trace_path}}}\n"
+            f"social: {{matrix: {matrix_path}}}\n")
+        out = tmp_path / "out"
+        assert cli_main(["simulate", "--config", str(config_path),
+                         "--out", str(out)]) == 0
+        result, log_rows = run_simulation(load_config_file(config_path))
+        assert result_csv_text(result) == (out / "result.csv").read_text()
+        assert protocol_log_csv_text(log_rows) == (
+            out / "protocol_log.csv").read_text()
 
     @pytest.mark.parametrize("mobility", ["max_speed_mps: 0.0",
                                           "warmup_s: -1.0"],

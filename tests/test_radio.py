@@ -140,14 +140,13 @@ class TestTransmit:
         medium = static_medium({0: (0.0, 0.0), 1: (200.0, 0.0)})
         link = medium.link_state(0, 1, 0.0)
         outcome = medium.transmit(link, 1500, 1.0, random.Random(1))
-        assert outcome.status == "dropped"
         assert outcome.cause == "link-break"
 
     def test_delivery_delay_includes_transmission(self):
         medium = static_medium({0: (0.0, 0.0), 1: (20.0, 0.0)})
         link = medium.link_state(0, 1, 0.0)
         outcome = medium.transmit(link, 1500, 1.0, random.Random(1))
-        assert outcome.status == "delivered"
+        assert outcome.cause is None
         assert outcome.delay_s >= transmission_delay(medium.spec, 1500, 1.0) > 0
 
     def test_corruption_rate_matches_curve(self):
@@ -158,7 +157,7 @@ class TestTransmit:
         rng = random.Random(17)
         n = 20_000
         corrupted = sum(
-            medium.transmit(link, 100, 1.0, rng).status == "corrupted"
+            medium.transmit(link, 100, 1.0, rng).cause == "corruption"
             for _ in range(n))
         assert corrupted / n == pytest.approx(0.2, abs=0.01)
 
@@ -166,7 +165,7 @@ class TestTransmit:
         medium = static_medium({0: (0.0, 0.0), 1: (10.0, 0.0)})
         link = medium.link_state(0, 1, 0.0)
         rng = random.Random(3)
-        assert all(medium.transmit(link, 100, 1.0, rng).status == "delivered"
+        assert all(medium.transmit(link, 100, 1.0, rng).cause is None
                    for _ in range(2000))
 
 
@@ -216,7 +215,7 @@ class TestFusedHopOracle:
         if not link.usable:
             rng = FixedDraw(0.0)
             outcome = medium.transmit(link, 1500, load, rng)
-            assert outcome == ("dropped", 0.0, "link-break")
+            assert outcome == (0.0, "link-break")
             assert rng.draws == 0
             return
         delay = (transmission_delay(spec, 1500, load)
@@ -224,13 +223,12 @@ class TestFusedHopOracle:
         p = spec.corruption_probability(spec.snr(dist))
         # corrupted exactly when the draw falls below p
         at_p = FixedDraw(p)
-        assert medium.transmit(link, 1500, load, at_p) == (
-            "delivered", delay, None)
+        assert medium.transmit(link, 1500, load, at_p) == (delay, None)
         assert at_p.draws == (1 if p > 0.0 else 0)
         if p > 0.0:
             below = medium.transmit(link, 1500, load,
                                     FixedDraw(math.nextafter(p, 0.0)))
-            assert below == ("corrupted", delay, "corruption")
+            assert below == (delay, "corruption")
 
     @given(st.floats(min_value=0.0, max_value=200.0),
            st.floats(min_value=0.0, max_value=60.0),
@@ -246,11 +244,11 @@ class TestFusedHopOracle:
             delay = (transmission_delay(spec, size, load)
                      + dist / SPEED_OF_LIGHT)
             assert medium.transmit(link, size, load, FixedDraw(p)) == (
-                "delivered", delay, None)
+                delay, None)
             if p > 0.0:
                 assert medium.transmit(
                     link, size, load, FixedDraw(math.nextafter(p, 0.0))
-                ).status == "corrupted"
+                ).cause == "corruption"
 
 
 class TestConnectivityGraph:

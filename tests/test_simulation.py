@@ -193,8 +193,7 @@ class TestPayload:
             assert all(p.payload["iteration"] >= 0 for p in by_class[klass])
         # a probe carries only what the hops it crosses measure
         assert all(set(p.payload) == {"iteration", "min_margin_db",
-                                      "min_rate_bps", "rel_speed_sum",
-                                      "rel_speed_links"}
+                                      "min_rate_bps", "rel_speed_sum"}
                    for p in by_class[PacketClass.PROBE])
         # a reply carries qualify's raw measurement arguments, nothing else
         params = set(inspect.signature(qualify).parameters)
@@ -305,13 +304,12 @@ class TestProbeLinkOnAir:
             klass=PacketClass.PROBE, size_bytes=1000, src=0, dst=1,
             route=(0, 1), created_at=t, flow_id=0,
             payload={"min_margin_db": math.inf, "min_rate_bps": math.inf,
-                     "rel_speed_sum": 0.0, "rel_speed_links": 0}))
+                     "rel_speed_sum": 0.0}))
         run.sim.run_until(config.duration_s)
         [probe] = arrived
         assert probe.payload["min_margin_db"] == (
             config.radio.snr(20.0) - config.radio.snr_threshold_db)
         assert probe.payload["rel_speed_sum"] == 0.0
-        assert probe.payload["rel_speed_links"] == 1
 
 
 class TestVelocityOracle:
