@@ -154,12 +154,12 @@ class RunResult:
                 for cause, name in zip(DROP_CAUSES, DROP_FIELDS)}
 
 
-def run_inputs(config: RunConfig, mobility_trace=None, ts_matrix=None,
-               frame_trace=None):
-    """The mobility trace, tie-strength matrix and frame trace of a run:
-    each is the object given, which takes precedence, or else the file its
-    config key names, read and checked, or else None, and the run draws its
-    own.  A trace or matrix must hold ``config.node_count`` nodes."""
+def run_inputs(config: RunConfig, mobility_trace=None, ts_matrix=None):
+    """The mobility trace, tie-strength matrix and frame trace of a run.
+    The trace and matrix are each the object given, which takes precedence,
+    or else the file its config key names, read and checked, or else None,
+    and the run draws its own; either must hold ``config.node_count`` nodes.
+    The frame trace is the file ``video.trace`` names, read, or None."""
     nodes = config.node_count
     named = "the given mobility trace"
     if mobility_trace is None and config.mobility.trace:
@@ -181,9 +181,9 @@ def run_inputs(config: RunConfig, mobility_trace=None, ts_matrix=None,
     n = nodes if ts_matrix is None else len(ts_matrix)
     if n != nodes:
         raise ConfigError(f"{named} is {n} x {n}, but the run has {nodes}")
-    if frame_trace is None and config.video.trace:
-        frame_trace = load_frame_trace(
-            Path(config.video.trace).read_text(encoding="utf-8"))
+    frame_trace = load_frame_trace(
+        Path(config.video.trace).read_text(encoding="utf-8")
+    ) if config.video.trace else None
     return mobility_trace, ts_matrix, frame_trace
 
 
@@ -192,9 +192,9 @@ class SimulationRun:
 
     def __init__(self, config: RunConfig,
                  mobility_trace: mob.MobilityTrace | None = None,
-                 ts_matrix=None, frame_trace=None):
+                 ts_matrix=None):
         mobility_trace, ts_matrix, frame_trace = run_inputs(
-            config, mobility_trace, ts_matrix, frame_trace)
+            config, mobility_trace, ts_matrix)
         self.config = config
         self.sim = Simulator(config.master_seed)
         area = config.area
@@ -582,9 +582,9 @@ PROTOCOL_LOG_FIELDS = ("flow", "iteration", "t", "discovered", "usable",
                        "mscore", "mean_ts")
 
 
-def run_simulation(config: RunConfig, mobility_trace=None, ts_matrix=None,
-                   frame_trace=None) -> tuple[RunResult, list[dict]]:
+def run_simulation(config: RunConfig, mobility_trace=None, ts_matrix=None
+                   ) -> tuple[RunResult, list[dict]]:
     run = SimulationRun(config, mobility_trace=mobility_trace,
-                        ts_matrix=ts_matrix, frame_trace=frame_trace)
+                        ts_matrix=ts_matrix)
     result = run.run()
     return result, run.protocol_log_rows()

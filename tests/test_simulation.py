@@ -311,6 +311,32 @@ class TestProbeLinkOnAir:
             config.radio.snr(20.0) - config.radio.snr_threshold_db)
         assert probe.payload["rel_speed_sum"] == 0.0
 
+    def test_two_hop_probe_records_one_relative_speed_per_hop(self):
+        # node 0 stands, node 1 moves at (3, 0) m/s and node 2 at (0, 4)
+        # m/s: the hops' relative speeds are 3 and 5 m/s throughout, and the
+        # destination's mean over len(route) - 1 hops must be their mean
+        config = two_node_config(node_count=3, duration_s=2.0,
+                                 video=VideoConfig(flows=0))
+        trace = MobilityTrace(area=AreaSpec(520.0, 520.0, 3), duration=2.0)
+        trace.waypoints[0] = ([0.0], [100.0], [100.0])
+        trace.waypoints[1] = ([0.0, 2.0], [120.0, 126.0], [100.0, 100.0])
+        trace.waypoints[2] = ([0.0, 2.0], [140.0, 140.0], [100.0, 108.0])
+        run = SimulationRun(config, mobility_trace=trace, ts_matrix=full_ts(3))
+        arrived = []
+        run.protocols[0] = SimpleNamespace(
+            on_probe_at_destination=arrived.append)
+        run.sim.run_until(0.5)
+        assert not run.mac.backlogged
+        run._inject(Packet(
+            klass=PacketClass.PROBE, size_bytes=1000, src=0, dst=2,
+            route=(0, 1, 2), created_at=0.5, flow_id=0,
+            payload={"min_margin_db": math.inf, "min_rate_bps": math.inf,
+                     "rel_speed_sum": 0.0}))
+        run.sim.run_until(config.duration_s)
+        [probe] = arrived
+        assert probe.payload["rel_speed_sum"] / (len(probe.route) - 1) == (
+            (math.hypot(3.0, 0.0) + math.hypot(-3.0, 4.0)) / 2)
+
 
 class TestVelocityOracle:
     """``_velocity_of`` reads the segment ``_position_of`` holds; it must
