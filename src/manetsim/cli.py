@@ -8,10 +8,9 @@ import gc
 import os
 import sys
 
-from .config import (ConfigError, RunConfig, as_type, dump_config,
-                     load_config_file, load_yaml)
-from .harness import (SweepSpec, point_config, run_once_to_dir, run_sweep,
-                      parse_sweep_table, write_report)
+from .config import ConfigError, RunConfig, dump_config, load_config_file
+from .harness import (SweepSpec, load_grid, point_config, run_once_to_dir,
+                      run_sweep, parse_sweep_table, write_report)
 
 
 def _cmd_simulate(args) -> int:
@@ -37,43 +36,12 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _grid_list(key: str, values, kind) -> tuple:
-    if not isinstance(values, list) or not values:
-        raise ConfigError(
-            f"grid {key}: expected a non-empty list, got {values!r}")
-    # ints become floats for float keys, so equal grid points get equal
-    # seeds and run directories
-    return tuple(as_type(f"grid {key}", value, kind) for value in values)
-
-
-def _load_grid(path: str | None) -> SweepSpec:
-    """The sweep grid a file sets; a key it leaves out keeps the SweepSpec
-    default."""
-    if path is None:
-        return SweepSpec()
-    with open(path, encoding="utf-8") as fh:
-        data = load_yaml(fh.read(), "grid file") or {}
-    if not isinstance(data, dict):
-        raise ConfigError("grid file must be a mapping")
-    unknown = set(data) - {"w_ts", "mu_ts", "density", "repetitions",
-                           "confidence"}
-    if unknown:
-        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, name, kind in (("w_ts", "w_ts_grid", float),
-                            ("mu_ts", "mu_grid", float),
-                            ("density", "density_grid", int)):
-        if key in data:
-            kwargs[name] = _grid_list(key, data[key], kind)
-    for key, kind in (("repetitions", int), ("confidence", float)):
-        if key in data:
-            kwargs[key] = as_type(f"grid {key}", data[key], kind)
-    return SweepSpec(**kwargs)
-
-
 def _cmd_sweep(args) -> int:
     base = load_config_file(args.config)
-    spec = _load_grid(args.grid)
+    spec = SweepSpec()
+    if args.grid is not None:
+        with open(args.grid, encoding="utf-8") as fh:
+            spec = load_grid(fh.read())
     if args.reps is not None:
         spec = dataclasses.replace(spec, repetitions=args.reps)
     table = run_sweep(base, spec, args.out, workers=args.workers)
@@ -121,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run the full experiment grid")
     p.add_argument("--config", required=True)
     p.add_argument("--grid", default=None,
-                   help="YAML with w_ts / mu_ts / density lists")
+                   help="YAML whose keys are harness.SweepSpec's fields")
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--out", default="sweep_out")
     p.add_argument("--workers", type=int, default=None)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import re
 import typing
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -111,6 +112,13 @@ class RunConfig:
     beta_tune: float = 3.0
 
     def __post_init__(self):
+        # nan slips through every check below written as "reject if
+        # x <= bound", and an infinite duration_s never ends the walk
+        for section, key, path in _KEYS:
+            value = attrgetter(path)(self)
+            if isinstance(value, float) and not math.isfinite(value):
+                where = f"{section}.{key}" if section else key
+                raise ConfigError(f"{where} must be finite, got {value}")
         if self.duration_s <= 0:
             raise ConfigError("duration_s must be positive")
         if not 0.0 <= self.w_ts <= 1.0:
@@ -204,7 +212,7 @@ _KEYS = tuple(
 
 
 @functools.cache
-def _hints(cls: type) -> dict:
+def type_hints(cls: type) -> dict:
     return typing.get_type_hints(cls)  # evaluates every annotation: slow
 
 
@@ -213,7 +221,7 @@ def _field_type(path: str) -> tuple[type, bool]:
     None (only fields declared ``X | None``)."""
     kind = RunConfig
     for name in path.split("."):
-        kind = _hints(kind)[name]
+        kind = type_hints(kind)[name]
     options = typing.get_args(kind)
     if options:
         return next(t for t in options if t is not type(None)), True
@@ -274,6 +282,8 @@ def parse_config(data: dict) -> RunConfig:
         if "nodes" in sections[""]:
             raise ConfigError("give either 'density' or 'nodes', not both")
         density = as_type("density", sections[""].pop("density"), float)
+        if not math.isfinite(density):  # the one key that is no field
+            raise ConfigError(f"density must be finite, got {density}")
 
     top: dict = {}
     nested: dict[str, tuple[str, dict]] = {}  # field -> (section, kwargs)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 from scipy.special import stdtrit
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig, as_type, load_yaml, type_hints
 from .mobility import AreaSpec
 from .simulation import (PROTOCOL_LOG_FIELDS, RESULT_FIELDS, run_inputs,
                          run_simulation)
@@ -99,9 +99,11 @@ def run_once_to_dir(config: RunConfig, out_dir: str):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    w_ts_grid: tuple = (0.0, 0.125, 0.2, 0.4, 0.6, 0.8, 1.0)
-    mu_grid: tuple = (1.0, 2.0, 3.0, 4.0)
-    density_grid: tuple = (100, 200)
+    """The sweep grid; its fields are the keys of a ``--grid`` file."""
+
+    w_ts: tuple[float, ...] = (0.0, 0.125, 0.2, 0.4, 0.6, 0.8, 1.0)
+    mu_ts: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0)
+    density: tuple[int, ...] = (100, 200)
     repetitions: int = 5
     confidence: float = DEFAULT_CONFIDENCE
 
@@ -111,16 +113,42 @@ class SweepSpec:
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must be in (0, 1)")
         # a repeated value would run and count the same runs twice
-        for name in ("w_ts_grid", "mu_grid", "density_grid"):
+        for name in ("w_ts", "mu_ts", "density"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} repeats a value: {values!r}")
 
     def points(self):
-        for density in self.density_grid:
-            for mu in self.mu_grid:
-                for w_ts in self.w_ts_grid:
+        for density in self.density:
+            for mu in self.mu_ts:
+                for w_ts in self.w_ts:
                     yield w_ts, mu, density
+
+
+def load_grid(text: str) -> SweepSpec:
+    """The sweep grid a ``--grid`` file sets, each key typed as its
+    SweepSpec field; a key it leaves out keeps the field's default."""
+    data = load_yaml(text, "grid file") or {}
+    if not isinstance(data, dict):
+        raise ConfigError("grid file must be a mapping")
+    kinds = type_hints(SweepSpec)
+    unknown = set(data) - set(kinds)
+    if unknown:
+        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
+    grid = {}
+    for key, value in data.items():
+        kind, where = kinds[key], f"grid {key}"
+        if getattr(kind, "__origin__", None) is tuple:
+            if not isinstance(value, list) or not value:
+                raise ConfigError(
+                    f"{where}: expected a non-empty list, got {value!r}")
+            # ints become floats for float keys, so equal grid points get
+            # equal seeds and run directories
+            value = tuple(as_type(where, v, kind.__args__[0]) for v in value)
+        else:
+            value = as_type(where, value, kind)
+        grid[key] = value
+    return SweepSpec(**grid)
 
 
 def point_config(base: RunConfig, w_ts: float, mu_ts: float,

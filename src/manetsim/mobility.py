@@ -32,15 +32,6 @@ class AreaSpec:
         if self.node_count <= 0:
             raise ValueError("node_count must be positive")
 
-    @property
-    def area_km2(self) -> float:
-        return self.width_m * self.height_m / 1e6
-
-    @property
-    def density(self) -> float:
-        """Nodes per square kilometre."""
-        return self.node_count / self.area_km2
-
     @classmethod
     def from_density(cls, width_m: float, height_m: float,
                      density: float) -> "AreaSpec":
@@ -198,18 +189,6 @@ def segment_at(trace: MobilityTrace, node: int,
         return times[-1], math.inf, xs[-1], ys[-1], None, None
     return (times[i], times[i + 1], xs[i], ys[i],
             xs[i + 1] - xs[i], ys[i + 1] - ys[i])
-
-
-def velocity_at(trace: MobilityTrace, node: int, t: float) -> tuple[float, float]:
-    """Velocity vector on the segment containing t (zero outside segments)."""
-    if node not in trace.waypoints:
-        raise KeyError(f"unknown node {node}")
-    times, xs, ys = trace.waypoints[node]
-    i = bisect.bisect_right(times, t) - 1
-    if i < 0 or i >= len(times) - 1:
-        return 0.0, 0.0
-    dt = times[i + 1] - times[i]
-    return (xs[i + 1] - xs[i]) / dt, (ys[i + 1] - ys[i]) / dt
 
 
 def import_trace(text: str, area: AreaSpec,

@@ -289,8 +289,9 @@ class SimulationRun:
         return nbrs
 
     def _velocity_of(self, node: int, t: float):
-        """``mob.velocity_at`` at min(t, duration), from the node's current
-        waypoint segment, which ``_position_of`` enters."""
+        """The node's velocity at min(t, duration): that of its current
+        waypoint segment, which ``_position_of`` enters, and zero outside
+        segments."""
         self._position_of(node, t)
         start, end, _x, _y, dx, dy = self._segments[node]
         if dx is None:

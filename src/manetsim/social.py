@@ -123,6 +123,8 @@ class TieSignLedger:
             raise ValueError("self pairs (u, u) are not tracked")
         if count < 0:
             raise ValueError("interaction counts must be nonnegative")
+        if not math.isfinite(last_update_s):
+            raise ValueError(f"last update time {last_update_s} is not finite")
         sign_by_name(sign)  # validates the name
         self._entries.setdefault((u, v), {})[sign] = (count, last_update_s)
 
@@ -209,18 +211,6 @@ def normalize(x: float, mean: float, maximum: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-def tie_strength(u: int, v: int, ledger: TieSignLedger,
-                 weights: TieSignWeights, stats: NormalizationStats) -> float:
-    """Weighted sum of normalized per-sign interaction counts, in [0, 1]."""
-    if u == v:
-        return 0.0
-    total = 0.0
-    for name, alpha in weights.weights.items():
-        total += alpha * normalize(ledger.count(u, v, name),
-                                   stats.mean[name], stats.maximum[name])
-    return total
-
-
 def decayed_tie_strength(base: float, elapsed_s: float, decay_rate: float) -> float:
     """Exponential aging of a tie index since its latest update."""
     if elapsed_s < 0:
@@ -230,10 +220,11 @@ def decayed_tie_strength(base: float, elapsed_s: float, decay_rate: float) -> fl
     return base * math.exp(-decay_rate * elapsed_s)
 
 
-def ledger_tie_strength(u: int, v: int, ledger: TieSignLedger,
-                        weights: TieSignWeights, stats: NormalizationStats,
-                        now_s: float, decay_rate: float) -> float:
-    """Tie strength with per-sign decay applied before aggregation."""
+def tie_strength(u: int, v: int, ledger: TieSignLedger,
+                 weights: TieSignWeights, stats: NormalizationStats,
+                 now_s: float = 0.0, decay_rate: float = 0.0) -> float:
+    """Weighted sum of normalized per-sign interaction counts, in [0, 1],
+    each decayed since its sign's latest update before aggregation."""
     if u == v:
         return 0.0
     total = 0.0
@@ -340,32 +331,3 @@ def path_mean_ts(path, ts_matrix) -> float:
     for v in values:
         product *= v
     return product ** (1.0 / len(values))
-
-
-def clipped_normal_quantized_mean(mu: float, sigma: float) -> float:
-    """Expected value of round-then-clamp of N(mu, sigma) onto {0..4},
-    from the normal CDF; used as an independent check of the generator.
-
-    sigma = 0 is the point mass at mu, quantised as the generator does."""
-    from scipy.special import ndtr
-
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if sigma == 0:
-        return float(min(TS_SCALE_MAX, max(0, math.floor(mu + 0.5))))
-
-    def cdf(x):  # what scipy.stats.norm.cdf(x, loc=mu, scale=sigma) computes
-        return ndtr((x - mu) / sigma)
-
-    expected = 0.0
-    for level in range(TS_SCALE_MAX + 1):
-        lo = level - 0.5
-        hi = level + 0.5
-        if level == 0:
-            p = cdf(hi)
-        elif level == TS_SCALE_MAX:
-            p = 1.0 - cdf(lo)
-        else:
-            p = cdf(hi) - cdf(lo)
-        expected += level * p
-    return expected

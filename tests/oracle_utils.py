@@ -2,11 +2,13 @@
 deterministic pseudo-random qualifications keyed by path, the per-packet
 definition of the decodable-GoP fraction, the whole-network snapshot
 definition of the MAC load factor, the quantised normal mean written
-with scipy.stats, the two-event per-hop path, and each sweep run's pooled
-metrics as its files record them."""
+with scipy.stats, a node's velocity on its waypoint segment, the two-event
+per-hop path, and each sweep run's pooled metrics as its files record
+them."""
 
 from __future__ import annotations
 
+import bisect
 import csv
 import hashlib
 import math
@@ -17,6 +19,7 @@ import networkx as nx
 import numpy as np
 from scipy.stats import norm
 
+from manetsim.mobility import MobilityTrace
 from manetsim.packets import Packet, PacketClass
 from manetsim.radio import Medium, transmission_delay
 from manetsim.routing import (CustomerRequest, DiscoveryLimits,
@@ -137,7 +140,10 @@ def snapshot_load(backlogged: set[int], medium: Medium, node: int,
 
 def norm_quantized_mean(mu: float, sigma: float) -> float:
     """Expected value of round-then-clamp of N(mu, sigma) onto {0..4},
-    summed from ``scipy.stats.norm.cdf`` (sigma > 0)."""
+    summed from ``scipy.stats.norm.cdf``; sigma = 0 is the point mass at
+    mu, quantised as ``generate_ts_matrix`` does."""
+    if sigma == 0:
+        return float(min(TS_SCALE_MAX, max(0, math.floor(mu + 0.5))))
     expected = 0.0
     for level in range(TS_SCALE_MAX + 1):
         lo = level - 0.5
@@ -151,6 +157,20 @@ def norm_quantized_mean(mu: float, sigma: float) -> float:
                  - norm.cdf(lo, loc=mu, scale=sigma))
         expected += level * p
     return expected
+
+
+def velocity_at(trace: MobilityTrace, node: int,
+                t: float) -> tuple[float, float]:
+    """Velocity vector on the waypoint segment containing t (zero outside
+    segments)."""
+    if node not in trace.waypoints:
+        raise KeyError(f"unknown node {node}")
+    times, xs, ys = trace.waypoints[node]
+    i = bisect.bisect_right(times, t) - 1
+    if i < 0 or i >= len(times) - 1:
+        return 0.0, 0.0
+    dt = times[i + 1] - times[i]
+    return (xs[i + 1] - xs[i]) / dt, (ys[i + 1] - ys[i]) / dt
 
 
 class TwoEventRun(SimulationRun):

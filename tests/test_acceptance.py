@@ -20,7 +20,6 @@ from manetsim.mobility import AreaSpec, MobilityTrace
 from manetsim.routing import update_t_routing
 from manetsim.simulation import SimulationRun, run_simulation
 from manetsim.social import (ALL_SIGNS, NormalizationStats, TieSignLedger,
-                             clipped_normal_quantized_mean,
                              default_sign_weights, generate_ts_matrix,
                              normalize, path_mean_ts, tie_strength)
 
@@ -46,8 +45,8 @@ def trend_data(tmp_path_factory):
                                 (W_GRID_FULL, 4.0, 200),
                                 ((0.0,), 3.0, 100)):
         out = str(tmp_path_factory.mktemp("trend"))
-        run_sweep(RunConfig(), SweepSpec(w_ts_grid=w_grid, mu_grid=(mu,),
-                                         density_grid=(density,),
+        run_sweep(RunConfig(), SweepSpec(w_ts=w_grid, mu_ts=(mu,),
+                                         density=(density,),
                                          repetitions=REPS), out, workers=2)
         for (w, mu_ts, den, rep), metrics in oracle_utils.sweep_runs(
                 out).items():
@@ -196,7 +195,7 @@ class TestCriterion06LowInteractionFloor:
         # links); weighting TS must not lift the selected path above it,
         # since it cannot create trust the population lacks.
         sigma = RunConfig().social.sigma_ts
-        bound = clipped_normal_quantized_mean(1.0, sigma)
+        bound = oracle_utils.norm_quantized_mean(1.0, sigma)
         values = {w: statistics.mean(
             trend_data[(1.0, 100, w)][r]["ts"] for r in range(REPS))
             for w in W_GRID_FULL}
@@ -207,7 +206,7 @@ class TestCriterion06LowInteractionFloor:
             "selected-path tie strength exceeds the low-interaction floor "
             f"{bound:.3f}, the expected per-link tie strength of the "
             f"scenario's matrix (N(1, {sigma}) rounded and clamped to 0..4, "
-            f"clipped_normal_quantized_mean): {detail}")
+            f"oracle_utils.norm_quantized_mean): {detail}")
 
 
 class TestCriterion07HighInteractionCeiling:
@@ -294,8 +293,8 @@ class TestPerformanceBudget:
     def test_reduced_grid_within_proportional_budget(self, tmp_path):
         # full study: 7 x 4 x 2 points x 5 reps = 280 runs in 30 minutes;
         # CI enforces the same per-run budget on a reduced grid
-        spec = SweepSpec(w_ts_grid=(0.2,), mu_grid=(3.0,),
-                         density_grid=(200,), repetitions=2)
+        spec = SweepSpec(w_ts=(0.2,), mu_ts=(3.0,), density=(200,),
+                         repetitions=2)
         budget = 1800.0 * (2 / 280.0)
         start = time.monotonic()
         table = run_sweep(RunConfig(), spec, str(tmp_path), workers=2)

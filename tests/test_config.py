@@ -9,7 +9,8 @@ import pytest
 import yaml
 
 from manetsim.config import (_KEYS, CbrConfig, ConfigError, MacConfig,
-                             RunConfig, VideoConfig, dump_config, load_config)
+                             RunConfig, VideoConfig, _field_type, dump_config,
+                             load_config)
 from manetsim.harness import point_config
 from manetsim.radio import RadioSpec
 from manetsim.simulation import run_simulation
@@ -141,6 +142,17 @@ class TestValidation:
         "video: {fps: 1.0e-9}\n",
         # YAML 1.1 reads an exponent without its sign, 1.0e15, as a string
         "video: {target_rate_bps: 1.0e+15}\n",
+        # nan passes the range checks, and an infinite duration walks the
+        # waypoint generator forever
+        "duration_s: .inf\n",
+        "duration_s: .nan\n",
+        "area_width_m: .nan\n",
+        "radio: {tx_range_m: .nan}\n",
+        "mac: {access_delay_s: .nan}\n",
+        "social: {mu_ts: .nan}\n",
+        "video: {sigma_log: .nan}\n",
+        "density: .nan\n",
+        "density: .inf\n",
     ], ids=["null-duration", "null-w_ts", "null-tx_range", "null-ttl",
             "null-max_speed", "scalar-section", "zero-cbr-refresh",
             "zero-beacon-period", "t_routing-below-decision-delay",
@@ -153,10 +165,30 @@ class TestValidation:
             "negative-pmr-bytes", "negative-video-flows",
             "negative-cbr-flows", "zero-flow-min-hops",
             "min-speed-above-max", "negative-pause", "zero-corruption-span",
-            "tiny-fps", "huge-target-rate"])
+            "tiny-fps", "huge-target-rate", "infinite-duration",
+            "nan-duration", "nan-area-width", "nan-tx-range",
+            "nan-access-delay", "nan-mu_ts", "nan-sigma_log", "nan-density",
+            "infinite-density"])
     def test_value_that_would_crash_or_hang_the_run(self, text):
         with pytest.raises(ConfigError):
             load_config(text)
+
+    def test_every_float_key_must_be_finite(self):
+        texts = [f"{section}: {{{key}: {value}}}\n" if section
+                 else f"{key}: {value}\n"
+                 for section, key, path in _KEYS
+                 if _field_type(path)[0] is float
+                 for value in (".nan", ".inf", "-.inf")]
+        assert texts
+
+        def loads(text):
+            try:
+                load_config(text)
+            except ConfigError:
+                return False
+            return True
+
+        assert [text for text in texts if loads(text)] == []
 
     def test_mean_i_frame_up_to_the_queue_capacity(self):
         # 12-frame GoP of 19 size units, I = 5 units: at 25 fps a target of

@@ -35,8 +35,8 @@ def tiny_config():
 @pytest.fixture(scope="module")
 def tiny_sweep(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")
-    spec = SweepSpec(w_ts_grid=(0.0, 1.0), mu_grid=(3.0,),
-                     density_grid=(100,), repetitions=2)
+    spec = SweepSpec(w_ts=(0.0, 1.0), mu_ts=(3.0,),
+                     density=(100,), repetitions=2)
     base = tiny_config().replace(duration_s=10.0)
     table = run_sweep(base, spec, str(out), workers=1)
     return out, spec, base, table
@@ -170,8 +170,8 @@ class TestGoldenDigest:
     def test_small_sweep_and_report_bytes(self, tmp_path):
         # 2 weights x 2 repetitions of a 20 s, 27-node scenario, then the
         # figure data: the sweep path's bytes, pinned like the runs'
-        spec = SweepSpec(w_ts_grid=(0.0, 0.6), mu_grid=(2.0,),
-                         density_grid=(100,), repetitions=2)
+        spec = SweepSpec(w_ts=(0.0, 0.6), mu_ts=(2.0,),
+                         density=(100,), repetitions=2)
         table = run_sweep(RunConfig().replace(duration_s=20.0), spec,
                           str(tmp_path), workers=1)
         report = write_report(table, str(tmp_path / "report"))
@@ -221,15 +221,15 @@ class TestSweep:
                 return [fn(task) for task in tasks]
 
         monkeypatch.setattr(harness.multiprocessing, "Pool", RecordingPool)
-        spec = SweepSpec(w_ts_grid=(0.0,), mu_grid=(3.0,),
-                         density_grid=(100,), repetitions=2)
+        spec = SweepSpec(w_ts=(0.0,), mu_ts=(3.0,),
+                         density=(100,), repetitions=2)
         run_sweep(tiny_config().replace(duration_s=2.0), spec,
                   str(tmp_path), workers=64)
         assert sizes == [2]
 
     def test_pool_writes_the_serial_bytes(self, tmp_path):
-        spec = SweepSpec(w_ts_grid=(0.0, 1.0), mu_grid=(3.0,),
-                         density_grid=(100,), repetitions=2)
+        spec = SweepSpec(w_ts=(0.0, 1.0), mu_ts=(3.0,),
+                         density=(100,), repetitions=2)
         base = tiny_config().replace(duration_s=3.0)
         outputs = []
         for workers in (1, 2):
@@ -849,13 +849,40 @@ class TestGridFile:
         assert err.startswith("error: ") and "workers" in err
         assert not out.exists()
 
-    def test_int_and_float_values_name_the_same_runs(self, tmp_path):
-        ints = cli._load_grid(self.write_grid(
-            tmp_path, "w_ts: [0, 1]\nmu_ts: [2]\ndensity: [100]\n"))
-        floats = cli._load_grid(self.write_grid(
-            tmp_path, "w_ts: [0.0, 1.0]\nmu_ts: [2.0]\ndensity: [100]\n"))
+    def test_non_finite_point_fails_before_any_run(self, tmp_path, capsys):
+        config_path = tmp_path / "cfg.yaml"
+        config_path.write_text("duration_s: 2\n")
+        out = tmp_path / "out"
+        code = cli_main(["sweep", "--config", str(config_path),
+                         "--grid", self.write_grid(
+                             tmp_path, "w_ts: [0.0]\nmu_ts: [.nan]\n"
+                             "density: [100]\n"),
+                         "--reps", "2", "--workers", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "social.mu_ts" in err
+        assert not (out / "runs").exists()
+
+    def test_int_and_float_values_name_the_same_runs(self):
+        ints = harness.load_grid("w_ts: [0, 1]\nmu_ts: [2]\ndensity: [100]\n")
+        floats = harness.load_grid(
+            "w_ts: [0.0, 1.0]\nmu_ts: [2.0]\ndensity: [100]\n")
         assert ([scenario_seed(1, mu, den, 0) for _, mu, den in ints.points()]
                 == [scenario_seed(1, mu, den, 0)
                     for _, mu, den in floats.points()])
         assert list(map(repr, ints.points())) == [
             "(0.0, 2.0, 100)", "(1.0, 2.0, 100)"]
+
+    def test_every_grid_key_sets_its_field(self):
+        assert harness.load_grid(
+            "w_ts: [0, 1]\nmu_ts: [2]\ndensity: [100]\nrepetitions: 3\n"
+            "confidence: 0.95\n") == SweepSpec(
+                w_ts=(0.0, 1.0), mu_ts=(2.0,), density=(100,), repetitions=3,
+                confidence=0.95)
+
+    def test_readme_lists_the_sweep_spec_fields(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        paragraph = re.search(r"The `--grid` file .*?\n\n", readme,
+                              re.S).group(0)
+        assert (set(re.findall(r"`([a-z_]+)`", paragraph))
+                == {f.name for f in dataclasses.fields(SweepSpec)})

@@ -340,7 +340,8 @@ class TestProbeLinkOnAir:
 
 class TestVelocityOracle:
     """``_velocity_of`` reads the segment ``_position_of`` holds; it must
-    equal ``mob.velocity_at`` at min(t, duration) wherever it is asked."""
+    equal ``oracle_utils.velocity_at`` at min(t, duration) wherever it is
+    asked."""
 
     @staticmethod
     def make_run(duration=40.0):
@@ -361,7 +362,8 @@ class TestVelocityOracle:
              40.0, 45.0, 1e9]
 
     def expected(self, run, node, t):
-        return mob.velocity_at(run.trace, node, min(t, run.trace.duration))
+        return oracle_utils.velocity_at(run.trace, node,
+                                        min(t, run.trace.duration))
 
     @pytest.mark.parametrize("t", TIMES)
     def test_fresh_lookup(self, t):
