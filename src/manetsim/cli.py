@@ -14,19 +14,7 @@ from .harness import (SweepSpec, load_grid, point_config, run_once_to_dir,
 
 
 def _cmd_simulate(args) -> int:
-    config = load_config_file(args.config)
-    if args.seed is not None:
-        config = config.replace(master_seed=args.seed)
-    if args.mobility_trace:
-        config = config.replace(mobility=dataclasses.replace(
-            config.mobility, trace=args.mobility_trace))
-    if args.ts_matrix:
-        config = config.replace(social=dataclasses.replace(
-            config.social, matrix=args.ts_matrix))
-    if args.video_trace:
-        config = config.replace(video=dataclasses.replace(
-            config.video, trace=args.video_trace))
-    result = run_once_to_dir(config, args.out)
+    result = run_once_to_dir(load_config_file(args.config), args.out)
     print(f"run complete: {result.total_delivered}/{result.total_generated} "
           f"video packets delivered "
           f"(loss {result.pooled_loss:.3f}, "
@@ -79,11 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one scenario")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="out")
-    p.add_argument("--mobility-trace", default=None)
-    p.add_argument("--ts-matrix", default=None)
-    p.add_argument("--video-trace", default=None)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="run the full experiment grid")

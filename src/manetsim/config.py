@@ -156,6 +156,12 @@ class RunConfig:
                 raise ConfigError(
                     f"the mean I frame is {i_packets:.6g} packets, above "
                     f"mac.queue_capacity: lower target_rate_bps or raise fps")
+        # each CBR packet is one event, and a source whose packets are due
+        # faster than their air time at load 1 only overflows its queue
+        bitrate = self.radio.nominal_bitrate_bps
+        if self.cbr.flows and self.cbr.rate_bps > bitrate:
+            raise ConfigError(f"cbr.rate_bps = {self.cbr.rate_bps} is above "
+                              f"radio.nominal_bitrate_bps = {bitrate}")
         self.area  # validates dimensions and node count
         # two distinct endpoints per flow; a tie-strength matrix needs two
         needed = max(2, 2 * (video.flows + self.cbr.flows))

@@ -218,9 +218,9 @@ def import_trace(text: str, area: AreaSpec,
             raise TraceFormatError(f"line {lineno}: non-numeric field: {exc}")
         for j in range(0, len(values), 3):
             t, x, y = values[j], values[j + 1], values[j + 2]
-            if times and t <= times[-1]:
-                raise TraceFormatError(
-                    f"line {lineno}: waypoint times not strictly increasing")
+            if not math.isfinite(t) or (times and t <= times[-1]):
+                raise TraceFormatError(f"line {lineno}: waypoint times not "
+                                       f"finite and strictly increasing")
             if not (0.0 <= x <= area.width_m and 0.0 <= y <= area.height_m):
                 raise TraceFormatError(
                     f"line {lineno}: coordinate ({x}, {y}) outside "

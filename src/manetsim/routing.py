@@ -195,8 +195,6 @@ def discover_paths(adj: dict[int, list[int]], src: int, dst: int,
     on_path = {src}
 
     def extend(node: int, remaining: int) -> None:
-        if len(found) >= limits.max_paths:
-            return
         for nbr in adj[node]:
             if len(found) >= limits.max_paths:
                 return
@@ -219,7 +217,7 @@ def discover_paths(adj: dict[int, list[int]], src: int, dst: int,
         if len(found) >= limits.max_paths:
             break
         extend(src, length)
-    return found[:limits.max_paths]
+    return found
 
 
 @dataclass
@@ -245,13 +243,13 @@ class SourceProtocol:
     The driver owns both endpoints' protocol state for its flow (the
     simulation is single-threaded, so the destination-side probe collector
     lives here too).  Its settings are read from the run's ``config``.
-    Interaction with the network goes through two injected callables:
-    ``send`` inserts a packet at its first route node, and ``now`` reads
-    the virtual clock.
+    It reads the adjacency at t from ``connectivity(t)``, inserts a packet
+    at its first route node with ``send``, and reads the virtual clock and
+    sets its timers on ``sim`` (``sim.clock``, ``sim.schedule``).
     """
 
     def __init__(self, flow_id: int, src: int, dst: int, config: RunConfig,
-                 ts_matrix, connectivity, send, now, schedule):
+                 ts_matrix, connectivity, send, sim):
         self.flow_id = flow_id
         self.src = src
         self.dst = dst
@@ -259,8 +257,7 @@ class SourceProtocol:
         self.ts_matrix = ts_matrix
         self._connectivity = connectivity  # (t) -> adjacency dict
         self._send = send
-        self._now = now
-        self._schedule = schedule
+        self._sim = sim
         self.iterations: list[MonitoringIteration] = []
         self.active_route: tuple[int, ...] | None = None
         self.nstate = 0.0  # pessimistic start: fastest refresh until measured
@@ -275,7 +272,7 @@ class SourceProtocol:
     # -- monitoring cycle ---------------------------------------------------
 
     def start_iteration(self) -> MonitoringIteration:
-        t = self._now()
+        t = self._sim.clock
         index = len(self.iterations)
         adj = self._connectivity(t)
         paths = discover_paths(adj, self.src, self.dst, self.config.limits)
@@ -300,9 +297,9 @@ class SourceProtocol:
                         "iteration": index, "min_margin_db": math.inf,
                         "min_rate_bps": math.inf, "rel_speed_sum": 0.0,
                     })
-                self._schedule(send_at, self._send, packet)
-        self._schedule(t + self.config.decision_delay_s, self._decide,
-                       iteration)
+                self._sim.schedule(send_at, self._send, packet)
+        self._sim.schedule(t + self.config.decision_delay_s, self._decide,
+                           iteration)
         return iteration
 
     def on_probe_at_destination(self, packet: Packet) -> None:
@@ -311,7 +308,7 @@ class SourceProtocol:
         if index <= self._decided_through:
             return  # a reply now would reach the source after the decision
         key = (index, packet.route)
-        now = self._now()
+        now = self._sim.clock
         window_end = (self.iterations[index].started_at
                       + self.config.probe_window_s)
         collector = self._collectors.get(key)
@@ -320,7 +317,7 @@ class SourceProtocol:
                          "speeds": [], "emitted": False}
             self._collectors[key] = collector
             if now < window_end:
-                self._schedule(window_end, self._emit_reply, key)
+                self._sim.schedule(window_end, self._emit_reply, key)
         if collector["emitted"]:
             return
         collector["delays"].append(now - packet.created_at)
@@ -336,7 +333,8 @@ class SourceProtocol:
     def _emit_reply(self, key: tuple[int, tuple[int, ...]]) -> None:
         iteration, path = key
         collector = self._collectors.get(key)
-        if collector is None or collector["emitted"] or not collector["delays"]:
+        # a collector gets its first delay when it is made
+        if collector is None or collector["emitted"]:
             return
         collector["emitted"] = True
         delays = collector["delays"]
@@ -356,7 +354,7 @@ class SourceProtocol:
         reply = Packet(
             klass=PacketClass.PROBE_REPLY, size_bytes=self.config.pmr_bytes,
             src=self.dst, dst=self.src, route=tuple(reversed(path)),
-            created_at=self._now(), flow_id=self.flow_id, payload=payload)
+            created_at=self._sim.clock, flow_id=self.flow_id, payload=payload)
         self._send(reply)
 
     def on_probe_reply_at_source(self, packet: Packet) -> None:
@@ -397,8 +395,9 @@ class SourceProtocol:
         iteration.t_routing = update_t_routing(
             self.nstate, self.config.alpha_tune, self.config.beta_tune)
         self.active_route = iteration.selected
-        self._schedule(iteration.started_at + iteration.t_routing,
-                       self.start_iteration)
+        next_at = iteration.started_at + iteration.t_routing
+        if next_at < self.config.duration_s:  # nothing starts at the end
+            self._sim.schedule(next_at, self.start_iteration)
 
     # -- reporting ----------------------------------------------------------
 

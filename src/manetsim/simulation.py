@@ -336,8 +336,7 @@ class SimulationRun:
                 flow_id=flow_id, src=src, dst=dst, config=config,
                 ts_matrix=self.ts_matrix,
                 connectivity=self.medium.connectivity,
-                send=self._inject, now=lambda: self.sim.clock,
-                schedule=self.sim.schedule)
+                send=self._inject, sim=self.sim)
             self.protocols[flow_id] = protocol
             self.sim.schedule(0.0, protocol.start_iteration)
             source = VideoSource(config.video, trace=self._frame_trace)
@@ -583,9 +582,7 @@ PROTOCOL_LOG_FIELDS = ("flow", "iteration", "t", "discovered", "usable",
                        "mscore", "mean_ts")
 
 
-def run_simulation(config: RunConfig, mobility_trace=None, ts_matrix=None
-                   ) -> tuple[RunResult, list[dict]]:
-    run = SimulationRun(config, mobility_trace=mobility_trace,
-                        ts_matrix=ts_matrix)
+def run_simulation(config: RunConfig) -> tuple[RunResult, list[dict]]:
+    run = SimulationRun(config)
     result = run.run()
     return result, run.protocol_log_rows()

@@ -269,6 +269,15 @@ def generate_ts_matrix(n: int, mu: float, sigma: float,
     return m
 
 
+def _ts_row_error(i: int, row) -> str | None:
+    """Why row i of a tie-strength matrix is invalid, or None."""
+    if row[i] != 0:
+        return "diagonal must be zero"
+    if not all(0 <= v <= TS_SCALE_MAX for v in row):
+        return "entries must lie in [0, 4]"
+    return None
+
+
 def validate_ts_matrix(m) -> None:
     """Check a tie-strength matrix: any square sequence of rows of numbers."""
     n = len(m)
@@ -278,10 +287,9 @@ def validate_ts_matrix(m) -> None:
         square = False
     if not square:
         raise ValueError("tie-strength matrix must be square")
-    if any(m[i][i] != 0 for i in range(n)):
-        raise ValueError("tie-strength diagonal must be zero")
-    if not all(0 <= v <= TS_SCALE_MAX for row in m for v in row):
-        raise ValueError("tie-strength entries must lie in [0, 4]")
+    for i, row in enumerate(m):
+        if why := _ts_row_error(i, row):
+            raise ValueError(f"tie-strength {why}")
 
 
 def dump_ts_matrix(m) -> str:
@@ -292,23 +300,28 @@ def dump_ts_matrix(m) -> str:
 
 
 def load_ts_matrix(text: str) -> list[list[int]]:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines())
-             if ln and not ln.startswith("#")]
+    """``dump_ts_matrix``'s form, '#' lines skipped; errors name the line."""
+    lines = [(lineno, fields) for lineno, line in enumerate(
+        text.splitlines(), start=1)
+        if (fields := line.split()) and not fields[0].startswith("#")]
     if not lines:
         raise ValueError("empty tie-strength matrix file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ValueError("first line must be the node count") from None
-    if len(lines) != n + 1:
-        raise ValueError(f"expected {n} matrix rows, got {len(lines) - 1}")
+    (lineno, header), *body = lines
+    n = len(body)
+    if n == 0 or header != [str(n)]:
+        raise ValueError(f"tie-strength matrix line {lineno}: the first line "
+                         f"must be the node count, the rows after it (>= 1)")
     rows = []
-    for i, line in enumerate(lines[1:], start=1):
-        fields = line.split()
-        if len(fields) != n:
-            raise ValueError(f"matrix row {i}: expected {n} entries")
-        rows.append([int(f) for f in fields])
-    validate_ts_matrix(rows)
+    for i, (lineno, fields) in enumerate(body):
+        try:
+            row = [int(f) for f in fields]
+        except ValueError:
+            row = []
+        why = (_ts_row_error(i, row) if len(row) == n
+               else f"expected {n} integers, got {' '.join(fields)}")
+        if why:
+            raise ValueError(f"tie-strength matrix line {lineno}: {why}")
+        rows.append(row)
     return rows
 
 

@@ -162,19 +162,19 @@ def load_frame_trace(text: str) -> list[tuple[str, int]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.replace(",", " ").split()
-        if len(fields) != 3:
-            raise ValueError(
-                f"frame trace line {lineno}: expected 'index type size'")
-        index, ftype, size = fields
+        try:
+            index, ftype, size = line.replace(",", " ").split()
+            index, size = int(index), int(size)
+        except ValueError:
+            raise ValueError(f"frame trace line {lineno}: expected 'index "
+                             f"type size', index and size integers") from None
         if ftype not in FRAME_CLASS:
             raise ValueError(
                 f"frame trace line {lineno}: frame type must be I, P or B")
-        size_i = int(size)
-        if size_i <= 0:
+        if size <= 0:
             raise ValueError(
                 f"frame trace line {lineno}: size must be positive")
-        frames.append((int(index), ftype, size_i, lineno))
+        frames.append((index, ftype, size, lineno))
     if not frames:
         raise ValueError("empty frame trace")
     frames.sort(key=lambda f: f[0])

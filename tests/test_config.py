@@ -142,6 +142,8 @@ class TestValidation:
         "video: {fps: 1.0e-9}\n",
         # YAML 1.1 reads an exponent without its sign, 1.0e15, as a string
         "video: {target_rate_bps: 1.0e+15}\n",
+        # one event per CBR packet: at 200 s this would take about a day
+        "cbr: {rate_bps: 1.0e+12}\n",
         # nan passes the range checks, and an infinite duration walks the
         # waypoint generator forever
         "duration_s: .inf\n",
@@ -165,7 +167,8 @@ class TestValidation:
             "negative-pmr-bytes", "negative-video-flows",
             "negative-cbr-flows", "zero-flow-min-hops",
             "min-speed-above-max", "negative-pause", "zero-corruption-span",
-            "tiny-fps", "huge-target-rate", "infinite-duration",
+            "tiny-fps", "huge-target-rate", "huge-cbr-rate",
+            "infinite-duration",
             "nan-duration", "nan-area-width", "nan-tx-range",
             "nan-access-delay", "nan-mu_ts", "nan-sigma_log", "nan-density",
             "infinite-density"])
@@ -207,6 +210,17 @@ class TestValidation:
         # without flows, or with a frame trace, nothing is drawn from it
         RunConfig(video=replace(above, flows=0))
         RunConfig(video=replace(above, trace="frames.csv"))
+
+    def test_cbr_rate_up_to_the_radio_bitrate(self):
+        edge = RadioSpec().nominal_bitrate_bps
+        RunConfig(cbr=CbrConfig(rate_bps=edge))
+        above = CbrConfig(rate_bps=math.nextafter(edge, math.inf))
+        with pytest.raises(ConfigError, match="cbr.rate_bps .* above "
+                                              "radio.nominal_bitrate_bps"):
+            RunConfig(cbr=above)
+        # the rule counts against the configured radio, and only with flows
+        RunConfig(cbr=above, radio=RadioSpec(nominal_bitrate_bps=2 * edge))
+        RunConfig(cbr=replace(above, flows=0))
 
     def test_zero_sizes_and_delays_stay_legal(self):
         # zero air time for signalling, no access delay and no spacing are

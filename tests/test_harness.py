@@ -12,7 +12,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 import oracle_utils
-from manetsim import cli, harness
+from manetsim import harness
 from manetsim.cli import main as cli_main
 from manetsim.config import ConfigError, RunConfig, load_config_file
 from manetsim.harness import (RESULT_FIELDS, SWEEP_FIELDS, SweepSpec,
@@ -357,13 +357,38 @@ class TestCli:
     def test_simulate_runs_and_writes(self, tmp_path):
         config_path = tmp_path / "tiny.yaml"
         config_path.write_text(
-            "nodes: 12\nduration_s: 8\n"
+            "nodes: 12\nduration_s: 8\nmaster_seed: 3\n"
             "area_width_m: 350\narea_height_m: 350\n")
         out = tmp_path / "out"
         code = cli_main(["simulate", "--config", str(config_path),
-                         "--seed", "3", "--out", str(out)])
+                         "--out", str(out)])
         assert code == 0
         assert (out / "result.csv").exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--seed", "3"), ("--mobility-trace", "trace.txt"),
+        ("--ts-matrix", "ts.txt"), ("--video-trace", "frames.txt")])
+    def test_simulate_takes_nothing_but_its_config(self, tmp_path, capsys,
+                                                   flag, value):
+        # the seed and input files are keys of the config file, so the
+        # file describes the run that wrote the outputs
+        config_path = tmp_path / "tiny.yaml"
+        config_path.write_text("nodes: 12\nduration_s: 8\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            cli_main(["simulate", "--config", str(config_path),
+                      "--out", str(out), flag, value])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_help_lists_config_and_out(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli_main(["simulate", "--help"])
+        assert info.value.code == 0
+        options = set(re.findall(r"(?<![\w-])--[a-z-]+",
+                                 capsys.readouterr().out))
+        assert options == {"--help", "--config", "--out"}
 
     def test_report_command(self, tiny_sweep, tmp_path):
         sweep_out, _, _, _ = tiny_sweep
@@ -513,10 +538,20 @@ class TestHashSeed:
 
 
 class TestCliFileInterfaces:
-    def write_config(self, tmp_path, nodes=4):
+    @staticmethod
+    def write_config(tmp_path, nodes=4, mobility=None, social=None,
+                     video=None):
+        """One 6 s video flow, and each input file given as the path its
+        section's file key names."""
+        sections = {"mobility": f"trace: {mobility}" if mobility else "",
+                    "social": f"matrix: {social}" if social else "",
+                    "video": "flows: 1" + (f", trace: {video}"
+                                           if video else ""),
+                    "cbr": "flows: 0"}
         path = tmp_path / "cfg.yaml"
-        path.write_text(f"nodes: {nodes}\nduration_s: 6\n"
-                        "video: {flows: 1}\ncbr: {flows: 0}\n")
+        path.write_text(f"nodes: {nodes}\nduration_s: 6\n" + "".join(
+            f"{name}: {{{keys}}}\n" for name, keys in sections.items()
+            if keys))
         return path
 
     @staticmethod
@@ -552,52 +587,28 @@ class TestCliFileInterfaces:
         assert out.read_text() == "kept\n"
         assert not ran
 
-    def test_mobility_trace_flag(self, tmp_path):
-        config_path = self.write_config(tmp_path)
+    def test_simulate_reads_the_mobility_trace_key(self, tmp_path):
         trace_path = tmp_path / "trace.txt"
         trace_path.write_text(
             "0.0 100.0 100.0 6.0 106.0 100.0\n"
             "0.0 150.0 100.0\n"
             "0.0 150.0 150.0\n"
             "0.0 100.0 150.0\n")
+        config_path = self.write_config(tmp_path, mobility=trace_path)
         out = tmp_path / "out"
         code = cli_main(["simulate", "--config", str(config_path),
-                         "--out", str(out),
-                         "--mobility-trace", str(trace_path)])
+                         "--out", str(out)])
         assert code == 0
         assert (out / "result.csv").exists()
 
-    def test_mobility_trace_flag_keeps_other_fields(self, tmp_path,
-                                                     monkeypatch):
-        config_path = tmp_path / "cfg.yaml"
-        config_path.write_text("nodes: 2\nduration_s: 4\n"
-                               "mobility: {warmup_s: 45.0}\n"
-                               "video: {flows: 1}\ncbr: {flows: 0}\n")
-        trace_path = tmp_path / "trace.txt"
-        trace_path.write_text("0.0 100.0 100.0\n0.0 150.0 100.0\n")
-        seen = []
-
-        def run_once(config, out_dir):
-            seen.append(config)
-            return run_once_to_dir(config, out_dir)
-
-        monkeypatch.setattr(cli, "run_once_to_dir", run_once)
-        assert cli_main(["simulate", "--config", str(config_path),
-                         "--out", str(tmp_path / "out"),
-                         "--mobility-trace", str(trace_path)]) == 0
-        loaded = load_config_file(config_path)
-        assert seen == [loaded.replace(mobility=dataclasses.replace(
-            loaded.mobility, trace=str(trace_path)))]
-        assert seen[0].mobility.warmup_s == 45.0
-
-    def test_ts_matrix_flag(self, tmp_path):
-        config_path = self.write_config(tmp_path)
+    def test_simulate_reads_the_ts_matrix_key(self, tmp_path):
         matrix_path = tmp_path / "ts.txt"
         matrix_path.write_text(
             "4\n0 4 4 4\n4 0 4 4\n4 4 0 4\n4 4 4 0\n")
+        config_path = self.write_config(tmp_path, social=matrix_path)
         out = tmp_path / "out"
         code = cli_main(["simulate", "--config", str(config_path),
-                         "--out", str(out), "--ts-matrix", str(matrix_path)])
+                         "--out", str(out)])
         assert code == 0
         log = (out / "protocol_log.csv").read_text()
         # with an all-4 matrix every selected path reports tie strength 4
@@ -608,14 +619,15 @@ class TestCliFileInterfaces:
     @pytest.mark.parametrize("size", [5, 30], ids=["smaller", "larger"])
     def test_ts_matrix_of_another_size_fails_before_the_run(
             self, tmp_path, capsys, size):
-        config_path = self.write_config(tmp_path, nodes=12)
         matrix_path = tmp_path / "ts.txt"
         matrix_path.write_text(f"{size}\n" + "".join(
             " ".join("0" if i == j else "4" for j in range(size)) + "\n"
             for i in range(size)))
+        config_path = self.write_config(tmp_path, nodes=12,
+                                        social=matrix_path)
         out = tmp_path / "out"
         code = cli_main(["simulate", "--config", str(config_path),
-                         "--out", str(out), "--ts-matrix", str(matrix_path)])
+                         "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"is {size} x {size}" in err
@@ -632,27 +644,25 @@ class TestCliFileInterfaces:
                                        "given-trace"])
     def test_mobility_trace_of_another_size_fails_before_the_run(
             self, tmp_path, capsys, entry):
-        config_path = self.write_config(tmp_path, nodes=8)
         trace_path = self.write_trace(tmp_path, 6)
+        config_path = self.write_config(
+            tmp_path, nodes=8,
+            mobility=None if entry == "given-trace" else trace_path)
         out = tmp_path / "out"
         if entry == "simulate":
             code = cli_main(["simulate", "--config", str(config_path),
-                             "--out", str(out), "--mobility-trace",
-                             str(trace_path)])
+                             "--out", str(out)])
             assert code == 2
             err = capsys.readouterr().err
             assert err.startswith("error: mobility.trace ")
             assert not (out / "result.csv").exists()
         else:
-            config, kwargs = load_config_file(config_path), {}
+            kwargs = {}
             if entry == "given-trace":
                 kwargs["mobility_trace"] = import_trace(
                     trace_path.read_text(), AreaSpec(520.0, 520.0, 1))
-            else:
-                config = config.replace(mobility=dataclasses.replace(
-                    config.mobility, trace=str(trace_path)))
             with pytest.raises(ConfigError) as info:
-                SimulationRun(config, **kwargs)
+                SimulationRun(load_config_file(config_path), **kwargs)
             err = str(info.value)
         assert "has 6 nodes" in err and "the run has 8" in err
 
@@ -682,40 +692,35 @@ class TestCliFileInterfaces:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{key}." in err
 
-    def test_video_trace_flag(self, tmp_path):
-        config_path = self.write_config(tmp_path)
+    def test_simulate_reads_the_video_trace_key(self, tmp_path):
         frames = tmp_path / "frames.txt"
         frames.write_text("0, I, 3000\n1, B, 500\n2, B, 400\n3, P, 1200\n")
+        config_path = self.write_config(tmp_path, video=frames)
         out = tmp_path / "out"
         code = cli_main(["simulate", "--config", str(config_path),
-                         "--out", str(out), "--video-trace", str(frames)])
+                         "--out", str(out)])
         assert code == 0
         assert (out / "result.csv").exists()
 
     @pytest.mark.parametrize("entry", ["simulate", "SimulationRun(config)"])
-    @pytest.mark.parametrize("section,key,flag,text,message", [
-        ("mobility", "trace", "--mobility-trace", "0.0 100.0\n", "line 1"),
-        ("social", "matrix", "--ts-matrix",
-         "4\n0 4 4 4\n4 0 4 4\n4 4 0 9\n4 4 4 0\n", "lie in [0, 4]"),
+    @pytest.mark.parametrize("section,text,message", [
+        ("mobility", "0.0 100.0\n", "line 1"),
+        ("social", "4\n0 4 4 4\n4 0 4 4\n4 4 0 9\n4 4 4 0\n",
+         "lie in [0, 4]"),
     ], ids=["trace", "matrix-entry-9"])
     def test_malformed_input_fails_cleanly(self, tmp_path, capsys, entry,
-                                           section, key, flag, text,
-                                           message):
-        config_path = self.write_config(tmp_path)
+                                           section, text, message):
         input_path = tmp_path / "input.txt"
         input_path.write_text(text)
+        config_path = self.write_config(tmp_path, **{section: input_path})
         if entry == "simulate":
             code = cli_main(["simulate", "--config", str(config_path),
-                             "--out", str(tmp_path / "out"),
-                             flag, str(input_path)])
+                             "--out", str(tmp_path / "out")])
             assert code == 2
             assert message in capsys.readouterr().err
             return
-        config = load_config_file(config_path)
-        config = config.replace(**{section: dataclasses.replace(
-            getattr(config, section), **{key: str(input_path)})})
         with pytest.raises(ValueError, match=re.escape(message)):
-            SimulationRun(config)
+            SimulationRun(load_config_file(config_path))
 
     def test_run_simulation_reads_the_files_the_config_names(self,
                                                              tmp_path):
@@ -752,19 +757,18 @@ class TestCliFileInterfaces:
         # with a trace no walk is generated, so only the config boundary
         # can catch the value before path qualification divides by the
         # speed or the warm-up is silently ignored
-        config_path = tmp_path / "cfg.yaml"
-        config_path.write_text(
-            f"nodes: 4\nduration_s: 6\nmobility: {{{mobility}}}\n"
-            "video: {flows: 1}\ncbr: {flows: 0}\n")
         trace_path = tmp_path / "trace.txt"
         trace_path.write_text("0.0 100.0 100.0\n0.0 150.0 100.0\n"
                               "0.0 150.0 150.0\n0.0 100.0 150.0\n")
-        extra = (["--mobility-trace", str(trace_path)]
-                 if command == "simulate"
-                 else self.command_args(command, tmp_path))
+        trace = f", trace: {trace_path}" if command == "simulate" else ""
+        config_path = tmp_path / "cfg.yaml"
+        config_path.write_text(
+            f"nodes: 4\nduration_s: 6\nmobility: {{{mobility}{trace}}}\n"
+            "video: {flows: 1}\ncbr: {flows: 0}\n")
         out = tmp_path / "out"
         code = cli_main([command, "--config", str(config_path),
-                         "--out", str(out)] + extra)
+                         "--out", str(out)]
+                        + self.command_args(command, tmp_path))
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and mobility.split(":")[0] in err

@@ -199,6 +199,13 @@ class TestImport:
         with pytest.raises(TraceFormatError, match="line 2"):
             import_trace(text, AREA)
 
+    @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+    def test_non_finite_time_names_the_line(self, time):
+        text = f"# two nodes\n0 10 10 5 20 20\n0 10 10 {time} 20 20 5 30 30\n"
+        with pytest.raises(TraceFormatError,
+                           match="line 3: waypoint times not finite"):
+            import_trace(text, AREA)
+
     def test_empty_file(self):
         with pytest.raises(TraceFormatError, match="no nodes"):
             import_trace("", AREA)

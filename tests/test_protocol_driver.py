@@ -24,8 +24,7 @@ class Harness:
             flow_id=0, src=0, dst=n - 1,
             config=RunConfig().replace(w_ts=w_ts),
             ts_matrix=ts, connectivity=lambda t: adj,
-            send=self.sent.append, now=lambda: self.clock,
-            schedule=self.schedule)
+            send=self.sent.append, sim=self)
 
     def schedule(self, at, action, *args):
         self.pending.append((at, action, args))

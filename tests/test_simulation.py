@@ -102,7 +102,7 @@ class TestTsMatrixRows:
         rng = random.Random(7)
         rows = [[0 if u == v else rng.randint(0, 4) for v in range(14)]
                 for u in range(14)]
-        listed, array = (run_simulation(config, ts_matrix=m)[0]
+        listed, array = (SimulationRun(config, ts_matrix=m).run()
                          for m in (rows, np.array(rows)))
         assert result_csv_text(listed) == result_csv_text(array)
         assert listed.ts_time_mean > 0  # the selected paths read the matrix
@@ -283,6 +283,23 @@ class TestOnAirAfterTheEnd:
         else:
             assert drops == {"end-of-run": 1}
             assert counters.delivered == counters.generated - 1
+
+
+class TestIterationsEndWithTheRun:
+    def test_no_iteration_starts_at_the_end(self):
+        # apart for the whole run: no path, so nstate 0 and an iteration
+        # every beta_tune = 3 s; the beacons stop before 9 s, and so must
+        # the iterations, at 0, 3 and 6 s
+        config = two_node_config(duration_s=9.0, flow_min_hops=1)
+        trace = static_trace([(10.0, 10.0), (500.0, 500.0)],
+                             duration=config.duration_s)
+        run = SimulationRun(config, mobility_trace=trace,
+                            ts_matrix=full_ts(2))
+        result = run.run()
+        assert run.classes[PacketClass.BEACON].generated == 18
+        assert [row["t"] for row in run.protocol_log_rows()] == [0.0, 3.0,
+                                                                6.0]
+        assert result.iterations == 3
 
 
 class TestProbeLinkOnAir:

@@ -299,6 +299,19 @@ class TestTsMatrix:
             load_ts_matrix("2\n0 1\n")
         with pytest.raises(ValueError):  # a 0 x 0 matrix holds no run
             load_ts_matrix("0\n")
+        # each rejection names its file line, comments and blanks counted
+        with pytest.raises(ValueError, match="line 3: expected 3 integers, "
+                                             "got 1 0 1.5"):
+            load_ts_matrix("3\n0 1 1\n1 0 1.5\n1 1 0\n")
+        with pytest.raises(ValueError, match="line 5: expected 3 integers"):
+            load_ts_matrix("3\n0 1 1\n# row 2\n\n1 0\n1 1 0\n")
+        for text, line in (("2.0\n0 1\n1 0\n", 1), ("2\n0 1\n1 0\n1 1\n", 1),
+                           ("# two nodes\n\n2\n0 1\n", 3)):
+            with pytest.raises(ValueError, match=f"line {line}: the first "
+                                                 f"line must be the node"):
+                load_ts_matrix(text)
+        with pytest.raises(ValueError, match="line 4: diagonal"):
+            load_ts_matrix("# two nodes\n2\n0 1\n1 1\n")
 
     def test_validate_rejects_nonzero_diagonal(self):
         m = np.zeros((3, 3), dtype=np.int64)
