@@ -14,10 +14,6 @@ import random
 from dataclasses import dataclass, field
 
 
-class TraceFormatError(ValueError):
-    """A waypoint trace file violated the format or its invariants."""
-
-
 @dataclass(frozen=True)
 class AreaSpec:
     """Rectangular deployment area and node population."""
@@ -52,29 +48,6 @@ class MobilityTrace:
     @property
     def node_ids(self) -> list[int]:
         return sorted(self.waypoints)
-
-    def validate(self, max_speed: float | None = None) -> None:
-        if not self.waypoints:
-            raise TraceFormatError("no nodes in trace")
-        for node, (times, xs, ys) in self.waypoints.items():
-            for i in range(1, len(times)):
-                if times[i] <= times[i - 1]:
-                    raise TraceFormatError(
-                        f"node {node}: waypoint times not strictly increasing "
-                        f"at index {i}")
-            for x, y in zip(xs, ys):
-                if not (0.0 <= x <= self.area.width_m
-                        and 0.0 <= y <= self.area.height_m):
-                    raise TraceFormatError(
-                        f"node {node}: waypoint ({x}, {y}) outside area")
-            if max_speed is not None:
-                for i in range(1, len(times)):
-                    dist = math.hypot(xs[i] - xs[i - 1], ys[i] - ys[i - 1])
-                    speed = dist / (times[i] - times[i - 1])
-                    if speed > max_speed * (1.0 + 1e-9):
-                        raise TraceFormatError(
-                            f"node {node}: implied speed {speed:.3f} m/s "
-                            f"exceeds {max_speed} m/s")
 
 
 def generate_waypoint_trace(area: AreaSpec, max_speed: float, duration: float,
@@ -206,7 +179,7 @@ def import_trace(text: str, area: AreaSpec,
             continue
         fields = line.split()
         if len(fields) % 3 != 0:
-            raise TraceFormatError(
+            raise ValueError(
                 f"line {lineno}: expected repeating 'time x y' triples, "
                 f"got {len(fields)} fields")
         times: list[float] = []
@@ -215,14 +188,14 @@ def import_trace(text: str, area: AreaSpec,
         try:
             values = [float(f) for f in fields]
         except ValueError as exc:
-            raise TraceFormatError(f"line {lineno}: non-numeric field: {exc}")
+            raise ValueError(f"line {lineno}: non-numeric field: {exc}")
         for j in range(0, len(values), 3):
             t, x, y = values[j], values[j + 1], values[j + 2]
             if not math.isfinite(t) or (times and t <= times[-1]):
-                raise TraceFormatError(f"line {lineno}: waypoint times not "
-                                       f"finite and strictly increasing")
+                raise ValueError(f"line {lineno}: waypoint times not finite "
+                                 f"and strictly increasing")
             if not (0.0 <= x <= area.width_m and 0.0 <= y <= area.height_m):
-                raise TraceFormatError(
+                raise ValueError(
                     f"line {lineno}: coordinate ({x}, {y}) outside "
                     f"{area.width_m} x {area.height_m} area")
             times.append(t)
@@ -232,7 +205,7 @@ def import_trace(text: str, area: AreaSpec,
         last_time = max(last_time, times[-1])
         node += 1
     if not waypoints:
-        raise TraceFormatError("no nodes in trace")
+        raise ValueError("no nodes in trace")
     return MobilityTrace(
         area=AreaSpec(area.width_m, area.height_m, node),
         duration=duration if duration is not None else last_time,

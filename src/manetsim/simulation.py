@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from . import mobility as mob
@@ -159,15 +160,24 @@ def run_inputs(config: RunConfig, mobility_trace=None, ts_matrix=None):
     The trace and matrix are each the object given, which takes precedence,
     or else the file its config key names, read and checked, or else None,
     and the run draws its own; either must hold ``config.node_count`` nodes.
-    The frame trace is the file ``video.trace`` names, read, or None."""
+    The frame trace is the file ``video.trace`` names, read, or None.
+    A file that cannot be read or loaded is a ConfigError that names its
+    key and path: ``<key> <path>: <why>``."""
+    def read(key: str, load):
+        path = attrgetter(key)(config)
+        try:
+            return load(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            why = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"{key} {path}: {why}") from None
+
     nodes = config.node_count
     named = "the given mobility trace"
     if mobility_trace is None and config.mobility.trace:
         named = f"mobility.trace {config.mobility.trace}"
-        mobility_trace = mob.import_trace(
-            Path(config.mobility.trace).read_text(encoding="utf-8"),
-            mob.AreaSpec(config.area_width_m, config.area_height_m, 1),
-            duration=config.duration_s)
+        area = mob.AreaSpec(config.area_width_m, config.area_height_m, 1)
+        mobility_trace = read("mobility.trace", lambda text: mob.import_trace(
+            text, area, duration=config.duration_s))
     n = nodes if mobility_trace is None else len(mobility_trace.node_ids)
     if n != nodes:
         raise ConfigError(f"{named} has {n} nodes, but the run has {nodes}")
@@ -176,14 +186,12 @@ def run_inputs(config: RunConfig, mobility_trace=None, ts_matrix=None):
         validate_ts_matrix(ts_matrix)
     elif config.social.matrix:
         named = f"social.matrix {config.social.matrix}"
-        ts_matrix = load_ts_matrix(
-            Path(config.social.matrix).read_text(encoding="utf-8"))
+        ts_matrix = read("social.matrix", load_ts_matrix)
     n = nodes if ts_matrix is None else len(ts_matrix)
     if n != nodes:
         raise ConfigError(f"{named} is {n} x {n}, but the run has {nodes}")
-    frame_trace = load_frame_trace(
-        Path(config.video.trace).read_text(encoding="utf-8")
-    ) if config.video.trace else None
+    frame_trace = (read("video.trace", load_frame_trace)
+                   if config.video.trace else None)
     return mobility_trace, ts_matrix, frame_trace
 
 

@@ -305,12 +305,12 @@ def load_ts_matrix(text: str) -> list[list[int]]:
         text.splitlines(), start=1)
         if (fields := line.split()) and not fields[0].startswith("#")]
     if not lines:
-        raise ValueError("empty tie-strength matrix file")
+        raise ValueError("no rows")
     (lineno, header), *body = lines
     n = len(body)
     if n == 0 or header != [str(n)]:
-        raise ValueError(f"tie-strength matrix line {lineno}: the first line "
-                         f"must be the node count, the rows after it (>= 1)")
+        raise ValueError(f"line {lineno}: the first line must be the node "
+                         f"count, the rows after it (>= 1)")
     rows = []
     for i, (lineno, fields) in enumerate(body):
         try:
@@ -320,7 +320,7 @@ def load_ts_matrix(text: str) -> list[list[int]]:
         why = (_ts_row_error(i, row) if len(row) == n
                else f"expected {n} integers, got {' '.join(fields)}")
         if why:
-            raise ValueError(f"tie-strength matrix line {lineno}: {why}")
+            raise ValueError(f"line {lineno}: {why}")
         rows.append(row)
     return rows
 

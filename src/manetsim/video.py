@@ -166,24 +166,22 @@ def load_frame_trace(text: str) -> list[tuple[str, int]]:
             index, ftype, size = line.replace(",", " ").split()
             index, size = int(index), int(size)
         except ValueError:
-            raise ValueError(f"frame trace line {lineno}: expected 'index "
-                             f"type size', index and size integers") from None
+            raise ValueError(f"line {lineno}: expected 'index type size', "
+                             f"index and size integers") from None
         if ftype not in FRAME_CLASS:
-            raise ValueError(
-                f"frame trace line {lineno}: frame type must be I, P or B")
+            raise ValueError(f"line {lineno}: frame type must be I, P or B")
         if size <= 0:
-            raise ValueError(
-                f"frame trace line {lineno}: size must be positive")
+            raise ValueError(f"line {lineno}: size must be positive")
         frames.append((index, ftype, size, lineno))
     if not frames:
-        raise ValueError("empty frame trace")
+        raise ValueError("no frames")
     frames.sort(key=lambda f: f[0])
     for (index, *_, first), (other, *_, lineno) in zip(frames, frames[1:]):
         if index == other:
-            raise ValueError(f"frame trace line {lineno}: frame index "
-                             f"{index} repeats line {first}")
+            raise ValueError(f"line {lineno}: frame index {index} repeats "
+                             f"line {first}")
     _, ftype, _, lineno = frames[0]
     if ftype != "I":
-        raise ValueError(f"frame trace line {lineno}: the first frame must "
-                         f"be an I frame, which opens a GoP")
+        raise ValueError(f"line {lineno}: the first frame must be an I "
+                         f"frame, which opens a GoP")
     return [(ftype, size) for _, ftype, size, _ in frames]

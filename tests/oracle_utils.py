@@ -173,6 +173,30 @@ def velocity_at(trace: MobilityTrace, node: int,
     return (xs[i + 1] - xs[i]) / dt, (ys[i + 1] - ys[i]) / dt
 
 
+def validate_trace(trace: MobilityTrace, max_speed: float) -> None:
+    """Raise ValueError unless every node's waypoint times strictly
+    increase, every waypoint lies in the area and no leg is faster than
+    ``max_speed``."""
+    if not trace.waypoints:
+        raise ValueError("no nodes in trace")
+    for node, (times, xs, ys) in trace.waypoints.items():
+        for i in range(1, len(times)):
+            if times[i] <= times[i - 1]:
+                raise ValueError(f"node {node}: waypoint times not strictly "
+                                 f"increasing at index {i}")
+        for x, y in zip(xs, ys):
+            if not (0.0 <= x <= trace.area.width_m
+                    and 0.0 <= y <= trace.area.height_m):
+                raise ValueError(f"node {node}: waypoint ({x}, {y}) outside "
+                                 f"area")
+        for i in range(1, len(times)):
+            dist = math.hypot(xs[i] - xs[i - 1], ys[i] - ys[i - 1])
+            speed = dist / (times[i] - times[i - 1])
+            if speed > max_speed * (1.0 + 1e-9):
+                raise ValueError(f"node {node}: implied speed {speed:.3f} m/s "
+                                 f"exceeds {max_speed} m/s")
+
+
 class TwoEventRun(SimulationRun):
     """A run whose hops cost two events: ``_kick`` schedules ``_transmit``
     after the access delay, and ``_transmit`` decides the hop when the frame

@@ -722,6 +722,38 @@ class TestCliFileInterfaces:
         with pytest.raises(ValueError, match=re.escape(message)):
             SimulationRun(load_config_file(config_path))
 
+    @pytest.mark.parametrize("entry", ["simulate", "sweep",
+                                       "SimulationRun(config)"])
+    @pytest.mark.parametrize("section,text,why", [
+        ("mobility", "0.0 100.0\n",
+         "line 1: expected repeating 'time x y' triples, got 2 fields"),
+        ("social", "2\n0 1\n1 x\n", "line 3: expected 2 integers, got 1 x"),
+        ("video", "0 I 2000\n1 P 1.5\n",
+         "line 2: expected 'index type size', index and size integers"),
+        ("mobility", None, "No such file or directory"),
+    ], ids=["trace-pair", "matrix-row", "frame-size", "missing-trace"])
+    def test_bad_input_file_is_named_by_its_key_and_path(
+            self, tmp_path, capsys, entry, section, text, why):
+        key = {"mobility": "mobility.trace", "social": "social.matrix",
+               "video": "video.trace"}[section]
+        input_path = tmp_path / "input.txt"
+        if text is not None:
+            input_path.write_text(text)
+        config_path = self.write_config(tmp_path, **{section: input_path})
+        message = f"{key} {input_path}: {why}"
+        if entry == "SimulationRun(config)":
+            with pytest.raises(ConfigError) as info:
+                SimulationRun(load_config_file(config_path))
+            assert str(info.value) == message
+            return
+        out = tmp_path / "out"
+        code = cli_main([entry, "--config", str(config_path),
+                         "--out", str(out)]
+                        + self.command_args(entry, tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(out.glob("*"))  # no run directory, no result
+
     def test_run_simulation_reads_the_files_the_config_names(self,
                                                              tmp_path):
         # the same bytes as `manetsim simulate` of the same config file

@@ -231,9 +231,9 @@ class TestFrameTrace:
 
     @pytest.mark.parametrize("row", ["1.5, P, 500", "1, P, 5e2", "x, P, 500"])
     def test_non_integer_field_names_the_line(self, row):
-        with pytest.raises(ValueError, match="frame trace line 4: expected "
-                                             "'index type size', index and "
-                                             "size integers"):
+        with pytest.raises(ValueError, match="^line 4: expected 'index type "
+                                             "size', index and size "
+                                             "integers"):
             load_frame_trace(f"# frames\n0, I, 2000\n\n{row}\n")
 
     def test_repeated_index(self):
