@@ -151,24 +151,94 @@ class RunConfig:
         # empty one; fps near 0 or a huge rate would build billions of them
         video = self.video
         if video.flows and video.trace is None:
-            i_packets = video.mean_sizes()["I"] / video.max_packet_bytes
+            sizes = video.mean_sizes()
+            i_packets = sizes["I"] / video.max_packet_bytes
             if i_packets > self.mac.queue_capacity:
                 raise ConfigError(
-                    f"the mean I frame is {i_packets:.6g} packets, above "
-                    f"mac.queue_capacity: lower target_rate_bps or raise fps")
+                    f"the mean I frame is {i_packets:.6g} packets of "
+                    f"video.max_packet_bytes, above mac.queue_capacity: "
+                    f"lower target_rate_bps or raise fps")
+            # frames are whole bytes, at least one: a smaller mean can't be
+            # met, and the size distribution takes its logarithm
+            smallest = min(video.pattern, key=sizes.get)
+            if sizes[smallest] < 1.0:
+                raise ConfigError(
+                    f"the mean {smallest} frame is {sizes[smallest]:.6g} "
+                    f"bytes, below 1: raise target_rate_bps or lower fps")
         # each CBR packet is one event, and a source whose packets are due
         # faster than their air time at load 1 only overflows its queue
         bitrate = self.radio.nominal_bitrate_bps
         if self.cbr.flows and self.cbr.rate_bps > bitrate:
             raise ConfigError(f"cbr.rate_bps = {self.cbr.rate_bps} is above "
                               f"radio.nominal_bitrate_bps = {bitrate}")
-        self.area  # validates dimensions and node count
+        self._check_event_rates()
+        # the path loss takes any shorter distance as 1 m, and near zero
+        # width the waypoint walk's legs are too short to move its clock on
+        if min(self.area_width_m, self.area_height_m) < 1.0:
+            raise ConfigError("area_width_m and area_height_m must be at "
+                              "least 1 m, the path-loss reference distance")
+        self.area  # validates the node count
         # two distinct endpoints per flow; a tie-strength matrix needs two
         needed = max(2, 2 * (video.flows + self.cbr.flows))
         if self.node_count < needed:
             raise ConfigError(
                 f"node_count = {self.node_count} is below {needed}: two "
                 f"nodes per video and CBR flow, and at least two")
+
+    def _check_event_rates(self) -> None:
+        """Reject a periodic process that runs faster than the frames it
+        makes can be served, or than anything uses it: every firing is an
+        event, and the extra ones only overflow a queue or go unread.  A
+        frame's service time at load 1 is one channel access plus its air
+        time."""
+        def service(size_bytes: float, size: str) -> tuple[float, str]:
+            seconds = (self.mac.access_delay_s
+                       + 8.0 * size_bytes / self.radio.nominal_bitrate_bps)
+            return seconds, (f"{seconds:.6g} s at load 1, mac.access_delay_s "
+                             f"plus {size} at radio.nominal_bitrate_bps")
+
+        beacon, why = service(self.beacon_bytes, "beacon_bytes")
+        if self.beacon_period_s < beacon:
+            raise ConfigError(f"beacon_period_s = {self.beacon_period_s} is "
+                              f"below one beacon's service time, {why}")
+        video = self.video
+        if video.flows:
+            # a frame trace's sizes are read with the run: one access alone
+            mean = (0.0 if video.trace
+                    else video.target_rate_bps / video.fps / 8.0)
+            frame, why = service(mean, "the mean frame's bytes")
+            if video.frame_interval < frame:
+                raise ConfigError(
+                    f"video.fps = {video.fps} is above one frame per service "
+                    f"time of the mean frame, {why}")
+        cbr = self.cbr
+        if cbr.flows:
+            # more packets than a queue holds, due within one service time,
+            # overflow even an empty queue
+            packet, why = service(cbr.packet_bytes, "cbr.packet_bytes")
+            if cbr.interval * self.mac.queue_capacity < packet:
+                raise ConfigError(
+                    f"the CBR packet interval, cbr.packet_bytes / "
+                    f"cbr.rate_bps = {cbr.interval:.6g} s, times "
+                    f"mac.queue_capacity is below one packet's service "
+                    f"time, {why}")
+            # each refresh is a connectivity snapshot plus a discovery, and
+            # one between two packets routes neither
+            if cbr.refresh_s < cbr.interval:
+                raise ConfigError(
+                    f"cbr.refresh_s = {cbr.refresh_s} is below the packet "
+                    f"interval, cbr.packet_bytes / cbr.rate_bps = "
+                    f"{cbr.interval:.6g} s")
+        # an iteration sends pm_train probes on each of up to max_paths
+        # paths from one queue; a probe still queued when the window closes
+        # is in no reply
+        probes = self.pm_train * self.limits.max_paths
+        probe, why = service(self.pm_bytes, "pm_bytes")
+        if probes * probe > self.probe_window_s:
+            raise ConfigError(
+                f"pm_train x max_paths = {probes} probes do not leave the "
+                f"source within probe_window_s = {self.probe_window_s}, "
+                f"each taking {why}")
 
     @property
     def area(self) -> AreaSpec:

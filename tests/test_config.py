@@ -7,13 +7,15 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from manetsim.config import (_KEYS, CbrConfig, ConfigError, MacConfig,
                              RunConfig, VideoConfig, _field_type, dump_config,
                              load_config)
-from manetsim.harness import point_config
+from manetsim.harness import (point_config, protocol_log_csv_text,
+                              result_csv_text)
 from manetsim.radio import RadioSpec
-from manetsim.simulation import run_simulation
+from manetsim.simulation import SimulationRun, run_simulation
 
 
 class TestDefaults:
@@ -155,6 +157,18 @@ class TestValidation:
         "video: {sigma_log: .nan}\n",
         "density: .nan\n",
         "density: .inf\n",
+        # a periodic process faster than its frames can be served: at 6
+        # nodes and 0.4 s these made 24,287, 80,163 and 4,182 events
+        "routing: {beacon_period_s: 1.0e-4}\n",
+        "video: {fps: 1.0e+3}\n",
+        "cbr: {refresh_s: 1.0e-4}\n",
+        "cbr: {packet_bytes: 1}\n",
+        "routing: {pm_train: 1000}\n",
+        # frames of under a byte: the size draw took the log of 0
+        "video: {fps: 1.0e+5}\n",
+        "video: {target_rate_bps: 5.0e-324}\n",
+        # the waypoint walk never moved its clock
+        "area_width_m: 5.0e-324\narea_height_m: 5.0e-324\n",
     ], ids=["null-duration", "null-w_ts", "null-tx_range", "null-ttl",
             "null-max_speed", "scalar-section", "zero-cbr-refresh",
             "zero-beacon-period", "t_routing-below-decision-delay",
@@ -171,7 +185,11 @@ class TestValidation:
             "infinite-duration",
             "nan-duration", "nan-area-width", "nan-tx-range",
             "nan-access-delay", "nan-mu_ts", "nan-sigma_log", "nan-density",
-            "infinite-density"])
+            "infinite-density", "beacon-period-below-service",
+            "fps-above-frame-service", "cbr-refresh-below-packet-interval",
+            "cbr-burst-above-queue", "probes-outlast-window",
+            "frames-below-one-byte", "denormal-target-rate",
+            "denormal-area"])
     def test_value_that_would_crash_or_hang_the_run(self, text):
         with pytest.raises(ConfigError):
             load_config(text)
@@ -221,6 +239,49 @@ class TestValidation:
         # the rule counts against the configured radio, and only with flows
         RunConfig(cbr=above, radio=RadioSpec(nominal_bitrate_bps=2 * edge))
         RunConfig(cbr=replace(above, flows=0))
+
+    def test_periodic_processes_up_to_their_service_time(self):
+        # each rule admits its edge and rejects the next float past it
+        beacon = 0.006 + 32 * 8 / 11e6
+        RunConfig(beacon_period_s=beacon)
+        with pytest.raises(ConfigError, match="beacon_period_s .* below one "
+                                              "beacon's service time"):
+            RunConfig(beacon_period_s=math.nextafter(beacon, 0.0))
+        # the mean frame is 150 kb/s / fps / 8 bytes: at load 1 it takes
+        # 6 ms + 150e3 / (fps * 11e6), so 1 / fps may fall to that
+        fps = (1.0 - 150e3 / 11e6) / 0.006
+        with pytest.raises(ConfigError, match="video.fps .* above one frame "
+                                              "per service time"):
+            RunConfig(video=VideoConfig(fps=fps * (1.0 + 1e-9)))
+        RunConfig(video=VideoConfig(fps=fps * (1.0 - 1e-9)))
+        RunConfig(video=VideoConfig(fps=fps * 2, flows=0))
+        interval = CbrConfig().interval
+        RunConfig(cbr=CbrConfig(refresh_s=interval))
+        with pytest.raises(ConfigError, match="cbr.refresh_s .* below the "
+                                              "packet interval"):
+            RunConfig(cbr=CbrConfig(refresh_s=math.nextafter(interval, 0.0)))
+        RunConfig(cbr=CbrConfig(refresh_s=1e-4, flows=0))
+        # 1-byte CBR packets: 50 slots per 6.0007 ms of service
+        burst = 8 / ((0.006 + 8 / 11e6) / 50)
+        RunConfig(cbr=CbrConfig(packet_bytes=1, rate_bps=burst * 0.999))
+        with pytest.raises(ConfigError, match="times mac.queue_capacity"):
+            RunConfig(cbr=CbrConfig(packet_bytes=1, rate_bps=burst * 1.001))
+        # 10 x 16 probes of 6.0465 ms fit a 1 s window, 10 x 17 do not
+        RunConfig(pm_train=16)
+        with pytest.raises(ConfigError, match="probes do not leave the "
+                                              "source within probe_window_s"):
+            RunConfig(pm_train=17)
+        RunConfig(area_width_m=1.0, area_height_m=1.0)
+        with pytest.raises(ConfigError, match="area_width_m and area_height_m"):
+            RunConfig(area_width_m=math.nextafter(1.0, 0.0))
+
+    @pytest.mark.parametrize("text, key", [
+        ("area_width_m: 0.0\n", "area_width_m"),
+        ("video: {max_packet_bytes: 1}\n", "max_packet_bytes"),
+    ])
+    def test_rejection_names_the_key(self, text, key):
+        with pytest.raises(ConfigError, match=key):
+            load_config(text)
 
     def test_zero_sizes_and_delays_stay_legal(self):
         # zero air time for signalling, no access delay and no spacing are
@@ -280,3 +341,150 @@ class TestRoundTrip:
         c = RunConfig().replace(w_ts=0.6)
         assert c.w_ts == 0.6
         assert c.node_count == RunConfig().node_count
+
+
+# The legal range of each key, in interval notation; a key left out takes
+# any finite value.  ``nodes`` and ``duration_s`` are held to a small run,
+# so nothing past their upper ends is drawn.
+RANGES = {
+    "area_width_m": "(0, inf)", "area_height_m": "(0, inf)",
+    "nodes": "[2, 12]", "duration_s": "(0, 10]", "flow_min_hops": "[1, inf)",
+    "mobility.max_speed_mps": "(0, inf)", "mobility.pause_s": "[0, inf)",
+    "mobility.min_speed_fraction": "[0, 1]", "mobility.warmup_s": "[0, inf)",
+    "radio.tx_range_m": "(0, inf)", "radio.nominal_bitrate_bps": "(0, inf)",
+    "radio.max_corruption_prob": "[0, 1]",
+    "radio.corruption_span_db": "(0, inf)",
+    "mac.queue_capacity": "[1, inf)", "mac.access_delay_s": "[0, inf)",
+    "video.flows": "[0, inf)", "video.fps": "(0, inf)",
+    "video.target_rate_bps": "(0, inf)", "video.max_packet_bytes": "[1, inf)",
+    "video.start_s": "[0, inf)",
+    "cbr.flows": "[0, inf)", "cbr.rate_bps": "(0, inf)",
+    "cbr.packet_bytes": "[1, inf)", "cbr.refresh_s": "(0, inf)",
+    "customer_request.bw_min_bps": "(0, inf)",
+    "customer_request.loss_max": "(0, 1]",
+    "customer_request.delay_max_s": "(0, inf)",
+    "customer_request.jitter_max_s": "(0, inf)",
+    "scoring.w_ts": "[0, 1]", "social.sigma_ts": "(0, inf)",
+    "routing.ttl": "[1, inf)", "routing.max_paths": "[1, inf)",
+    "routing.beacon_period_s": "(0, inf)", "routing.beacon_bytes": "[0, inf)",
+    "routing.pm_train": "[1, inf)", "routing.pm_spacing_s": "[0, inf)",
+    "routing.pm_bytes": "[0, inf)", "routing.pmr_bytes": "[0, inf)",
+    "routing.probe_window_s": "(0, inf)",
+    "routing.decision_delay_s": "(0, inf)",
+}
+# a run of at most 12 nodes and 10 s that schedules more events than this,
+# about a second's work, counts as a hang; the defaults at that size
+# schedule about 3,700
+EVENT_CAP = 200_000
+FILE_KEYS = ("mobility.trace", "social.matrix", "video.trace")
+PATTERNS = ("IBBPBBPBBPBB", "I", "IP", "IPBB", "BIP", "", "IXB")
+
+
+def key_candidates(name: str, kind: type, default) -> list:
+    """Values of one key in or just outside its range: the default, the
+    default scaled by 1e-4 to 1e4, each finite end of the range, and the
+    nearest value past each finite end; the default first, which is where
+    a failing example shrinks to."""
+    if name in FILE_KEYS:
+        return [None, "no-such-input.txt"]
+    if kind is str:
+        return list(PATTERNS)
+    low, high = RANGES.get(name, "(-inf, inf)")[1:-1].split(", ")
+    low, high = float(low), float(high)
+    low_open = RANGES.get(name, "(").startswith("(")
+    high_open = RANGES.get(name, ")").endswith(")")
+    if kind is int:
+        inside = [default, default * 10, default * 100, 1, 10, -1]
+        edges = [low + low_open, high - high_open]
+        outside = [low - 1 + low_open, high + 1 - high_open]
+        if name == "master_seed":
+            inside += [0, 2**31, 2**64]
+    else:
+        scale = abs(default) or 1.0
+        inside = [default, -default] + [scale * f
+                                        for f in (1e-4, 1e-2, 1e2, 1e4)]
+        edges = [math.nextafter(low, math.inf) if low_open else low,
+                 math.nextafter(high, -math.inf) if high_open else high]
+        outside = [low if low_open else math.nextafter(low, -math.inf),
+                   high if high_open else math.nextafter(high, math.inf)]
+    values = [v for v in inside + edges if low <= v <= high
+              and not (v == low and low_open or v == high and high_open)]
+    values += outside[:1] if name in ("nodes", "duration_s") else outside
+    return sorted({kind(v) for v in values
+                   if math.isfinite(v) and abs(v) < 1e300},
+                  key=lambda v: (v != default, v))
+
+
+def _key_strategies():
+    default = RunConfig()
+    strategies = {}
+    for section, key, path in _KEYS:
+        name = f"{section}.{key}" if section else key
+        # the largest run in scope stands in for a default outside it
+        value = {"nodes": 12, "duration_s": 10.0}.get(
+            key, attrgetter(path)(default))
+        kind = _field_type(path)[0]
+        strategies[name] = st.sampled_from(
+            key_candidates(name, kind, value))
+    return strategies
+
+
+KEY_STRATEGIES = _key_strategies()
+
+
+@st.composite
+def config_texts(draw):
+    """A small configuration as YAML text, and the keys it sets."""
+    names = draw(st.lists(st.sampled_from(sorted(KEY_STRATEGIES)),
+                          max_size=3, unique=True))
+    names = ["nodes", "duration_s", *(n for n in names
+                                      if n not in ("nodes", "duration_s"))]
+    data: dict = {}
+    for name in names:
+        section, _, key = name.rpartition(".")
+        values = data.setdefault(section, {}) if section else data
+        values[key] = draw(KEY_STRATEGIES[name])
+    return yaml.safe_dump(data, sort_keys=False), names
+
+
+def capped_run(config: RunConfig) -> SimulationRun:
+    """A SimulationRun that fails the test once it schedules more than
+    EVENT_CAP events."""
+    run = SimulationRun(config)
+    schedule, pushed = run.sim.schedule, [0]
+
+    def counted(*args):
+        pushed[0] += 1
+        if pushed[0] > EVENT_CAP:
+            pytest.fail(f"more than {EVENT_CAP} events by t = "
+                        f"{run.sim.clock}: a hang")
+        schedule(*args)
+    run.sim.schedule = counted
+    return run
+
+
+class TestBoundaryProperty:
+    @given(config_texts())
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_a_config_is_rejected_by_name_or_runs_clean(self, drawn):
+        text, names = drawn
+        try:
+            config = load_config(text)
+            run = capped_run(config)
+        except ConfigError as exc:
+            words = {part for name in names for part in name.split(".")}
+            assert any(word in str(exc) for word in words), (text, exc)
+            return
+        assert load_config(dump_config(config)).config_hash() == \
+            config.config_hash()
+        outputs = []
+        for _ in range(2):
+            result = run.run()  # asserts conservation per class and flow
+            for counts in (*result.class_counters.values(), *result.flows,
+                           result.total):
+                assert counts["delivered"] <= counts["generated"]
+            outputs.append((result_csv_text(result),
+                            protocol_log_csv_text(run.protocol_log_rows())))
+            run = capped_run(config)
+        assert outputs[0] == outputs[1]
