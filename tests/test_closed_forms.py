@@ -69,6 +69,8 @@ class TestSaturatedHop:
     last one may or may not go on air before the end, so the count lies
     within one frame of that.  Above saturation it depends on nothing else:
     not on the rate, and so not on how many packets overflow the queue.
+    What the run leaves unsent is at most a full queue and the frame on
+    air.
     """
 
     POINTS = [(100.0, 100.0), (100.0 + HOP_M, 100.0)]
@@ -84,6 +86,8 @@ class TestSaturatedHop:
         assert expected == pytest.approx(8410.4, abs=0.05)
         assert abs(served(cbr) - expected) <= 1.0
         assert cbr["drops"]["queue-overflow"] > 0  # the sender saturates
+        # left at the end: at most a full queue and the frame on air
+        assert cbr["drops"]["end-of-run"] <= config.mac.queue_capacity + 1
 
 
 class TestContention:

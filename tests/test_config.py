@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from manetsim.config import (_KEYS, CbrConfig, ConfigError, MacConfig,
                              RunConfig, VideoConfig, _field_type, dump_config,
@@ -465,8 +465,7 @@ def capped_run(config: RunConfig) -> SimulationRun:
 
 class TestBoundaryProperty:
     @given(config_texts())
-    @settings(max_examples=200, deadline=None, derandomize=True,
-              suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=200, deadline=None, derandomize=True)
     def test_a_config_is_rejected_by_name_or_runs_clean(self, drawn):
         text, names = drawn
         try:
@@ -479,12 +478,11 @@ class TestBoundaryProperty:
         assert load_config(dump_config(config)).config_hash() == \
             config.config_hash()
         outputs = []
-        for _ in range(2):
+        for run in (run, capped_run(config)):
             result = run.run()  # asserts conservation per class and flow
             for counts in (*result.class_counters.values(), *result.flows,
                            result.total):
                 assert counts["delivered"] <= counts["generated"]
             outputs.append((result_csv_text(result),
                             protocol_log_csv_text(run.protocol_log_rows())))
-            run = capped_run(config)
         assert outputs[0] == outputs[1]
