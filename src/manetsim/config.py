@@ -133,11 +133,17 @@ class RunConfig:
         for name in ("beacon_bytes", "pm_bytes", "pmr_bytes", "pm_spacing_s"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} may not be negative")
-        # at zero every decision comes before any probe reply (no route),
-        # and every reply leaves at its train's first probe (loss 1 - 1/train)
-        for name in ("decision_delay_s", "probe_window_s"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        # at zero every reply leaves at its train's first probe (loss
+        # 1 - 1/train)
+        if self.probe_window_s <= 0:
+            raise ConfigError("probe_window_s must be positive")
+        # a reply the destination holds until the window closes is sent
+        # after a decision due earlier, and never counts (at zero delay no
+        # reply does, and no route is ever chosen)
+        if self.decision_delay_s < self.probe_window_s:
+            raise ConfigError(
+                f"decision_delay_s = {self.decision_delay_s} is below "
+                f"probe_window_s = {self.probe_window_s}")
         # t_routing = alpha_tune * nstate + beta_tune with nstate in [0, 1];
         # each decision schedules the next iteration t_routing after the
         # start of its own, so that must not come before the decision
@@ -197,10 +203,13 @@ class RunConfig:
             return seconds, (f"{seconds:.6g} s at load 1, mac.access_delay_s "
                              f"plus {size} at radio.nominal_bitrate_bps")
 
+        # every node beacons, and nodes in mutual range share one channel
+        # that serves a frame per service time whatever their number
         beacon, why = service(self.beacon_bytes, "beacon_bytes")
-        if self.beacon_period_s < beacon:
-            raise ConfigError(f"beacon_period_s = {self.beacon_period_s} is "
-                              f"below one beacon's service time, {why}")
+        if self.beacon_period_s < self.node_count * beacon:
+            raise ConfigError(
+                f"beacon_period_s = {self.beacon_period_s} is below nodes = "
+                f"{self.node_count} times one beacon's service time, {why}")
         video = self.video
         if video.flows:
             # a frame trace's sizes are read with the run: one access alone

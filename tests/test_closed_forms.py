@@ -91,30 +91,37 @@ class TestSaturatedHop:
 
 
 class TestContention:
-    """Two saturated senders in mutual range, each 50 m from its receiver.
+    """k saturated senders in mutual range, each one hop from its receiver.
 
-    Four nodes on a 50 m square are all neighbours, so each sender's load
-    is 2 (itself and the other backlogged sender) and every frame takes
-    S(2) = 2 S(1) - d / c.  Each sender serves its 60 beacons at S_b(2) =
-    2 S_b(1) and (60 - 60 S_b(2)) / S(2) CBR frames, within one; together
-    (60 - 120 S_b(1)) / (S(1) - d / 2c) = 8,359.5, within two.  That is the
-    single hop's 8,410 less the second sender's beacons: under the
-    load-factor MAC the aggregate saturation throughput does not depend on
-    the number of contenders.
+    Nodes on a 50 x 60 m grid are all neighbours, so each sender's load is
+    k (itself and the other backlogged senders) and a frame over d metres
+    takes S(k) = k (S(1) - HOP_M / c) + d / c.  Each sender serves its 60
+    beacons at S_b(k) = k S_b(1) and (60 - 60 S_b(k)) / S(k) CBR frames,
+    within one, so k senders serve within k frames of
+
+        sum over senders of (60 - 60 k S_b(1)) / S(k),
+
+    about (60 - 60 k S_b(1)) / S(1): 8,359.5 for k = 2 and 8,308.4 for
+    k = 3.  That is the single hop's 8,410 less the other senders'
+    beacons: under the load-factor MAC the aggregate saturation throughput
+    does not depend on the number of contenders.
     """
 
-    POINTS = [(100.0, 100.0), (100.0 + HOP_M, 100.0),
-              (100.0, 100.0 + HOP_M), (100.0 + HOP_M, 100.0 + HOP_M)]
+    POINTS = [(100.0 + x, 100.0 + y) for y in (0.0, 30.0, 60.0)
+              for x in (0.0, HOP_M)]
 
-    def test_two_senders_serve_the_single_hop_total(self, tmp_path):
-        config, run, cbr = run_static(tmp_path, self.POINTS, 2, 2.0e6)
+    @pytest.mark.parametrize("senders", [2, 3])
+    def test_senders_serve_the_single_hop_total(self, tmp_path, senders):
+        points = self.POINTS[:2 * senders]
+        config, run, cbr = run_static(tmp_path, points, senders, 2.0e6)
         pairs = [(s["src"], s["dst"]) for s in run.cbr_state.values()]
-        assert len({node for pair in pairs for node in pair}) == 4
-        for src, dst in pairs:  # each flow one hop of 50 m
-            (xa, ya), (xb, yb) = self.POINTS[src], self.POINTS[dst]
-            assert math.hypot(xb - xa, yb - ya) == HOP_M
-        beacons = service_s(config, config.beacon_bytes, 2)
-        per_sender = ((DURATION_S - beacons_sent(config) * beacons)
-                      / service_s(config, config.cbr.packet_bytes, 2, HOP_M))
-        assert 2 * per_sender == pytest.approx(8359.5, abs=0.05)
-        assert abs(served(cbr) - 2 * per_sender) <= 2.0
+        assert len({node for pair in pairs for node in pair}) == 2 * senders
+        beacons = service_s(config, config.beacon_bytes, senders)
+        expected = 0.0
+        for src, dst in pairs:
+            (xa, ya), (xb, yb) = points[src], points[dst]
+            assert math.hypot(xb - xa, yb - ya) < config.radio.tx_range_m
+            expected += ((DURATION_S - beacons_sent(config) * beacons)
+                         / service_s(config, config.cbr.packet_bytes,
+                                     senders, math.hypot(xb - xa, yb - ya)))
+        assert abs(served(cbr) - expected) <= senders

@@ -164,6 +164,11 @@ class TestValidation:
         "cbr: {refresh_s: 1.0e-4}\n",
         "cbr: {packet_bytes: 1}\n",
         "routing: {pm_train: 1000}\n",
+        # beacons of 12 nodes on a channel that serves 12,000 frames/s, and
+        # an iteration every 0.3 ms: found in 10 s runs of 12 nodes
+        "nodes: 12\nmac: {access_delay_s: 6.0e-5}\n"
+        "routing: {beacon_period_s: 1.0e-4}\n",
+        "routing: {beta_tune: 3.0e-4, decision_delay_s: 2.0e-4}\n",
         # frames of under a byte: the size draw took the log of 0
         "video: {fps: 1.0e+5}\n",
         "video: {target_rate_bps: 5.0e-324}\n",
@@ -188,6 +193,7 @@ class TestValidation:
             "infinite-density", "beacon-period-below-service",
             "fps-above-frame-service", "cbr-refresh-below-packet-interval",
             "cbr-burst-above-queue", "probes-outlast-window",
+            "beacons-above-shared-channel", "decision-before-window",
             "frames-below-one-byte", "denormal-target-rate",
             "denormal-area"])
     def test_value_that_would_crash_or_hang_the_run(self, text):
@@ -242,11 +248,18 @@ class TestValidation:
 
     def test_periodic_processes_up_to_their_service_time(self):
         # each rule admits its edge and rejects the next float past it
-        beacon = 0.006 + 32 * 8 / 11e6
-        RunConfig(beacon_period_s=beacon)
-        with pytest.raises(ConfigError, match="beacon_period_s .* below one "
-                                              "beacon's service time"):
-            RunConfig(beacon_period_s=math.nextafter(beacon, 0.0))
+        # 27 nodes' beacons per period on one shared channel
+        beacons = 27 * (0.006 + 32 * 8 / 11e6)
+        RunConfig(beacon_period_s=beacons)
+        with pytest.raises(ConfigError, match="beacon_period_s .* below nodes "
+                                              "= 27 times one beacon's"):
+            RunConfig(beacon_period_s=math.nextafter(beacons, 0.0))
+        RunConfig(beacon_period_s=beacons / 2, node_count=13)
+        # a reply held to the window's end must precede the decision
+        RunConfig(probe_window_s=2.0)
+        with pytest.raises(ConfigError, match="decision_delay_s = 2.0 is "
+                                              "below probe_window_s"):
+            RunConfig(probe_window_s=math.nextafter(2.0, math.inf))
         # the mean frame is 150 kb/s / fps / 8 bytes: at load 1 it takes
         # 6 ms + 150e3 / (fps * 11e6), so 1 / fps may fall to that
         fps = (1.0 - 150e3 / 11e6) / 0.006
