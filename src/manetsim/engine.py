@@ -1,5 +1,5 @@
 """Deterministic discrete-event engine: virtual clock, ordered event queue,
-named random streams.
+named random streams, and the one float sum.
 
 One engine instance drives one simulation run on one thread.  All
 reproducibility guarantees hinge on two rules enforced here:
@@ -8,6 +8,10 @@ reproducibility guarantees hinge on two rules enforced here:
   execution order is a pure function of the schedule calls;
 * every random stream is seeded from (master_seed, stream_name) through a
   fixed hash, so adding a new stream never perturbs draws in existing ones.
+
+A third rule is kept by every module that computes an output: a float sum
+whose value reaches an output file is ``add_up``'s, so the bytes do not
+depend on the CPython version.
 """
 
 from __future__ import annotations
@@ -28,6 +32,20 @@ class UnknownStreamError(KeyError):
 
 
 DEFAULT_STREAMS = ("mobility", "traffic", "social", "channel")
+
+
+def add_up(values) -> float:
+    """The sum of ``values``, added left to right in floats from 0.0.
+
+    From CPython 3.12 on, ``sum()`` over floats is compensated (Neumaier),
+    so its last bit differs from 3.10 and 3.11; a last bit in a routing
+    period moves the next iteration's start, and so every later event.
+    This is the plain sum on every version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def derive_stream_seed(master_seed: int, name: str) -> int:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 from scipy.special import stdtrit
 
 from .config import ConfigError, RunConfig, as_type, load_yaml, type_hints
+from .engine import add_up
 from .mobility import AreaSpec
 from .simulation import (PROTOCOL_LOG_FIELDS, RESULT_FIELDS, run_inputs,
                          run_simulation)
@@ -172,7 +173,7 @@ def _run_point(task):
     for metric, column in SWEEP_METRICS:
         summary[metric] = result.total[column]
         if summary[metric] == "":
-            summary[metric] = (sum(f[column] for f in result.flows)
+            summary[metric] = (add_up(f[column] for f in result.flows)
                                / max(1, len(result.flows)))
     return summary
 
@@ -180,10 +181,10 @@ def _run_point(task):
 def mean_ci(values, confidence: float = DEFAULT_CONFIDENCE):
     """Sample mean and half-width of the two-sided Student-t interval."""
     n = len(values)
-    mean = sum(values) / n
+    mean = add_up(values) / n
     if n < 2:
         return mean, 0.0
-    variance = sum((v - mean) ** 2 for v in values) / (n - 1)
+    variance = add_up((v - mean) ** 2 for v in values) / (n - 1)
     sem = (variance / n) ** 0.5
     # the Student-t quantile function that scipy.stats.t.ppf evaluates
     t_crit = float(stdtrit(n - 1, 0.5 + confidence / 2.0))

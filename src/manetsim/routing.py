@@ -16,6 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from .engine import add_up
 from .packets import Packet, PacketClass
 from .social import TS_SCALE_MAX, path_mean_ts
 
@@ -122,7 +123,7 @@ def mscore(qual: PathQualification, mean_ts: float, w_ts: float) -> float:
     0-4 tie strength to [0, 1], which makes w_ts = 0.125 give every
     individual metric (QoS or social) the same effective weight.
     """
-    return ((1.0 - w_ts) * (sum(qual.qualifications) / QOS_METRIC_COUNT)
+    return ((1.0 - w_ts) * (add_up(qual.qualifications) / QOS_METRIC_COUNT)
             + w_ts * (mean_ts / TS_SCALE_MAX))
 
 
@@ -148,7 +149,7 @@ def update_nstate(quals: list[PathQualification]) -> float:
         raise ValueError("nstate needs at least one qualified path")
     nstate = 0.0
     for m in range(QOS_METRIC_COUNT):
-        mean_m = sum(q.qualifications[m] for q in quals) / len(quals)
+        mean_m = add_up(q.qualifications[m] for q in quals) / len(quals)
         nstate += (1.0 / QOS_METRIC_COUNT) * mean_m
     return nstate
 
@@ -340,16 +341,16 @@ class SourceProtocol:
         delays = collector["delays"]
         jitter = 0.0
         if len(delays) > 1:
-            jitter = (sum(abs(b - a) for a, b in zip(delays, delays[1:]))
+            jitter = (add_up(abs(b - a) for a, b in zip(delays, delays[1:]))
                       / (len(delays) - 1))
         payload = {
             "iteration": iteration, "path": path,
-            "bw_bps": sum(collector["rates"]) / len(delays),
+            "bw_bps": add_up(collector["rates"]) / len(delays),
             "loss": 1.0 - len(delays) / self.config.pm_train,
-            "delay_s": sum(delays) / len(delays),
+            "delay_s": add_up(delays) / len(delays),
             "jitter_s": jitter,
-            "rm_margin_db": sum(collector["margins"]) / len(delays),
-            "mm_speed_mps": sum(collector["speeds"]) / len(delays),
+            "rm_margin_db": add_up(collector["margins"]) / len(delays),
+            "mm_speed_mps": add_up(collector["speeds"]) / len(delays),
         }
         reply = Packet(
             klass=PacketClass.PROBE_REPLY, size_bytes=self.config.pmr_bytes,
@@ -419,4 +420,4 @@ class SourceProtocol:
     @property
     def mean_t_routing(self) -> float:
         periods = [it.t_routing for it in self.iterations if it.t_routing > 0]
-        return sum(periods) / len(periods) if periods else 0.0
+        return add_up(periods) / len(periods) if periods else 0.0

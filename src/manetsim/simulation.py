@@ -11,13 +11,13 @@ from pathlib import Path
 
 from . import mobility as mob
 from .config import ConfigError, RunConfig
-from .engine import Simulator
+from .engine import Simulator, add_up
 from .mac import MacLayer
 from .packets import DROP_CAUSES, Packet, PacketClass
 from .radio import Medium, in_range, transmission_delay
 from .routing import (DiscoveryLimits, SourceProtocol, bfs_distance,
                       discover_paths)
-from .social import generate_ts_matrix, load_ts_matrix, validate_ts_matrix
+from .social import generate_ts_matrix, load_ts_matrix
 from .video import VideoFrame, VideoSource, load_frame_trace, packetize
 
 VIDEO_CLASSES = (PacketClass.VIDEO_I, PacketClass.VIDEO_P, PacketClass.VIDEO_B)
@@ -155,16 +155,16 @@ class RunResult:
                 for cause, name in zip(DROP_CAUSES, DROP_FIELDS)}
 
 
-def run_inputs(config: RunConfig, mobility_trace=None, ts_matrix=None):
-    """The mobility trace, tie-strength matrix and frame trace of a run.
-    The trace and matrix are each the object given, which takes precedence,
-    or else the file its config key names, read and checked, or else None,
-    and the run draws its own; either must hold ``config.node_count`` nodes.
-    The frame trace is the file ``video.trace`` names, read, or None.
-    A file that cannot be read or loaded is a ConfigError that names its
-    key and path: ``<key> <path>: <why>``."""
+def run_inputs(config: RunConfig):
+    """The mobility trace, tie-strength matrix and frame trace of a run:
+    each the file its config key names, read and checked, or else None, and
+    the run draws its own.  The trace and matrix must hold
+    ``config.node_count`` nodes.  A file that cannot be read or loaded is a
+    ConfigError that names its key and path: ``<key> <path>: <why>``."""
     def read(key: str, load):
         path = attrgetter(key)(config)
+        if not path:
+            return None
         try:
             return load(Path(path).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
@@ -172,37 +172,26 @@ def run_inputs(config: RunConfig, mobility_trace=None, ts_matrix=None):
             raise ConfigError(f"{key} {path}: {why}") from None
 
     nodes = config.node_count
-    named = "the given mobility trace"
-    if mobility_trace is None and config.mobility.trace:
-        named = f"mobility.trace {config.mobility.trace}"
-        area = mob.AreaSpec(config.area_width_m, config.area_height_m, 1)
-        mobility_trace = read("mobility.trace", lambda text: mob.import_trace(
-            text, area, duration=config.duration_s))
-    n = nodes if mobility_trace is None else len(mobility_trace.node_ids)
-    if n != nodes:
-        raise ConfigError(f"{named} has {n} nodes, but the run has {nodes}")
-    named = "the given tie-strength matrix"
-    if ts_matrix is not None:
-        validate_ts_matrix(ts_matrix)
-    elif config.social.matrix:
-        named = f"social.matrix {config.social.matrix}"
-        ts_matrix = read("social.matrix", load_ts_matrix)
-    n = nodes if ts_matrix is None else len(ts_matrix)
-    if n != nodes:
-        raise ConfigError(f"{named} is {n} x {n}, but the run has {nodes}")
-    frame_trace = (read("video.trace", load_frame_trace)
-                   if config.video.trace else None)
-    return mobility_trace, ts_matrix, frame_trace
+    area = mob.AreaSpec(config.area_width_m, config.area_height_m, 1)
+    trace = read("mobility.trace", lambda text: mob.import_trace(
+        text, area, duration=config.duration_s))
+    if trace is not None and len(trace.node_ids) != nodes:
+        raise ConfigError(f"mobility.trace {config.mobility.trace} has "
+                          f"{len(trace.node_ids)} nodes, but the run has "
+                          f"{nodes}")
+    matrix = read("social.matrix", load_ts_matrix)
+    if matrix is not None and len(matrix) != nodes:
+        n = len(matrix)
+        raise ConfigError(f"social.matrix {config.social.matrix} is {n} x "
+                          f"{n}, but the run has {nodes}")
+    return trace, matrix, read("video.trace", load_frame_trace)
 
 
 class SimulationRun:
     """Builds the model from a RunConfig and executes it to completion."""
 
-    def __init__(self, config: RunConfig,
-                 mobility_trace: mob.MobilityTrace | None = None,
-                 ts_matrix=None):
-        mobility_trace, ts_matrix, frame_trace = run_inputs(
-            config, mobility_trace, ts_matrix)
+    def __init__(self, config: RunConfig):
+        mobility_trace, ts_matrix, frame_trace = run_inputs(config)
         self.config = config
         self.sim = Simulator(config.master_seed)
         area = config.area
@@ -553,10 +542,10 @@ class SimulationRun:
             flows=flows,
             total=total.row(
                 mean_jitter_s="", decodable_gop_fraction="",
-                ts_time_mean=(sum(ts_means) / len(ts_means)
+                ts_time_mean=(add_up(ts_means) / len(ts_means)
                               if ts_means else 0.0),
                 iterations=sum(f["iterations"] for f in flows),
-                mean_t_routing=(sum(t_routings) / len(t_routings)
+                mean_t_routing=(add_up(t_routings) / len(t_routings)
                                 if t_routings else 0.0)),
             class_counters={klass.value: asdict(c)
                             for klass, c in self.classes.items()})

@@ -269,29 +269,6 @@ def generate_ts_matrix(n: int, mu: float, sigma: float,
     return m
 
 
-def _ts_row_error(i: int, row) -> str | None:
-    """Why row i of a tie-strength matrix is invalid, or None."""
-    if row[i] != 0:
-        return "diagonal must be zero"
-    if not all(0 <= v <= TS_SCALE_MAX for v in row):
-        return "entries must lie in [0, 4]"
-    return None
-
-
-def validate_ts_matrix(m) -> None:
-    """Check a tie-strength matrix: any square sequence of rows of numbers."""
-    n = len(m)
-    try:
-        square = n > 0 and all(len(row) == n for row in m)
-    except TypeError:  # a row that is a single number
-        square = False
-    if not square:
-        raise ValueError("tie-strength matrix must be square")
-    for i, row in enumerate(m):
-        if why := _ts_row_error(i, row):
-            raise ValueError(f"tie-strength {why}")
-
-
 def dump_ts_matrix(m) -> str:
     """Text form: header line "n", then n rows of n integers."""
     lines = [str(len(m))]
@@ -317,11 +294,16 @@ def load_ts_matrix(text: str) -> list[list[int]]:
             row = [int(f) for f in fields]
         except ValueError:
             row = []
-        why = (_ts_row_error(i, row) if len(row) == n
-               else f"expected {n} integers, got {' '.join(fields)}")
-        if why:
-            raise ValueError(f"line {lineno}: {why}")
-        rows.append(row)
+        if len(row) != n:
+            why = f"expected {n} integers, got {' '.join(fields)}"
+        elif row[i] != 0:
+            why = "diagonal must be zero"
+        elif not all(0 <= v <= TS_SCALE_MAX for v in row):
+            why = "entries must lie in [0, 4]"
+        else:
+            rows.append(row)
+            continue
+        raise ValueError(f"line {lineno}: {why}")
     return rows
 
 

@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .engine import add_up
 from .packets import Packet, PacketClass
 
 FRAME_CLASS = {
@@ -59,7 +60,7 @@ class VideoConfig:
         """Mean frame size in bytes per type, calibrated to the target rate."""
         counts = {t: self.pattern.count(t) for t in "IPB"}
         gop_bytes = self.target_rate_bps * len(self.pattern) / self.fps / 8.0
-        unit = gop_bytes / sum(counts[t] * SIZE_RATIO[t] for t in "IPB")
+        unit = gop_bytes / add_up(counts[t] * SIZE_RATIO[t] for t in "IPB")
         return {t: SIZE_RATIO[t] * unit for t in "IPB"}
 
 
@@ -72,14 +73,12 @@ class VideoFrame(NamedTuple):  # a frozen dataclass pays a setattr per field
 
 
 class VideoSource:
-    """Generates frames in pattern order with lognormal sizes, or replays an
-    imported frame trace, cyclically, opening a GoP at each of its I
-    frames."""
+    """Generates frames in pattern order with lognormal sizes, or replays a
+    frame trace from ``load_frame_trace``, which starts with an I frame,
+    cyclically, opening a GoP at each of its I frames."""
 
     def __init__(self, video: VideoConfig,
                  trace: list[tuple[str, int]] | None = None):
-        if trace is not None and (not trace or trace[0][0] != "I"):
-            raise ValueError("a frame trace must start with an I frame")
         self.video = video
         self._trace = trace
         self._counter = 0

@@ -3,13 +3,14 @@ deterministic pseudo-random qualifications keyed by path, the per-packet
 definition of the decodable-GoP fraction, the whole-network snapshot
 definition of the MAC load factor, the quantised normal mean written
 with scipy.stats, a node's velocity on its waypoint segment, the two-event
-per-hop path, and each sweep run's pooled metrics as its files record
-them."""
+per-hop path, each sweep run's pooled metrics as its files record them,
+and a config whose input files hold a given trace and matrix."""
 
 from __future__ import annotations
 
 import bisect
 import csv
+import dataclasses
 import hashlib
 import math
 import os
@@ -26,7 +27,8 @@ from manetsim.routing import (CustomerRequest, DiscoveryLimits,
                               PathQualification, discover_paths, mscore,
                               qualify, select_best)
 from manetsim.simulation import TOPOLOGY_QUANTUM_S, SimulationRun
-from manetsim.social import TS_SCALE_MAX, generate_ts_matrix, path_mean_ts
+from manetsim.social import (TS_SCALE_MAX, dump_ts_matrix, generate_ts_matrix,
+                             path_mean_ts)
 
 
 def stable_rng(*key) -> random.Random:
@@ -262,3 +264,31 @@ def sweep_runs(out_dir: str) -> dict:
                 "delay": float(all_row["mean_delay_s"]),
                 "ts": float(all_row["ts_time_mean"])}
     return runs
+
+
+def with_inputs(tmp_path, config, trace=None, ts=None):
+    """``config`` with ``mobility.trace`` naming a file in ``tmp_path`` that
+    holds ``trace``, if given, and ``social.matrix`` one that holds ``ts``,
+    if given: the one way a run takes a trace or matrix.
+
+    The trace is written one node per line as ``repr``'d ``t x y`` triples,
+    which read back exactly; the run's importer sets its duration to
+    ``config.duration_s``.  Each file is named by its content's digest, so
+    one test may write several.
+    """
+    def write(stem, text):
+        digest = hashlib.sha256(text.encode()).hexdigest()[:12]
+        path = tmp_path / f"{stem}-{digest}.txt"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    mobility, social = config.mobility, config.social
+    if trace is not None:
+        text = "".join(" ".join(f"{t!r} {x!r} {y!r}"
+                                for t, x, y in zip(*trace.waypoints[node]))
+                       + "\n" for node in trace.node_ids)
+        mobility = dataclasses.replace(mobility, trace=write("trace", text))
+    if ts is not None:
+        social = dataclasses.replace(social,
+                                     matrix=write("ts", dump_ts_matrix(ts)))
+    return config.replace(mobility=mobility, social=social)

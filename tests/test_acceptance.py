@@ -128,14 +128,15 @@ class TestCriterion02OracleEquivalence:
 
 
 class TestCriterion03RankingInvariance:
-    def _selected_sequence(self, config, ts_matrix):
-        run = SimulationRun(config, ts_matrix=ts_matrix)
+    def _selected_sequence(self, tmp_path, config, ts_matrix):
+        run = SimulationRun(oracle_utils.with_inputs(tmp_path, config,
+                                                     ts=ts_matrix))
         run.run()
         return [(flow, it.index, it.selected)
                 for flow, p in sorted(run.protocols.items())
                 for it in p.iterations]
 
-    def test_ts_matrix_is_inert_at_zero_weight(self):
+    def test_ts_matrix_is_inert_at_zero_weight(self, tmp_path):
         mismatches = 0
         for trial in range(50):
             config = RunConfig().replace(
@@ -144,8 +145,8 @@ class TestCriterion03RankingInvariance:
             rng = random.Random(trial * 7919 + 13)
             m1 = generate_ts_matrix(14, rng.uniform(0.5, 3.5), 1.0, rng)
             m2 = generate_ts_matrix(14, rng.uniform(0.5, 3.5), 1.0, rng)
-            if self._selected_sequence(config, m1) != \
-                    self._selected_sequence(config, m2):
+            if self._selected_sequence(tmp_path, config, m1) != \
+                    self._selected_sequence(tmp_path, config, m2):
                 mismatches += 1
         report("ranking invariance at w_ts=0", mismatches == 0,
                f"50 scenarios, {mismatches} selection sequences changed")
@@ -221,7 +222,7 @@ class TestCriterion07HighInteractionCeiling:
 
 
 class TestCriterion08MacDifferentiation:
-    def test_drop_rate_ordering_under_saturation(self):
+    def test_drop_rate_ordering_under_saturation(self, tmp_path):
         rates = {"video-i": [0, 0], "video-p": [0, 0], "video-b": [0, 0]}
         for seed in range(5):
             config = RunConfig().replace(
@@ -235,7 +236,8 @@ class TestCriterion08MacDifferentiation:
             trace.waypoints[1] = ([0.0], [120.0], [100.0])
             m = np.zeros((2, 2), dtype=np.int64)
             m[0, 1] = m[1, 0] = 4
-            run = SimulationRun(config, mobility_trace=trace, ts_matrix=m)
+            run = SimulationRun(oracle_utils.with_inputs(tmp_path, config,
+                                                         trace, m))
             result = run.run()
             for klass in rates:
                 counters = result.class_counters[klass]

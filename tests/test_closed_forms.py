@@ -26,14 +26,15 @@ DURATION_S = 60.0
 HOP_M = 50.0
 
 
-def run_static(tmp_path, points, cbr_flows, rate_bps):
+def run_static(tmp_path, points, cbr_flows, rate_bps, duration_s=DURATION_S,
+               min_hops=1):
     """The config, the finished run and its CBR counters, for nodes
     standing at ``points``."""
     trace = tmp_path / "static.trace"
     trace.write_text("".join(f"0.0 {x} {y}\n" for x, y in points))
     config = load_config(
-        f"nodes: {len(points)}\nduration_s: {DURATION_S}\n"
-        f"flow_min_hops: 1\nmobility: {{trace: {trace}}}\n"
+        f"nodes: {len(points)}\nduration_s: {duration_s}\n"
+        f"flow_min_hops: {min_hops}\nmobility: {{trace: {trace}}}\n"
         f"video: {{flows: 0}}\n"
         f"cbr: {{flows: {cbr_flows}, rate_bps: {rate_bps}}}\n")
     run = SimulationRun(config)
@@ -56,6 +57,17 @@ def beacons_sent(config):
     return math.ceil(config.duration_s / config.beacon_period_s)
 
 
+def cbr_ticks(config):
+    """CBR packets one flow sends: one at each tick from t = 0 while the
+    clock is below ``duration_s``, the clock advanced by repeated addition
+    of ``cbr.interval``, as the model schedules them."""
+    t, ticks = 0.0, 0
+    while t < config.duration_s:
+        ticks += 1
+        t += config.cbr.interval
+    return ticks
+
+
 class TestSaturatedHop:
     """One saturated sender 50 m from its receiver.
 
@@ -71,23 +83,52 @@ class TestSaturatedHop:
     not on the rate, and so not on how many packets overflow the queue.
     What the run leaves unsent is at most a full queue and the frame on
     air.
+
+    So the queue overflows by what the hop cannot serve.  The flow sends G
+    packets, one per tick of ``cbr.interval`` below 60 s; its static link
+    never breaks and always has a route, so each packet is served, left at
+    the end, or dropped at the full queue:
+
+        queue-overflow = G - served - left,
+
+    with served within one of 8,410.4 and 0 <= left <= queue_capacity + 1.
+    At 2 Mb/s, G = 10,000, so the overflow lies in [1,537.6, 1,590.6].  At
+    3 Mb/s the clock's sums of 0.004 s stay just below 60 s at the 15,000th
+    addition, so G = 15,001, one more than 60 / 0.004.
     """
 
     POINTS = [(100.0, 100.0), (100.0 + HOP_M, 100.0)]
+
+    @staticmethod
+    def frames_served(config, rate_bps):
+        """(60 - 60 S_b(1)) / S(1), checked to be below the offered rate."""
+        frame = service_s(config, config.cbr.packet_bytes, 1, HOP_M)
+        assert rate_bps > 8.0 * config.cbr.packet_bytes / frame
+        beacons = service_s(config, config.beacon_bytes, 1)
+        return (DURATION_S - beacons_sent(config) * beacons) / frame
 
     @pytest.mark.parametrize("rate_bps", [2.0e6, 3.0e6])
     def test_frames_served_fill_the_run_less_the_beacons(self, tmp_path,
                                                          rate_bps):
         config, _, cbr = run_static(tmp_path, self.POINTS, 1, rate_bps)
-        frame = service_s(config, config.cbr.packet_bytes, 1, HOP_M)
-        assert rate_bps > 8.0 * config.cbr.packet_bytes / frame
-        beacons = service_s(config, config.beacon_bytes, 1)
-        expected = (DURATION_S - beacons_sent(config) * beacons) / frame
+        expected = self.frames_served(config, rate_bps)
         assert expected == pytest.approx(8410.4, abs=0.05)
         assert abs(served(cbr) - expected) <= 1.0
         assert cbr["drops"]["queue-overflow"] > 0  # the sender saturates
         # left at the end: at most a full queue and the frame on air
         assert cbr["drops"]["end-of-run"] <= config.mac.queue_capacity + 1
+
+    @pytest.mark.parametrize("rate_bps", [2.0e6, 3.0e6])
+    def test_overflow_is_what_the_hop_cannot_serve(self, tmp_path,
+                                                   rate_bps):
+        config, _, cbr = run_static(tmp_path, self.POINTS, 1, rate_bps)
+        sent = cbr_ticks(config)
+        assert cbr["generated"] == sent
+        expected = self.frames_served(config, rate_bps)
+        most_left = config.mac.queue_capacity + 1
+        assert (sent - (expected + 1.0) - most_left
+                <= cbr["drops"]["queue-overflow"]
+                <= sent - (expected - 1.0))
 
 
 class TestContention:
@@ -125,3 +166,52 @@ class TestContention:
                          / service_s(config, config.cbr.packet_bytes,
                                      senders, math.hypot(xb - xa, yb - ya)))
         assert abs(served(cbr) - expected) <= senders
+
+
+class TestChainBelowSaturation:
+    """One CBR flow over a static 4-hop chain, far below saturation.
+
+    Five nodes stand 100 m apart on a line.  Each links only to its
+    neighbours (200 m is beyond the 120 m range), so ``flow_min_hops: 4``
+    leaves the two ends as the one endpoint pair and 0-1-2-3-4 as the one
+    route.  The flow sends a 1,500-byte packet every 0.12 s (100 kb/s),
+    and a packet crosses the chain in about 4 S(1) = 28 ms: no queue
+    overflows, no link breaks, and only the last packet can still be on
+    its way when the run ends.
+
+    Corruption depends only on a hop's SNR.  At 100 m the margin over the
+    threshold is 10 n log10(120 / 100) = 2.375 dB, so each hop corrupts a
+    frame with p = 0.05 (1 - 2.375 / 20) = 0.04406, each hop with its own
+    draw from the channel stream.  A packet that reaches an outcome,
+    delivered or corrupted at some hop, is delivered with probability
+    q = (1 - p)^4 = 0.8351, so the delivered count of n decided packets is
+    Binomial(n, q).  Over 300 s, n is about 2,500 and the normal
+    approximation holds; the test accepts within z sqrt(n q (1 - q)) of
+    n q, z = 3.2905, the two-sided 99.9% normal quantile: about 61
+    packets, or 0.024 of n.  One hop fewer or more moves q by about 0.04,
+    and twice the corruption by about 0.14.
+    """
+
+    DURATION_S = 300.0
+    POINTS = [(10.0 + 100.0 * i, 100.0) for i in range(5)]
+
+    def test_decided_packets_deliver_the_product_of_the_hops(self, tmp_path):
+        config, run, cbr = run_static(tmp_path, self.POINTS, 1, 100e3,
+                                      duration_s=self.DURATION_S,
+                                      min_hops=4)
+        state = run.cbr_state[0]
+        assert {state["src"], state["dst"]} == {0, 4}
+        assert cbr["generated"] == cbr_ticks(config)
+        drops = cbr["drops"]
+        assert drops["queue-overflow"] == drops["link-break"] == 0
+        assert drops["no-route"] == 0
+        assert drops["end-of-run"] <= 1
+        margin = 10.0 * config.radio.path_loss_exponent * math.log10(
+            config.radio.tx_range_m / 100.0)
+        p = config.radio.max_corruption_prob * (
+            1.0 - margin / config.radio.corruption_span_db)
+        assert p == pytest.approx(0.04406, abs=5e-6)
+        q = (1.0 - p) ** 4
+        decided = served(cbr)
+        half_width = 3.2905 * math.sqrt(decided * q * (1.0 - q))
+        assert abs(cbr["delivered"] - decided * q) <= half_width

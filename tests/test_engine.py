@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from manetsim.engine import (DEFAULT_STREAMS, EventQueue, RngStreams,
                              SchedulingError, Simulator, UnknownStreamError,
-                             derive_stream_seed)
+                             add_up, derive_stream_seed)
 
 
 def collect(sim, log, label):
@@ -185,3 +185,11 @@ class TestRngStreams:
         extended = RngStreams(5, names=("mobility", "extra"))
         assert [base.stream("mobility").random() for _ in range(20)] == \
                [extended.stream("mobility").random() for _ in range(20)]
+
+
+class TestAddUp:
+    def test_adds_left_to_right_without_compensation(self):
+        # 1e16 + 1.0 rounds back to 1e16, so the plain sum loses the 1.0;
+        # a compensated sum, as sum() is from CPython 3.12 on, keeps it
+        assert add_up([1e16, 1.0, -1e16]) == 0.0
+        assert add_up(iter([1e16, -1e16, 1.0])) == 1.0

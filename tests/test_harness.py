@@ -20,7 +20,6 @@ from manetsim.harness import (RESULT_FIELDS, SWEEP_FIELDS, SweepSpec,
                               point_config, protocol_log_csv_text,
                               result_csv_text, run_once_to_dir, run_sweep,
                               scenario_seed, write_report)
-from manetsim.mobility import AreaSpec, import_trace
 from manetsim.packets import DROP_CAUSES
 from manetsim.simulation import SimulationRun, run_simulation
 
@@ -640,14 +639,11 @@ class TestCliFileInterfaces:
                                 for i in range(nodes)))
         return path
 
-    @pytest.mark.parametrize("entry", ["simulate", "SimulationRun(config)",
-                                       "given-trace"])
+    @pytest.mark.parametrize("entry", ["simulate", "SimulationRun(config)"])
     def test_mobility_trace_of_another_size_fails_before_the_run(
             self, tmp_path, capsys, entry):
         trace_path = self.write_trace(tmp_path, 6)
-        config_path = self.write_config(
-            tmp_path, nodes=8,
-            mobility=None if entry == "given-trace" else trace_path)
+        config_path = self.write_config(tmp_path, nodes=8, mobility=trace_path)
         out = tmp_path / "out"
         if entry == "simulate":
             code = cli_main(["simulate", "--config", str(config_path),
@@ -657,12 +653,8 @@ class TestCliFileInterfaces:
             assert err.startswith("error: mobility.trace ")
             assert not (out / "result.csv").exists()
         else:
-            kwargs = {}
-            if entry == "given-trace":
-                kwargs["mobility_trace"] = import_trace(
-                    trace_path.read_text(), AreaSpec(520.0, 520.0, 1))
             with pytest.raises(ConfigError) as info:
-                SimulationRun(load_config_file(config_path), **kwargs)
+                SimulationRun(load_config_file(config_path))
             err = str(info.value)
         assert "has 6 nodes" in err and "the run has 8" in err
 

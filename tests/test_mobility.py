@@ -156,11 +156,11 @@ class TestSimulationPositionCursor:
     it must equal position_at bit for bit in any query order."""
 
     @staticmethod
-    def make_run(trace):
+    def make_run(tmp_path, trace):
         config = RunConfig(node_count=len(trace.waypoints),
                            duration_s=trace.duration,
                            video=VideoConfig(flows=0), cbr=CbrConfig(flows=0))
-        return SimulationRun(config, mobility_trace=trace)
+        return SimulationRun(oracle_utils.with_inputs(tmp_path, config, trace))
 
     @staticmethod
     def assert_matches_scalar(run, trace, times):
@@ -171,20 +171,20 @@ class TestSimulationPositionCursor:
                     trace, node, min(t, trace.duration)))
                 assert got == want, f"node {node}, t={t!r}"
 
-    def test_random_walk_in_order_backward_and_on_waypoints(self):
+    def test_random_walk_in_order_backward_and_on_waypoints(self, tmp_path):
         trace, orders = walk_query_orders(6)
-        run = self.make_run(trace)
+        run = self.make_run(tmp_path, trace)
         for times in orders:
             self.assert_matches_scalar(run, trace, times)
 
-    def test_before_first_after_last_and_past_the_end(self):
+    def test_before_first_after_last_and_past_the_end(self, tmp_path):
         trace = short_trace()
-        run = self.make_run(trace)
+        run = self.make_run(tmp_path, trace)
         self.assert_matches_scalar(run, trace,
                                    SHORT_TRACE_TIMES + [150.0, 30.0, 1e9])
 
-    def test_negative_time_rejected_like_position_at(self):
-        run = self.make_run(short_trace())
+    def test_negative_time_rejected_like_position_at(self, tmp_path):
+        run = self.make_run(tmp_path, short_trace())
         run._position_of(0, 5.0)  # before node 0's first waypoint at 10.0
         with pytest.raises(ValueError):
             run._position_of(0, -1.0)

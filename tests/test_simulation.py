@@ -5,7 +5,6 @@ import gc
 import hashlib
 import inspect
 import math
-import random
 import tracemalloc
 from types import SimpleNamespace
 
@@ -51,19 +50,19 @@ def two_node_config(**overrides):
 class TestTwoNodeIdle:
     """Static pair 20 m apart: no corruption, no contention, one hop."""
 
-    def run(self, video_start=0.0):
+    def run(self, tmp_path, video_start=0.0):
         config = two_node_config(
             video=VideoConfig(flows=1, start_s=video_start))
         trace = static_trace([(100.0, 100.0), (120.0, 100.0)],
                              duration=config.duration_s)
-        run = SimulationRun(config, mobility_trace=trace,
-                            ts_matrix=full_ts(2))
+        run = SimulationRun(oracle_utils.with_inputs(
+            tmp_path, config, trace, full_ts(2)))
         result = run.run()
         return run, result
 
-    def test_probe_measurements_on_idle_network(self):
+    def test_probe_measurements_on_idle_network(self, tmp_path):
         # video held back so the first probe train sees only beacons
-        run, _ = self.run(video_start=30.0)
+        run, _ = self.run(tmp_path, video_start=30.0)
         protocol = run.protocols[0]
         decided = [it for it in protocol.iterations if it.selected]
         assert decided, "no iteration completed"
@@ -74,8 +73,8 @@ class TestTwoNodeIdle:
         assert qual.jitter_s == pytest.approx(0.0, abs=2e-3)
         assert first.selected == (run.flow_stats[0].src, run.flow_stats[0].dst)
 
-    def test_video_flows_without_loss(self):
-        _, result = self.run()
+    def test_video_flows_without_loss(self, tmp_path):
+        _, result = self.run(tmp_path)
         flow = result.flows[0]
         assert flow["generated"] > 0
         # only the end-of-run tail may be undelivered
@@ -84,36 +83,23 @@ class TestTwoNodeIdle:
         assert flow["loss_fraction"] < 0.02
         assert flow["decodable_gop_fraction"] > 0.95
 
-    def test_per_hop_delay_exceeds_transmission_delay(self):
-        _, result = self.run()
+    def test_per_hop_delay_exceeds_transmission_delay(self, tmp_path):
+        _, result = self.run(tmp_path)
         flow = result.flows[0]
         assert flow["mean_delay_s"] > 1500 * 8 / 11e6
 
-    def test_selected_path_ts_from_matrix(self):
-        run, result = self.run()
+    def test_selected_path_ts_from_matrix(self, tmp_path):
+        run, result = self.run(tmp_path)
         assert result.ts_time_mean == pytest.approx(4.0)
 
 
-class TestTsMatrixRows:
-    def test_list_rows_run_as_the_same_numpy_array(self):
-        config = RunConfig().replace(duration_s=15.0, node_count=14,
-                                     area_width_m=400.0, area_height_m=400.0,
-                                     master_seed=5)
-        rng = random.Random(7)
-        rows = [[0 if u == v else rng.randint(0, 4) for v in range(14)]
-                for u in range(14)]
-        listed, array = (SimulationRun(config, ts_matrix=m).run()
-                         for m in (rows, np.array(rows)))
-        assert result_csv_text(listed) == result_csv_text(array)
-        assert listed.ts_time_mean > 0  # the selected paths read the matrix
-
-
 class TestHopEvents:
-    def test_delivered_hop_costs_one_completion_event(self):
+    def test_delivered_hop_costs_one_completion_event(self, tmp_path):
         # no flows: between beacons, one injected frame is the only traffic
         config = two_node_config(duration_s=2.0, video=VideoConfig(flows=0))
         trace = static_trace([(100.0, 100.0), (120.0, 100.0)], duration=2.0)
-        run = SimulationRun(config, mobility_trace=trace, ts_matrix=full_ts(2))
+        run = SimulationRun(oracle_utils.with_inputs(
+            tmp_path, config, trace, full_ts(2)))
         run.sim.run_until(0.2)  # the beacons of t=0 are done, t=0.5 is next
         before = run.sim.queue.processed
         run._inject(Packet(klass=PacketClass.CBR, size_bytes=1500, src=0,
@@ -125,10 +111,11 @@ class TestHopEvents:
         assert run.sim.queue.processed - before == 1
 
     @staticmethod
-    def idle_run():
+    def idle_run(tmp_path):
         config = two_node_config(duration_s=2.0, video=VideoConfig(flows=0))
         trace = static_trace([(100.0, 100.0), (120.0, 100.0)], duration=2.0)
-        run = SimulationRun(config, mobility_trace=trace, ts_matrix=full_ts(2))
+        run = SimulationRun(oracle_utils.with_inputs(
+            tmp_path, config, trace, full_ts(2)))
         run.sim.run_until(0.2)  # the beacons of t=0 are done, t=0.5 is next
         calls = []
 
@@ -143,16 +130,16 @@ class TestHopEvents:
         run.sim.schedule = refuse("schedule")
         return run, calls
 
-    def test_kick_on_an_empty_queue_does_nothing(self):
-        run, calls = self.idle_run()
+    def test_kick_on_an_empty_queue_does_nothing(self, tmp_path):
+        run, calls = self.idle_run(tmp_path)
         assert not run.mac.backlogged
         for node in (0, 1):
             run._kick(node)
         assert calls == []
         assert not any(state.transmitting for state in run.mac.nodes.values())
 
-    def test_kick_on_a_busy_radio_does_nothing(self):
-        run, calls = self.idle_run()
+    def test_kick_on_a_busy_radio_does_nothing(self, tmp_path):
+        run, calls = self.idle_run(tmp_path)
         run.mac.nodes[0].transmitting = True
         assert run.mac.enqueue(0, Packet(
             klass=PacketClass.CBR, size_bytes=1500, src=0, dst=1,
@@ -163,12 +150,13 @@ class TestHopEvents:
 
 
 class TestPayload:
-    def test_only_probes_replies_and_i_packets_carry_one(self):
+    def test_only_probes_replies_and_i_packets_carry_one(self, tmp_path):
         config = two_node_config(duration_s=6.0, cbr=CbrConfig(flows=1),
                                  node_count=4)
         trace = static_trace([(100.0, 100.0), (200.0, 100.0),
                               (300.0, 100.0), (400.0, 100.0)], duration=6.0)
-        run = SimulationRun(config, mobility_trace=trace, ts_matrix=full_ts(4))
+        run = SimulationRun(oracle_utils.with_inputs(
+            tmp_path, config, trace, full_ts(4)))
         seen = {}
         enqueue = run.mac.enqueue
 
@@ -234,12 +222,13 @@ class TestOnAirAfterTheEnd:
 
     DURATION = 2.0
 
-    def counters(self, klass, distance, on_air, channel=None):
+    def counters(self, tmp_path, klass, distance, on_air, channel=None):
         config = two_node_config(duration_s=self.DURATION,
                                  video=VideoConfig(flows=0))
-        trace = static_trace([(100.0, 100.0), (100.0 + distance, 100.0)],
+        trace = static_trace([(0.0, 100.0), (distance, 100.0)],
                              duration=self.DURATION)
-        run = SimulationRun(config, mobility_trace=trace, ts_matrix=full_ts(2))
+        run = SimulationRun(oracle_utils.with_inputs(
+            tmp_path, config, trace, full_ts(2)))
         if channel is not None:
             run._channel = channel
         # load 1, so the frame goes on air one access delay after dequeue
@@ -258,25 +247,26 @@ class TestOnAirAfterTheEnd:
         return counters, drops
 
     @pytest.mark.parametrize("on_air", ["before", "after"])
-    def test_link_break(self, on_air):
-        _, drops = self.counters(PacketClass.CBR, 500.0, on_air)
+    def test_link_break(self, tmp_path, on_air):
+        _, drops = self.counters(tmp_path, PacketClass.CBR, 500.0, on_air)
         assert drops == ({"link-break": 1} if on_air == "before"
                          else {"end-of-run": 1})
 
     @pytest.mark.parametrize("on_air", ["before", "after"])
-    def test_corruption(self, on_air):
+    def test_corruption(self, tmp_path, on_air):
         class Corrupting:
             def random(self):
                 return 0.0
 
-        _, drops = self.counters(PacketClass.CBR, 100.0, on_air,
+        _, drops = self.counters(tmp_path, PacketClass.CBR, 100.0, on_air,
                                  Corrupting())
         assert drops == ({"corruption": 1} if on_air == "before"
                          else {"end-of-run": 1})
 
     @pytest.mark.parametrize("on_air", ["before", "after"])
-    def test_beacon(self, on_air):
-        counters, drops = self.counters(PacketClass.BEACON, 50.0, on_air)
+    def test_beacon(self, tmp_path, on_air):
+        counters, drops = self.counters(tmp_path, PacketClass.BEACON, 50.0,
+                                        on_air)
         if on_air == "before":
             assert drops == {}
             assert counters.delivered == counters.generated
@@ -286,15 +276,15 @@ class TestOnAirAfterTheEnd:
 
 
 class TestIterationsEndWithTheRun:
-    def test_no_iteration_starts_at_the_end(self):
+    def test_no_iteration_starts_at_the_end(self, tmp_path):
         # apart for the whole run: no path, so nstate 0 and an iteration
         # every beta_tune = 3 s; the beacons stop before 9 s, and so must
         # the iterations, at 0, 3 and 6 s
         config = two_node_config(duration_s=9.0, flow_min_hops=1)
         trace = static_trace([(10.0, 10.0), (500.0, 500.0)],
                              duration=config.duration_s)
-        run = SimulationRun(config, mobility_trace=trace,
-                            ts_matrix=full_ts(2))
+        run = SimulationRun(oracle_utils.with_inputs(
+            tmp_path, config, trace, full_ts(2)))
         result = run.run()
         assert run.classes[PacketClass.BEACON].generated == 18
         assert [row["t"] for row in run.protocol_log_rows()] == [0.0, 3.0,
@@ -303,14 +293,15 @@ class TestIterationsEndWithTheRun:
 
 
 class TestProbeLinkOnAir:
-    def test_probe_records_the_link_at_its_on_air_time(self):
+    def test_probe_records_the_link_at_its_on_air_time(self, tmp_path):
         # node 1 moves at 10 m/s until it stops at t=1; the probe leaves the
         # queue before then and goes on air after
         config = two_node_config(duration_s=2.0, video=VideoConfig(flows=0))
         trace = MobilityTrace(area=AreaSpec(520.0, 520.0, 2), duration=2.0)
         trace.waypoints[0] = ([0.0], [100.0], [100.0])
         trace.waypoints[1] = ([0.0, 1.0], [110.0, 120.0], [100.0, 100.0])
-        run = SimulationRun(config, mobility_trace=trace, ts_matrix=full_ts(2))
+        run = SimulationRun(oracle_utils.with_inputs(
+            tmp_path, config, trace, full_ts(2)))
         arrived = []
         run.protocols[0] = SimpleNamespace(
             on_probe_at_destination=arrived.append)
@@ -328,7 +319,8 @@ class TestProbeLinkOnAir:
             config.radio.snr(20.0) - config.radio.snr_threshold_db)
         assert probe.payload["rel_speed_sum"] == 0.0
 
-    def test_two_hop_probe_records_one_relative_speed_per_hop(self):
+    def test_two_hop_probe_records_one_relative_speed_per_hop(self,
+                                                              tmp_path):
         # node 0 stands, node 1 moves at (3, 0) m/s and node 2 at (0, 4)
         # m/s: the hops' relative speeds are 3 and 5 m/s throughout, and the
         # destination's mean over len(route) - 1 hops must be their mean
@@ -338,7 +330,8 @@ class TestProbeLinkOnAir:
         trace.waypoints[0] = ([0.0], [100.0], [100.0])
         trace.waypoints[1] = ([0.0, 2.0], [120.0, 126.0], [100.0, 100.0])
         trace.waypoints[2] = ([0.0, 2.0], [140.0, 140.0], [100.0, 108.0])
-        run = SimulationRun(config, mobility_trace=trace, ts_matrix=full_ts(3))
+        run = SimulationRun(oracle_utils.with_inputs(
+            tmp_path, config, trace, full_ts(3)))
         arrived = []
         run.protocols[0] = SimpleNamespace(
             on_probe_at_destination=arrived.append)
@@ -361,7 +354,7 @@ class TestVelocityOracle:
     asked."""
 
     @staticmethod
-    def make_run(duration=40.0):
+    def make_run(tmp_path, duration=40.0):
         config = two_node_config(node_count=3, duration_s=duration,
                                  video=VideoConfig(flows=0))
         trace = MobilityTrace(area=AreaSpec(520.0, 520.0, 3),
@@ -372,8 +365,8 @@ class TestVelocityOracle:
                               [0.0, 40.0, 40.0, 7.0])
         trace.waypoints[1] = ([0.0], [200.0], [200.0])
         trace.waypoints[2] = ([2.0, 8.0], [50.0, 50.0], [0.0, 90.0])
-        return SimulationRun(config, mobility_trace=trace,
-                             ts_matrix=full_ts(3))
+        return SimulationRun(oracle_utils.with_inputs(
+            tmp_path, config, trace, full_ts(3)))
 
     TIMES = [0.0, 1.0, 2.0, 5.0, 8.0, 10.0, 11.0, 12.5, 20.0, 30.0, 35.0,
              40.0, 45.0, 1e9]
@@ -383,13 +376,13 @@ class TestVelocityOracle:
                                         min(t, run.trace.duration))
 
     @pytest.mark.parametrize("t", TIMES)
-    def test_fresh_lookup(self, t):
-        run = self.make_run()
+    def test_fresh_lookup(self, tmp_path, t):
+        run = self.make_run(tmp_path)
         for node in run.node_ids:
             assert run._velocity_of(node, t) == self.expected(run, node, t)
 
-    def test_after_position_lookups_in_any_order(self):
-        run = self.make_run()
+    def test_after_position_lookups_in_any_order(self, tmp_path):
+        run = self.make_run(tmp_path)
         rng = np.random.default_rng(3)
         times = self.TIMES + list(rng.uniform(0.0, 50.0, 200))
         rng.shuffle(times)
@@ -410,7 +403,7 @@ class TestVelocityOracle:
 
 
 class TestProbeLossEstimate:
-    def test_train_loss_tracks_corruption_probability(self):
+    def test_train_loss_tracks_corruption_probability(self, tmp_path):
         # exactly at the range boundary the corruption probability equals
         # max_corruption_prob; the probe trains should measure it
         config = two_node_config(
@@ -418,8 +411,8 @@ class TestProbeLossEstimate:
             radio=RadioSpec(max_corruption_prob=0.2))
         trace = static_trace([(100.0, 100.0), (220.0, 100.0)],
                              duration=config.duration_s)
-        run = SimulationRun(config, mobility_trace=trace,
-                            ts_matrix=full_ts(2))
+        run = SimulationRun(oracle_utils.with_inputs(
+            tmp_path, config, trace, full_ts(2)))
         run.run()
         losses = []
         for it in run.protocols[0].iterations:
@@ -432,12 +425,12 @@ class TestProbeLossEstimate:
 
 
 class TestForwarding:
-    def test_multi_hop_chain_delivers_with_additive_delay(self):
+    def test_multi_hop_chain_delivers_with_additive_delay(self, tmp_path):
         config = two_node_config(node_count=4)
         trace = static_trace([(0.0, 0.0), (100.0, 0.0), (200.0, 0.0),
                               (300.0, 0.0)], duration=config.duration_s)
-        run = SimulationRun(config, mobility_trace=trace,
-                            ts_matrix=full_ts(4))
+        run = SimulationRun(oracle_utils.with_inputs(
+            tmp_path, config, trace, full_ts(4)))
         result = run.run()
         flow = result.flows[0]
         hops = abs(flow["dst"] - flow["src"])
@@ -446,7 +439,7 @@ class TestForwarding:
         assert flow["mean_delay_s"] >= hops * (
             config.mac.access_delay_s + 100 * 8 / 11e6)
 
-    def test_route_break_drops_with_cause(self):
+    def test_route_break_drops_with_cause(self, tmp_path):
         # relay walks out of range at t ~ 10 s, leaving the route broken
         config = two_node_config(node_count=3, duration_s=30.0)
         trace = MobilityTrace(area=AreaSpec(520.0, 520.0, 3), duration=30.0)
@@ -454,8 +447,8 @@ class TestForwarding:
         trace.waypoints[1] = ([0.0, 10.0, 11.5], [100.0, 100.0, 100.0],
                               [100.0, 100.0, 400.0])
         trace.waypoints[2] = ([0.0], [200.0], [100.0])
-        run = SimulationRun(config, mobility_trace=trace,
-                            ts_matrix=full_ts(3))
+        run = SimulationRun(oracle_utils.with_inputs(
+            tmp_path, config, trace, full_ts(3)))
         result = run.run()
         assert result.drops_by_cause["link-break"] > 0
 
@@ -643,12 +636,12 @@ class TestLoadRangeEdge:
 
     @pytest.mark.parametrize("far", [(R, 0.0), (0.0, R), (72.0, 96.0)],
                              ids=["x-axis", "y-axis", "3-4-5"])
-    def test_load_path_agrees_with_connectivity(self, far):
+    def test_load_path_agrees_with_connectivity(self, tmp_path, far):
         config = two_node_config(duration_s=5.0, video=VideoConfig(flows=0))
         for offset, linked in self.offsets(*far):
-            run = SimulationRun(config, ts_matrix=full_ts(2),
-                                mobility_trace=static_trace(
-                                    [(0.0, 0.0), offset], duration=5.0))
+            run = SimulationRun(oracle_utils.with_inputs(
+                tmp_path, config,
+                static_trace([(0.0, 0.0), offset], duration=5.0), full_ts(2)))
             adj = run.medium.connectivity(0.0)
             assert adj == ({0: [1], 1: [0]} if linked else {0: [], 1: []}), (
                 f"offset {offset!r}")
@@ -658,7 +651,7 @@ class TestLoadRangeEdge:
                 assert run._neighbors_of(node, 0.05) == adj[node], (
                     f"offset {offset!r}, node {node}")
 
-    def test_imported_static_trace_one_ulp_either_side(self):
+    def test_imported_static_trace_one_ulp_either_side(self, tmp_path):
         # node 0 at the origin; the others at the range from it, one float
         # step inside or outside, and around the squared distances 1e-12 of
         # r2 inside and outside the range, where in_range's edge recheck
@@ -679,8 +672,8 @@ class TestLoadRangeEdge:
                                  duration=5.0)
         config = two_node_config(duration_s=5.0, node_count=len(points),
                                  video=VideoConfig(flows=0))
-        run = SimulationRun(config, mobility_trace=trace,
-                            ts_matrix=full_ts(len(points)))
+        run = SimulationRun(oracle_utils.with_inputs(
+            tmp_path, config, trace, full_ts(len(points))))
         r2 = config.radio.tx_range_m ** 2
         assert [radio.in_range(x, y, r2) for x, y in points[1:]] == linked
         adj = run.medium.connectivity(0.0)
@@ -694,15 +687,16 @@ class TestLoadRangeEdge:
             got = sorted(run._neighbors_of(node, 0.05))
             assert got == rule == adj[node], f"node {node} at {(x, y)!r}"
 
-    def test_positions_taken_at_the_bucket_start(self):
+    def test_positions_taken_at_the_bucket_start(self, tmp_path):
         # 2 m/s apart each: out of range 0.0125 s into the bucket [0, 0.1)
         trace = MobilityTrace(area=AreaSpec(520.0, 520.0, 2), duration=5.0)
         trace.waypoints[0] = ([0.0, 5.0], [10.0, 0.0], [0.0, 0.0])
         trace.waypoints[1] = ([0.0, 5.0], [self.R + 9.95, self.R + 19.95],
                               [0.0, 0.0])
-        run = SimulationRun(
+        run = SimulationRun(oracle_utils.with_inputs(
+            tmp_path,
             two_node_config(duration_s=5.0, video=VideoConfig(flows=0)),
-            mobility_trace=trace, ts_matrix=full_ts(2))
+            trace, full_ts(2)))
         self.backlog_both(run)
         assert not run.medium.link_state(0, 1, 0.05).usable
         assert run._neighbors_of(0, 0.05) == [1]
@@ -799,13 +793,14 @@ class TestMemory:
 
 
 class TestBeacons:
-    def test_beacon_reception_takes_no_channel_draws(self):
+    def test_beacon_reception_takes_no_channel_draws(self, tmp_path):
         # node 1 at 100 m would be corrupted by a unicast; without flows
         # only beacons go on air
         config = two_node_config(duration_s=10.0,
                                  video=VideoConfig(flows=0))
         trace = static_trace([(0.0, 0.0), (100.0, 0.0)], duration=10.0)
-        run = SimulationRun(config, mobility_trace=trace, ts_matrix=full_ts(2))
+        run = SimulationRun(oracle_utils.with_inputs(
+            tmp_path, config, trace, full_ts(2)))
 
         class CountingStream:
             draws = 0
@@ -819,10 +814,11 @@ class TestBeacons:
         assert run.classes[PacketClass.BEACON].delivered > 0
         assert run._channel.draws == 0
 
-    def test_beacons_are_signaling_class(self):
+    def test_beacons_are_signaling_class(self, tmp_path):
         config = two_node_config(duration_s=10.0)
         trace = static_trace([(0.0, 0.0), (50.0, 0.0)], duration=10.0)
-        run = SimulationRun(config, mobility_trace=trace, ts_matrix=full_ts(2))
+        run = SimulationRun(oracle_utils.with_inputs(
+            tmp_path, config, trace, full_ts(2)))
         run.run()
         beacons = run.classes[PacketClass.BEACON]
         assert beacons.generated == pytest.approx(2 * 10, abs=2)

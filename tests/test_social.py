@@ -12,8 +12,7 @@ from manetsim.social import (ALL_SIGNS, FACEBOOK_SIGNS, TWITTER_SIGNS,
                              decayed_tie_strength, default_sign_weights,
                              dump_ts_matrix, generate_ts_matrix,
                              load_ts_matrix, path_mean_ts,
-                             quantize_tie_strength, tie_strength,
-                             validate_ts_matrix)
+                             quantize_tie_strength, tie_strength)
 
 
 class TestSignCatalog:
@@ -312,12 +311,6 @@ class TestTsMatrix:
                 load_ts_matrix(text)
         with pytest.raises(ValueError, match="line 4: diagonal"):
             load_ts_matrix("# two nodes\n2\n0 1\n1 1\n")
-
-    def test_validate_rejects_nonzero_diagonal(self):
-        m = np.zeros((3, 3), dtype=np.int64)
-        m[1, 1] = 2
-        with pytest.raises(ValueError):
-            validate_ts_matrix(m)
 
 
 class TestQuantizedNormalMean:

@@ -247,10 +247,6 @@ class TestFrameTrace:
         with pytest.raises(ValueError, match="line 3.*I frame"):
             load_frame_trace("1, I, 500\n2, B, 300\n0, P, 2000\n")
 
-    def test_source_rejects_trace_without_leading_i(self):
-        with pytest.raises(ValueError, match="I frame"):
-            VideoSource(VideoConfig(), trace=[("P", 900), ("I", 100)])
-
     def test_gop_opens_at_each_traced_i_frame(self):
         source = VideoSource(VideoConfig(), trace=[
             ("I", 900), ("B", 100), ("P", 300), ("I", 800), ("B", 90)])
