@@ -1,63 +1,63 @@
-"""Physical layer: log-distance path loss, SNR, unit-disk connectivity and
-per-link delivery behaviour.
+"""Physical layer: log-distance path loss, SNR margin, unit-disk
+connectivity and per-link delivery behaviour.
 
-The paper-grade inputs are transmission range (120 m), nominal bitrate
-(11 Mbps) and channel noise floor (-92 dBm).  Everything else here is our
-documented calibration: transmit power is derived so that the SNR at exactly
-the transmission range equals the reception threshold, which makes the
-usable-link predicate (distance <= range) and the SNR model agree.
+The paper-grade inputs are transmission range (120 m) and nominal bitrate
+(11 Mbps).  Our documented calibration puts the SNR at exactly the range on
+the reception threshold, so the usable-link predicate (distance <= range)
+and the SNR model agree, and the paper's -92 dBm noise floor, the 10 dB
+threshold and the transmit power cancel out: a hop's SNR margin above the
+threshold is PL(range) - PL(d) = 10 n log10(range / d), zero at the range.
+Corruption falls linearly from ``max_corruption_prob`` at margin 0 to zero
+at ``corruption_span_db``.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+# path loss at the 1 m reference distance; it cancels out of every margin,
+# but PL(range) - PL(d) with it rounds as the model always has
+REF_LOSS_DB = 40.0
 
 
 @dataclass(frozen=True)
 class RadioSpec:
     tx_range_m: float = 120.0
-    noise_floor_dbm: float = -92.0
     path_loss_exponent: float = 3.0
     nominal_bitrate_bps: float = 11e6
-    snr_threshold_db: float = 10.0
-    ref_loss_db: float = 40.0  # path loss at the 1 m reference distance
     max_corruption_prob: float = 0.05
     corruption_span_db: float = 20.0
-    tx_power_dbm: float = field(init=False)  # derived, see __post_init__
 
     def __post_init__(self):
         if self.tx_range_m <= 0:
             raise ValueError("tx_range_m must be positive")
+        if self.path_loss_exponent <= 0:
+            raise ValueError("path_loss_exponent must be positive: path "
+                             "loss must grow with distance")
         if self.nominal_bitrate_bps <= 0:
             raise ValueError("nominal_bitrate_bps must be positive")
         if not 0.0 <= self.max_corruption_prob <= 1.0:
             raise ValueError("max_corruption_prob must be in [0, 1]")
         if self.corruption_span_db <= 0:  # the margin is divided by it
             raise ValueError("corruption_span_db must be positive")
-        # Calibration identity: snr(tx_range) == snr_threshold exactly.
-        object.__setattr__(
-            self, "tx_power_dbm",
-            self.snr_threshold_db + self.path_loss(self.tx_range_m)
-            + self.noise_floor_dbm)
 
     def path_loss(self, distance_m: float) -> float:
         """Log-distance path loss in dB, 1 m reference distance."""
         d = max(distance_m, 1.0)
-        return self.ref_loss_db + 10.0 * self.path_loss_exponent * math.log10(d)
+        return REF_LOSS_DB + 10.0 * self.path_loss_exponent * math.log10(d)
 
-    def snr(self, distance_m: float) -> float:
-        return self.tx_power_dbm - self.path_loss(distance_m) - self.noise_floor_dbm
+    def margin_db(self, distance_m: float) -> float:
+        """SNR margin above the reception threshold; 0.0 at the range."""
+        return self.path_loss(self.tx_range_m) - self.path_loss(distance_m)
 
-    def corruption_probability(self, snr_db: float) -> float:
-        """Monotone nonincreasing in SNR; max_corruption_prob at threshold,
-        zero once the margin reaches corruption_span_db."""
-        margin = snr_db - self.snr_threshold_db
-        frac = 1.0 - margin / self.corruption_span_db
+    def corruption_probability(self, margin_db: float) -> float:
+        """Monotone nonincreasing in the margin; max_corruption_prob at
+        margin 0, zero once the margin reaches corruption_span_db."""
+        frac = 1.0 - margin_db / self.corruption_span_db
         return self.max_corruption_prob * min(1.0, max(0.0, frac))
 
 
@@ -67,7 +67,7 @@ class LinkState(NamedTuple):
     node_a: int
     node_b: int
     distance_m: float
-    snr_db: float
+    margin_db: float
     usable: bool
 
 
@@ -125,14 +125,11 @@ class Medium:
         self.sure_in, self.sure_out = r2 - EDGE_REL * r2, r2 + EDGE_REL * r2
         self._graph_cache: dict[float, dict[int, list[int]]] = {}
         # the spec's constants for the per-hop calls, which repeat the
-        # float operations of RadioSpec.snr, transmission_delay and
+        # float operations of RadioSpec.margin_db, transmission_delay and
         # RadioSpec.corruption_probability in the same order
-        self._tx_power = spec.tx_power_dbm
-        self._ref_loss = spec.ref_loss_db
+        self._range_loss = spec.path_loss(spec.tx_range_m)
         self._loss_slope = 10.0 * spec.path_loss_exponent
-        self._noise_floor = spec.noise_floor_dbm
         self._bitrate = spec.nominal_bitrate_bps
-        self._threshold = spec.snr_threshold_db
         self._span = spec.corruption_span_db
         self._max_corruption = spec.max_corruption_prob
 
@@ -144,11 +141,10 @@ class Medium:
         dx = xb - xa
         dy = yb - ya
         dist = math.hypot(dx, dy)
-        loss = self._ref_loss + self._loss_slope * math.log10(
-            dist if dist > 1.0 else 1.0)
+        margin = self._range_loss - (REF_LOSS_DB + self._loss_slope
+                                     * math.log10(dist if dist > 1.0 else 1.0))
         # usable by the rule connectivity uses, so a discovered hop is usable
-        return _new(LinkState, (a, b, dist,
-                                self._tx_power - loss - self._noise_floor,
+        return _new(LinkState, (a, b, dist, margin,
                                 in_range(dx, dy, self.range_sq)))
 
     def connectivity(self, t: float) -> dict[int, list[int]]:
@@ -185,7 +181,7 @@ class Medium:
             return _LINK_BREAK
         rate = self._bitrate / (load_factor if load_factor > 1.0 else 1.0)
         delay = size_bytes * 8.0 / rate + link.distance_m / SPEED_OF_LIGHT
-        frac = 1.0 - (link.snr_db - self._threshold) / self._span
+        frac = 1.0 - link.margin_db / self._span
         p = self._max_corruption * (
             1.0 if frac >= 1.0 else frac if frac > 0.0 else 0.0)
         if p > 0.0 and rng.random() < p:

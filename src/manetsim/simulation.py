@@ -24,7 +24,7 @@ VIDEO_CLASSES = (PacketClass.VIDEO_I, PacketClass.VIDEO_P, PacketClass.VIDEO_B)
 
 # The MAC load factor takes positions at the start of the 0.1 s bucket that
 # holds the query time; at 2 m/s nodes move 0.2 m per quantum, far below the
-# 120 m range.  Exact times are still used for per-hop link SNR and for the
+# 120 m range.  Exact times are still used for per-hop link margins and the
 # connectivity snapshots of route discovery.
 TOPOLOGY_QUANTUM_S = 0.1
 
@@ -443,8 +443,7 @@ class SimulationRun:
     def _record_probe_link(self, packet: Packet, link, load: float,
                            t: float) -> None:
         info = packet.payload
-        margin = link.snr_db - self.config.radio.snr_threshold_db
-        info["min_margin_db"] = min(info["min_margin_db"], margin)
+        info["min_margin_db"] = min(info["min_margin_db"], link.margin_db)
         rate = self.config.radio.nominal_bitrate_bps / max(1.0, load)
         info["min_rate_bps"] = min(info["min_rate_bps"], rate)
         va = self._velocity_of(link.node_a, t)

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import math
 import re
 from dataclasses import replace
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from manetsim.config import (_KEYS, CbrConfig, ConfigError, MacConfig,
                              RunConfig, VideoConfig, _field_type, dump_config,
-                             load_config)
+                             load_config, parse_config)
 from manetsim.harness import (point_config, protocol_log_csv_text,
                               result_csv_text)
 from manetsim.radio import RadioSpec
@@ -28,7 +30,7 @@ class TestDefaults:
         assert config.mobility.max_speed_mps == 2.0
         assert config.radio.tx_range_m == 120.0
         assert config.radio.nominal_bitrate_bps == 11e6
-        assert config.radio.noise_floor_dbm == -92.0
+        assert config.radio.path_loss_exponent == 3.0
         assert config.mac.queue_capacity == 50
         assert config.video.target_rate_bps == 150_000.0
         assert config.video.max_packet_bytes == 1500
@@ -65,6 +67,14 @@ class TestValidation:
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="radio.frequency"):
             load_config("radio: {frequency: 2.4e9}\n")
+
+    @pytest.mark.parametrize("key", ["noise_floor_dbm", "snr_threshold_db",
+                                     "ref_loss_db"])
+    def test_removed_radio_key_is_unknown(self, key):
+        # these cancelled out of every margin, so no run could show them
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"unknown key 'radio.{key}'")):
+            load_config(f"radio: {{{key}: 1.0}}\n")
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="turbo"):
@@ -291,6 +301,10 @@ class TestValidation:
     @pytest.mark.parametrize("text, key", [
         ("area_width_m: 0.0\n", "area_width_m"),
         ("video: {max_packet_bytes: 1}\n", "max_packet_bytes"),
+        # a margin that rises with distance puts every hop at
+        # max_corruption_prob
+        ("radio: {path_loss_exponent: -3.0}\n", "path_loss_exponent"),
+        ("radio: {path_loss_exponent: 0.0}\n", "path_loss_exponent"),
     ])
     def test_rejection_names_the_key(self, text, key):
         with pytest.raises(ConfigError, match=key):
@@ -318,10 +332,6 @@ class TestValidation:
         with pytest.raises(ValueError, match=match):
             cls(**kwargs)
 
-    def test_derived_tx_power_is_not_an_argument(self):
-        with pytest.raises(TypeError):
-            RadioSpec(tx_power_dbm=5.0)
-
 
 class TestRoundTrip:
     def test_dump_then_load(self):
@@ -344,11 +354,11 @@ class TestRoundTrip:
         # the hash names every run in a sweep manifest, and the dump is the
         # text gen-scenario writes: neither may move without a reason
         assert RunConfig().config_hash() == (
-            "6f9c0a883aa0ab474af90be7dd1825c1ebaf95587f9a3bf71e17fa894446dffc")
+            "88e3e5d8666c69c4642b8c21e9fd8a748f3f3f4cbc58f335f489b3fcc4ae400c")
         dumped = dump_config(RunConfig()).encode()
         assert hashlib.sha256(dumped).hexdigest() == (
-            "bf513ac552ca7c4ecd720863050a07aa1388aa0edc35aed7adb5eedf0e4629c2")
-        assert len(_KEYS) == 53
+            "46a7d33444c9f49e6819dbb25345b76b1586d79b9cc4a9a6aae8cbe11bd7ea8b")
+        assert len(_KEYS) == 50
 
     def test_replace_keeps_other_fields(self):
         c = RunConfig().replace(w_ts=0.6)
@@ -364,7 +374,8 @@ RANGES = {
     "nodes": "[2, 12]", "duration_s": "(0, 10]", "flow_min_hops": "[1, inf)",
     "mobility.max_speed_mps": "(0, inf)", "mobility.pause_s": "[0, inf)",
     "mobility.min_speed_fraction": "[0, 1]", "mobility.warmup_s": "[0, inf)",
-    "radio.tx_range_m": "(0, inf)", "radio.nominal_bitrate_bps": "(0, inf)",
+    "radio.tx_range_m": "(0, inf)", "radio.path_loss_exponent": "(0, inf)",
+    "radio.nominal_bitrate_bps": "(0, inf)",
     "radio.max_corruption_prob": "[0, 1]",
     "radio.corruption_span_db": "(0, inf)",
     "mac.queue_capacity": "[1, inf)", "mac.access_delay_s": "[0, inf)",
@@ -499,3 +510,72 @@ class TestBoundaryProperty:
             outputs.append((result_csv_text(result),
                             protocol_log_csv_text(run.protocol_log_rows())))
         assert outputs[0] == outputs[1]
+
+
+# One legal value of each key but the file keys that changes the output of
+# the default 27-node, 20 s run: a key no run can show is no input.
+ALTERNATIVES = {
+    "area_width_m": 400.0, "area_height_m": 400.0, "nodes": 30,
+    "duration_s": 15.0, "master_seed": 2, "flow_min_hops": 3,
+    "mobility.max_speed_mps": 5.0, "mobility.pause_s": 2.0,
+    "mobility.min_speed_fraction": 0.5, "mobility.warmup_s": 0.0,
+    "radio.tx_range_m": 100.0, "radio.path_loss_exponent": 2.0,
+    "radio.nominal_bitrate_bps": 2.0e6, "radio.max_corruption_prob": 0.2,
+    "radio.corruption_span_db": 5.0,
+    "mac.queue_capacity": 5, "mac.access_delay_s": 0.008,
+    "video.flows": 1, "video.fps": 30.0, "video.target_rate_bps": 300000.0,
+    "video.pattern": "IBBP", "video.sigma_log": 0.6,
+    "video.max_packet_bytes": 500, "video.start_s": 1.0,
+    "cbr.flows": 2, "cbr.rate_bps": 1.0e6, "cbr.packet_bytes": 500,
+    "cbr.refresh_s": 2.0,
+    # every path this short run measures lost 0.4-0.8 of its probes and
+    # carried 2.6-4.8 Mb/s, so only a looser loss bound or a bandwidth
+    # bound above 2.6 Mb/s changes which paths pass
+    "customer_request.bw_min_bps": 1.0e7, "customer_request.loss_max": 0.5,
+    "customer_request.delay_max_s": 0.05,
+    "customer_request.jitter_max_s": 0.01,
+    "scoring.w_ts": 0.5, "social.mu_ts": 1.0, "social.sigma_ts": 2.0,
+    "routing.ttl": 3, "routing.max_paths": 3,
+    "routing.beacon_period_s": 0.5, "routing.beacon_bytes": 200,
+    "routing.pm_train": 5, "routing.pm_spacing_s": 0.02,
+    "routing.pm_bytes": 200, "routing.pmr_bytes": 500,
+    "routing.probe_window_s": 0.8, "routing.decision_delay_s": 2.5,
+    "routing.alpha_tune": 5.0, "routing.beta_tune": 4.0,
+}
+
+
+def nine_digits(cell: str) -> str:
+    try:
+        return f"{float(cell):.9g}"
+    except ValueError:
+        return cell
+
+
+def key_run_cells(name: str | None = None, value=None) -> list:
+    """The cells of result.csv and protocol_log.csv of the default run at
+    20 s, with ``name`` set to ``value``; numbers at 9 significant digits,
+    so a change of rounding alone does not count."""
+    data: dict = {"duration_s": 20.0}
+    if name is not None:
+        section, _, key = name.rpartition(".")
+        (data.setdefault(section, {}) if section else data)[key] = value
+    result, rows = run_simulation(parse_config(data))
+    return [[[nine_digits(cell) for cell in row]
+             for row in csv.reader(io.StringIO(text))]
+            for text in (result_csv_text(result), protocol_log_csv_text(rows))]
+
+
+@pytest.fixture(scope="module")
+def default_run_cells():
+    return key_run_cells()
+
+
+class TestEveryKeyActs:
+    def test_table_covers_every_key_but_the_files(self):
+        names = {f"{section}.{key}" if section else key
+                 for section, key, _ in _KEYS}
+        assert set(ALTERNATIVES) == names - set(FILE_KEYS)
+
+    @pytest.mark.parametrize("name", sorted(ALTERNATIVES))
+    def test_key_moves_the_run(self, name, default_run_cells):
+        assert key_run_cells(name, ALTERNATIVES[name]) != default_run_cells

@@ -180,7 +180,7 @@ class TestGoldenDigest:
                    for path in files}
         assert digests == {
             "manifest":
-            "e7fd2bacfbc6eb574b832d57baf590ede75b22c425e75f561cc30843368db15d",
+            "71d702821d809cebb957db6f8d5a8429dbfcd7b19e8fc7082cfe1eba9e298134",
             "sweep_table.csv":
             "0c89081b8e49c1c54a7890fc7f03df98385035aea336e383994929c04369fcb6",
             "loss_ts_mu2_den100.csv":

@@ -30,39 +30,38 @@ def pairwise_connectivity(spec, position_of, node_ids, t):
 
 
 class TestRadioSpec:
-    def test_calibration_identity_at_range(self):
-        spec = RadioSpec()
-        assert spec.snr(spec.tx_range_m) == pytest.approx(
-            spec.snr_threshold_db, abs=1e-12)
+    @pytest.mark.parametrize("spec", [
+        RadioSpec(), RadioSpec(tx_range_m=250.0, path_loss_exponent=2.7)])
+    def test_margin_is_zero_at_range(self, spec):
+        assert spec.margin_db(spec.tx_range_m) == 0.0
 
-    def test_snr_gain_when_halving_distance(self):
+    def test_margin_gain_when_halving_distance(self):
         # log-distance with exponent 3: 10*3*log10(120/60) dB
         spec = RadioSpec()
-        gain = spec.snr(60.0) - spec.snr(120.0)
+        gain = spec.margin_db(60.0) - spec.margin_db(120.0)
         assert gain == pytest.approx(30.0 * math.log10(2.0), abs=1e-9)
         assert gain == pytest.approx(9.0309, abs=1e-3)
 
-    def test_snr_decreasing_in_distance(self):
+    def test_margin_decreasing_in_distance(self):
         spec = RadioSpec()
-        snrs = [spec.snr(d) for d in (10, 30, 60, 90, 119, 120)]
-        assert snrs == sorted(snrs, reverse=True)
+        margins = [spec.margin_db(d) for d in (10, 30, 60, 90, 119, 120)]
+        assert margins == sorted(margins, reverse=True)
 
-    def test_corruption_small_at_high_margin(self):
+    def test_corruption_zero_at_the_span(self):
         spec = RadioSpec()
-        assert spec.corruption_probability(spec.snr_threshold_db + 20.0) <= 0.01
+        assert spec.corruption_probability(spec.corruption_span_db) == 0.0
 
-    def test_corruption_peaks_at_threshold(self):
+    def test_corruption_peaks_at_zero_margin(self):
         spec = RadioSpec()
-        assert spec.corruption_probability(spec.snr_threshold_db) == \
-            pytest.approx(spec.max_corruption_prob)
+        assert spec.corruption_probability(0.0) == spec.max_corruption_prob
 
-    @given(st.floats(min_value=-30, max_value=80),
+    @given(st.floats(min_value=-40, max_value=70),
            st.floats(min_value=0, max_value=80))
     @settings(max_examples=200, deadline=None)
-    def test_corruption_monotone_nonincreasing(self, snr, bump):
+    def test_corruption_monotone_nonincreasing(self, margin, bump):
         spec = RadioSpec()
-        assert spec.corruption_probability(snr + bump) <= \
-            spec.corruption_probability(snr) + 1e-15
+        assert spec.corruption_probability(margin + bump) <= \
+            spec.corruption_probability(margin) + 1e-15
 
 
 class TestLinkState:
@@ -150,7 +149,8 @@ class TestTransmit:
         assert outcome.delay_s >= transmission_delay(medium.spec, 1500, 1.0) > 0
 
     def test_corruption_rate_matches_curve(self):
-        # at exactly the threshold the corruption probability is the maximum
+        # at exactly the range (margin 0) the corruption probability is
+        # the maximum
         spec = RadioSpec(max_corruption_prob=0.2)
         medium = static_medium({0: (0.0, 0.0), 1: (120.0, 0.0)}, spec)
         link = medium.link_state(0, 1, 0.0)
@@ -198,12 +198,12 @@ class TestFusedHopOracle:
     they inline: equal bit for bit, not approximately."""
 
     @pytest.mark.parametrize("spec,dist", HOP_CASES)
-    def test_link_state_snr_and_usable(self, spec, dist):
+    def test_link_state_margin_and_usable(self, spec, dist):
         link = static_medium({0: (0.0, 0.0), 1: (dist, 0.0)},
                              spec).link_state(0, 1, 0.0)
         assert (link.node_a, link.node_b) == (0, 1)
         assert link.distance_m == dist
-        assert link.snr_db == spec.snr(dist)
+        assert link.margin_db == spec.margin_db(dist)
         assert link.usable is (dist <= spec.tx_range_m)
 
     @pytest.mark.parametrize("load", HOP_LOADS)
@@ -220,7 +220,7 @@ class TestFusedHopOracle:
             return
         delay = (transmission_delay(spec, 1500, load)
                  + dist / SPEED_OF_LIGHT)
-        p = spec.corruption_probability(spec.snr(dist))
+        p = spec.corruption_probability(spec.margin_db(dist))
         # corrupted exactly when the draw falls below p
         at_p = FixedDraw(p)
         assert medium.transmit(link, 1500, load, at_p) == (delay, None)
@@ -238,9 +238,9 @@ class TestFusedHopOracle:
         spec = RadioSpec()
         medium = static_medium({0: (0.0, 0.0), 1: (dist, 0.0)}, spec)
         link = medium.link_state(0, 1, 0.0)
-        assert link.snr_db == spec.snr(dist)
+        assert link.margin_db == spec.margin_db(dist)
         if link.usable:
-            p = spec.corruption_probability(link.snr_db)
+            p = spec.corruption_probability(link.margin_db)
             delay = (transmission_delay(spec, size, load)
                      + dist / SPEED_OF_LIGHT)
             assert medium.transmit(link, size, load, FixedDraw(p)) == (

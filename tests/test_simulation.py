@@ -315,8 +315,7 @@ class TestProbeLinkOnAir:
                      "rel_speed_sum": 0.0}))
         run.sim.run_until(config.duration_s)
         [probe] = arrived
-        assert probe.payload["min_margin_db"] == (
-            config.radio.snr(20.0) - config.radio.snr_threshold_db)
+        assert probe.payload["min_margin_db"] == config.radio.margin_db(20.0)
         assert probe.payload["rel_speed_sum"] == 0.0
 
     def test_two_hop_probe_records_one_relative_speed_per_hop(self,
