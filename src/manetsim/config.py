@@ -26,7 +26,6 @@ from operator import attrgetter
 
 import yaml
 
-from .mobility import AreaSpec
 from .radio import RadioSpec
 from .routing import CustomerRequest, DiscoveryLimits
 from .video import CbrConfig, VideoConfig
@@ -183,7 +182,6 @@ class RunConfig:
         if min(self.area_width_m, self.area_height_m) < 1.0:
             raise ConfigError("area_width_m and area_height_m must be at "
                               "least 1 m, the path-loss reference distance")
-        self.area  # validates the node count
         # two distinct endpoints per flow; a tie-strength matrix needs two
         needed = max(2, 2 * (video.flows + self.cbr.flows))
         if self.node_count < needed:
@@ -249,10 +247,6 @@ class RunConfig:
                 f"source within probe_window_s = {self.probe_window_s}, "
                 f"each taking {why}")
 
-    @property
-    def area(self) -> AreaSpec:
-        return AreaSpec(self.area_width_m, self.area_height_m, self.node_count)
-
     def replace(self, **kwargs) -> "RunConfig":
         return replace(self, **kwargs)
 
@@ -262,6 +256,11 @@ class RunConfig:
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def nodes_at_density(width_m: float, height_m: float, density: float) -> int:
+    """Nodes in the area at ``density`` per km^2, rounded, at least 1."""
+    return max(1, round(density * width_m * height_m / 1e6))
 
 
 # The YAML sections, each with the prefix that turns its keys into
@@ -396,9 +395,8 @@ def parse_config(data: dict) -> RunConfig:
     try:
         config = RunConfig(**top)
         if density is not None:
-            config = config.replace(node_count=AreaSpec.from_density(
-                config.area_width_m, config.area_height_m,
-                density).node_count)
+            config = config.replace(node_count=nodes_at_density(
+                config.area_width_m, config.area_height_m, density))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return config

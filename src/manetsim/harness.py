@@ -19,9 +19,9 @@ from dataclasses import dataclass, replace
 
 from scipy.special import stdtrit
 
-from .config import ConfigError, RunConfig, as_type, load_yaml, type_hints
+from .config import (ConfigError, RunConfig, as_type, load_yaml,
+                     nodes_at_density, type_hints)
 from .engine import add_up
-from .mobility import AreaSpec
 from .simulation import (PROTOCOL_LOG_FIELDS, RESULT_FIELDS, run_inputs,
                          run_simulation)
 
@@ -154,11 +154,9 @@ def load_grid(text: str) -> SweepSpec:
 
 def point_config(base: RunConfig, w_ts: float, mu_ts: float,
                  density: int, seed: int) -> RunConfig:
-    area = AreaSpec.from_density(base.area_width_m, base.area_height_m,
-                                 density)
-    return base.replace(
-        node_count=area.node_count, master_seed=seed, w_ts=w_ts,
-        social=replace(base.social, mu_ts=mu_ts))
+    nodes = nodes_at_density(base.area_width_m, base.area_height_m, density)
+    return base.replace(node_count=nodes, master_seed=seed, w_ts=w_ts,
+                        social=replace(base.social, mu_ts=mu_ts))
 
 
 def _run_point(task):

@@ -14,32 +14,10 @@ import random
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
-class AreaSpec:
-    """Rectangular deployment area and node population."""
-
-    width_m: float
-    height_m: float
-    node_count: int
-
-    def __post_init__(self):
-        if self.width_m <= 0 or self.height_m <= 0:
-            raise ValueError("area dimensions must be positive")
-        if self.node_count <= 0:
-            raise ValueError("node_count must be positive")
-
-    @classmethod
-    def from_density(cls, width_m: float, height_m: float,
-                     density: float) -> "AreaSpec":
-        count = round(density * width_m * height_m / 1e6)
-        return cls(width_m, height_m, max(1, count))
-
-
 @dataclass
 class MobilityTrace:
     """Waypoints per node; immutable once built (safe for concurrent reads)."""
 
-    area: AreaSpec
     duration: float
     # per node: parallel lists (times, xs, ys), times strictly increasing
     waypoints: dict[int, tuple[list[float], list[float], list[float]]] = field(
@@ -50,11 +28,13 @@ class MobilityTrace:
         return sorted(self.waypoints)
 
 
-def generate_waypoint_trace(area: AreaSpec, max_speed: float, duration: float,
+def generate_waypoint_trace(width_m: float, height_m: float, nodes: int,
+                            max_speed: float, duration: float,
                             rng: random.Random, pause_s: float = 0.0,
                             min_speed_fraction: float = 0.1,
                             warmup_s: float = 0.0) -> MobilityTrace:
-    """Random-waypoint trace: uniform destinations, uniform speed per leg.
+    """Random-waypoint trace of nodes 0 .. nodes - 1 in a width_m x height_m
+    area: uniform destinations, uniform speed per leg.
 
     Speeds are drawn uniform in (min_speed_fraction * max_speed, max_speed]
     to avoid the zero-speed stagnation pathology; pause at waypoints defaults
@@ -63,21 +43,26 @@ def generate_waypoint_trace(area: AreaSpec, max_speed: float, duration: float,
     distribution rather than the uniform initial draw.  All three knobs are
     configuration, not protocol.
     """
+    # in a zero area every leg is empty and the walk's clock never moves
+    if not (width_m > 0 and height_m > 0):
+        raise ValueError("area dimensions must be positive")
+    if nodes < 1:
+        raise ValueError("nodes must be at least 1")
     if max_speed <= 0:
         raise ValueError("max_speed must be positive")
     if duration < 0 or warmup_s < 0:
         raise ValueError("duration and warmup must be nonnegative")
-    trace = MobilityTrace(area=area, duration=duration)
+    trace = MobilityTrace(duration=duration)
     lo = min_speed_fraction * max_speed
     horizon = warmup_s + duration
-    for node in range(area.node_count):
-        x = rng.uniform(0.0, area.width_m)
-        y = rng.uniform(0.0, area.height_m)
+    for node in range(nodes):
+        x = rng.uniform(0.0, width_m)
+        y = rng.uniform(0.0, height_m)
         times, xs, ys = [0.0], [x], [y]
         t = 0.0
         while t < horizon:
-            dest_x = rng.uniform(0.0, area.width_m)
-            dest_y = rng.uniform(0.0, area.height_m)
+            dest_x = rng.uniform(0.0, width_m)
+            dest_y = rng.uniform(0.0, height_m)
             speed = rng.uniform(lo, max_speed)
             dist = math.hypot(dest_x - x, dest_y - y)
             if dist == 0.0 or speed <= 0.0:
@@ -164,14 +149,14 @@ def segment_at(trace: MobilityTrace, node: int,
             xs[i + 1] - xs[i], ys[i + 1] - ys[i])
 
 
-def import_trace(text: str, area: AreaSpec,
+def import_trace(text: str, width_m: float, height_m: float,
                  duration: float | None = None) -> MobilityTrace:
-    """Parse the one-node-per-line "time x y ..." waypoint format.
+    """Parse the one-node-per-line "time x y ..." waypoint format, every
+    coordinate inside the width_m x height_m area.
 
     Every violation is reported with its 1-based line number.
     """
     waypoints: dict[int, tuple[list[float], list[float], list[float]]] = {}
-    node = 0
     last_time = 0.0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -194,19 +179,17 @@ def import_trace(text: str, area: AreaSpec,
             if not math.isfinite(t) or (times and t <= times[-1]):
                 raise ValueError(f"line {lineno}: waypoint times not finite "
                                  f"and strictly increasing")
-            if not (0.0 <= x <= area.width_m and 0.0 <= y <= area.height_m):
+            if not (0.0 <= x <= width_m and 0.0 <= y <= height_m):
                 raise ValueError(
                     f"line {lineno}: coordinate ({x}, {y}) outside "
-                    f"{area.width_m} x {area.height_m} area")
+                    f"{width_m} x {height_m} area")
             times.append(t)
             xs.append(x)
             ys.append(y)
-        waypoints[node] = (times, xs, ys)
+        waypoints[len(waypoints)] = (times, xs, ys)
         last_time = max(last_time, times[-1])
-        node += 1
     if not waypoints:
         raise ValueError("no nodes in trace")
     return MobilityTrace(
-        area=AreaSpec(area.width_m, area.height_m, node),
         duration=duration if duration is not None else last_time,
         waypoints=waypoints)

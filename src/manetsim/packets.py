@@ -30,11 +30,8 @@ DROP_CAUSES = ("queue-overflow", "link-break", "corruption", "no-route",
 class Packet:
     klass: PacketClass
     size_bytes: int
-    src: int
-    dst: int
-    route: tuple[int, ...] | None   # full source route, src first, if any
+    route: tuple[int, ...] | None   # full source route, src to dst, if any
     created_at: float
     flow_id: int | None = None
-    seq: int | None = None
     payload: dict | None = None     # probes, replies and I packets only
     hop_index: int = 0              # index into route of the current holder

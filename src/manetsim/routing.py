@@ -292,8 +292,7 @@ class SourceProtocol:
                 send_at = t + (j * len(paths) + k) * self.config.pm_spacing_s
                 packet = Packet(
                     klass=PacketClass.PROBE, size_bytes=self.config.pm_bytes,
-                    src=self.src, dst=self.dst, route=path,
-                    created_at=send_at, flow_id=self.flow_id, seq=j,
+                    route=path, created_at=send_at, flow_id=self.flow_id,
                     payload={
                         "iteration": index, "min_margin_db": math.inf,
                         "min_rate_bps": math.inf, "rel_speed_sum": 0.0,
@@ -354,8 +353,8 @@ class SourceProtocol:
         }
         reply = Packet(
             klass=PacketClass.PROBE_REPLY, size_bytes=self.config.pmr_bytes,
-            src=self.dst, dst=self.src, route=tuple(reversed(path)),
-            created_at=self._sim.clock, flow_id=self.flow_id, payload=payload)
+            route=tuple(reversed(path)), created_at=self._sim.clock,
+            flow_id=self.flow_id, payload=payload)
         self._send(reply)
 
     def on_probe_reply_at_source(self, packet: Packet) -> None:

@@ -59,7 +59,6 @@ class FlowStats(Counters):
     flow_id: int
     src: int
     dst: int
-    generated_bytes: int = 0
     delay_sum: float = 0.0
     jitter_sum: float = 0.0
     jitter_n: int = 0
@@ -96,7 +95,6 @@ class FlowStats(Counters):
             self.gop_i_pending.append(0)
         for packet in packets:
             self.generated += 1
-            self.generated_bytes += packet.size_bytes
             if packet.klass is PacketClass.VIDEO_I:
                 self.gop_i_pending[frame.gop_index] += 1
                 packet.payload = {"gop": frame.gop_index}
@@ -172,9 +170,9 @@ def run_inputs(config: RunConfig):
             raise ConfigError(f"{key} {path}: {why}") from None
 
     nodes = config.node_count
-    area = mob.AreaSpec(config.area_width_m, config.area_height_m, 1)
     trace = read("mobility.trace", lambda text: mob.import_trace(
-        text, area, duration=config.duration_s))
+        text, config.area_width_m, config.area_height_m,
+        duration=config.duration_s))
     if trace is not None and len(trace.node_ids) != nodes:
         raise ConfigError(f"mobility.trace {config.mobility.trace} has "
                           f"{len(trace.node_ids)} nodes, but the run has "
@@ -194,10 +192,10 @@ class SimulationRun:
         mobility_trace, ts_matrix, frame_trace = run_inputs(config)
         self.config = config
         self.sim = Simulator(config.master_seed)
-        area = config.area
         if mobility_trace is None:
             mobility_trace = mob.generate_waypoint_trace(
-                area, config.mobility.max_speed_mps, config.duration_s,
+                config.area_width_m, config.area_height_m, config.node_count,
+                config.mobility.max_speed_mps, config.duration_s,
                 self.sim.rng.stream("mobility"),
                 pause_s=config.mobility.pause_s,
                 min_speed_fraction=config.mobility.min_speed_fraction,
@@ -361,7 +359,7 @@ class SimulationRun:
             return
         self._inject(Packet(klass=PacketClass.BEACON,
                             size_bytes=self.config.beacon_bytes,
-                            src=node, dst=-1, route=(node,), created_at=t))
+                            route=(node,), created_at=t))
         self.sim.schedule(t + self.config.beacon_period_s, self._beacon_tick,
                           node)
 
@@ -476,13 +474,11 @@ class SimulationRun:
         t = self.sim.clock
         if t >= self.config.duration_s:
             return
-        stats = self.flow_stats[flow_id]
         frame = source.next_frame(self.sim.rng.stream("traffic"), t)
         packets = packetize(frame, self.config.video.max_packet_bytes,
-                            src=stats.src, dst=stats.dst,
                             route=self.protocols[flow_id].active_route,
                             flow_id=flow_id)
-        stats.count_generated(frame, packets)
+        self.flow_stats[flow_id].count_generated(frame, packets)
         for packet in packets:
             self._inject(packet)
         self.sim.schedule(t + self.config.video.frame_interval,
@@ -508,7 +504,6 @@ class SimulationRun:
         state = self.cbr_state[cbr_id]
         self._inject(Packet(klass=PacketClass.CBR,
                             size_bytes=self.config.cbr.packet_bytes,
-                            src=state["src"], dst=state["dst"],
                             route=state["route"], created_at=t))
         self.sim.schedule(t + self.config.cbr.interval, self._cbr_tick, cbr_id)
 

@@ -45,6 +45,10 @@ class VideoConfig:
             raise ValueError("GoP pattern must start with an I frame")
         if any(c not in "IPB" for c in self.pattern):
             raise ValueError("GoP pattern may only contain I, P and B")
+        # a frame trace opens a GoP at each I frame: so must the pattern
+        if "I" in self.pattern[1:]:
+            raise ValueError(f"GoP pattern {self.pattern!r} has an I frame "
+                             f"after its first, which would open a GoP")
         if self.fps <= 0 or self.target_rate_bps <= 0:
             raise ValueError("fps and target rate must be positive")
         if self.max_packet_bytes < 1:
@@ -110,7 +114,7 @@ class VideoSource:
 
 
 def packetize(frame: VideoFrame, max_packet_bytes: int = 1500,
-              src: int = 0, dst: int = 0, route: tuple[int, ...] | None = None,
+              route: tuple[int, ...] | None = None,
               flow_id: int | None = None) -> list[Packet]:
     """Fragment a frame into packets of at most max_packet_bytes, each
     tagged with the frame's priority class."""
@@ -120,11 +124,11 @@ def packetize(frame: VideoFrame, max_packet_bytes: int = 1500,
     n = math.ceil(frame.size_bytes / max_packet_bytes)
     packets = []
     remaining = frame.size_bytes
-    for i in range(n):
+    for _ in range(n):
         size = min(max_packet_bytes, remaining)
         remaining -= size
-        packets.append(Packet(klass, size, src, dst, route,
-                              frame.generated_at, flow_id, i))
+        packets.append(Packet(klass, size, route, frame.generated_at,
+                              flow_id))
     return packets
 
 

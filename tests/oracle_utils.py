@@ -175,10 +175,11 @@ def velocity_at(trace: MobilityTrace, node: int,
     return (xs[i + 1] - xs[i]) / dt, (ys[i + 1] - ys[i]) / dt
 
 
-def validate_trace(trace: MobilityTrace, max_speed: float) -> None:
+def validate_trace(trace: MobilityTrace, width_m: float, height_m: float,
+                   max_speed: float) -> None:
     """Raise ValueError unless every node's waypoint times strictly
-    increase, every waypoint lies in the area and no leg is faster than
-    ``max_speed``."""
+    increase, every waypoint lies in the width_m x height_m area and no leg
+    is faster than ``max_speed``."""
     if not trace.waypoints:
         raise ValueError("no nodes in trace")
     for node, (times, xs, ys) in trace.waypoints.items():
@@ -187,8 +188,7 @@ def validate_trace(trace: MobilityTrace, max_speed: float) -> None:
                 raise ValueError(f"node {node}: waypoint times not strictly "
                                  f"increasing at index {i}")
         for x, y in zip(xs, ys):
-            if not (0.0 <= x <= trace.area.width_m
-                    and 0.0 <= y <= trace.area.height_m):
+            if not (0.0 <= x <= width_m and 0.0 <= y <= height_m):
                 raise ValueError(f"node {node}: waypoint ({x}, {y}) outside "
                                  f"area")
         for i in range(1, len(times)):

@@ -16,7 +16,7 @@ import oracle_utils
 from manetsim.config import CbrConfig, RunConfig, SocialConfig, VideoConfig
 from manetsim.harness import (SweepSpec, point_config, run_once_to_dir,
                               run_sweep, scenario_seed)
-from manetsim.mobility import AreaSpec, MobilityTrace
+from manetsim.mobility import MobilityTrace
 from manetsim.routing import update_t_routing
 from manetsim.simulation import SimulationRun, run_simulation
 from manetsim.social import (ALL_SIGNS, NormalizationStats, TieSignLedger,
@@ -230,8 +230,7 @@ class TestCriterion08MacDifferentiation:
                 video=VideoConfig(flows=1, target_rate_bps=2.5e6),
                 cbr=CbrConfig(flows=0),
                 social=SocialConfig(mu_ts=4.0, sigma_ts=1.0))
-            trace = MobilityTrace(area=AreaSpec(520.0, 520.0, 2),
-                                  duration=12.0)
+            trace = MobilityTrace(duration=12.0)
             trace.waypoints[0] = ([0.0], [100.0], [100.0])
             trace.waypoints[1] = ([0.0], [120.0], [100.0])
             m = np.zeros((2, 2), dtype=np.int64)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from manetsim.config import (_KEYS, CbrConfig, ConfigError, MacConfig,
                              RunConfig, VideoConfig, _field_type, dump_config,
-                             load_config, parse_config)
+                             load_config, nodes_at_density, parse_config)
 from manetsim.harness import (point_config, protocol_log_csv_text,
                               result_csv_text)
 from manetsim.radio import RadioSpec
@@ -53,6 +53,17 @@ class TestDefaults:
         section = readme.split("## Configuration", 1)[1]
         block = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
         assert load_config(block) == RunConfig()
+
+
+class TestNodesAtDensity:
+    def test_rounds_to_node_count(self):
+        assert nodes_at_density(520.0, 520.0, 100) == 27
+        assert nodes_at_density(520.0, 520.0, 200) == 54
+        assert nodes_at_density(520.0, 520.0, 0.1) == 1  # never empty
+
+    def test_zero_nodes_rejected_by_key(self):
+        with pytest.raises(ConfigError, match="node_count = 0"):
+            RunConfig(node_count=0)
 
 
 class TestValidation:
@@ -301,6 +312,8 @@ class TestValidation:
     @pytest.mark.parametrize("text, key", [
         ("area_width_m: 0.0\n", "area_width_m"),
         ("video: {max_packet_bytes: 1}\n", "max_packet_bytes"),
+        # a second I frame would open a GoP only in a frame trace
+        ("video: {pattern: IBBIBB}\n", "pattern"),
         # a margin that rises with distance puts every hop at
         # max_corruption_prob
         ("radio: {path_loss_exponent: -3.0}\n", "path_loss_exponent"),
@@ -401,7 +414,7 @@ RANGES = {
 # schedule about 3,700
 EVENT_CAP = 200_000
 FILE_KEYS = ("mobility.trace", "social.matrix", "video.trace")
-PATTERNS = ("IBBPBBPBBPBB", "I", "IP", "IPBB", "BIP", "", "IXB")
+PATTERNS = ("IBBPBBPBBPBB", "I", "IP", "IPBB", "BIP", "", "IXB", "IBBIBB")
 
 
 def key_candidates(name: str, kind: type, default) -> list:

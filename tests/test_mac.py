@@ -4,9 +4,9 @@ from manetsim.mac import AccessCategory, MacLayer, PRIORITY_MAP, category_of
 from manetsim.packets import Packet, PacketClass
 
 
-def packet(klass, seq=None):
-    return Packet(klass=klass, size_bytes=100, src=0, dst=1, route=(0, 1),
-                  created_at=0.0, seq=seq)
+def packet(klass, created_at=0.0):
+    return Packet(klass=klass, size_bytes=100, route=(0, 1),
+                  created_at=created_at)
 
 
 class TestPriorityMap:
@@ -72,8 +72,9 @@ class TestNodeQueues:
     def test_fifo_within_queue(self):
         mac = MacLayer([0])
         for i in range(5):
-            mac.enqueue(0, packet(PacketClass.CBR, seq=i))
-        assert [mac.dequeue_next(0).seq for _ in range(5)] == [0, 1, 2, 3, 4]
+            mac.enqueue(0, packet(PacketClass.CBR, created_at=float(i)))
+        assert [mac.dequeue_next(0).created_at
+                for _ in range(5)] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_every_class_reaches_its_category(self):
         mac = MacLayer([0])

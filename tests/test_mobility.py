@@ -5,57 +5,58 @@ import pytest
 
 import oracle_utils
 from manetsim.config import CbrConfig, RunConfig, VideoConfig
-from manetsim.mobility import (AreaSpec, MobilityTrace,
-                               generate_waypoint_trace, import_trace,
-                               position_at)
+from manetsim.mobility import (MobilityTrace, generate_waypoint_trace,
+                               import_trace, position_at)
 from manetsim.simulation import SimulationRun
 
-AREA = AreaSpec(520.0, 520.0, 27)
+AREA = (520.0, 520.0)
+WALK = (*AREA, 27)  # the area and node count of a generated walk
 
 
 def hand_trace():
     """Single node moving from (0,0) to (100,0) over 10 s."""
-    trace = MobilityTrace(area=AreaSpec(520.0, 520.0, 1), duration=10.0)
+    trace = MobilityTrace(duration=10.0)
     trace.waypoints[0] = ([0.0, 10.0], [0.0, 100.0], [0.0, 0.0])
     return trace
-
-
-class TestAreaSpec:
-    def test_from_density_rounds_to_node_count(self):
-        assert AreaSpec.from_density(520.0, 520.0, 100).node_count == 27
-        assert AreaSpec.from_density(520.0, 520.0, 200).node_count == 54
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            AreaSpec(520.0, 520.0, 0)
 
 
 class TestGeneration:
     def test_trace_invariants(self):
         rng = random.Random(3)
-        trace = generate_waypoint_trace(AREA, 2.0, 200.0, rng)
+        trace = generate_waypoint_trace(*WALK, 2.0, 200.0, rng)
         assert len(trace.waypoints) == 27
         # bounds, monotone times, speed cap
-        oracle_utils.validate_trace(trace, max_speed=2.0)
+        oracle_utils.validate_trace(trace, *AREA, max_speed=2.0)
 
     def test_zero_duration_gives_initial_positions_only(self):
-        trace = generate_waypoint_trace(AREA, 2.0, 0.0, random.Random(1))
+        trace = generate_waypoint_trace(*WALK, 2.0, 0.0, random.Random(1))
         for times, xs, ys in trace.waypoints.values():
             assert times == [0.0]
 
     def test_fixed_seed_reproducible(self):
-        a = generate_waypoint_trace(AREA, 2.0, 100.0, random.Random(5))
-        b = generate_waypoint_trace(AREA, 2.0, 100.0, random.Random(5))
+        a = generate_waypoint_trace(*WALK, 2.0, 100.0, random.Random(5))
+        b = generate_waypoint_trace(*WALK, 2.0, 100.0, random.Random(5))
         assert a.waypoints == b.waypoints
 
     def test_speed_positive_required(self):
         with pytest.raises(ValueError):
-            generate_waypoint_trace(AREA, 0.0, 10.0, random.Random(1))
+            generate_waypoint_trace(*WALK, 0.0, 10.0, random.Random(1))
+
+    @pytest.mark.parametrize("width, height, nodes, match", [
+        (0.0, 0.0, 2, "area"), (-1.0, 520.0, 2, "area"),
+        (520.0, 0.0, 2, "area"), (520.0, 520.0, 0, "nodes"),
+    ])
+    def test_empty_area_or_population_rejected(self, width, height, nodes,
+                                               match):
+        # in a zero area every leg is empty and the walk never ends
+        with pytest.raises(ValueError, match=match):
+            generate_waypoint_trace(width, height, nodes, 2.0, 10.0,
+                                    random.Random(1))
 
     def test_warmup_keeps_bounds_and_duration(self):
-        trace = generate_waypoint_trace(AREA, 2.0, 50.0, random.Random(2),
+        trace = generate_waypoint_trace(*WALK, 2.0, 50.0, random.Random(2),
                                         warmup_s=300.0)
-        oracle_utils.validate_trace(trace, max_speed=2.0)
+        oracle_utils.validate_trace(trace, *AREA, max_speed=2.0)
         for times, _, _ in trace.waypoints.values():
             assert times[0] == 0.0
             assert times[-1] >= 50.0
@@ -65,7 +66,8 @@ class TestGeneration:
         # uniform scatter: uniform mean distance-to-center on a square with
         # side L is L*(sqrt(2)+asinh(1))/6
         rng = random.Random(11)
-        trace = generate_waypoint_trace(AREA, 2.0, 400.0, rng, warmup_s=300.0)
+        trace = generate_waypoint_trace(*WALK, 2.0, 400.0, rng,
+                                        warmup_s=300.0)
         cx = cy = 260.0
         samples = []
         for node in trace.node_ids:
@@ -98,7 +100,7 @@ class TestPositionAt:
             position_at(hand_trace(), 0, -1.0)
 
     def test_continuity(self):
-        trace = generate_waypoint_trace(AREA, 2.0, 100.0, random.Random(7))
+        trace = generate_waypoint_trace(*WALK, 2.0, 100.0, random.Random(7))
         for node in (0, 13, 26):
             prev = position_at(trace, node, 0.0)
             for i in range(1, 1000):
@@ -119,8 +121,8 @@ def walk_query_orders(seed):
     waypoint up to the duration, the float just below each, and random
     times."""
     rng = random.Random(seed)
-    trace = generate_waypoint_trace(AreaSpec(520.0, 520.0, 8), 2.0, 200.0,
-                                    rng, pause_s=5.0, warmup_s=50.0)
+    trace = generate_waypoint_trace(520.0, 520.0, 8, 2.0, 200.0, rng,
+                                    pause_s=5.0, warmup_s=50.0)
     on_waypoints = [t for times, _, _ in trace.waypoints.values()
                     for t in times if t <= trace.duration]
     ascending = sorted(set(
@@ -136,7 +138,7 @@ def short_trace():
     """Waypoints that start after 0 or end before the duration, and a
     segment starting at -0.0, which only the exact-waypoint rule returns
     as -0.0 (-0.0 + 0.0 * dx is 0.0)."""
-    trace = MobilityTrace(area=AreaSpec(520.0, 520.0, 5), duration=100.0)
+    trace = MobilityTrace(duration=100.0)
     trace.waypoints[0] = ([10.0, 30.0], [0.0, 90.0], [5.0, 7.0])
     trace.waypoints[1] = ([0.0, 20.0, 50.0], [1.0, 2.5, 400.0],
                           [3.0, 3.0, 0.0])
@@ -192,38 +194,38 @@ class TestSimulationPositionCursor:
 
 class TestImport:
     def test_basic_line(self):
-        trace = import_trace("0.0 10.0 20.0 50.0 30.0 40.0\n", AREA)
+        trace = import_trace("0.0 10.0 20.0 50.0 30.0 40.0\n", *AREA)
         assert trace.waypoints[0] == ([0.0, 50.0], [10.0, 30.0], [20.0, 40.0])
 
     def test_decreasing_times_name_the_line(self):
         text = "0.0 1.0 1.0 5.0 2.0 2.0\n0.0 1.0 1.0 0.0 2.0 2.0\n"
         with pytest.raises(ValueError, match="line 2"):
-            import_trace(text, AREA)
+            import_trace(text, *AREA)
 
     @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
     def test_non_finite_time_names_the_line(self, time):
         text = f"# two nodes\n0 10 10 5 20 20\n0 10 10 {time} 20 20 5 30 30\n"
         with pytest.raises(ValueError,
                            match="line 3: waypoint times not finite"):
-            import_trace(text, AREA)
+            import_trace(text, *AREA)
 
     def test_empty_file(self):
         with pytest.raises(ValueError, match="no nodes"):
-            import_trace("", AREA)
+            import_trace("", *AREA)
 
     def test_bad_field_count(self):
         with pytest.raises(ValueError, match="line 1"):
-            import_trace("0.0 1.0\n", AREA)
+            import_trace("0.0 1.0\n", *AREA)
 
     def test_non_numeric(self):
         with pytest.raises(ValueError, match="line 1"):
-            import_trace("0.0 x 2.0\n", AREA)
+            import_trace("0.0 x 2.0\n", *AREA)
 
     def test_out_of_area(self):
         with pytest.raises(ValueError, match="outside"):
-            import_trace("0.0 600.0 20.0\n", AREA)
+            import_trace("0.0 600.0 20.0\n", *AREA)
 
     def test_node_count_matches_lines(self):
         text = "0.0 10.0 20.0\n0.0 30.0 40.0\n0.0 50.0 60.0\n"
-        trace = import_trace(text, AREA)
+        trace = import_trace(text, *AREA)
         assert trace.node_ids == [0, 1, 2]

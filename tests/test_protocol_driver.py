@@ -69,10 +69,12 @@ class TestProbeTrains:
         paths = {p.route for p in probes}
         iteration = h.protocol.iterations[0]
         assert paths == set(iteration.discovered)
-        for path in paths:
+        spacing = h.protocol.config.pm_spacing_s
+        for k, path in enumerate(iteration.discovered):
             train = [p for p in probes if p.route == path]
-            assert len(train) == 10
-            assert sorted(p.seq for p in train) == list(range(10))
+            # ten send times, the trains interleaved round-robin
+            assert sorted(p.created_at for p in train) == pytest.approx(
+                [(j * len(paths) + k) * spacing for j in range(10)])
 
     def test_bootstrap_route_is_first_discovered(self):
         h = Harness(diamond())

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from manetsim.mobility import AreaSpec, generate_waypoint_trace, position_at
+from manetsim.mobility import generate_waypoint_trace, position_at
 from manetsim.radio import (SPEED_OF_LIGHT, Medium, RadioSpec,
                             transmission_delay)
 
@@ -268,8 +268,8 @@ class TestConnectivityGraph:
     def test_matches_pairwise_reference_on_random_walks(self):
         spec = RadioSpec()
         rng = random.Random(21)
-        trace = generate_waypoint_trace(AreaSpec(520.0, 520.0, 54), 2.0,
-                                        200.0, rng, warmup_s=300.0)
+        trace = generate_waypoint_trace(520.0, 520.0, 54, 2.0, 200.0, rng,
+                                        warmup_s=300.0)
         medium = Medium(spec, lambda n, t: position_at(trace, n, t),
                         trace.node_ids)
         times = [0.0, 200.0] + [rng.uniform(0.0, 200.0) for _ in range(150)]

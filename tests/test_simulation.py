@@ -17,16 +17,15 @@ from manetsim import radio, simulation
 from manetsim.config import CbrConfig, RunConfig, SocialConfig, VideoConfig
 from manetsim.harness import (point_config, protocol_log_csv_text,
                               result_csv_text, run_once_to_dir, scenario_seed)
-from manetsim.mobility import AreaSpec, MobilityTrace
+from manetsim.mobility import MobilityTrace
 from manetsim.packets import DROP_CAUSES, Packet, PacketClass
 from manetsim.radio import Medium, RadioSpec
 from manetsim.routing import qualify
 from manetsim.simulation import DROP_FIELDS, SimulationRun, run_simulation
 
 
-def static_trace(positions, duration=60.0, width=520.0, height=520.0):
-    trace = MobilityTrace(area=AreaSpec(width, height, len(positions)),
-                          duration=duration)
+def static_trace(positions, duration=60.0):
+    trace = MobilityTrace(duration=duration)
     for node, (x, y) in enumerate(positions):
         trace.waypoints[node] = ([0.0], [x], [y])
     return trace
@@ -102,8 +101,8 @@ class TestHopEvents:
             tmp_path, config, trace, full_ts(2)))
         run.sim.run_until(0.2)  # the beacons of t=0 are done, t=0.5 is next
         before = run.sim.queue.processed
-        run._inject(Packet(klass=PacketClass.CBR, size_bytes=1500, src=0,
-                           dst=1, route=(0, 1), created_at=0.2))
+        run._inject(Packet(klass=PacketClass.CBR, size_bytes=1500,
+                           route=(0, 1), created_at=0.2))
         run.sim.run_until(0.3)
         assert run.classes[PacketClass.CBR].delivered == 1
         # the hop is decided at dequeue; reception and end of transmission
@@ -142,8 +141,8 @@ class TestHopEvents:
         run, calls = self.idle_run(tmp_path)
         run.mac.nodes[0].transmitting = True
         assert run.mac.enqueue(0, Packet(
-            klass=PacketClass.CBR, size_bytes=1500, src=0, dst=1,
-            route=(0, 1), created_at=0.2))
+            klass=PacketClass.CBR, size_bytes=1500, route=(0, 1),
+            created_at=0.2))
         run._kick(0)
         assert calls == []
         assert run.mac.backlogged == {0}
@@ -239,8 +238,8 @@ class TestOnAirAfterTheEnd:
         assert not run.mac.backlogged
         assert not any(state.transmitting for state in run.mac.nodes.values())
         route = (0,) if klass is PacketClass.BEACON else (0, 1)
-        run._inject(Packet(klass=klass, size_bytes=1000, src=0,
-                           dst=route[-1], route=route, created_at=t))
+        run._inject(Packet(klass=klass, size_bytes=1000, route=route,
+                           created_at=t))
         run.run()
         counters = run.classes[klass]
         drops = {cause: n for cause, n in counters.drops.items() if n}
@@ -297,7 +296,7 @@ class TestProbeLinkOnAir:
         # node 1 moves at 10 m/s until it stops at t=1; the probe leaves the
         # queue before then and goes on air after
         config = two_node_config(duration_s=2.0, video=VideoConfig(flows=0))
-        trace = MobilityTrace(area=AreaSpec(520.0, 520.0, 2), duration=2.0)
+        trace = MobilityTrace(duration=2.0)
         trace.waypoints[0] = ([0.0], [100.0], [100.0])
         trace.waypoints[1] = ([0.0, 1.0], [110.0, 120.0], [100.0, 100.0])
         run = SimulationRun(oracle_utils.with_inputs(
@@ -309,8 +308,8 @@ class TestProbeLinkOnAir:
         run.sim.run_until(t)
         assert not run.mac.backlogged
         run._inject(Packet(
-            klass=PacketClass.PROBE, size_bytes=1000, src=0, dst=1,
-            route=(0, 1), created_at=t, flow_id=0,
+            klass=PacketClass.PROBE, size_bytes=1000, route=(0, 1),
+            created_at=t, flow_id=0,
             payload={"min_margin_db": math.inf, "min_rate_bps": math.inf,
                      "rel_speed_sum": 0.0}))
         run.sim.run_until(config.duration_s)
@@ -325,7 +324,7 @@ class TestProbeLinkOnAir:
         # destination's mean over len(route) - 1 hops must be their mean
         config = two_node_config(node_count=3, duration_s=2.0,
                                  video=VideoConfig(flows=0))
-        trace = MobilityTrace(area=AreaSpec(520.0, 520.0, 3), duration=2.0)
+        trace = MobilityTrace(duration=2.0)
         trace.waypoints[0] = ([0.0], [100.0], [100.0])
         trace.waypoints[1] = ([0.0, 2.0], [120.0, 126.0], [100.0, 100.0])
         trace.waypoints[2] = ([0.0, 2.0], [140.0, 140.0], [100.0, 108.0])
@@ -337,8 +336,8 @@ class TestProbeLinkOnAir:
         run.sim.run_until(0.5)
         assert not run.mac.backlogged
         run._inject(Packet(
-            klass=PacketClass.PROBE, size_bytes=1000, src=0, dst=2,
-            route=(0, 1, 2), created_at=0.5, flow_id=0,
+            klass=PacketClass.PROBE, size_bytes=1000, route=(0, 1, 2),
+            created_at=0.5, flow_id=0,
             payload={"min_margin_db": math.inf, "min_rate_bps": math.inf,
                      "rel_speed_sum": 0.0}))
         run.sim.run_until(config.duration_s)
@@ -356,8 +355,7 @@ class TestVelocityOracle:
     def make_run(tmp_path, duration=40.0):
         config = two_node_config(node_count=3, duration_s=duration,
                                  video=VideoConfig(flows=0))
-        trace = MobilityTrace(area=AreaSpec(520.0, 520.0, 3),
-                              duration=duration)
+        trace = MobilityTrace(duration=duration)
         # moves, pauses from 10 s to 12.5 s, moves, stops at 30 s
         trace.waypoints[0] = ([0.0, 10.0, 12.5, 30.0],
                               [0.0, 30.0, 30.0, 100.0],
@@ -441,7 +439,7 @@ class TestForwarding:
     def test_route_break_drops_with_cause(self, tmp_path):
         # relay walks out of range at t ~ 10 s, leaving the route broken
         config = two_node_config(node_count=3, duration_s=30.0)
-        trace = MobilityTrace(area=AreaSpec(520.0, 520.0, 3), duration=30.0)
+        trace = MobilityTrace(duration=30.0)
         trace.waypoints[0] = ([0.0], [0.0], [100.0])
         trace.waypoints[1] = ([0.0, 10.0, 11.5], [100.0, 100.0, 100.0],
                               [100.0, 100.0, 400.0])
@@ -497,13 +495,21 @@ class TestAccounting:
             assert 0.0 <= flow["decodable_gop_fraction"] <= 1.0
         assert 0.0 <= result.ts_time_mean <= 4.0
 
-    def test_offered_video_load_near_target(self):
+    def test_offered_video_load_near_target(self, monkeypatch):
         config = RunConfig().replace(duration_s=120.0, node_count=10,
                                      master_seed=6)
-        run = SimulationRun(config)
-        run.run()
-        for stats in run.flow_stats.values():
-            assert stats.generated_bytes * 8 / config.duration_s == (
+        generated = {}  # flow -> bytes of the frames packetized
+        real_packetize = simulation.packetize
+
+        def packetize(frame, *args, flow_id, **kwargs):
+            generated[flow_id] = generated.get(flow_id, 0) + frame.size_bytes
+            return real_packetize(frame, *args, flow_id=flow_id, **kwargs)
+
+        monkeypatch.setattr(simulation, "packetize", packetize)
+        SimulationRun(config).run()
+        assert sorted(generated) == list(range(config.video.flows))
+        for flow_bytes in generated.values():
+            assert flow_bytes * 8 / config.duration_s == (
                 pytest.approx(config.video.target_rate_bps, rel=0.05))
 
 
@@ -569,6 +575,24 @@ class TestCounterWriters:
                 p.klass is klass for p in run.delivered), klass
 
 
+class TestPacketFieldsRead:
+    def test_every_packet_field_is_read_by_a_run(self, monkeypatch):
+        # each slot becomes a property that notes its reads: a field no run
+        # reads is state to drop, not to carry on every packet
+        read = set()
+        for f in dataclasses.fields(Packet):
+            slot = Packet.__dict__[f.name]
+
+            def get(packet, name=f.name, slot=slot):
+                read.add(name)
+                return slot.__get__(packet, Packet)
+
+            monkeypatch.setattr(Packet, f.name, property(get, slot.__set__))
+        run_simulation(RunConfig().replace(duration_s=20.0))
+        unread = {f.name for f in dataclasses.fields(Packet)} - read
+        assert not unread, sorted(unread)
+
+
 class TestLoadOracle:
     """The MAC load factor from the backlogged nodes alone equals its
     definition on the whole-network snapshot, on every load of a run."""
@@ -617,8 +641,8 @@ class TestLoadRangeEdge:
     def backlog_both(run):
         for node in (0, 1):
             run.mac.enqueue(node, Packet(
-                klass=PacketClass.CBR, size_bytes=1500, src=node,
-                dst=1 - node, route=(node, 1 - node), created_at=0.0))
+                klass=PacketClass.CBR, size_bytes=1500,
+                route=(node, 1 - node), created_at=0.0))
 
     @staticmethod
     def offsets(dx, dy):
@@ -667,8 +691,7 @@ class TestLoadRangeEdge:
                 points.append((px, 0.0))
                 linked.append(verdict)
         text = "\n".join(f"0.0 {x!r} {y!r}" for x, y in points)
-        trace = mob.import_trace(text, AreaSpec(520.0, 520.0, len(points)),
-                                 duration=5.0)
+        trace = mob.import_trace(text, 520.0, 520.0, duration=5.0)
         config = two_node_config(duration_s=5.0, node_count=len(points),
                                  video=VideoConfig(flows=0))
         run = SimulationRun(oracle_utils.with_inputs(
@@ -678,8 +701,8 @@ class TestLoadRangeEdge:
         adj = run.medium.connectivity(0.0)
         for node in range(len(points)):  # every node backlogged
             assert run.mac.enqueue(node, Packet(
-                klass=PacketClass.CBR, size_bytes=1500, src=node, dst=0,
-                route=(node, 0), created_at=0.0))
+                klass=PacketClass.CBR, size_bytes=1500, route=(node, 0),
+                created_at=0.0))
         for node, (x, y) in enumerate(points):
             rule = [other for other, (ox, oy) in enumerate(points)
                     if other != node and radio.in_range(ox - x, oy - y, r2)]
@@ -688,7 +711,7 @@ class TestLoadRangeEdge:
 
     def test_positions_taken_at_the_bucket_start(self, tmp_path):
         # 2 m/s apart each: out of range 0.0125 s into the bucket [0, 0.1)
-        trace = MobilityTrace(area=AreaSpec(520.0, 520.0, 2), duration=5.0)
+        trace = MobilityTrace(duration=5.0)
         trace.waypoints[0] = ([0.0, 5.0], [10.0, 0.0], [0.0, 0.0])
         trace.waypoints[1] = ([0.0, 5.0], [self.R + 9.95, self.R + 19.95],
                               [0.0, 0.0])

@@ -19,6 +19,12 @@ class TestGopModel:
         with pytest.raises(ValueError):
             VideoConfig(pattern="IXB")
 
+    def test_pattern_has_one_i_frame(self):
+        # a frame trace opens a GoP at each I frame, so generated GoPs of
+        # IBBIBB would count half as many GoPs as the same frames replayed
+        with pytest.raises(ValueError, match="'IBBIBB' has an I frame"):
+            VideoConfig(pattern="IBBIBB")
+
     def test_mean_sizes_hit_target_rate(self):
         video = VideoConfig()
         means = video.mean_sizes()
@@ -207,8 +213,8 @@ class TestCbr:
 
     def test_class_is_best_effort(self):
         from manetsim.packets import Packet
-        p = Packet(klass=PacketClass.CBR, size_bytes=1500, src=0, dst=1,
-                   route=(0, 1), created_at=0.0)
+        p = Packet(klass=PacketClass.CBR, size_bytes=1500, route=(0, 1),
+                   created_at=0.0)
         assert category_of(p) is AccessCategory.AC3
 
 
