@@ -398,7 +398,12 @@ def parse_config(data: dict) -> RunConfig:
             config = config.replace(node_count=nodes_at_density(
                 config.area_width_m, config.area_height_m, density))
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        why = str(exc)
+        if why.startswith("node_count = "):  # name the key the file set
+            key = ("nodes" if density is None
+                   else f"density = {density:g} gives nodes")
+            why = key + why.removeprefix("node_count")
+        raise ConfigError(why) from None
     return config
 
 

@@ -228,8 +228,7 @@ class SimulationRun:
         self._radio = config.radio
         self._on_hop_done = self._hop_done
         self._on_tx_done = self._tx_done
-        self._setup_flows()
-        self._setup_beacons()
+        self._setup_sources()
 
     # -- topology helpers ----------------------------------------------------
 
@@ -319,7 +318,7 @@ class SimulationRun:
                 choice = rng.sample(self.node_ids, count)
         return choice  # nothing connected after many tries: run as drawn
 
-    def _setup_flows(self) -> None:
+    def _setup_sources(self) -> None:
         config = self.config
         endpoints = self._pick_endpoints(
             2 * config.video.flows + 2 * config.cbr.flows)
@@ -335,33 +334,62 @@ class SimulationRun:
             self.protocols[flow_id] = protocol
             self.sim.schedule(0.0, protocol.start_iteration)
             source = VideoSource(config.video, trace=self._frame_trace)
-            self.sim.schedule(config.video.start_s, self._video_tick,
-                              flow_id, source)
+            self._every(config.video.start_s, config.video.frame_interval,
+                        self._send_frame, (flow_id, source))
         base = 2 * config.video.flows
         for c in range(config.cbr.flows):
             src, dst = endpoints[base + 2 * c], endpoints[base + 2 * c + 1]
-            self.cbr_state[c] = {"src": src, "dst": dst, "route": None}
-            self.sim.schedule(0.0, self._cbr_refresh, c)
-            self.sim.schedule(0.0, self._cbr_tick, c)
-
-    def _setup_beacons(self) -> None:
+            state = self.cbr_state[c] = {"src": src, "dst": dst, "route": None}
+            self._every(0.0, config.cbr.refresh_s, self._find_cbr_route,
+                        (state,))
+            self._every(0.0, config.cbr.interval, self._send_cbr, (state,))
         # deterministic stagger spreads beacon transmissions inside a period
-        period = self.config.beacon_period_s
+        period = config.beacon_period_s
         for i, node in enumerate(self.node_ids):
-            offset = period * i / max(1, len(self.node_ids))
-            self.sim.schedule(offset, self._beacon_tick, node)
+            self._every(period * i / len(self.node_ids), period,
+                        self._send_beacon, (node,))
 
-    # -- beacons --------------------------------------------------------------
+    # -- traffic sources --------------------------------------------------------
 
-    def _beacon_tick(self, node: int) -> None:
-        t = self.sim.clock
-        if t >= self.config.duration_s:
-            return
+    def _every(self, start: float, period: float, action, args: tuple) -> None:
+        """The one rule of every traffic source: ``action(t, *args)`` fires
+        at ``start`` and every ``period`` after, each time by adding
+        ``period`` to the last, and a firing is scheduled only if it comes
+        before ``duration_s``, as the monitoring cycle's iterations are."""
+        if start < self._duration:
+            self.sim.schedule(start, self._fire, start, period, action, args)
+
+    def _fire(self, t: float, period: float, action, args: tuple) -> None:
+        action(t, *args)
+        t += period
+        if t < self._duration:
+            self.sim.schedule(t, self._fire, t, period, action, args)
+
+    def _send_beacon(self, t: float, node: int) -> None:
         self._inject(Packet(klass=PacketClass.BEACON,
                             size_bytes=self.config.beacon_bytes,
                             route=(node,), created_at=t))
-        self.sim.schedule(t + self.config.beacon_period_s, self._beacon_tick,
-                          node)
+
+    def _send_frame(self, t: float, flow_id: int, source: VideoSource) -> None:
+        frame = source.next_frame(self.sim.rng.stream("traffic"), t)
+        packets = packetize(frame, self.config.video.max_packet_bytes,
+                            route=self.protocols[flow_id].active_route,
+                            flow_id=flow_id)
+        self.flow_stats[flow_id].count_generated(frame, packets)
+        for packet in packets:
+            self._inject(packet)
+
+    def _find_cbr_route(self, t: float, state: dict) -> None:
+        paths = discover_paths(self.medium.connectivity(t), state["src"],
+                               state["dst"],
+                               DiscoveryLimits(ttl=self.config.limits.ttl,
+                                               max_paths=1))
+        state["route"] = paths[0] if paths else None
+
+    def _send_cbr(self, t: float, state: dict) -> None:
+        self._inject(Packet(klass=PacketClass.CBR,
+                            size_bytes=self.config.cbr.packet_bytes,
+                            route=state["route"], created_at=t))
 
     # -- MAC service loop -----------------------------------------------------
 
@@ -467,45 +495,6 @@ class SimulationRun:
         self.classes[packet.klass].drops[cause] += 1
         if packet.klass in VIDEO_CLASSES:
             self.flow_stats[packet.flow_id].drops[cause] += 1
-
-    # -- traffic sources --------------------------------------------------------
-
-    def _video_tick(self, flow_id: int, source: VideoSource) -> None:
-        t = self.sim.clock
-        if t >= self.config.duration_s:
-            return
-        frame = source.next_frame(self.sim.rng.stream("traffic"), t)
-        packets = packetize(frame, self.config.video.max_packet_bytes,
-                            route=self.protocols[flow_id].active_route,
-                            flow_id=flow_id)
-        self.flow_stats[flow_id].count_generated(frame, packets)
-        for packet in packets:
-            self._inject(packet)
-        self.sim.schedule(t + self.config.video.frame_interval,
-                          self._video_tick, flow_id, source)
-
-    def _cbr_refresh(self, cbr_id: int) -> None:
-        t = self.sim.clock
-        if t >= self.config.duration_s:
-            return
-        state = self.cbr_state[cbr_id]
-        adj = self.medium.connectivity(t)
-        paths = discover_paths(adj, state["src"], state["dst"],
-                               DiscoveryLimits(ttl=self.config.limits.ttl,
-                                               max_paths=1))
-        state["route"] = paths[0] if paths else None
-        self.sim.schedule(t + self.config.cbr.refresh_s, self._cbr_refresh,
-                          cbr_id)
-
-    def _cbr_tick(self, cbr_id: int) -> None:
-        t = self.sim.clock
-        if t >= self.config.duration_s:
-            return
-        state = self.cbr_state[cbr_id]
-        self._inject(Packet(klass=PacketClass.CBR,
-                            size_bytes=self.config.cbr.packet_bytes,
-                            route=state["route"], created_at=t))
-        self.sim.schedule(t + self.config.cbr.interval, self._cbr_tick, cbr_id)
 
     # -- run ----------------------------------------------------------------------
 

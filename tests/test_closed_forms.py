@@ -15,10 +15,13 @@ to the simulator.
 """
 
 import math
+from collections import Counter
 
 import pytest
 
+from manetsim import simulation
 from manetsim.config import load_config
+from manetsim.packets import PacketClass
 from manetsim.radio import SPEED_OF_LIGHT
 from manetsim.simulation import SimulationRun
 
@@ -51,21 +54,28 @@ def service_s(config, size_bytes, load, distance_m=0.0):
             + distance_m / SPEED_OF_LIGHT)
 
 
-def beacons_sent(config):
-    """Beacons one node sends: one per period from its stagger offset, a
-    fraction of a period, until ``duration_s``."""
-    return math.ceil(config.duration_s / config.beacon_period_s)
+def firings(start, period, duration_s):
+    """Firings of a periodic source, as the model schedules them: one at
+    ``start``, then one each time ``period`` is added to the last, while
+    the sum is below ``duration_s``."""
+    t, count = start, 0
+    while t < duration_s:
+        count += 1
+        t += period
+    return count
+
+
+def beacons_sent(config, i=0):
+    """Beacons the i-th node sends: one per period from its stagger
+    offset, ``i / node_count`` of a period."""
+    period = config.beacon_period_s
+    return firings(period * i / config.node_count, period,
+                   config.duration_s)
 
 
 def cbr_ticks(config):
-    """CBR packets one flow sends: one at each tick from t = 0 while the
-    clock is below ``duration_s``, the clock advanced by repeated addition
-    of ``cbr.interval``, as the model schedules them."""
-    t, ticks = 0.0, 0
-    while t < config.duration_s:
-        ticks += 1
-        t += config.cbr.interval
-    return ticks
+    """CBR packets one flow sends, one per ``cbr.interval`` from t = 0."""
+    return firings(0.0, config.cbr.interval, config.duration_s)
 
 
 class TestSaturatedHop:
@@ -215,3 +225,57 @@ class TestChainBelowSaturation:
         decided = served(cbr)
         half_width = 3.2905 * math.sqrt(decided * q * (1.0 - q))
         assert abs(cbr["delivered"] - decided * q) <= half_width
+
+
+class TestTrafficSources:
+    """Every traffic source fires by one rule: at its start time and every
+    period after, by repeated addition, and never at or after
+    ``duration_s``.  Node i beacons from ``i / nodes`` of a beacon period,
+    each video flow sends a frame every ``video.frame_interval`` from
+    ``video.start_s``, and each CBR flow looks its route up every
+    ``cbr.refresh_s`` and sends a packet every ``cbr.interval``, both from
+    t = 0.
+
+    The run lasts 12 beacon periods and 4 route refreshes, so node 0's
+    13th beacon and each flow's 5th lookup would fall exactly on the end.
+    Beacons and CBR packets are counted as they enter the network
+    (``_inject``), frames as they are cut into packets and route lookups
+    as they search the graph.
+    """
+
+    @pytest.mark.parametrize("video_start_s", [0.5, 12.0])
+    def test_each_source_fires_its_count(self, monkeypatch, video_start_s):
+        config = load_config(
+            "nodes: 10\nduration_s: 12.0\ncbr: {refresh_s: 3.0}\n"
+            f"video: {{start_s: {video_start_s}}}\n")
+        calls = {"inject": [], "packetize": [], "discover_paths": []}
+
+        def counted(name, wrapped):
+            def call(*args, **kwargs):
+                calls[name].append(args)
+                return wrapped(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(SimulationRun, "_inject", counted(
+            "inject", SimulationRun._inject))
+        for name in ("packetize", "discover_paths"):
+            monkeypatch.setattr(simulation, name, counted(
+                name, getattr(simulation, name)))
+        run = SimulationRun(config)
+        run.run()
+
+        duration = config.duration_s
+        assert beacons_sent(config) == 12
+        assert firings(0.0, config.cbr.refresh_s, duration) == 4
+        packets = [packet for _run, packet in calls["inject"]]
+        assert max(p.created_at for p in packets) < duration
+        beacons = Counter(p.route[0] for p in packets
+                          if p.klass is PacketClass.BEACON)
+        assert beacons == {node: beacons_sent(config, i)
+                           for i, node in enumerate(run.node_ids)}
+        assert (sum(p.klass is PacketClass.CBR for p in packets)
+                == config.cbr.flows * cbr_ticks(config))
+        assert len(calls["packetize"]) == config.video.flows * firings(
+            video_start_s, config.video.frame_interval, duration)
+        assert len(calls["discover_paths"]) == config.cbr.flows * firings(
+            0.0, config.cbr.refresh_s, duration)

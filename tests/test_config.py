@@ -318,6 +318,10 @@ class TestValidation:
         # max_corruption_prob
         ("radio: {path_loss_exponent: -3.0}\n", "path_loss_exponent"),
         ("radio: {path_loss_exponent: 0.0}\n", "path_loss_exponent"),
+        # the count the file set, or the one its density gives; the prose
+        # of the message says "nodes" too, so the key must lead it
+        ("nodes: 0\n", "^nodes = 0 is below 6"),
+        ("density: 1\n", "^density = 1 gives nodes = 1 is below 6"),
     ])
     def test_rejection_names_the_key(self, text, key):
         with pytest.raises(ConfigError, match=key):

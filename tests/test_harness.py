@@ -297,7 +297,7 @@ class TestSweep:
         losses = []
         for run_dir in sorted(point_dir.iterdir()):
             rows = list(csv.DictReader(
-                (run_dir / "result.csv").open()))
+                (run_dir / "result.csv").read_text().splitlines()))
             all_row = rows[-1]
             losses.append(float(all_row["loss_fraction"]))
         assert row["loss_mean"] == pytest.approx(
@@ -321,13 +321,13 @@ class TestReport:
         files = write_report(self.synth_table(), str(tmp_path))
         assert len(files) == 2
         loss_rows = list(csv.DictReader(
-            open(os.path.join(tmp_path, "loss_ts_mu1_den100.csv"))))
+            (tmp_path / "loss_ts_mu1_den100.csv").read_text().splitlines()))
         assert len(loss_rows) == 7
         for row in loss_rows:
             assert 0.0 <= float(row["loss_mean"]) <= 1.0
             assert 0.0 <= float(row["ts_mean"]) <= 4.0
         delay_rows = list(csv.DictReader(
-            open(os.path.join(tmp_path, "delay_mu1_den100.csv"))))
+            (tmp_path / "delay_mu1_den100.csv").read_text().splitlines()))
         assert [float(r["w_ts"]) for r in delay_rows] == [
             0.0, 0.125, 0.2, 0.4, 0.6, 0.8, 1.0]
 
