@@ -201,6 +201,14 @@ class RunConfig:
             return seconds, (f"{seconds:.6g} s at load 1, mac.access_delay_s "
                              f"plus {size} at radio.nominal_bitrate_bps")
 
+        # a 0-byte beacon or probe with no access delay is served in no
+        # time, and a process held to a zero service time is held to no rate
+        for key in ("beacon_bytes", "pm_bytes"):
+            if service(getattr(self, key), key)[0] == 0.0:
+                raise ConfigError(
+                    f"{key} = 0 and mac.access_delay_s = 0 give its frames a "
+                    f"service time of 0 s at load 1, which bounds no rate: "
+                    f"make either positive")
         # every node beacons, and nodes in mutual range share one channel
         # that serves a frame per service time whatever their number
         beacon, why = service(self.beacon_bytes, "beacon_bytes")

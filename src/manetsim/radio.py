@@ -87,42 +87,21 @@ def transmission_delay(spec: RadioSpec, size_bytes: int,
     return size_bytes * 8.0 / effective_rate
 
 
-# Pairs whose squared distance lies within this fraction of the squared
-# range are decided by the ``**`` expression; x * x and x ** 2 differ by at
-# most an ulp, far inside this margin.
-EDGE_REL = 1e-12
-
-
-def in_range(dx: float, dy: float, r2: float) -> bool:
-    """The unit-disk rule: nodes at offset (dx, dy) are linked when
-    ``dx ** 2 + dy ** 2`` is at most the squared range ``r2``.
-
-    Python's ``x ** 2`` goes through libm ``pow``, which can round the last
-    bit differently from ``x * x``; the cheaper ``dx * dx + dy * dy``
-    decides every pair except those that close to the range edge.
-    """
-    d2 = dx * dx + dy * dy
-    if abs(d2 - r2) <= EDGE_REL * r2:
-        return dx ** 2 + dy ** 2 <= r2
-    return d2 <= r2
-
-
 class Medium:
     """Instantaneous connectivity and delivery over a mobility trace.
 
     Pure function of (positions, RadioSpec, rng stream); the only state is a
     one-entry cache of the last connectivity snapshot, keyed by query time,
     which serves route discovery, the CBR route refresh and endpoint
-    picking (the MAC load factor tests its few pairs by the same band test).
+    picking.  Every pair, here and in the MAC load scan, is linked when
+    ``dx * dx + dy * dy <= range_sq``.
     """
 
     def __init__(self, spec: RadioSpec, position_of, node_ids: list[int]):
         self.spec = spec
         self._position_of = position_of  # callable (node, t) -> (x, y)
         self.node_ids = sorted(node_ids)
-        r2 = self.range_sq = spec.tx_range_m ** 2
-        # squared distances outside in_range's edge recheck, either side
-        self.sure_in, self.sure_out = r2 - EDGE_REL * r2, r2 + EDGE_REL * r2
+        self.range_sq = spec.tx_range_m ** 2
         self._graph_cache: dict[float, dict[int, list[int]]] = {}
         # the spec's constants for the per-hop calls, which repeat the
         # float operations of RadioSpec.margin_db, transmission_delay and
@@ -145,16 +124,16 @@ class Medium:
                                      * math.log10(dist if dist > 1.0 else 1.0))
         # usable by the rule connectivity uses, so a discovered hop is usable
         return _new(LinkState, (a, b, dist, margin,
-                                in_range(dx, dy, self.range_sq)))
+                                dx * dx + dy * dy <= self.range_sq))
 
     def connectivity(self, t: float) -> dict[int, list[int]]:
-        """Adjacency lists (sorted) of the unit-disk graph at time t: each
-        pair decided by the band test, over the whole network at once."""
+        """Adjacency lists (sorted) of the unit-disk graph at time t, over
+        the whole network at once."""
         cached = self._graph_cache.get(t)
         if cached is not None:
             return cached
         placed = [(n, *self._position_of(n, t)) for n in self.node_ids]
-        r2, sure_in, sure_out = self.range_sq, self.sure_in, self.sure_out
+        r2 = self.range_sq
         adj: dict[int, list[int]] = {node: [] for node in self.node_ids}
         # pairs in ascending order: each node's neighbours come out sorted
         for i, (a, xa, ya) in enumerate(placed):
@@ -162,8 +141,7 @@ class Medium:
             for b, xb, yb in placed[i + 1:]:
                 dx = xb - xa
                 dy = yb - ya
-                d2 = dx * dx + dy * dy
-                if d2 < sure_in or (d2 <= sure_out and in_range(dx, dy, r2)):
+                if dx * dx + dy * dy <= r2:
                     nbrs.append(b)
                     adj[b].append(a)
         self._graph_cache = {t: adj}

@@ -14,7 +14,7 @@ from .config import ConfigError, RunConfig
 from .engine import Simulator, add_up
 from .mac import MacLayer
 from .packets import DROP_CAUSES, Packet, PacketClass
-from .radio import Medium, in_range, transmission_delay
+from .radio import Medium, transmission_delay
 from .routing import (DiscoveryLimits, SourceProtocol, bfs_distance,
                       discover_paths)
 from .social import generate_ts_matrix, load_ts_matrix
@@ -251,8 +251,9 @@ class SimulationRun:
         """The backlogged nodes linked to ``node`` in the unit-disk graph at
         the start of t's bucket, which are all the MAC load counts.
 
-        Only those pairs are tested, by the medium's band test written
-        inline; the positions of the nodes touched are kept for the bucket.
+        Only those pairs are tested, by the medium's rule
+        ``dx * dx + dy * dy <= range_sq``; the positions of the nodes
+        touched are kept for the bucket.
         """
         backlogged = self.mac.backlogged
         if len(backlogged) == (node in backlogged):  # no other node
@@ -266,8 +267,7 @@ class SimulationRun:
         if here is None:
             here = positions[node] = self._position_of(node, bucket)
         x, y = here
-        medium = self.medium
-        r2, sure_in, sure_out = medium.range_sq, medium.sure_in, medium.sure_out
+        r2 = self.medium.range_sq
         nbrs = []
         for other in backlogged:
             if other == node:
@@ -277,8 +277,7 @@ class SimulationRun:
                 there = positions[other] = self._position_of(other, bucket)
             dx = there[0] - x
             dy = there[1] - y
-            d2 = dx * dx + dy * dy
-            if d2 < sure_in or (d2 <= sure_out and in_range(dx, dy, r2)):
+            if dx * dx + dy * dy <= r2:
                 nbrs.append(other)
         return nbrs
 

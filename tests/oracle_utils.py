@@ -4,7 +4,8 @@ definition of the decodable-GoP fraction, the whole-network snapshot
 definition of the MAC load factor, the quantised normal mean written
 with scipy.stats, a node's velocity on its waypoint segment, the two-event
 per-hop path, each sweep run's pooled metrics as its files record them,
-and a config whose input files hold a given trace and matrix."""
+a config whose input files hold a given trace and matrix, and Bianchi's
+saturation throughput of 802.11 DCF."""
 
 from __future__ import annotations
 
@@ -292,3 +293,42 @@ def with_inputs(tmp_path, config, trace=None, ts=None):
         social = dataclasses.replace(social,
                                      matrix=write("ts", dump_ts_matrix(ts)))
     return config.replace(mobility=mobility, social=social)
+
+
+def dcf_saturation(senders: int, payload_bytes: int = 1500,
+                   cw_min: int = 32, stages: int = 5) -> tuple[float, float]:
+    """(collision probability, frames/s) of ``senders`` saturated 802.11b
+    stations in mutual range, by Bianchi's model ("Performance analysis of
+    the IEEE 802.11 distributed coordination function", IEEE JSAC 2000).
+
+    Basic access: a frame is the 192 us long preamble plus payload and a
+    34-byte MAC header at 11 Mb/s; a success adds SIFS and a 14-byte ACK at
+    1 Mb/s, and a success or a collision then DIFS; slots of 20 us, no
+    propagation delay and no EIFS.  The collision probability p solves
+    p = 1 - (1 - tau(p)) ** (senders - 1), found by bisection on [0, 0.49].
+    """
+    slot, sifs, difs, preamble = 20e-6, 10e-6, 50e-6, 192e-6
+
+    def tau(p):  # a station's chance to send in a slot
+        return 2.0 * (1.0 - 2.0 * p) / (
+            (1.0 - 2.0 * p) * (cw_min + 1)
+            + p * cw_min * (1.0 - (2.0 * p) ** stages))
+
+    low, high = 0.0, 0.49
+    if senders > 1:
+        for _ in range(100):
+            mid = (low + high) / 2.0
+            if 1.0 - (1.0 - tau(mid)) ** (senders - 1) > mid:
+                low = mid
+            else:
+                high = mid
+    p = low
+    t = tau(p)
+    busy = 1.0 - (1.0 - t) ** senders
+    success = senders * t * (1.0 - t) ** (senders - 1)
+    data = preamble + 8 * (payload_bytes + 34) / 11e6
+    t_success = data + sifs + preamble + 8 * 14 / 1e6 + difs
+    t_collision = data + difs
+    mean_slot = ((1.0 - busy) * slot + success * t_success
+                 + (busy - success) * t_collision)
+    return p, success / mean_slot

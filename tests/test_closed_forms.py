@@ -15,7 +15,9 @@ to the simulator.
 """
 
 import math
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,7 @@ from manetsim.config import load_config
 from manetsim.packets import PacketClass
 from manetsim.radio import SPEED_OF_LIGHT
 from manetsim.simulation import SimulationRun
+from oracle_utils import dcf_saturation
 
 DURATION_S = 60.0
 HOP_M = 50.0
@@ -279,3 +282,61 @@ class TestTrafficSources:
             video_start_s, config.video.frame_interval, duration)
         assert len(calls["discover_paths"]) == config.cbr.flows * firings(
             0.0, config.cbr.refresh_s, duration)
+
+
+def printed(value: float, cell: str) -> str:
+    """``value`` written with as many decimals as ``cell`` has."""
+    return f"{value:.{len(cell.partition('.')[2])}f}"
+
+
+class TestDcfComparison:
+    """README's comparison with 802.11 DCF, recomputed: Bianchi's
+    saturation throughput for n senders from ``oracle_utils``, and this
+    model's per-frame time at load 1, ``access_delay_s + 8 * bytes /
+    nominal_bitrate_bps``, from the defaults."""
+
+    def section(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        return readme.split("How this MAC compares with 802.11 DCF", 1)[1]
+
+    def prose(self):
+        return " ".join(self.section().split())
+
+    def rows(self):
+        return [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in self.section().splitlines()
+                if re.match(r"\| \d", line)]
+
+    def test_table_is_bianchis_model(self):
+        rows = self.rows()
+        assert [int(n) for n, *_ in rows] == [1, 2, 3, 5, 10, 20]
+        one = dcf_saturation(1)[1]
+        for n, p_cell, rate_cell, ratio_cell in rows:
+            p, rate = dcf_saturation(int(n))
+            assert printed(p, p_cell) == p_cell, n
+            assert printed(rate, rate_cell) == rate_cell, n
+            assert printed(rate / one, ratio_cell) == ratio_cell, n
+
+    def test_aggregate_range_is_the_tables(self):
+        low, high = re.search(r"stays within ([\d.]+)-([\d.]+) of one "
+                              r"sender's", self.prose()).groups()
+        ratios = [dcf_saturation(int(n))[1] / dcf_saturation(1)[1]
+                  for n, *_ in self.rows()]
+        assert (printed(min(ratios), low), printed(max(ratios), high)) == (
+            low, high)
+
+    def test_per_frame_times(self):
+        cells = re.search(
+            r"DCF takes ([\d.]+) ms for 1,500 bytes and ([\d.]+) ms for "
+            r"64 bytes, against this model's ([\d.]+) and ([\d.]+) ms at "
+            r"load 1, of which ([\d.]+) ms is `access_delay_s`",
+            self.prose()).groups()
+        config = load_config("")
+        times = [1e3 / dcf_saturation(1, 1500)[1],
+                 1e3 / dcf_saturation(1, 64)[1],
+                 1e3 * service_s(config, 1500, 1),
+                 1e3 * service_s(config, 64, 1),
+                 1e3 * config.mac.access_delay_s]
+        assert [printed(t, cell) for t, cell in zip(times, cells)] == list(
+            cells)

@@ -23,7 +23,7 @@ def pairwise_connectivity(spec, position_of, node_ids, t):
         xa, ya = pos[a]
         for b in node_ids[i + 1:]:
             xb, yb = pos[b]
-            if (xb - xa) ** 2 + (yb - ya) ** 2 <= r2:
+            if (xb - xa) * (xb - xa) + (yb - ya) * (yb - ya) <= r2:
                 adj[a].append(b)
                 adj[b].append(a)
     return adj
@@ -80,7 +80,7 @@ class TestLinkState:
          (484.14227443583013, 302.15902337861297), False),
     ])
     def test_usable_agrees_with_connectivity_at_the_edge(self, a, b, linked):
-        # hypot(dx, dy) <= range and dx ** 2 + dy ** 2 <= range ** 2 round
+        # hypot(dx, dy) <= range and dx * dx + dy * dy <= range ** 2 round
         # differently at these pairs, one ulp from the range
         medium = static_medium({0: a, 1: b})
         assert (medium.connectivity(0.0)[0] == [1]) is linked
@@ -282,7 +282,8 @@ class TestConnectivityGraph:
     @pytest.mark.parametrize("far", [
         (120.0, 0.0),  # exactly at range
         (72.0, 96.0),  # exactly at range, 3-4-5 triangle
-        # x ** 2 (libm pow) and x * x round these pairs to opposite sides
+        # x * x and x ** 2 (libm pow) round these pairs to opposite sides;
+        # the product rule links only the second
         (10.493151554772574, 119.54034369387004),
         (57.77210581213665, 105.17786739628869),
     ])

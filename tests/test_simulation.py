@@ -13,7 +13,7 @@ import pytest
 
 import oracle_utils
 from manetsim import mobility as mob
-from manetsim import radio, simulation
+from manetsim import simulation
 from manetsim.config import CbrConfig, RunConfig, SocialConfig, VideoConfig
 from manetsim.harness import (point_config, protocol_log_csv_text,
                               result_csv_text, run_once_to_dir, scenario_seed)
@@ -536,6 +536,28 @@ class TestGoldenDigest:
             "16af2af71c47e1d14d1bb9ca1032415e79496130db2f1089718e73feee75278d",
         ]
 
+    @pytest.mark.parametrize("w_ts, mu_ts, density, duration_s, digests", [
+        (0.2, 3.0, 200, 200.0, [
+            "b739efb5fc3c2cfea36c022f77167226b99061519ecbc2fbcc34d64c43ee866a",
+            "3b39bb691d8a12a1e24f146ae084cf78e6341b9170d73136c7a9509bfce38dd2",
+        ]),
+        (0.8, 1.0, 100, 600.0, [
+            "819cebd40816690b5c31af22baa3a2b9966a5b30c083ab620406f072c1e3140d",
+            "490c0e059514a5f2846877796baf02b2c96395824b2e156b310dfd36d52cf682",
+        ]),
+    ], ids=["dense54", "sparse27_long"])
+    def test_full_length_bench_run_bytes(self, w_ts, mu_ts, density,
+                                         duration_s, digests):
+        # repetition 0 of the benchmark's simulate workloads at their full
+        # length: a last-bit change late in a long run shows only here
+        config = point_config(RunConfig(), w_ts, mu_ts, density,
+                              scenario_seed(1, mu_ts, density, 0)).replace(
+                                  duration_s=duration_s)
+        result, rows = run_simulation(config)
+        assert [hashlib.sha256(text.encode()).hexdigest() for text in
+                (result_csv_text(result),
+                 protocol_log_csv_text(rows))] == digests
+
 
 class RecordingRun(SimulationRun):
     """A run that keeps every packet passing each accounting point; the
@@ -676,20 +698,17 @@ class TestLoadRangeEdge:
 
     def test_imported_static_trace_one_ulp_either_side(self, tmp_path):
         # node 0 at the origin; the others at the range from it, one float
-        # step inside or outside, and around the squared distances 1e-12 of
-        # r2 inside and outside the range, where in_range's edge recheck
-        # begins and ends; the trace goes through the importer's text format
+        # step inside or outside, and at two offsets that x * x and x ** 2
+        # (libm pow) round to opposite sides of r2; the trace goes through
+        # the importer's text format
         points, linked = [(0.0, 0.0)], []
         for far in ((self.R, 0.0), (0.0, self.R), (72.0, 96.0)):
             for offset, verdict in self.offsets(*far):
                 points.append(offset)
                 linked.append(verdict)
-        for scale, verdict in ((1.0 - radio.EDGE_REL, True),
-                               (1.0 + radio.EDGE_REL, False)):
-            x = self.R * math.sqrt(scale)
-            for px in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)):
-                points.append((px, 0.0))
-                linked.append(verdict)
+        points += [(10.493151554772574, 119.54034369387004),
+                   (57.77210581213665, 105.17786739628869)]
+        linked += [False, True]
         text = "\n".join(f"0.0 {x!r} {y!r}" for x, y in points)
         trace = mob.import_trace(text, 520.0, 520.0, duration=5.0)
         config = two_node_config(duration_s=5.0, node_count=len(points),
@@ -697,7 +716,11 @@ class TestLoadRangeEdge:
         run = SimulationRun(oracle_utils.with_inputs(
             tmp_path, config, trace, full_ts(len(points))))
         r2 = config.radio.tx_range_m ** 2
-        assert [radio.in_range(x, y, r2) for x, y in points[1:]] == linked
+
+        def product_rule(dx, dy):
+            return dx * dx + dy * dy <= r2
+
+        assert [product_rule(x, y) for x, y in points[1:]] == linked
         adj = run.medium.connectivity(0.0)
         for node in range(len(points)):  # every node backlogged
             assert run.mac.enqueue(node, Packet(
@@ -705,9 +728,12 @@ class TestLoadRangeEdge:
                 created_at=0.0))
         for node, (x, y) in enumerate(points):
             rule = [other for other, (ox, oy) in enumerate(points)
-                    if other != node and radio.in_range(ox - x, oy - y, r2)]
+                    if other != node and product_rule(ox - x, oy - y)]
             got = sorted(run._neighbors_of(node, 0.05))
             assert got == rule == adj[node], f"node {node} at {(x, y)!r}"
+            usable = [other for other in range(len(points)) if other != node
+                      and run.medium.link_state(node, other, 0.0).usable]
+            assert usable == rule, f"node {node} at {(x, y)!r}"
 
     def test_positions_taken_at_the_bucket_start(self, tmp_path):
         # 2 m/s apart each: out of range 0.0125 s into the bucket [0, 0.1)
