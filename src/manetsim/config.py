@@ -151,20 +151,11 @@ class RunConfig:
             raise ConfigError(
                 f"min(beta_tune, alpha_tune + beta_tune) = {shortest} is "
                 f"below decision_delay_s = {self.decision_delay_s}")
-        # a source queues a whole frame at one instant, so a mean I frame
-        # (the largest type) of more packets than a queue holds overflows an
-        # empty one; fps near 0 or a huge rate would build billions of them
+        # frames are whole bytes, at least one: a smaller mean can't be
+        # met, and the size distribution takes its logarithm
         video = self.video
         if video.flows and video.trace is None:
             sizes = video.mean_sizes()
-            i_packets = sizes["I"] / video.max_packet_bytes
-            if i_packets > self.mac.queue_capacity:
-                raise ConfigError(
-                    f"the mean I frame is {i_packets:.6g} packets of "
-                    f"video.max_packet_bytes, above mac.queue_capacity: "
-                    f"lower target_rate_bps or raise fps")
-            # frames are whole bytes, at least one: a smaller mean can't be
-            # met, and the size distribution takes its logarithm
             smallest = min(video.pattern, key=sizes.get)
             if sizes[smallest] < 1.0:
                 raise ConfigError(
@@ -194,43 +185,33 @@ class RunConfig:
         makes can be served, or than anything uses it: every firing is an
         event, and the extra ones only overflow a queue or go unread.  A
         frame's service time at load 1 is one channel access plus its air
-        time."""
-        def service(size_bytes: float, size: str) -> tuple[float, str]:
-            seconds = (self.mac.access_delay_s
-                       + 8.0 * size_bytes / self.radio.nominal_bitrate_bps)
-            return seconds, (f"{seconds:.6g} s at load 1, mac.access_delay_s "
-                             f"plus {size} at radio.nominal_bitrate_bps")
-
+        time.  A frame trace's video frames are checked where it is read,
+        by ``check_video_frames``."""
         # a 0-byte beacon or probe with no access delay is served in no
         # time, and a process held to a zero service time is held to no rate
         for key in ("beacon_bytes", "pm_bytes"):
-            if service(getattr(self, key), key)[0] == 0.0:
+            if self._service(getattr(self, key), key)[0] == 0.0:
                 raise ConfigError(
                     f"{key} = 0 and mac.access_delay_s = 0 give its frames a "
                     f"service time of 0 s at load 1, which bounds no rate: "
                     f"make either positive")
         # every node beacons, and nodes in mutual range share one channel
         # that serves a frame per service time whatever their number
-        beacon, why = service(self.beacon_bytes, "beacon_bytes")
+        beacon, why = self._service(self.beacon_bytes, "beacon_bytes")
         if self.beacon_period_s < self.node_count * beacon:
             raise ConfigError(
                 f"beacon_period_s = {self.beacon_period_s} is below nodes = "
                 f"{self.node_count} times one beacon's service time, {why}")
         video = self.video
-        if video.flows:
-            # a frame trace's sizes are read with the run: one access alone
-            mean = (0.0 if video.trace
-                    else video.target_rate_bps / video.fps / 8.0)
-            frame, why = service(mean, "the mean frame's bytes")
-            if video.frame_interval < frame:
-                raise ConfigError(
-                    f"video.fps = {video.fps} is above one frame per service "
-                    f"time of the mean frame, {why}")
+        if video.flows and video.trace is None:
+            # fps near 0 or a huge rate would build billions of packets
+            self.check_video_frames(video.target_rate_bps / video.fps / 8.0,
+                                    video.mean_sizes()["I"])
         cbr = self.cbr
         if cbr.flows:
             # more packets than a queue holds, due within one service time,
             # overflow even an empty queue
-            packet, why = service(cbr.packet_bytes, "cbr.packet_bytes")
+            packet, why = self._service(cbr.packet_bytes, "cbr.packet_bytes")
             if cbr.interval * self.mac.queue_capacity < packet:
                 raise ConfigError(
                     f"the CBR packet interval, cbr.packet_bytes / "
@@ -248,12 +229,41 @@ class RunConfig:
         # paths from one queue; a probe still queued when the window closes
         # is in no reply
         probes = self.pm_train * self.limits.max_paths
-        probe, why = service(self.pm_bytes, "pm_bytes")
+        probe, why = self._service(self.pm_bytes, "pm_bytes")
         if probes * probe > self.probe_window_s:
             raise ConfigError(
                 f"pm_train x max_paths = {probes} probes do not leave the "
                 f"source within probe_window_s = {self.probe_window_s}, "
                 f"each taking {why}")
+
+    def _service(self, size_bytes: float, size: str) -> tuple[float, str]:
+        """A frame's service time at load 1, and its terms in words with
+        ``size`` naming the frame's bytes."""
+        seconds = (self.mac.access_delay_s
+                   + 8.0 * size_bytes / self.radio.nominal_bitrate_bps)
+        return seconds, (f"{seconds:.6g} s at load 1, mac.access_delay_s "
+                         f"plus {size} at radio.nominal_bitrate_bps")
+
+    def check_video_frames(self, mean_bytes: float,
+                           mean_i_bytes: float) -> None:
+        """Reject video frames, generated or replayed, whose mean size is
+        ``mean_bytes`` and mean I-frame size ``mean_i_bytes``, if the MAC
+        cannot take them: a source queues a whole frame at one instant, so
+        a mean I frame (the largest type) of more packets than a queue
+        holds overflows an empty one, and frames due faster than the mean
+        one is served only overflow the queue later."""
+        video = self.video
+        i_packets = mean_i_bytes / video.max_packet_bytes
+        if i_packets > self.mac.queue_capacity:
+            raise ConfigError(
+                f"the mean I frame is {i_packets:.6g} packets of "
+                f"video.max_packet_bytes, above mac.queue_capacity = "
+                f"{self.mac.queue_capacity}")
+        frame, why = self._service(mean_bytes, "the mean frame's bytes")
+        if video.frame_interval < frame:
+            raise ConfigError(
+                f"video.fps = {video.fps} is above one frame per service "
+                f"time of the mean frame, {why}")
 
     def replace(self, **kwargs) -> "RunConfig":
         return replace(self, **kwargs)

@@ -90,14 +90,17 @@ class FlowStats(Counters):
 
     def count_generated(self, frame: VideoFrame,
                         packets: list[Packet]) -> None:
-        """Count a new frame's packets and tag each I packet with its GoP."""
-        if frame.frame_index == 0:  # an I frame opens the GoP
+        """Count a new frame's packets and tag each I packet with its GoP:
+        an I frame opens one, of either source, and the frames after it
+        belong to it until the next."""
+        if frame.frame_type == "I":
             self.gop_i_pending.append(0)
+        gop = len(self.gop_i_pending) - 1
         for packet in packets:
             self.generated += 1
             if packet.klass is PacketClass.VIDEO_I:
-                self.gop_i_pending[frame.gop_index] += 1
-                packet.payload = {"gop": frame.gop_index}
+                self.gop_i_pending[gop] += 1
+                packet.payload = {"gop": gop}
 
     def count_delivered(self, packet: Packet, delay: float) -> None:
         self.delivered += 1
@@ -157,8 +160,9 @@ def run_inputs(config: RunConfig):
     """The mobility trace, tie-strength matrix and frame trace of a run:
     each the file its config key names, read and checked, or else None, and
     the run draws its own.  The trace and matrix must hold
-    ``config.node_count`` nodes.  A file that cannot be read or loaded is a
-    ConfigError that names its key and path: ``<key> <path>: <why>``."""
+    ``config.node_count`` nodes, and the frame trace's frames pass
+    ``RunConfig.check_video_frames``.  A file that cannot be read or loaded
+    is a ConfigError that names its key and path: ``<key> <path>: <why>``."""
     def read(key: str, load):
         path = attrgetter(key)(config)
         if not path:
@@ -182,7 +186,16 @@ def run_inputs(config: RunConfig):
         n = len(matrix)
         raise ConfigError(f"social.matrix {config.social.matrix} is {n} x "
                           f"{n}, but the run has {nodes}")
-    return trace, matrix, read("video.trace", load_frame_trace)
+
+    def load_frames(text: str) -> list[tuple[str, int]]:
+        frames = load_frame_trace(text)
+        if config.video.flows:
+            i_sizes = [size for ftype, size in frames if ftype == "I"]
+            config.check_video_frames(
+                sum(size for _, size in frames) / len(frames),
+                sum(i_sizes) / len(i_sizes))
+        return frames
+    return trace, matrix, read("video.trace", load_frames)
 
 
 class SimulationRun:

@@ -12,6 +12,7 @@ its own ranges, as ``RadioSpec`` does for ``radio``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ class VideoConfig:
             raise ValueError("GoP pattern must start with an I frame")
         if any(c not in "IPB" for c in self.pattern):
             raise ValueError("GoP pattern may only contain I, P and B")
-        # a frame trace opens a GoP at each I frame: so must the pattern
+        # a GoP opens at each I frame, so the pattern, one GoP, holds one
         if "I" in self.pattern[1:]:
             raise ValueError(f"GoP pattern {self.pattern!r} has an I frame "
                              f"after its first, which would open a GoP")
@@ -69,8 +70,6 @@ class VideoConfig:
 
 
 class VideoFrame(NamedTuple):  # a frozen dataclass pays a setattr per field
-    gop_index: int
-    frame_index: int  # position within the GoP pattern
     frame_type: str
     size_bytes: int
     generated_at: float
@@ -79,38 +78,25 @@ class VideoFrame(NamedTuple):  # a frozen dataclass pays a setattr per field
 class VideoSource:
     """Generates frames in pattern order with lognormal sizes, or replays a
     frame trace from ``load_frame_trace``, which starts with an I frame,
-    cyclically, opening a GoP at each of its I frames."""
+    cyclically."""
 
     def __init__(self, video: VideoConfig,
                  trace: list[tuple[str, int]] | None = None):
         self.video = video
-        self._trace = trace
-        self._counter = 0
-        self._gop = -1  # of the last traced frame
-        self._position = 0
+        # (type, size) in play order; a size of None is drawn per frame
+        self._frames = itertools.cycle(
+            trace if trace is not None else [(t, None) for t in video.pattern])
         means = video.mean_sizes()
         # lognormal location parameter chosen so E[size] matches the mean
         self._mu_log = {t: math.log(m) - video.sigma_log ** 2 / 2.0
                         for t, m in means.items()}
 
     def next_frame(self, rng: random.Random, now: float) -> VideoFrame:
-        if self._trace is not None:
-            ftype, size = self._trace[self._counter % len(self._trace)]
-            self._counter += 1
-            if ftype == "I":
-                self._gop += 1
-                self._position = 0
-            else:
-                self._position += 1
-            return VideoFrame(self._gop, self._position, ftype, size, now)
-        pattern = self.video.pattern
-        position = self._counter % len(pattern)
-        gop = self._counter // len(pattern)
-        self._counter += 1
-        ftype = pattern[position]
-        size = max(1, round(rng.lognormvariate(
-            self._mu_log[ftype], self.video.sigma_log)))
-        return VideoFrame(gop, position, ftype, size, now)
+        ftype, size = next(self._frames)
+        if size is None:
+            size = max(1, round(rng.lognormvariate(
+                self._mu_log[ftype], self.video.sigma_log)))
+        return VideoFrame(ftype, size, now)
 
 
 def packetize(frame: VideoFrame, max_packet_bytes: int = 1500,

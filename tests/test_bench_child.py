@@ -52,7 +52,7 @@ def test_traced_child_writes_the_untraced_bytes(tmp_path):
     run.run()
     [record] = meta["runs"]
     assert record["events"] == run.sim.queue.processed > 0
-    # the per-hop calls that the layer wrappers time were made
+    # the per-hop and per-frame calls that the layer wrappers time were made
     for name in ("radio.link_state", "radio.transmit", "mac.enqueue",
-                 "mac.neighborhood_load"):
+                 "mac.neighborhood_load", "video.packetize"):
         assert calls[meta["names"].index(name)] > 0, name

@@ -17,7 +17,7 @@ from manetsim.config import (_KEYS, CbrConfig, ConfigError, MacConfig,
 from manetsim.harness import (point_config, protocol_log_csv_text,
                               result_csv_text)
 from manetsim.radio import RadioSpec
-from manetsim.simulation import SimulationRun, run_simulation
+from manetsim.simulation import SimulationRun, run_inputs, run_simulation
 
 
 class TestDefaults:
@@ -256,6 +256,30 @@ class TestValidation:
         RunConfig(video=replace(above, flows=0))
         RunConfig(video=replace(above, trace="frames.csv"))
 
+    def test_replayed_frames_up_to_the_same_rules(self, tmp_path):
+        # the generated stream's two rules, on the frame trace's own frames
+        def config(frames, **video):
+            path = tmp_path / "frames.txt"
+            path.write_text(frames)
+            return RunConfig(node_count=6, mac=MacConfig(access_delay_s=0.0),
+                             video=VideoConfig(trace=str(path), **video))
+
+        # a 1-byte mean frame takes 8 / 11e6 s at load 1 with no access
+        # delay, which 1.375e6 frames/s fill; 1.0e5 of them stay legal
+        ones = "0 I 1\n1 B 1\n2 B 1\n"
+        for fps in (1.0e5, 1.375e6 * (1.0 - 1e-9)):
+            run_inputs(config(ones, fps=fps))
+        with pytest.raises(ConfigError, match="video.fps .* above one frame "
+                                              "per service time"):
+            run_inputs(config(ones, fps=1.375e6 * (1.0 + 1e-9)))
+        # the mean I frame, not the largest, may fill the 50-packet queue
+        run_inputs(config("0 I 74000\n1 B 1\n2 I 76000\n", fps=10.0))
+        with pytest.raises(ConfigError, match="mean I frame is 50.0007 "
+                                              "packets"):
+            run_inputs(config("0 I 75001\n1 B 1\n", fps=10.0))
+        # without flows no frame is replayed
+        run_inputs(config("0 I 75001\n1 B 1\n", fps=10.0, flows=0))
+
     def test_cbr_rate_up_to_the_radio_bitrate(self):
         edge = RadioSpec().nominal_bitrate_bps
         RunConfig(cbr=CbrConfig(rate_bps=edge))
@@ -312,7 +336,7 @@ class TestValidation:
     @pytest.mark.parametrize("text, key", [
         ("area_width_m: 0.0\n", "area_width_m"),
         ("video: {max_packet_bytes: 1}\n", "max_packet_bytes"),
-        # a second I frame would open a GoP only in a frame trace
+        # a second I frame would open a second GoP within the pattern
         ("video: {pattern: IBBIBB}\n", "pattern"),
         # a margin that rises with distance puts every hop at
         # max_corruption_prob

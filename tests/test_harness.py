@@ -21,7 +21,7 @@ from manetsim.harness import (RESULT_FIELDS, SWEEP_FIELDS, SweepSpec,
                               result_csv_text, run_once_to_dir, run_sweep,
                               scenario_seed, write_report)
 from manetsim.packets import DROP_CAUSES
-from manetsim.simulation import SimulationRun, run_simulation
+from manetsim.simulation import SimulationRun, run_inputs, run_simulation
 
 
 def tiny_config():
@@ -683,6 +683,41 @@ class TestCliFileInterfaces:
         assert not (out / "runs").exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{key}." in err
+
+    @pytest.mark.parametrize("entry", ["run_inputs", "sweep"])
+    @pytest.mark.parametrize("frames,text,key", [
+        # with no access delay a 1-byte mean frame takes 0.727 us at load
+        # 1, against a 0.5 us frame interval
+        ("0 I 1\n1 B 1\n2 B 1\n",
+         "duration_s: 0.4\nmac: {access_delay_s: 0.0}\n"
+         "video: {trace: TRACE, fps: 2.0e+6, start_s: 0.0}\n", "video.fps"),
+        # 60-packet I frames overflow an empty 50-packet queue: a 5 s run
+        # booked 1,848 I-packet queue-overflow drops and no decodable GoP
+        ("0 I 90000\n1 B 100\n2 B 100\n",
+         "duration_s: 5.0\nvideo: {trace: TRACE}\n", "mac.queue_capacity"),
+    ], ids=["fps-above-frame-service", "i-frame-above-queue"])
+    def test_replayed_stream_the_mac_cannot_take_fails_before_any_run(
+            self, tmp_path, capsys, entry, frames, text, key):
+        frames_path = tmp_path / "frames.txt"
+        frames_path.write_text(frames)
+        config_path = tmp_path / "cfg.yaml"
+        config_path.write_text("nodes: 6\n"
+                               + text.replace("TRACE", str(frames_path)))
+        config = load_config_file(config_path)  # its sizes are in the trace
+        boundary = f"video.trace {frames_path}: "
+        if entry == "run_inputs":
+            with pytest.raises(ConfigError) as info:
+                run_inputs(config)
+            err = str(info.value)
+        else:
+            out = tmp_path / "out"
+            code = cli_main(["sweep", "--config", str(config_path),
+                             "--out", str(out)]
+                            + self.command_args("sweep", tmp_path))
+            assert code == 2
+            assert not (out / "runs").exists()
+            err = capsys.readouterr().err.removeprefix("error: ")
+        assert err.startswith(boundary) and key in err
 
     def test_simulate_reads_the_video_trace_key(self, tmp_path):
         frames = tmp_path / "frames.txt"

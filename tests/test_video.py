@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,21 @@ from manetsim.video import (CbrConfig, VideoConfig, VideoFrame, VideoSource,
                             load_frame_trace, packetize)
 
 
+def gop_openings(source, frames):
+    """The frames, by play order, at which a FlowStats fed the source's
+    frames opens a GoP."""
+    stats = FlowStats(0, 0, 1)
+    rng = random.Random(4)
+    opened = []
+    for i in range(frames):
+        frame = source.next_frame(rng, 0.0)
+        gops = len(stats.gop_i_pending)
+        stats.count_generated(frame, packetize(frame, 1500))
+        if len(stats.gop_i_pending) > gops:
+            opened.append(i)
+    return opened
+
+
 class TestGopModel:
     def test_pattern_must_start_with_i(self):
         with pytest.raises(ValueError):
@@ -20,8 +36,8 @@ class TestGopModel:
             VideoConfig(pattern="IXB")
 
     def test_pattern_has_one_i_frame(self):
-        # a frame trace opens a GoP at each I frame, so generated GoPs of
-        # IBBIBB would count half as many GoPs as the same frames replayed
+        # a GoP opens at each I frame, so IBBIBB would be two GoPs, not the
+        # one GoP a pattern describes
         with pytest.raises(ValueError, match="'IBBIBB' has an I frame"):
             VideoConfig(pattern="IBBIBB")
 
@@ -47,13 +63,9 @@ class TestVideoSource:
         for i, ftype in enumerate(types):
             assert (ftype == "I") == (i % 12 == 0)
 
-    def test_gop_and_frame_indices(self):
+    def test_gop_opens_at_each_pattern_i_frame(self):
         source = VideoSource(VideoConfig())
-        rng = random.Random(1)
-        frames = [source.next_frame(rng, 0.0) for _ in range(25)]
-        assert frames[0].gop_index == 0 and frames[0].frame_index == 0
-        assert frames[12].gop_index == 1 and frames[12].frame_index == 0
-        assert frames[24].gop_index == 2
+        assert gop_openings(source, 25) == [0, 12, 24]
 
     def test_mean_size_ordering(self):
         source = VideoSource(VideoConfig())
@@ -87,8 +99,7 @@ class TestVideoSource:
 
 class TestPacketize:
     def frame(self, ftype, size):
-        from manetsim.video import VideoFrame
-        return VideoFrame(0, 0, ftype, size, 0.0)
+        return VideoFrame(ftype, size, 0.0)
 
     def test_two_packet_i_frame(self):
         packets = packetize(self.frame("I", 3000), 1500)
@@ -119,16 +130,14 @@ class TestGopCounters:
 
     @staticmethod
     def fraction(log, rng=None):
-        """Feed a (gop_index, is_i, delivered) log to a FlowStats, one
-        single-packet frame per entry, GoPs in order; deliveries are
+        """Feed an (is_i, delivered) log to a FlowStats, one single-packet
+        frame per entry, each I entry opening a GoP; deliveries are
         interleaved with generation at random when rng is given, else all
         follow it."""
         stats = FlowStats(0, 0, 1)
         in_flight = []
-        for gop, is_i, delivered in log:
-            opens = len(stats.gop_i_pending) == gop
-            frame = VideoFrame(gop, 0 if opens else 1, "I" if is_i else "B",
-                               100, 0.0)
+        for is_i, delivered in log:
+            frame = VideoFrame("I" if is_i else "B", 100, 0.0)
             packets = packetize(frame, 1500)
             stats.count_generated(frame, packets)
             if delivered:
@@ -141,33 +150,50 @@ class TestGopCounters:
         assert stats.generated == len(log)
         return stats.decodable_gop_fraction
 
+    @staticmethod
+    def numbered(log):
+        """The oracle's (gop_index, is_i, delivered) form of an
+        (is_i, delivered) log that opens with an I entry."""
+        gops = itertools.accumulate(is_i for is_i, _ in log)
+        return [(gop - 1, is_i, delivered)
+                for gop, (is_i, delivered) in zip(gops, log)]
+
     def check(self, log, expect):
         assert self.fraction(log) == expect
-        assert oracle_utils.decodable_gop_fraction(log) == expect
+        assert (oracle_utils.decodable_gop_fraction(self.numbered(log))
+                == expect)
 
     def test_no_losses(self):
-        self.check([(0, True, True), (0, False, True), (1, True, True)], 1.0)
+        self.check([(True, True), (False, True), (True, True)], 1.0)
 
     def test_every_i_frame_lost(self):
-        self.check([(0, True, False), (1, True, False)], 0.0)
+        self.check([(True, False), (True, False)], 0.0)
 
     def test_one_of_two_i_packets_lost(self):
-        self.check([(0, True, True), (0, True, False), (0, False, True)], 0.0)
-
-    def test_gops_without_i_count_as_decodable(self):
-        self.check([(0, False, False), (1, True, False), (2, False, True)],
-                   2 / 3)
+        # one I frame of two packets, then a B frame: a single GoP
+        stats = FlowStats(0, 0, 1)
+        sent = []
+        for frame in (VideoFrame("I", 3000, 0.0), VideoFrame("B", 100, 0.0)):
+            sent.append(packetize(frame, 1500))
+            stats.count_generated(frame, sent[-1])
+        (i_delivered, _i_lost), (b_delivered,) = sent
+        stats.count_delivered(i_delivered, 0.0)
+        stats.count_delivered(b_delivered, 0.0)
+        assert len(stats.gop_i_pending) == 1
+        assert stats.decodable_gop_fraction == 0.0
+        assert oracle_utils.decodable_gop_fraction(
+            [(0, True, True), (0, True, False), (0, False, True)]) == 0.0
 
     def test_constructed_ratio(self):
         log = []
         for gop in range(10):
-            log.append((gop, True, gop >= 3))
-            log.append((gop, False, False))  # lost B never matters
+            log.append((True, gop >= 3))
+            log.append((False, False))  # lost B never matters
         self.check(log, 0.7)
 
     def test_monotone_in_loss_removal(self):
-        log = [(0, True, False), (1, True, True)]
-        healed = [(0, True, True), (1, True, True)]
+        log = [(True, False), (True, True)]
+        healed = [(True, True), (True, True)]
         assert self.fraction(healed) > self.fraction(log)
 
     def test_empty_log(self):
@@ -178,18 +204,18 @@ class TestGopCounters:
         seen = set()
         for _ in range(300):
             p_i, p_delivered = rng.random(), rng.random()
-            log = [(gop, rng.random() < p_i, rng.random() < p_delivered)
-                   for gop in range(rng.randint(0, 12))
-                   for _ in range(rng.randint(1, 6))]
+            # a stream opens with an I frame
+            log = [(i == 0 or rng.random() < p_i, rng.random() < p_delivered)
+                   for i in range(rng.randint(0, 40))]
             assert (self.fraction(log, rng)
-                    == oracle_utils.decodable_gop_fraction(log))
+                    == oracle_utils.decodable_gop_fraction(self.numbered(log)))
             if not log:
                 seen.add("empty")
-            if {g for g, _, _ in log} - {g for g, is_i, _ in log if is_i}:
-                seen.add("gop-without-i")
-            if any(is_i and not delivered for _, is_i, delivered in log):
+            if any(not is_i for is_i, _ in log):
+                seen.add("gop-with-b")
+            if any(is_i and not delivered for is_i, delivered in log):
                 seen.add("lost-i")
-        assert seen == {"empty", "gop-without-i", "lost-i"}
+        assert seen == {"empty", "gop-with-b", "lost-i"}
 
     def test_memory_per_gop_not_per_packet(self):
         stats = FlowStats(0, 0, 1)
@@ -256,11 +282,4 @@ class TestFrameTrace:
     def test_gop_opens_at_each_traced_i_frame(self):
         source = VideoSource(VideoConfig(), trace=[
             ("I", 900), ("B", 100), ("P", 300), ("I", 800), ("B", 90)])
-        rng = random.Random(4)
-        frames = [source.next_frame(rng, 0.0) for _ in range(12)]
-        assert [(f.gop_index, f.frame_index) for f in frames] == [
-            (0, 0), (0, 1), (0, 2), (1, 0), (1, 1),
-            (2, 0), (2, 1), (2, 2), (3, 0), (3, 1),
-            (4, 0), (4, 1)]
-        assert all((f.frame_index == 0) == (f.frame_type == "I")
-                   for f in frames)
+        assert gop_openings(source, 12) == [0, 3, 5, 8, 10]
