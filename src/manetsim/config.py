@@ -276,11 +276,6 @@ class RunConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def nodes_at_density(width_m: float, height_m: float, density: float) -> int:
-    """Nodes in the area at ``density`` per km^2, rounded, at least 1."""
-    return max(1, round(density * width_m * height_m / 1e6))
-
-
 # The YAML sections, each with the prefix that turns its keys into
 # RunConfig attribute paths and its keys in the order dump_config writes
 # them: a nested section names its type, whose init fields are its keys.
@@ -370,7 +365,9 @@ _StrictLoader.add_implicit_resolver(
     list("-+.0123456789"))
 
 
-def parse_config(data: dict) -> RunConfig:
+def parse_config(data: dict, base: RunConfig = RunConfig()) -> RunConfig:
+    """``base`` with the keys of the mapping ``data`` set, each typed as its
+    field; ``density`` sets the node count it gives in the area."""
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a mapping")
     sections = {"": dict(data)}
@@ -407,14 +404,15 @@ def parse_config(data: dict) -> RunConfig:
 
     for head, (section, kwargs) in nested.items():
         try:
-            top[head] = _field_type(head)[0](**kwargs)
+            top[head] = replace(getattr(base, head), **kwargs)
         except ValueError as exc:
             raise ConfigError(f"{section}: {exc}") from None
+    if density is not None:  # nodes per km^2, rounded, at least 1
+        width = top.get("area_width_m", base.area_width_m)
+        height = top.get("area_height_m", base.area_height_m)
+        top["node_count"] = max(1, round(density * width * height / 1e6))
     try:
-        config = RunConfig(**top)
-        if density is not None:
-            config = config.replace(node_count=nodes_at_density(
-                config.area_width_m, config.area_height_m, density))
+        return replace(base, **top)
     except ValueError as exc:
         why = str(exc)
         if why.startswith("node_count = "):  # name the key the file set
@@ -422,7 +420,6 @@ def parse_config(data: dict) -> RunConfig:
                    else f"density = {density:g} gives nodes")
             why = key + why.removeprefix("node_count")
         raise ConfigError(why) from None
-    return config
 
 
 def load_yaml(text: str, what: str = "configuration"):

@@ -11,21 +11,25 @@ repetitions never changes the scenarios of existing ones.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
+import itertools
 import multiprocessing
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from scipy.special import stdtrit
 
 from .config import (ConfigError, RunConfig, as_type, load_yaml,
-                     nodes_at_density, type_hints)
-from .engine import add_up
+                     parse_config, type_hints)
+from .engine import add_up, derive_stream_seed
 from .simulation import (PROTOCOL_LOG_FIELDS, RESULT_FIELDS, run_inputs,
                          run_simulation)
 
 DEFAULT_CONFIDENCE = 0.90
+
+# the sweep's axes, each a SweepSpec field, a column of the manifest and the
+# sweep table, and the config key its values set at a point
+AXES = {"w_ts": "scoring.w_ts", "mu_ts": "social.mu_ts", "density": "density"}
 
 # each sweep metric and the result.csv column it reads: the 'all' row's
 # cell, or the mean of the flows' cells where the 'all' row leaves it empty
@@ -42,21 +46,12 @@ def _stat_fields(metrics) -> tuple:
     return tuple(f"{m}_{stat}" for m in metrics for stat in ("mean", "ci"))
 
 
-# the sweep table's columns and their types: the point, then the metrics
-SWEEP_TYPES = {"w_ts": float, "mu_ts": float, "density": int,
-               "repetitions": int,
-               **dict.fromkeys(_stat_fields(m for m, _ in SWEEP_METRICS),
-                               float)}
-SWEEP_FIELDS = tuple(SWEEP_TYPES)
-
-
 def scenario_seed(master_seed: int, mu_ts: float, density: int,
                   repetition: int) -> int:
     """Seed shared across w_ts values (common random numbers), so comparing
     weight settings on one repetition compares the same network."""
-    key = f"{master_seed}/scenario/mu={mu_ts!r}/den={density}/rep={repetition}"
-    digest = hashlib.sha256(key.encode()).digest()
-    return int.from_bytes(digest[:8], "big") >> 1  # keep it positive
+    key = f"scenario/mu={mu_ts!r}/den={density}/rep={repetition}"
+    return derive_stream_seed(master_seed, key) >> 1  # keep it positive
 
 
 def _fmt(value) -> str:
@@ -106,24 +101,27 @@ class SweepSpec:
     mu_ts: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0)
     density: tuple[int, ...] = (100, 200)
     repetitions: int = 5
-    confidence: float = DEFAULT_CONFIDENCE
 
     def __post_init__(self):
         if self.repetitions < 2:
             raise ValueError("need at least 2 repetitions for intervals")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must be in (0, 1)")
         # a repeated value would run and count the same runs twice
-        for name in ("w_ts", "mu_ts", "density"):
+        for name in AXES:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} repeats a value: {values!r}")
 
     def points(self):
-        for density in self.density:
-            for mu in self.mu_ts:
-                for w_ts in self.w_ts:
-                    yield w_ts, mu, density
+        """Every point: one value of each axis, in AXES order."""
+        return itertools.product(*(getattr(self, name) for name in AXES))
+
+
+# the sweep table's columns and their types: the point, then the metrics
+SWEEP_TYPES = {**{a: type_hints(SweepSpec)[a].__args__[0] for a in AXES},
+               "repetitions": int,
+               **dict.fromkeys(_stat_fields(m for m, _ in SWEEP_METRICS),
+                               float)}
+SWEEP_FIELDS = tuple(SWEEP_TYPES)
 
 
 def load_grid(text: str) -> SweepSpec:
@@ -154,20 +152,24 @@ def load_grid(text: str) -> SweepSpec:
 
 def point_config(base: RunConfig, w_ts: float, mu_ts: float,
                  density: int, seed: int) -> RunConfig:
-    nodes = nodes_at_density(base.area_width_m, base.area_height_m, density)
-    return base.replace(node_count=nodes, master_seed=seed, w_ts=w_ts,
-                        social=replace(base.social, mu_ts=mu_ts))
+    """``base`` with ``master_seed`` and each axis's key set as a config
+    file sets them, so a bad point fails naming its key."""
+    data: dict = {"master_seed": seed}
+    for key, value in zip(AXES.values(), (w_ts, mu_ts, density)):
+        section, _, name = key.rpartition(".")
+        (data.setdefault(section, {}) if section else data)[name] = value
+    return parse_config(data, base)
 
 
 def _run_point(task):
     """Worker entry: one (point, repetition) simulation, files on disk."""
-    config, w_ts, mu, density, rep, out_dir = task
+    config, *point, rep, out_dir = task
     seed = config.master_seed
-    point_dir = os.path.join(
-        out_dir, "runs", f"w{w_ts}_mu{mu}_den{density}", f"seed{seed}")
+    point_dir = os.path.join(out_dir, "runs", "w{}_mu{}_den{}".format(*point),
+                             f"seed{seed}")
     result = run_once_to_dir(config, point_dir)
-    summary = {"w_ts": w_ts, "mu_ts": mu, "density": density, "rep": rep,
-               "seed": seed, "config_hash": config.config_hash()}
+    summary = {**dict(zip(AXES, point)), "rep": rep, "seed": seed,
+               "config_hash": config.config_hash()}
     for metric, column in SWEEP_METRICS:
         summary[metric] = result.total[column]
         if summary[metric] == "":
@@ -214,31 +216,29 @@ def run_sweep(base: RunConfig, spec: SweepSpec, out_dir: str,
     else:
         rows = [_run_point(t) for t in tasks]
 
-    fields = ("w_ts", "mu_ts", "density", "rep", "seed", "config_hash")
+    fields = (*AXES, "rep", "seed", "config_hash")
     with open(os.path.join(out_dir, "manifest"), "w", encoding="utf-8") as fh:
         fh.write(_csv_text(fields, sorted(
             rows, key=lambda r: tuple(r[k] for k in fields))))
 
-    table = aggregate_sweep(rows, spec.confidence)
+    table = aggregate_sweep(rows)
     with open(os.path.join(out_dir, "sweep_table.csv"), "w",
               encoding="utf-8") as fh:
         fh.write(_csv_text(SWEEP_FIELDS, table))
     return table
 
 
-def aggregate_sweep(rows: list[dict], confidence: float) -> list[dict]:
+def aggregate_sweep(rows: list[dict]) -> list[dict]:
     by_point: dict[tuple, list[dict]] = {}
     for row in rows:
-        by_point.setdefault((row["w_ts"], row["mu_ts"], row["density"]),
-                            []).append(row)
+        by_point.setdefault(tuple(row[a] for a in AXES), []).append(row)
     table = []
-    for (w_ts, mu, density) in sorted(by_point):
-        group = by_point[(w_ts, mu, density)]
-        entry = {"w_ts": w_ts, "mu_ts": mu, "density": density,
-                 "repetitions": len(group)}
+    for point in sorted(by_point):
+        group = by_point[point]
+        entry = {**dict(zip(AXES, point)), "repetitions": len(group)}
         for metric, _ in SWEEP_METRICS:
             entry[f"{metric}_mean"], entry[f"{metric}_ci"] = mean_ci(
-                [g[metric] for g in group], confidence)
+                [g[metric] for g in group])
         table.append(entry)
     return table
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from manetsim.config import (_KEYS, CbrConfig, ConfigError, MacConfig,
                              RunConfig, VideoConfig, _field_type, dump_config,
-                             load_config, nodes_at_density, parse_config)
+                             load_config, parse_config)
 from manetsim.harness import (point_config, protocol_log_csv_text,
                               result_csv_text)
 from manetsim.radio import RadioSpec
@@ -57,9 +57,17 @@ class TestDefaults:
 
 class TestNodesAtDensity:
     def test_rounds_to_node_count(self):
-        assert nodes_at_density(520.0, 520.0, 100) == 27
-        assert nodes_at_density(520.0, 520.0, 200) == 54
-        assert nodes_at_density(520.0, 520.0, 0.1) == 1  # never empty
+        assert load_config("density: 100\n").node_count == 27
+        assert load_config("density: 200\n").node_count == 54
+        # never empty: the floor of one node is below the flows' six
+        with pytest.raises(ConfigError, match=re.escape(
+                "density = 0.1 gives nodes = 1 is below 6")):
+            load_config("density: 0.1\n")
+
+    def test_checked_at_the_node_count_it_gives(self):
+        # 14 nodes' beacons fit in 0.1 s at load 1, the default 27 nodes' not
+        text = "density: 50\nrouting: {beacon_period_s: 0.1}\n"
+        assert load_config(text).node_count == 14
 
     def test_zero_nodes_rejected_by_key(self):
         with pytest.raises(ConfigError, match="node_count = 0"):
@@ -455,6 +463,25 @@ RANGES = {
 # schedule about 3,700
 EVENT_CAP = 200_000
 FILE_KEYS = ("mobility.trace", "social.matrix", "video.trace")
+# readable files of each file key, by name: a trace and a matrix of 12
+# nodes, the stand-in node count, and of 6; frames of usual sizes, 1-byte
+# frames, which only the video.fps rule bounds, and a 90,000-byte I frame,
+# 60 packets of the default 1500 bytes, above mac.queue_capacity's 50
+INPUT_FILES = {
+    "mobility.trace": {
+        f"trace{n}.txt": "".join(f"0.0 {40.0 * i} 100.0 10.0 {40.0 * i} "
+                                 f"300.0\n" for i in range(n))
+        for n in (12, 6)},
+    "social.matrix": {
+        f"matrix{n}.txt": f"{n}\n" + "".join(
+            " ".join(str((i + j) % 5 * (i != j)) for j in range(n)) + "\n"
+            for i in range(n))
+        for n in (12, 6)},
+    "video.trace": {
+        "frames.txt": "0 I 3000\n1 B 400\n2 B 400\n3 P 1000\n",
+        "frames_1_byte.txt": "0 I 1\n1 B 1\n2 P 1\n",
+        "frames_huge_i.txt": "0 I 90000\n1 P 1000\n"},
+}
 PATTERNS = ("IBBPBBPBBPBB", "I", "IP", "IPBB", "BIP", "", "IXB", "IBBIBB")
 
 
@@ -464,7 +491,7 @@ def key_candidates(name: str, kind: type, default) -> list:
     nearest value past each finite end; the default first, which is where
     a failing example shrinks to."""
     if name in FILE_KEYS:
-        return [None, "no-such-input.txt"]
+        return [None, "no-such-input.txt", *INPUT_FILES[name]]
     if kind is str:
         return list(PATTERNS)
     low, high = RANGES.get(name, "(-inf, inf)")[1:-1].split(", ")
@@ -541,6 +568,20 @@ def capped_run(config: RunConfig) -> SimulationRun:
     return run
 
 
+@pytest.fixture(scope="class")
+def input_files(tmp_path_factory):
+    """INPUT_FILES, written once into the working directory of the class's
+    tests, so a drawn file name reads one."""
+    directory = tmp_path_factory.mktemp("inputs")
+    for files in INPUT_FILES.values():
+        for name, text in files.items():
+            (directory / name).write_text(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(directory)
+        yield
+
+
+@pytest.mark.usefixtures("input_files")
 class TestBoundaryProperty:
     @given(config_texts())
     @settings(max_examples=200, deadline=None, derandomize=True)

@@ -336,7 +336,7 @@ class TestReport:
                  "seed": r, "config_hash": "x", "loss": 0.1 * r, "delay": 0.5,
                  "jitter": 0.1, "ts": 1.0, "decodable": 0.9}
                 for r in range(4)]
-        table = aggregate_sweep(rows, confidence=0.90)
+        table = aggregate_sweep(rows)
         assert len(table) == 1
         assert table[0]["repetitions"] == 4
         assert table[0]["loss_mean"] == pytest.approx(0.15)
@@ -855,9 +855,12 @@ class TestGridFile:
         "w_ts: [0, 0.0]\nmu_ts: [3]\ndensity: [100]\n",
         "w_ts: [0]\nmu_ts: [3, 3.0]\ndensity: [100]\n",
         "w_ts: [0]\nmu_ts: [3]\ndensity: [100, 100]\n",
+        # the interval level is fixed at DEFAULT_CONFIDENCE
+        "confidence: 0.95\n",
     ], ids=["scalar", "duplicate-key", "yaml-syntax", "string", "bool",
             "float-density", "empty-list", "float-repetitions",
-            "repeated-w_ts", "repeated-mu_ts", "repeated-density"])
+            "repeated-w_ts", "repeated-mu_ts", "repeated-density",
+            "confidence"])
     def test_bad_grid_fails_cleanly(self, tmp_path, capsys, text):
         config_path = tmp_path / "cfg.yaml"
         config_path.write_text("nodes: 6\nduration_s: 2\n")
@@ -895,7 +898,8 @@ class TestGridFile:
                          "--reps", "2", "--workers", "1", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "node_count = 1 is below 6" in err
+        assert (err.startswith("error: ")
+                and "density = 5 gives nodes = 1 is below 6" in err)
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
@@ -939,9 +943,8 @@ class TestGridFile:
     def test_every_grid_key_sets_its_field(self):
         assert harness.load_grid(
             "w_ts: [0, 1]\nmu_ts: [2]\ndensity: [100]\nrepetitions: 3\n"
-            "confidence: 0.95\n") == SweepSpec(
-                w_ts=(0.0, 1.0), mu_ts=(2.0,), density=(100,), repetitions=3,
-                confidence=0.95)
+        ) == SweepSpec(w_ts=(0.0, 1.0), mu_ts=(2.0,), density=(100,),
+                       repetitions=3)
 
     def test_readme_lists_the_sweep_spec_fields(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
