@@ -26,6 +26,7 @@ from operator import attrgetter
 
 import yaml
 
+from .mac import DEFAULT_QUEUE_CAPACITY, frame_service
 from .radio import RadioSpec
 from .routing import CustomerRequest, DiscoveryLimits
 from .video import CbrConfig, VideoConfig
@@ -61,7 +62,7 @@ class MobilityConfig:
 
 @dataclass(frozen=True)
 class MacConfig:
-    queue_capacity: int = 50
+    queue_capacity: int = DEFAULT_QUEUE_CAPACITY
     access_delay_s: float = 0.006  # per-hop channel-access latency at load 1
 
     def __post_init__(self):
@@ -239,8 +240,9 @@ class RunConfig:
     def _service(self, size_bytes: float, size: str) -> tuple[float, str]:
         """A frame's service time at load 1, and its terms in words with
         ``size`` naming the frame's bytes."""
-        seconds = (self.mac.access_delay_s
-                   + 8.0 * size_bytes / self.radio.nominal_bitrate_bps)
+        access, _, air = frame_service(size_bytes, 1, self.mac.access_delay_s,
+                                       self.radio.nominal_bitrate_bps)
+        seconds = access + air
         return seconds, (f"{seconds:.6g} s at load 1, mac.access_delay_s "
                          f"plus {size} at radio.nominal_bitrate_bps")
 

@@ -41,6 +41,15 @@ def category_of(packet: Packet) -> AccessCategory:
     return PRIORITY_MAP[packet.klass]
 
 
+def frame_service(size_bytes: float, load: float, access_delay_s: float,
+                  bitrate_bps: float) -> tuple[float, float, float]:
+    """The load-factor law of every frame at neighbourhood load ``load``:
+    its channel-access delay, ``access_delay_s * load``, the bitrate shared
+    among max(1, load) contenders, and its air time at that rate."""
+    rate = bitrate_bps / (load if load > 1.0 else 1.0)
+    return access_delay_s * load, rate, size_bytes * 8.0 / rate
+
+
 @dataclass
 class NodeQueues:
     """Per-node MAC state: four FIFO queues plus the half-duplex flag."""

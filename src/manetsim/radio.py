@@ -80,13 +80,6 @@ _LINK_BREAK = TransmitOutcome(cause="link-break")
 _new = tuple.__new__  # the per-hop calls skip the NamedTuple's Python __new__
 
 
-def transmission_delay(spec: RadioSpec, size_bytes: int,
-                       load_factor: float) -> float:
-    """size / effective rate, with the nominal rate shared among contenders."""
-    effective_rate = spec.nominal_bitrate_bps / max(1.0, load_factor)
-    return size_bytes * 8.0 / effective_rate
-
-
 class Medium:
     """Instantaneous connectivity and delivery over a mobility trace.
 
@@ -104,11 +97,10 @@ class Medium:
         self.range_sq = spec.tx_range_m ** 2
         self._graph_cache: dict[float, dict[int, list[int]]] = {}
         # the spec's constants for the per-hop calls, which repeat the
-        # float operations of RadioSpec.margin_db, transmission_delay and
+        # float operations of RadioSpec.margin_db and
         # RadioSpec.corruption_probability in the same order
         self._range_loss = spec.path_loss(spec.tx_range_m)
         self._loss_slope = 10.0 * spec.path_loss_exponent
-        self._bitrate = spec.nominal_bitrate_bps
         self._span = spec.corruption_span_db
         self._max_corruption = spec.max_corruption_prob
 
@@ -147,18 +139,17 @@ class Medium:
         self._graph_cache = {t: adj}
         return adj
 
-    def transmit(self, link: LinkState, size_bytes: int, load_factor: float,
+    def transmit(self, link: LinkState, air_s: float,
                  rng: random.Random) -> TransmitOutcome:
-        """One unicast attempt over ``link``.
+        """One unicast attempt over ``link`` of a frame ``air_s`` on air.
 
-        Delivered after transmission plus propagation delay, or corrupted
+        Delivered after the air time plus propagation delay, or corrupted
         with a probability that decreases with SNR margin; sends on an
         unusable link drop with cause "link-break".
         """
         if not link.usable:
             return _LINK_BREAK
-        rate = self._bitrate / (load_factor if load_factor > 1.0 else 1.0)
-        delay = size_bytes * 8.0 / rate + link.distance_m / SPEED_OF_LIGHT
+        delay = air_s + link.distance_m / SPEED_OF_LIGHT
         frac = 1.0 - link.margin_db / self._span
         p = self._max_corruption * (
             1.0 if frac >= 1.0 else frac if frac > 0.0 else 0.0)

@@ -12,9 +12,9 @@ from pathlib import Path
 from . import mobility as mob
 from .config import ConfigError, RunConfig
 from .engine import Simulator, add_up
-from .mac import MacLayer
+from .mac import MacLayer, frame_service
 from .packets import DROP_CAUSES, Packet, PacketClass
-from .radio import Medium, transmission_delay
+from .radio import Medium
 from .routing import (DiscoveryLimits, SourceProtocol, bfs_distance,
                       discover_paths)
 from .social import generate_ts_matrix, load_ts_matrix
@@ -238,7 +238,7 @@ class SimulationRun:
         # what every hop reads, looked up once
         self._access_delay = config.mac.access_delay_s
         self._duration = config.duration_s
-        self._radio = config.radio
+        self._bitrate = config.radio.nominal_bitrate_bps
         self._on_hop_done = self._hop_done
         self._on_tx_done = self._tx_done
         self._setup_sources()
@@ -432,9 +432,10 @@ class SimulationRun:
         packet = mac.dequeue_next(node)
         state.transmitting = True
         t = self.sim.clock
-        load = mac.neighborhood_load(node, t)
-        # contention before the frame goes on air, scaled by local load
-        t_air = t + self._access_delay * load
+        access, rate, air = frame_service(
+            packet.size_bytes, mac.neighborhood_load(node, t),
+            self._access_delay, self._bitrate)
+        t_air = t + access  # on air after contention scaled by local load
         # an outcome on air after the end is left to end-of-run accounting
         booked = t_air <= self._duration
         if packet.klass is PacketClass.BEACON:
@@ -442,15 +443,13 @@ class SimulationRun:
             # takes queue space and air time, and nothing reads its reception
             if booked:
                 self._delivered(packet)
-            busy = transmission_delay(self._radio, packet.size_bytes, load)
-            self.sim.schedule(t_air + busy, self._on_tx_done, node)
+            self.sim.schedule(t_air + air, self._on_tx_done, node)
             return
         nxt = packet.route[packet.hop_index + 1]
         link = self.medium.link_state(node, nxt, t_air)
-        busy, cause = self.medium.transmit(
-            link, packet.size_bytes, load, self._channel)
+        busy, cause = self.medium.transmit(link, air, self._channel)
         if packet.klass is PacketClass.PROBE:
-            self._record_probe_link(packet, link, load, t_air)
+            self._record_probe_link(packet, link, rate, t_air)
         if cause is None:
             self.sim.schedule(t_air + busy, self._on_hop_done, node, nxt,
                               packet)
@@ -478,11 +477,10 @@ class SimulationRun:
         self.mac.nodes[node].transmitting = False
         self._kick(node)
 
-    def _record_probe_link(self, packet: Packet, link, load: float,
+    def _record_probe_link(self, packet: Packet, link, rate: float,
                            t: float) -> None:
         info = packet.payload
         info["min_margin_db"] = min(info["min_margin_db"], link.margin_db)
-        rate = self.config.radio.nominal_bitrate_bps / max(1.0, load)
         info["min_rate_bps"] = min(info["min_rate_bps"], rate)
         va = self._velocity_of(link.node_a, t)
         vb = self._velocity_of(link.node_b, t)

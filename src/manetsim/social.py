@@ -138,26 +138,21 @@ class TieSignLedger:
         return sorted(self._entries)
 
     @classmethod
-    def from_rows(cls, rows) -> "TieSignLedger":
-        """Rows of (u, v, sign_type, count, last_update_epoch_seconds)."""
-        ledger = cls()
-        for i, row in enumerate(rows, start=1):
-            try:
-                u, v, sign, count, last = row
-                ledger.record(int(u), int(v), str(sign), int(count), float(last))
-            except (ValueError, KeyError) as exc:
-                raise ValueError(f"ledger row {i}: {exc}") from None
-        return ledger
-
-    @classmethod
     def from_text(cls, text: str, delimiter: str = ",") -> "TieSignLedger":
-        rows = []
-        for raw in text.splitlines():
+        """Lines of u, v, sign_type, count, last_update_epoch_seconds; blank
+        and '#' lines skipped; errors name the line."""
+        ledger = cls()
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([f.strip() for f in line.split(delimiter)])
-        return cls.from_rows(rows)
+            try:
+                u, v, sign, count, last = (f.strip()
+                                           for f in line.split(delimiter))
+                ledger.record(int(u), int(v), sign, int(count), float(last))
+            except (ValueError, KeyError) as exc:
+                raise ValueError(f"line {lineno}: {exc.args[0]}") from None
+        return ledger
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,10 @@ import networkx as nx
 import numpy as np
 from scipy.stats import norm
 
+from manetsim.mac import frame_service
 from manetsim.mobility import MobilityTrace
 from manetsim.packets import Packet, PacketClass
-from manetsim.radio import Medium, transmission_delay
+from manetsim.radio import Medium
 from manetsim.routing import (CustomerRequest, DiscoveryLimits,
                               PathQualification, discover_paths, mscore,
                               qualify, select_best)
@@ -221,11 +222,12 @@ class TwoEventRun(SimulationRun):
 
     def _transmit(self, node: int, packet: Packet, load: float) -> None:
         t = self.sim.clock
+        _, rate, air = frame_service(packet.size_bytes, load,
+                                     self.config.mac.access_delay_s,
+                                     self.config.radio.nominal_bitrate_bps)
         if packet.klass is PacketClass.BEACON:
             self._delivered(packet)
-            busy = transmission_delay(self.config.radio,
-                                      packet.size_bytes, load)
-            self.sim.schedule(t + busy, self._tx_done, node)
+            self.sim.schedule(t + air, self._tx_done, node)
             return
         hop = packet.hop_index + 1
         if hop >= len(packet.route):
@@ -233,10 +235,9 @@ class TwoEventRun(SimulationRun):
             return
         nxt = packet.route[hop]
         link = self.medium.link_state(node, nxt, t)
-        outcome = self.medium.transmit(link, packet.size_bytes, load,
-                                       self._channel)
+        outcome = self.medium.transmit(link, air, self._channel)
         if packet.klass is PacketClass.PROBE:
-            self._record_probe_link(packet, link, load, t)
+            self._record_probe_link(packet, link, rate, t)
         busy, cause = outcome
         if cause is None:
             self.sim.schedule(t + busy, self._hop_done, node, nxt, packet)

@@ -482,6 +482,9 @@ INPUT_FILES = {
         "frames_1_byte.txt": "0 I 1\n1 B 1\n2 P 1\n",
         "frames_huge_i.txt": "0 I 90000\n1 P 1000\n"},
 }
+# the node count of each trace and matrix, which a run drawing it takes
+FILE_NODES = {f"{kind}{n}.txt": n for kind in ("trace", "matrix")
+              for n in (12, 6)}
 PATTERNS = ("IBBPBBPBBPBB", "I", "IP", "IPBB", "BIP", "", "IXB", "IBBIBB")
 
 
@@ -539,7 +542,8 @@ KEY_STRATEGIES = _key_strategies()
 
 @st.composite
 def config_texts(draw):
-    """A small configuration as YAML text, and the keys it sets."""
+    """A small configuration as YAML text, and the keys it sets; a drawn
+    trace or matrix sets ``nodes`` to its own node count."""
     names = draw(st.lists(st.sampled_from(sorted(KEY_STRATEGIES)),
                           max_size=3, unique=True))
     names = ["nodes", "duration_s", *(n for n in names
@@ -549,6 +553,8 @@ def config_texts(draw):
         section, _, key = name.rpartition(".")
         values = data.setdefault(section, {}) if section else data
         values[key] = draw(KEY_STRATEGIES[name])
+        if name in FILE_KEYS and values[key] in FILE_NODES:
+            data["nodes"] = FILE_NODES[values[key]]
     return yaml.safe_dump(data, sort_keys=False), names
 
 

@@ -1,6 +1,9 @@
 import random
 
-from manetsim.mac import AccessCategory, MacLayer, PRIORITY_MAP, category_of
+import pytest
+
+from manetsim.mac import (AccessCategory, MacLayer, PRIORITY_MAP, category_of,
+                          frame_service)
 from manetsim.packets import Packet, PacketClass
 
 
@@ -129,6 +132,31 @@ class TestNeighborhoodLoad:
                                for m in nodes if m != n)
                 assert mac.neighborhood_load(n, 0.0) == scan
         assert rejected > 0 and emptied > 0
+
+
+class TestFrameService:
+    """The load-factor law: access delay, shared rate and air time."""
+
+    def test_air_time_of_full_packet(self):
+        # 1500 bytes at 11 Mbps, no contention
+        _, rate, air = frame_service(1500, 1, 0.006, 11e6)
+        assert rate == 11e6
+        assert air == pytest.approx(1500 * 8 / 11e6)
+        assert air == pytest.approx(1.0909e-3, rel=1e-3)
+
+    def test_load_factor_halves_effective_rate(self):
+        _, rate, air = frame_service(1500, 2, 0.006, 11e6)
+        _, rate_1, air_1 = frame_service(1500, 1, 0.006, 11e6)
+        assert rate == rate_1 / 2
+        assert air == pytest.approx(2.0 * air_1)
+
+    def test_sub_unity_load_does_not_speed_up(self):
+        assert frame_service(1500, 0.25, 0.006, 11e6)[1:] == \
+            frame_service(1500, 1, 0.006, 11e6)[1:]
+
+    @pytest.mark.parametrize("load", [1, 2, 5, 11])
+    def test_access_delay_scales_with_load(self, load):
+        assert frame_service(1500, load, 0.006, 11e6)[0] == 0.006 * load
 
 
 class TestDifferentiationUnderSaturation:

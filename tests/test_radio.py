@@ -4,9 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from manetsim.mac import frame_service
 from manetsim.mobility import generate_waypoint_trace, position_at
-from manetsim.radio import (SPEED_OF_LIGHT, Medium, RadioSpec,
-                            transmission_delay)
+from manetsim.radio import SPEED_OF_LIGHT, Medium, RadioSpec
 
 
 def static_medium(positions, spec=None):
@@ -118,35 +118,26 @@ class TestNeighborSet:
                 assert a in adj[b]
 
 
+def air_time(spec, size_bytes, load):
+    """A frame's air time at ``load`` by the MAC's law."""
+    return frame_service(size_bytes, load, 0.0, spec.nominal_bitrate_bps)[2]
+
+
 class TestTransmit:
-    def test_transmission_delay_of_full_packet(self):
-        # 1500 bytes at 11 Mbps, no contention
-        delay = transmission_delay(RadioSpec(), 1500, 1.0)
-        assert delay == pytest.approx(1500 * 8 / 11e6)
-        assert delay == pytest.approx(1.0909e-3, rel=1e-3)
-
-    def test_load_factor_halves_effective_rate(self):
-        spec = RadioSpec()
-        assert transmission_delay(spec, 1500, 2.0) == \
-            pytest.approx(2.0 * transmission_delay(spec, 1500, 1.0))
-
-    def test_sub_unity_load_does_not_speed_up(self):
-        spec = RadioSpec()
-        assert transmission_delay(spec, 1500, 0.25) == \
-            transmission_delay(spec, 1500, 1.0)
-
     def test_unusable_link_drops_with_cause(self):
         medium = static_medium({0: (0.0, 0.0), 1: (200.0, 0.0)})
         link = medium.link_state(0, 1, 0.0)
-        outcome = medium.transmit(link, 1500, 1.0, random.Random(1))
+        outcome = medium.transmit(link, air_time(medium.spec, 1500, 1),
+                                  random.Random(1))
         assert outcome.cause == "link-break"
 
     def test_delivery_delay_includes_transmission(self):
         medium = static_medium({0: (0.0, 0.0), 1: (20.0, 0.0)})
         link = medium.link_state(0, 1, 0.0)
-        outcome = medium.transmit(link, 1500, 1.0, random.Random(1))
+        air = air_time(medium.spec, 1500, 1)
+        outcome = medium.transmit(link, air, random.Random(1))
         assert outcome.cause is None
-        assert outcome.delay_s >= transmission_delay(medium.spec, 1500, 1.0) > 0
+        assert outcome.delay_s >= air > 0
 
     def test_corruption_rate_matches_curve(self):
         # at exactly the range (margin 0) the corruption probability is
@@ -154,18 +145,20 @@ class TestTransmit:
         spec = RadioSpec(max_corruption_prob=0.2)
         medium = static_medium({0: (0.0, 0.0), 1: (120.0, 0.0)}, spec)
         link = medium.link_state(0, 1, 0.0)
+        air = air_time(spec, 100, 1)
         rng = random.Random(17)
         n = 20_000
         corrupted = sum(
-            medium.transmit(link, 100, 1.0, rng).cause == "corruption"
+            medium.transmit(link, air, rng).cause == "corruption"
             for _ in range(n))
         assert corrupted / n == pytest.approx(0.2, abs=0.01)
 
     def test_close_link_never_corrupts(self):
         medium = static_medium({0: (0.0, 0.0), 1: (10.0, 0.0)})
         link = medium.link_state(0, 1, 0.0)
+        air = air_time(medium.spec, 100, 1)
         rng = random.Random(3)
-        assert all(medium.transmit(link, 100, 1.0, rng).cause is None
+        assert all(medium.transmit(link, air, rng).cause is None
                    for _ in range(2000))
 
 
@@ -195,7 +188,8 @@ HOP_LOADS = [0, 0.5, 1, 11]
 
 class TestFusedHopOracle:
     """``link_state`` and ``transmit`` against the RadioSpec definitions
-    they inline: equal bit for bit, not approximately."""
+    they inline, ``transmit`` with a frame's air time at a load: equal bit
+    for bit, not approximately."""
 
     @pytest.mark.parametrize("spec,dist", HOP_CASES)
     def test_link_state_margin_and_usable(self, spec, dist):
@@ -212,21 +206,21 @@ class TestFusedHopOracle:
                                                        load):
         medium = static_medium({0: (0.0, 0.0), 1: (dist, 0.0)}, spec)
         link = medium.link_state(0, 1, 0.0)
+        air = air_time(spec, 1500, load)
         if not link.usable:
             rng = FixedDraw(0.0)
-            outcome = medium.transmit(link, 1500, load, rng)
+            outcome = medium.transmit(link, air, rng)
             assert outcome == (0.0, "link-break")
             assert rng.draws == 0
             return
-        delay = (transmission_delay(spec, 1500, load)
-                 + dist / SPEED_OF_LIGHT)
+        delay = air + dist / SPEED_OF_LIGHT
         p = spec.corruption_probability(spec.margin_db(dist))
         # corrupted exactly when the draw falls below p
         at_p = FixedDraw(p)
-        assert medium.transmit(link, 1500, load, at_p) == (delay, None)
+        assert medium.transmit(link, air, at_p) == (delay, None)
         assert at_p.draws == (1 if p > 0.0 else 0)
         if p > 0.0:
-            below = medium.transmit(link, 1500, load,
+            below = medium.transmit(link, air,
                                     FixedDraw(math.nextafter(p, 0.0)))
             assert below == (delay, "corruption")
 
@@ -241,13 +235,12 @@ class TestFusedHopOracle:
         assert link.margin_db == spec.margin_db(dist)
         if link.usable:
             p = spec.corruption_probability(link.margin_db)
-            delay = (transmission_delay(spec, size, load)
-                     + dist / SPEED_OF_LIGHT)
-            assert medium.transmit(link, size, load, FixedDraw(p)) == (
-                delay, None)
+            air = air_time(spec, size, load)
+            delay = air + dist / SPEED_OF_LIGHT
+            assert medium.transmit(link, air, FixedDraw(p)) == (delay, None)
             if p > 0.0:
                 assert medium.transmit(
-                    link, size, load, FixedDraw(math.nextafter(p, 0.0))
+                    link, air, FixedDraw(math.nextafter(p, 0.0))
                 ).cause == "corruption"
 
 

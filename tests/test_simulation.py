@@ -318,6 +318,38 @@ class TestProbeLinkOnAir:
         [probe] = arrived
         assert probe.payload["min_margin_db"] == config.radio.margin_db(20.0)
         assert probe.payload["rel_speed_sum"] == 0.0
+        # no neighbour is backlogged: load 1 sends at the nominal bitrate
+        assert probe.payload["min_rate_bps"] == \
+            config.radio.nominal_bitrate_bps
+
+    def test_probe_records_the_rate_shared_with_backlogged_neighbours(
+            self, tmp_path):
+        # nodes 2 and 3, in range of the sender, each hold a queued frame
+        # when the probe leaves node 0's queue: load 3, a third of the rate
+        config = two_node_config(node_count=4, duration_s=2.0,
+                                 video=VideoConfig(flows=0))
+        trace = static_trace([(100.0, 100.0), (120.0, 100.0),
+                              (100.0, 120.0), (80.0, 100.0)], duration=2.0)
+        run = SimulationRun(oracle_utils.with_inputs(
+            tmp_path, config, trace, full_ts(4)))
+        arrived = []
+        run.protocols[0] = SimpleNamespace(
+            on_probe_at_destination=arrived.append)
+        run.sim.run_until(0.5)
+        assert not run.mac.backlogged
+        for node in (2, 3):
+            assert run.mac.enqueue(node, Packet(
+                klass=PacketClass.CBR, size_bytes=100, route=(node, 1),
+                created_at=0.5))
+        run._inject(Packet(
+            klass=PacketClass.PROBE, size_bytes=1000, route=(0, 1),
+            created_at=0.5, flow_id=0,
+            payload={"min_margin_db": math.inf, "min_rate_bps": math.inf,
+                     "rel_speed_sum": 0.0}))
+        run.sim.run_until(config.duration_s)
+        [probe] = arrived
+        assert probe.payload["min_rate_bps"] == \
+            config.radio.nominal_bitrate_bps / 3
 
     def test_two_hop_probe_records_one_relative_speed_per_hop(self,
                                                               tmp_path):

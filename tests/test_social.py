@@ -175,13 +175,23 @@ class TestLedger:
         assert ledger.last_update(1, 0, "common_followers") == 900.0
 
     def test_text_import_reports_row(self):
-        with pytest.raises(ValueError, match="row 1"):
+        with pytest.raises(ValueError, match="line 1"):
             TieSignLedger.from_text("0, 0, same_hashtag, 5, 0\n")
+
+    def test_unknown_sign_reported_at_its_file_line(self):
+        # the bad row is the second row, on line 4, and its message is
+        # quoted once
+        with pytest.raises(ValueError) as excinfo:
+            TieSignLedger.from_text(
+                "# header\n\n0,1,wall_posts_on_friends_wall,3,0\n"
+                "0,1,no_such_sign,1,0\n")
+        assert str(excinfo.value) == \
+            "line 4: unknown sign type 'no_such_sign'"
 
     @pytest.mark.parametrize("last", ["-inf", "inf", "nan"])
     def test_non_finite_update_time_rejected(self, last):
         # at zero decay, elapsed = now - (-inf) would make the sum nan
-        with pytest.raises(ValueError, match="row 2: .*not finite"):
+        with pytest.raises(ValueError, match="line 2: .*not finite"):
             TieSignLedger.from_text(
                 "0,1,same_hashtag,5,0\n"
                 f"0,1,wall_posts_on_friends_wall,3,{last}\n")
