@@ -4,9 +4,11 @@ multipath probing.
 A source periodically (every adaptive t_routing seconds) discovers the
 simple paths to its destination over the instantaneous connectivity graph,
 measures each one with a train of probe packets answered by a single probe
-reply, filters the paths against the customer's QoS requirements, scores
-the rest by blending seven QoS qualifications with the path's geometric-mean
-tie strength, and forwards data on the argmax path until the next iteration.
+reply, ranks the answered paths by one key and forwards data on the first
+until the next iteration: paths that meet the customer's QoS request first,
+then descending score (seven QoS qualifications blended with the path's
+geometric-mean tie strength), fewer hops and lexicographic path.  So when
+no path meets the request, data takes the best-scored usable path.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .engine import add_up
 from .packets import Packet, PacketClass
@@ -59,7 +61,6 @@ class PathQualification:
     """Raw per-path measurements and their [0, 1] qualifications (1 = best)."""
 
     path: tuple[int, ...]
-    iteration: int
     bw_bps: float
     loss: float
     delay_s: float
@@ -81,7 +82,7 @@ class PathQualification:
                 self.q_rm, self.q_mm)
 
 
-def qualify(path: tuple[int, ...], iteration: int, bw_bps: float, loss: float,
+def qualify(path: tuple[int, ...], bw_bps: float, loss: float,
             delay_s: float, jitter_s: float, rm_margin_db: float,
             mm_speed_mps: float, request: CustomerRequest,
             max_speed_mps: float) -> PathQualification:
@@ -99,20 +100,18 @@ def qualify(path: tuple[int, ...], iteration: int, bw_bps: float, loss: float,
     q_rm = min(1.0, max(0.0, rm_margin_db / RM_SPAN_DB))
     q_mm = max(0.0, 1.0 - mm_speed_mps / (2.0 * max_speed_mps))
     return PathQualification(
-        path=path, iteration=iteration, bw_bps=bw_bps, loss=loss,
+        path=path, bw_bps=bw_bps, loss=loss,
         delay_s=delay_s, jitter_s=jitter_s, hops=hops,
         rm_margin_db=rm_margin_db, mm_speed_mps=mm_speed_mps,
         q_bw=q_bw, q_l=q_l, q_d=q_d, q_j=q_j, q_h=q_h, q_rm=q_rm, q_mm=q_mm)
 
 
-def filter_paths(quals: list[PathQualification],
-                 request: CustomerRequest) -> list[PathQualification]:
-    """Keep paths meeting all four bounds; equality passes (inclusive)."""
-    return [q for q in quals
-            if q.bw_bps >= request.bw_min_bps
-            and q.loss <= request.loss_max
-            and q.delay_s <= request.delay_max_s
-            and q.jitter_s <= request.jitter_max_s]
+def meets(qual: PathQualification, request: CustomerRequest) -> bool:
+    """Whether a path meets all four bounds; equality passes (inclusive)."""
+    return (qual.bw_bps >= request.bw_min_bps
+            and qual.loss <= request.loss_max
+            and qual.delay_s <= request.delay_max_s
+            and qual.jitter_s <= request.jitter_max_s)
 
 
 def mscore(qual: PathQualification, mean_ts: float, w_ts: float) -> float:
@@ -120,26 +119,36 @@ def mscore(qual: PathQualification, mean_ts: float, w_ts: float) -> float:
     1 - w_ts and w_ts.
 
     The normalization averages the seven qualifications and rescales the
-    0-4 tie strength to [0, 1], which makes w_ts = 0.125 give every
-    individual metric (QoS or social) the same effective weight.
+    0-4 tie strength to [0, 1], so w_ts = 0.125 gives every individual
+    metric (QoS or social) the same weight by nominal range only: among
+    the paths of one decision (master seed 1, density 200) the QoS half
+    spans a median 0.054 and ts / 4 spans 0.34 (ROADMAP item 18).
     """
     return ((1.0 - w_ts) * (add_up(qual.qualifications) / QOS_METRIC_COUNT)
             + w_ts * (mean_ts / TS_SCALE_MAX))
 
 
-def select_best(candidates: list[tuple[PathQualification, float]],
-                w_ts: float,
-                ) -> tuple[PathQualification, float, float] | None:
-    """Argmax of mscore; ties break on fewer hops, then lexicographic path."""
-    best = None
-    best_key = None
-    for qual, mean_ts in candidates:
-        score = mscore(qual, mean_ts, w_ts)
-        key = (-score, qual.hops, qual.path)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (qual, mean_ts, score)
-    return best
+class Ranked(NamedTuple):
+    """One usable path's place in a decision."""
+
+    qual: PathQualification
+    mean_ts: float
+    score: float
+    meets: bool
+
+
+def rank(candidates: list[tuple[PathQualification, float]],
+         request: CustomerRequest, w_ts: float) -> list[Ranked]:
+    """The (qualification, mean tie strength) candidates in forwarding
+    order: those that meet the request first, each part by descending
+    mscore, ties broken on fewer hops, then lexicographic path.  The head
+    is the choice: the best path that meets the request, or the best
+    usable path when none does."""
+    ranked = [Ranked(qual, mean_ts, mscore(qual, mean_ts, w_ts),
+                     meets(qual, request)) for qual, mean_ts in candidates]
+    ranked.sort(key=lambda r: (not r.meets, -r.score, r.qual.hops,
+                               r.qual.path))
+    return ranked
 
 
 def update_nstate(quals: list[PathQualification]) -> float:
@@ -228,14 +237,13 @@ class MonitoringIteration:
     index: int
     started_at: float
     discovered: list[tuple[int, ...]]
-    qualifications: dict[tuple[int, ...], PathQualification] = field(
-        default_factory=dict)
-    survivors: list[tuple[int, ...]] = field(default_factory=list)
-    selected: tuple[int, ...] | None = None
-    selected_score: float | None = None
-    selected_mean_ts: float | None = None
+    ranked: list[Ranked] = field(default_factory=list)  # set at decision
     nstate: float = 0.0
     t_routing: float = 0.0
+
+    @property
+    def selected(self) -> tuple[int, ...] | None:
+        return self.ranked[0].qual.path if self.ranked else None
 
 
 class SourceProtocol:
@@ -358,39 +366,26 @@ class SourceProtocol:
         self._send(reply)
 
     def on_probe_reply_at_source(self, packet: Packet) -> None:
-        info = packet.payload
-        if info["iteration"] <= self._decided_through:
+        measured = dict(packet.payload)
+        index = measured.pop("iteration")
+        if index <= self._decided_through:
             return  # reply outlived its iteration's decision
-        self._replies.setdefault(info["iteration"], {})[info["path"]] = info
+        self._replies.setdefault(index, {})[measured["path"]] = measured
 
     def _decide(self, iteration: MonitoringIteration) -> None:
         self._decided_through = iteration.index
         for path in iteration.discovered:
             self._collectors.pop((iteration.index, path), None)
         replies = self._replies.pop(iteration.index, {})
-        candidates: list[tuple[PathQualification, float]] = []
-        for path in iteration.discovered:
-            reply = replies.get(path)
-            if reply is None:
-                continue  # path dead this iteration (probes or reply lost)
-            qual = qualify(**reply, request=self.config.request,
-                           max_speed_mps=self.config.mobility.max_speed_mps)
-            iteration.qualifications[path] = qual
-            candidates.append((qual, path_mean_ts(path, self.ts_matrix)))
-        iteration.survivors = [q.path for q in filter_paths(
-            [q for q, _ in candidates], self.config.request)]
-        # no path met the request: keep streaming on the best-scored usable
-        # path rather than stalling
-        pool = [c for c in candidates
-                if c[0].path in iteration.survivors] or candidates
-        choice = select_best(pool, self.config.w_ts)
-        if choice is not None:
-            qual, ts, score = choice
-            iteration.selected = qual.path
-            iteration.selected_score = score
-            iteration.selected_mean_ts = ts
-        if candidates:
-            self.nstate = update_nstate([q for q, _ in candidates])
+        # a path without a reply is dead this iteration (probes or reply lost)
+        quals = [qualify(**replies[path], request=self.config.request,
+                         max_speed_mps=self.config.mobility.max_speed_mps)
+                 for path in iteration.discovered if path in replies]
+        iteration.ranked = rank(
+            [(q, path_mean_ts(q.path, self.ts_matrix)) for q in quals],
+            self.config.request, self.config.w_ts)
+        if quals:
+            self.nstate = update_nstate(quals)  # in discovery order
         iteration.nstate = self.nstate
         iteration.t_routing = update_t_routing(
             self.nstate, self.config.alpha_tune, self.config.beta_tune)
@@ -411,8 +406,8 @@ class SourceProtocol:
         weight = time = 0.0
         for it, until in zip(decided, untils):
             at = it.started_at + delay
-            if it.selected_mean_ts is not None and until > at:
-                weight += (until - at) * it.selected_mean_ts
+            if it.ranked and until > at:
+                weight += (until - at) * it.ranked[0].mean_ts
                 time += until - at
         self.ts_time_mean = weight / time if time > 0 else 0.0
 

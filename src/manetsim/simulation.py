@@ -548,21 +548,20 @@ class SimulationRun:
         rows = []
         for flow_id, protocol in sorted(self.protocols.items()):
             for it in protocol.iterations:
+                head = it.ranked[0] if it.ranked else None
                 rows.append({
                     "flow": flow_id,
                     "iteration": it.index,
                     "t": it.started_at,
                     "discovered": len(it.discovered),
-                    "usable": len(it.qualifications),
-                    "survivors": len(it.survivors),
+                    "usable": len(it.ranked),
+                    "survivors": sum(r.meets for r in it.ranked),
                     "nstate": it.nstate,
                     "t_routing": it.t_routing,
-                    "selected": "-".join(map(str, it.selected))
-                    if it.selected else "",
-                    "mscore": it.selected_score
-                    if it.selected_score is not None else "",
-                    "mean_ts": it.selected_mean_ts
-                    if it.selected_mean_ts is not None else "",
+                    "selected": "-".join(map(str, head.qual.path))
+                    if head else "",
+                    "mscore": head.score if head else "",
+                    "mean_ts": head.mean_ts if head else "",
                 })
         return rows
 

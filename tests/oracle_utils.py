@@ -1,11 +1,12 @@
 """Shared oracle helpers: brute-force path scoring against networkx,
-deterministic pseudo-random qualifications keyed by path, the per-packet
-definition of the decodable-GoP fraction, the whole-network snapshot
-definition of the MAC load factor, the quantised normal mean written
-with scipy.stats, a node's velocity on its waypoint segment, the two-event
-per-hop path, each sweep run's pooled metrics as its files record them,
-a config whose input files hold a given trace and matrix, and Bianchi's
-saturation throughput of 802.11 DCF."""
+the two-step selection rule (filter, then the argmax of the survivors or of
+every usable path), deterministic pseudo-random qualifications keyed by
+path, the per-packet definition of the decodable-GoP fraction, the
+whole-network snapshot definition of the MAC load factor, the quantised
+normal mean written with scipy.stats, a node's velocity on its waypoint
+segment, the two-event per-hop path, each sweep run's pooled metrics as
+its files record them, a config whose input files hold a given trace and
+matrix, and Bianchi's saturation throughput of 802.11 DCF."""
 
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from manetsim.packets import Packet, PacketClass
 from manetsim.radio import Medium
 from manetsim.routing import (CustomerRequest, DiscoveryLimits,
                               PathQualification, discover_paths, mscore,
-                              qualify, select_best)
+                              qualify, rank)
 from manetsim.simulation import TOPOLOGY_QUANTUM_S, SimulationRun
 from manetsim.social import (TS_SCALE_MAX, dump_ts_matrix, generate_ts_matrix,
                              path_mean_ts)
@@ -44,7 +45,7 @@ def pseudo_qualification(path: tuple[int, ...], salt: int,
     pipeline and the brute-force oracle must use this same mapping."""
     rng = stable_rng("qual", salt, path)
     return qualify(
-        path=path, iteration=0,
+        path=path,
         bw_bps=rng.uniform(50_000, 400_000),
         loss=rng.uniform(0.0, 0.6),
         delay_s=rng.uniform(0.0, 3.0),
@@ -65,11 +66,49 @@ def random_connected_graph(rng: random.Random,
             return adj, 0, n - 1
 
 
+def filter_paths(quals: list[PathQualification],
+                 request: CustomerRequest) -> list[PathQualification]:
+    """Keep paths meeting all four bounds; equality passes (inclusive)."""
+    return [q for q in quals
+            if q.bw_bps >= request.bw_min_bps
+            and q.loss <= request.loss_max
+            and q.delay_s <= request.delay_max_s
+            and q.jitter_s <= request.jitter_max_s]
+
+
+def select_best(candidates: list[tuple[PathQualification, float]],
+                w_ts: float,
+                ) -> tuple[PathQualification, float, float] | None:
+    """Argmax of mscore; ties break on fewer hops, then lexicographic path."""
+    best = None
+    best_key = None
+    for qual, mean_ts in candidates:
+        score = mscore(qual, mean_ts, w_ts)
+        key = (-score, qual.hops, qual.path)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (qual, mean_ts, score)
+    return best
+
+
+def two_step_choice(candidates: list[tuple[PathQualification, float]],
+                    request: CustomerRequest, w_ts: float,
+                    ) -> tuple[PathQualification, float, float] | None:
+    """The selection rule as two steps: the argmax of the candidates that
+    meet the request or, when none does, of every candidate."""
+    survivors = [q.path for q in filter_paths([q for q, _ in candidates],
+                                              request)]
+    pool = [c for c in candidates if c[0].path in survivors] or candidates
+    return select_best(pool, w_ts)
+
+
 def brute_force_best(adj: dict, src: int, dst: int, salt: int,
                      ts_matrix: np.ndarray, w_ts: float,
                      request: CustomerRequest):
     """Score every simple path via networkx enumeration and return the
-    argmax under the same tie-break (fewer hops, then lexicographic)."""
+    best under the same rule (paths meeting the request ahead of the rest,
+    then the highest score, fewer hops, then lexicographic), every path,
+    and whether any path met the request."""
     g = nx.Graph()
     g.add_nodes_from(adj)
     for a, nbrs in adj.items():
@@ -84,11 +123,15 @@ def brute_force_best(adj: dict, src: int, dst: int, salt: int,
         qual = pseudo_qualification(path, salt, request)
         ts = path_mean_ts(path, ts_matrix)
         score = mscore(qual, ts, w_ts)
-        key = (-score, len(path) - 1, path)
+        fails = not (qual.bw_bps >= request.bw_min_bps
+                     and qual.loss <= request.loss_max
+                     and qual.delay_s <= request.delay_max_s
+                     and qual.jitter_s <= request.jitter_max_s)
+        key = (fails, -score, len(path) - 1, path)
         if best_key is None or key < best_key:
             best_key = key
             best = path
-    return best, set(all_paths)
+    return best, set(all_paths), best_key is not None and not best_key[0]
 
 
 def pipeline_best(adj: dict, src: int, dst: int, salt: int,
@@ -96,23 +139,24 @@ def pipeline_best(adj: dict, src: int, dst: int, salt: int,
                   request: CustomerRequest):
     limits = DiscoveryLimits(ttl=len(adj), max_paths=10**6)
     paths = discover_paths(adj, src, dst, limits)
-    candidates = [(pseudo_qualification(p, salt, request),
-                   path_mean_ts(p, ts_matrix)) for p in paths]
-    choice = select_best(candidates, w_ts)
-    return (choice[0].path if choice else None), set(paths)
+    ranked = rank([(pseudo_qualification(p, salt, request),
+                    path_mean_ts(p, ts_matrix)) for p in paths],
+                  request, w_ts)
+    return (ranked[0].qual.path if ranked else None), set(paths)
 
 
-def run_oracle_trial(seed: int) -> bool:
-    """One random graph: discovery completeness plus argmax equality."""
+def run_oracle_trial(seed: int) -> tuple[bool, bool]:
+    """One random graph: whether discovery is complete and the pipeline
+    chooses the brute-force path, and whether any path met the request."""
     rng = stable_rng("trial", seed)
     adj, src, dst = random_connected_graph(rng)
     ts = generate_ts_matrix(len(adj), rng.uniform(0.5, 3.5), 1.0, rng)
     w_ts = rng.choice([0.0, 0.125, 0.4, 0.8, 1.0])
     request = CustomerRequest()
-    expect, expect_paths = brute_force_best(adj, src, dst, seed, ts, w_ts,
-                                            request)
+    expect, expect_paths, any_met = brute_force_best(adj, src, dst, seed, ts,
+                                                     w_ts, request)
     got, got_paths = pipeline_best(adj, src, dst, seed, ts, w_ts, request)
-    return expect == got and expect_paths == got_paths
+    return expect == got and expect_paths == got_paths, any_met
 
 
 def decodable_gop_fraction(video_log) -> float:

@@ -587,6 +587,22 @@ def input_files(tmp_path_factory):
         yield
 
 
+def assert_runs_clean(config: RunConfig, run: SimulationRun) -> None:
+    """``config`` survives a dump and a load, and ``run`` and a second run
+    of it conserve packets and write the same bytes."""
+    assert load_config(dump_config(config)).config_hash() == \
+        config.config_hash()
+    outputs = []
+    for run in (run, capped_run(config)):
+        result = run.run()  # asserts conservation per class and flow
+        for counts in (*result.class_counters.values(), *result.flows,
+                       result.total):
+            assert counts["delivered"] <= counts["generated"]
+        outputs.append((result_csv_text(result),
+                        protocol_log_csv_text(run.protocol_log_rows())))
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.usefixtures("input_files")
 class TestBoundaryProperty:
     @given(config_texts())
@@ -600,17 +616,18 @@ class TestBoundaryProperty:
             words = {part for name in names for part in name.split(".")}
             assert any(word in str(exc) for word in words), (text, exc)
             return
-        assert load_config(dump_config(config)).config_hash() == \
-            config.config_hash()
-        outputs = []
-        for run in (run, capped_run(config)):
-            result = run.run()  # asserts conservation per class and flow
-            for counts in (*result.class_counters.values(), *result.flows,
-                           result.total):
-                assert counts["delivered"] <= counts["generated"]
-            outputs.append((result_csv_text(result),
-                            protocol_log_csv_text(run.protocol_log_rows())))
-        assert outputs[0] == outputs[1]
+        assert_runs_clean(config, run)
+
+    @pytest.mark.parametrize("key, name", [
+        (key, name) for key in FILE_KEYS for name in INPUT_FILES[key]
+        if name in FILE_NODES])
+    def test_every_trace_and_matrix_runs_clean(self, key, name):
+        # the drawn examples need not reach every file
+        section, _, field = key.partition(".")
+        config = load_config(yaml.safe_dump(
+            {"nodes": FILE_NODES[name], "duration_s": 10.0,
+             section: {field: name}}))
+        assert_runs_clean(config, capped_run(config))
 
 
 # One legal value of each key but the file keys that changes the output of

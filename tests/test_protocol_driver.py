@@ -111,7 +111,7 @@ class TestDecision:
             good: {"loss": 0.05},
             bad: {"loss": 0.9},   # fails the customer request
         })
-        assert iteration.survivors == [good]
+        assert [r.qual.path for r in iteration.ranked if r.meets] == [good]
         assert iteration.selected == good
 
     def test_fallback_to_best_usable_when_filter_empties(self):
@@ -123,7 +123,7 @@ class TestDecision:
             a: {"loss": 0.9},
             b: {"loss": 0.5},
         })
-        assert iteration.survivors == []
+        assert not any(r.meets for r in iteration.ranked)
         assert iteration.selected == b  # best score among usable paths
 
     def test_missing_reply_marks_path_unusable(self):
@@ -132,7 +132,7 @@ class TestDecision:
         it = h.protocol.iterations[0]
         answered = it.discovered[1]
         iteration = self.decide(h, {answered: {}})
-        assert list(iteration.qualifications) == [answered]
+        assert [r.qual.path for r in iteration.ranked] == [answered]
         assert iteration.selected == answered
 
     def test_next_iteration_scheduled_at_t_routing(self):
@@ -195,7 +195,7 @@ class TestExposureAccounting:
         TestDecision().decide(h, {path: {}})
         # one decision interval from t=2.0 (decision) to finalize at t=10
         h.protocol.finalize(10.0)
-        expected_ts = it0.selected_mean_ts
+        expected_ts = it0.ranked[0].mean_ts
         assert h.protocol.ts_time_mean == pytest.approx(expected_ts)
 
     @pytest.mark.parametrize("tail", [0.0, 1.5], ids=["end-on-decision",
@@ -219,13 +219,13 @@ class TestExposureAccounting:
         end = d2 + tail
         h.protocol.finalize(end)
         # weak from d0 to d1, nothing from d1 to d2, strong from d2 to the end
-        weight = (d1 - d0) * it0.selected_mean_ts
+        weight = (d1 - d0) * it0.ranked[0].mean_ts
         time = d1 - d0
         if end > d2:
-            weight += (end - d2) * it2.selected_mean_ts
+            weight += (end - d2) * it2.ranked[0].mean_ts
             time += end - d2
         assert h.protocol.ts_time_mean == weight / time
-        assert it0.selected_mean_ts == 1.0
+        assert it0.ranked[0].mean_ts == 1.0
 
     def test_no_decisions_yield_zero(self):
         h = Harness(diamond())

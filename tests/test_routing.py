@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_utils
 from manetsim.routing import (CustomerRequest, DiscoveryLimits,
-                              PathQualification, discover_paths, filter_paths,
-                              mscore, qualify, select_best, update_nstate,
+                              PathQualification, discover_paths, meets,
+                              mscore, qualify, rank, update_nstate,
                               update_t_routing)
 
 
@@ -15,7 +16,7 @@ def make_qual(path=(0, 1, 2), **overrides):
                rm_margin_db=10.0, mm_speed_mps=1.0)
     raw.update({k: v for k, v in overrides.items() if k in raw})
     request = overrides.get("request", CustomerRequest())
-    return qualify(path=tuple(path), iteration=0, request=request,
+    return qualify(path=tuple(path), request=request,
                    max_speed_mps=2.0, **raw)
 
 
@@ -23,7 +24,7 @@ def qual_with_values(path, values):
     """PathQualification with the seven qualifications pinned directly."""
     q = dict(zip(("q_bw", "q_l", "q_d", "q_j", "q_h", "q_rm", "q_mm"), values))
     return PathQualification(
-        path=tuple(path), iteration=0, bw_bps=0.0, loss=0.0, delay_s=0.0,
+        path=tuple(path), bw_bps=0.0, loss=0.0, delay_s=0.0,
         jitter_s=0.0, hops=len(path) - 1, rm_margin_db=0.0, mm_speed_mps=0.0,
         **q)
 
@@ -65,30 +66,26 @@ class TestQualify:
             assert 0.0 <= value <= 1.0
 
 
-class TestFilter:
+class TestMeets:
     def test_loss_bound(self):
         req = CustomerRequest(loss_max=0.25)
-        kept = filter_paths([make_qual(loss=0.30)], req)
-        assert kept == []
+        assert not meets(make_qual(loss=0.30), req)
 
     def test_equality_passes(self):
         req = CustomerRequest()
         q = make_qual(bw_bps=req.bw_min_bps, loss=req.loss_max,
                       delay_s=req.delay_max_s, jitter_s=req.jitter_max_s)
-        assert filter_paths([q], req) == [q]
+        assert meets(q, req)
 
-    def test_empty_input(self):
-        assert filter_paths([], CustomerRequest()) == []
-
-    def test_subset_and_all_bounds(self):
+    @pytest.mark.parametrize("bound", ["bw_bps", "loss", "delay_s",
+                                       "jitter_s"])
+    def test_each_bound_fails_just_past_it(self, bound):
         req = CustomerRequest()
-        quals = [make_qual(loss=x / 10.0) for x in range(6)]
-        kept = filter_paths(quals, req)
-        assert set(kept) <= set(quals)
-        for q in kept:
-            assert (q.bw_bps >= req.bw_min_bps and q.loss <= req.loss_max
-                    and q.delay_s <= req.delay_max_s
-                    and q.jitter_s <= req.jitter_max_s)
+        at = dict(bw_bps=req.bw_min_bps, loss=req.loss_max,
+                  delay_s=req.delay_max_s, jitter_s=req.jitter_max_s)
+        at[bound] = math.nextafter(
+            at[bound], -math.inf if bound == "bw_bps" else math.inf)
+        assert not meets(make_qual(**at), req)
 
 
 class TestMscore:
@@ -134,30 +131,61 @@ class TestMscore:
         assert mscore(q2, 2.0, w_ts) >= mscore(q, 2.0, w_ts) - 1e-15
 
 
-class TestSelect:
+class TestRank:
     def test_single_candidate(self):
         q = make_qual(path=(0, 1))
-        choice = select_best([(q, 2.0)], 0.5)
-        assert choice[0].path == (0, 1)
+        ranked = rank([(q, 2.0)], CustomerRequest(), 0.5)
+        assert ranked[0].qual.path == (0, 1)
 
     def test_tie_breaks_on_fewer_hops(self):
         short = qual_with_values((0, 3), [0.5] * 7)
         long = qual_with_values((0, 1, 3), [0.5] * 7)
-        choice = select_best([(long, 2.0), (short, 2.0)], 0.0)
-        assert choice[0].path == (0, 3)
+        ranked = rank([(long, 2.0), (short, 2.0)], CustomerRequest(), 0.0)
+        assert [r.qual.path for r in ranked] == [(0, 3), (0, 1, 3)]
 
     def test_tie_breaks_lexicographically(self):
         a = qual_with_values((0, 1, 3), [0.5] * 7)
         b = qual_with_values((0, 2, 3), [0.5] * 7)
-        choice = select_best([(b, 2.0), (a, 2.0)], 0.0)
-        assert choice[0].path == (0, 1, 3)
+        ranked = rank([(b, 2.0), (a, 2.0)], CustomerRequest(), 0.0)
+        assert [r.qual.path for r in ranked] == [(0, 1, 3), (0, 2, 3)]
 
-    def test_empty_gives_none(self):
-        assert select_best([], 0.0) is None
+    def test_empty_gives_empty(self):
+        assert rank([], CustomerRequest(), 0.0) == []
+
+    @given(st.lists(st.tuples(
+        st.sampled_from([(0, 9), (0, 1, 9), (0, 2, 9), (0, 1, 2, 9),
+                         (0, 2, 1, 9), (0, 3, 1, 9), (0, 1, 3, 2, 9)]),
+        st.sampled_from([100_000.0, 150_000.0, 300_000.0]),
+        st.sampled_from([0.0, 0.25, 0.5]),
+        st.sampled_from([0.5, 2.0, 2.5]),
+        st.sampled_from([0.0, 1.0, 1.2]),
+        st.sampled_from([0.0, 4.0]),
+        st.sampled_from([0.0, 1.0, 2.5, 4.0])),
+        max_size=7, unique_by=lambda c: c[0]),
+        st.sampled_from([0.0, 0.125, 0.5, 1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_two_step_rule(self, drawn, w_ts):
+        # few distinct values, so scores tie and the hop and path
+        # tie-breaks decide
+        req = CustomerRequest()
+        candidates = [(make_qual(path=path, bw_bps=bw, loss=loss,
+                                 delay_s=delay, jitter_s=jitter,
+                                 rm_margin_db=margin), ts)
+                      for path, bw, loss, delay, jitter, margin, ts in drawn]
+        ranked = rank(candidates, req, w_ts)
+        choice = oracle_utils.two_step_choice(candidates, req, w_ts)
+        assert (ranked[0][:3] if ranked else None) == choice
+        assert sorted(r.qual.path for r in ranked) == sorted(
+            q.path for q, _ in candidates)
+        flags = [r.meets for r in ranked]
+        assert flags == sorted(flags, reverse=True)
+        assert sum(flags) == len(oracle_utils.filter_paths(
+            [q for q, _ in candidates], req))
 
     def test_oracle_equivalence_sample(self):
         # the acceptance suite runs the full 200-graph version
-        assert all(oracle_utils.run_oracle_trial(seed) for seed in range(40))
+        assert all(oracle_utils.run_oracle_trial(seed)[0]
+                   for seed in range(40))
 
 
 class TestDiscovery:
