@@ -6,8 +6,9 @@ reproducibility guarantees hinge on two rules enforced here:
 
 * events with equal timestamps dequeue FIFO by insertion order, so the
   execution order is a pure function of the schedule calls;
-* every random stream is seeded from (master_seed, stream_name) through a
-  fixed hash, so adding a new stream never perturbs draws in existing ones.
+* ``Simulator.rng[name]`` is ``random.Random(derive_stream_seed(master_seed,
+  name))`` for each name in STREAMS: its draws depend on the name and the
+  master seed alone, so adding a stream never perturbs the existing ones.
 
 A third rule is kept by every module that computes an output: a float sum
 whose value reaches an output file is ``add_up``'s, so the bytes do not
@@ -20,18 +21,14 @@ import hashlib
 import itertools
 import random
 from heapq import heappop, heappush
-from typing import Callable, Sequence
+from typing import Callable
 
 
 class SchedulingError(Exception):
     """An event was scheduled before the current virtual clock."""
 
 
-class UnknownStreamError(KeyError):
-    """A random stream name was requested that was never configured."""
-
-
-DEFAULT_STREAMS = ("mobility", "traffic", "social", "channel")
+STREAMS = ("mobility", "traffic", "social", "channel")
 
 
 def add_up(values) -> float:
@@ -52,22 +49,6 @@ def derive_stream_seed(master_seed: int, name: str) -> int:
     """Stable 64-bit seed for a named substream of ``master_seed``."""
     digest = hashlib.sha256(f"{master_seed}/{name}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-class RngStreams:
-    """Independent deterministic generators, one per named stream."""
-
-    def __init__(self, master_seed: int, names: Sequence[str] = DEFAULT_STREAMS):
-        self._streams = {
-            name: random.Random(derive_stream_seed(master_seed, name))
-            for name in names
-        }
-
-    def stream(self, name: str) -> random.Random:
-        try:
-            return self._streams[name]
-        except KeyError:
-            raise UnknownStreamError(name) from None
 
 
 class EventQueue:
@@ -101,7 +82,8 @@ class Simulator:
     def __init__(self, master_seed: int = 0):
         self.clock = 0.0
         self.queue = EventQueue()
-        self.rng = RngStreams(master_seed)
+        self.rng = {name: random.Random(derive_stream_seed(master_seed, name))
+                    for name in STREAMS}
         self._heap = self.queue._heap
         self._seq = self.queue._seq
 

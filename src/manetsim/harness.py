@@ -262,8 +262,9 @@ def write_report(table: list[dict], out_dir: str) -> list[str]:
         series = sorted((row for row in table
                          if row["mu_ts"] == mu and row["density"] == density),
                         key=lambda r: r["w_ts"])
+        mu_name = f"{mu:g}" if float(f"{mu:g}") == mu else repr(mu)
         for name, metrics in FIGURES:
-            path = os.path.join(out_dir, f"{name}_mu{mu:g}_den{density}.csv")
+            path = os.path.join(out_dir, f"{name}_mu{mu_name}_den{density}.csv")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(_csv_text(("w_ts", *_stat_fields(metrics)), series))
             written.append(path)

@@ -120,9 +120,9 @@ def mscore(qual: PathQualification, mean_ts: float, w_ts: float) -> float:
 
     The normalization averages the seven qualifications and rescales the
     0-4 tie strength to [0, 1], so w_ts = 0.125 gives every individual
-    metric (QoS or social) the same weight by nominal range only: among
-    the paths of one decision (master seed 1, density 200) the QoS half
-    spans a median 0.054 and ts / 4 spans 0.34 (ROADMAP item 18).
+    metric (QoS or social) the same weight by nominal range only: within a
+    decision (master seed 1, density 200) the QoS half spans a median 0.054
+    and ts / 4 spans 0.344, as tools/decision_scales.txt reports.
     """
     return ((1.0 - w_ts) * (add_up(qual.qualifications) / QOS_METRIC_COUNT)
             + w_ts * (mean_ts / TS_SCALE_MAX))

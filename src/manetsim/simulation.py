@@ -209,7 +209,7 @@ class SimulationRun:
             mobility_trace = mob.generate_waypoint_trace(
                 config.area_width_m, config.area_height_m, config.node_count,
                 config.mobility.max_speed_mps, config.duration_s,
-                self.sim.rng.stream("mobility"),
+                self.sim.rng["mobility"],
                 pause_s=config.mobility.pause_s,
                 min_speed_fraction=config.mobility.min_speed_fraction,
                 warmup_s=config.mobility.warmup_s)
@@ -227,14 +227,14 @@ class SimulationRun:
         if ts_matrix is None:
             ts_matrix = generate_ts_matrix(
                 len(self.node_ids), config.social.mu_ts, config.social.sigma_ts,
-                self.sim.rng.stream("social"))
+                self.sim.rng["social"])
         self.ts_matrix = ts_matrix
         self.classes = {klass: Counters() for klass in PacketClass}
         self.flow_stats: dict[int, FlowStats] = {}
         self.protocols: dict[int, SourceProtocol] = {}
         self.cbr_state: dict[int, dict] = {}
         self._frame_trace = frame_trace
-        self._channel = self.sim.rng.stream("channel")
+        self._channel = self.sim.rng["channel"]
         # what every hop reads, looked up once
         self._access_delay = config.mac.access_delay_s
         self._duration = config.duration_s
@@ -315,7 +315,7 @@ class SimulationRun:
         cannot honor it, so small test networks still get endpoints.
         Mid-run partitions still happen and still count.
         """
-        rng = self.sim.rng.stream("traffic")
+        rng = self.sim.rng["traffic"]
         adj = self.medium.connectivity(0.0)
         ttl = self.config.limits.ttl
         choice = rng.sample(self.node_ids, count)
@@ -383,7 +383,7 @@ class SimulationRun:
                             route=(node,), created_at=t))
 
     def _send_frame(self, t: float, flow_id: int, source: VideoSource) -> None:
-        frame = source.next_frame(self.sim.rng.stream("traffic"), t)
+        frame = source.next_frame(self.sim.rng["traffic"], t)
         packets = packetize(frame, self.config.video.max_packet_bytes,
                             route=self.protocols[flow_id].active_route,
                             flow_id=flow_id)

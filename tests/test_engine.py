@@ -1,8 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from manetsim.engine import (DEFAULT_STREAMS, EventQueue, RngStreams,
-                             SchedulingError, Simulator, UnknownStreamError,
+from manetsim.engine import (STREAMS, EventQueue, SchedulingError, Simulator,
                              add_up, derive_stream_seed)
 
 
@@ -150,41 +151,42 @@ class TestEventQueue:
 
 class TestRngStreams:
     def test_unknown_stream_rejected(self):
-        rng = RngStreams(1)
-        with pytest.raises(UnknownStreamError):
-            rng.stream("nonexistent")
+        with pytest.raises(KeyError):
+            Simulator(1).rng["nonexistent"]
 
     def test_streams_independent_of_interleaving(self):
-        # record solo sequences first
-        solo_a = [RngStreams(9).stream("mobility").random() for _ in range(1)]
         solo = {}
         for name in ("mobility", "traffic"):
-            rng = RngStreams(9)
-            solo[name] = [rng.stream(name).random() for _ in range(50)]
-        rng = RngStreams(9)
+            stream = Simulator(9).rng[name]
+            solo[name] = [stream.random() for _ in range(50)]
+        rng = Simulator(9).rng
         inter = {"mobility": [], "traffic": []}
-        for i in range(50):
-            inter["mobility"].append(rng.stream("mobility").random())
-            inter["traffic"].append(rng.stream("traffic").random())
+        for _ in range(50):
+            inter["mobility"].append(rng["mobility"].random())
+            inter["traffic"].append(rng["traffic"].random())
         assert inter == solo
-        assert solo["mobility"][0] == solo_a[0]
 
     def test_same_seed_same_sequences(self):
-        a = RngStreams(123)
-        b = RngStreams(123)
-        for name in DEFAULT_STREAMS:
-            assert [a.stream(name).random() for _ in range(10)] == \
-                   [b.stream(name).random() for _ in range(10)]
+        a = Simulator(123).rng
+        b = Simulator(123).rng
+        for name in STREAMS:
+            assert [a[name].random() for _ in range(10)] == \
+                   [b[name].random() for _ in range(10)]
 
     def test_stream_seed_depends_on_name_and_master(self):
         assert derive_stream_seed(1, "mobility") != derive_stream_seed(1, "traffic")
         assert derive_stream_seed(1, "mobility") != derive_stream_seed(2, "mobility")
 
-    def test_adding_streams_never_perturbs_existing(self):
-        base = RngStreams(5, names=("mobility",))
-        extended = RngStreams(5, names=("mobility", "extra"))
-        assert [base.stream("mobility").random() for _ in range(20)] == \
-               [extended.stream("mobility").random() for _ in range(20)]
+    @pytest.mark.parametrize("seed", [0, 5, 2**40])
+    def test_each_stream_is_seeded_from_master_seed_and_name_alone(self, seed):
+        # rule 2: a stream's draws depend on (master_seed, name) only, so
+        # adding a stream never perturbs the draws of existing ones
+        rng = Simulator(seed).rng
+        assert set(rng) == set(STREAMS)
+        for name in STREAMS:
+            alone = random.Random(derive_stream_seed(seed, name))
+            assert [rng[name].random() for _ in range(20)] == \
+                   [alone.random() for _ in range(20)]
 
 
 class TestAddUp:

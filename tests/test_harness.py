@@ -331,6 +331,23 @@ class TestReport:
         assert [float(r["w_ts"]) for r in delay_rows] == [
             0.0, 0.125, 0.2, 0.4, 0.6, 0.8, 1.0]
 
+    def test_mu_values_equal_to_six_digits_get_their_own_files(self, tmp_path):
+        # 1.0000001 renders as "1" under :g, which would overwrite the
+        # files of mu 1.0; a name that :g renders exactly is kept
+        table = self.synth_table()
+        table += [{**row, "mu_ts": 1.0000001, "loss_mean": 0.5}
+                  for row in table]
+        files = write_report(table, str(tmp_path))
+        assert sorted(os.path.basename(f) for f in files) == [
+            "delay_mu1.0000001_den100.csv", "delay_mu1_den100.csv",
+            "loss_ts_mu1.0000001_den100.csv", "loss_ts_mu1_den100.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            os.path.basename(f) for f in files)
+        rows = list(csv.DictReader(
+            (tmp_path / "loss_ts_mu1_den100.csv").read_text().splitlines()))
+        assert [float(r["loss_mean"]) for r in rows] == [
+            row["loss_mean"] for row in self.synth_table()]
+
     def test_aggregate_sweep_groups_points(self):
         rows = [{"w_ts": 0.0, "mu_ts": 1.0, "density": 100, "rep": r,
                  "seed": r, "config_hash": "x", "loss": 0.1 * r, "delay": 0.5,

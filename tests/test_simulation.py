@@ -1,10 +1,12 @@
 """Integration tests: the full stack on small controlled scenarios."""
 
 import collections
+import csv
 import dataclasses
 import gc
 import hashlib
 import inspect
+import io
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -16,6 +18,7 @@ import oracle_utils
 from manetsim import mobility as mob
 from manetsim import simulation
 from manetsim.config import CbrConfig, RunConfig, SocialConfig, VideoConfig
+from manetsim.engine import add_up
 from manetsim.harness import (point_config, protocol_log_csv_text,
                               result_csv_text, run_once_to_dir, scenario_seed)
 from manetsim.mobility import MobilityTrace
@@ -591,6 +594,97 @@ class TestGoldenDigest:
         assert [hashlib.sha256(text.encode()).hexdigest() for text in
                 (result_csv_text(result),
                  protocol_log_csv_text(rows))] == digests
+
+
+def dense54_config(rep):
+    """Repetition ``rep`` of the 54-node, mu=3, w_ts=0.2 scenario, 200 s."""
+    return point_config(RunConfig(), 0.2, 3.0, 200,
+                        scenario_seed(1, 3.0, 200, rep)).replace(
+                            duration_s=200.0)
+
+
+@pytest.fixture(scope="module", params=[
+    lambda: sparse27_config(40.0), lambda: dense54_config(0),
+    lambda: dense54_config(3)], ids=["sparse27_40s", "dense54_rep0",
+                                     "dense54_rep3"])
+def finished(request):
+    """A finished run with the text of its result.csv and protocol_log.csv."""
+    run = SimulationRun(request.param())
+    result = run.run()
+    return SimpleNamespace(
+        run=run, result=result,
+        result_csv=result_csv_text(result),
+        protocol_log_csv=protocol_log_csv_text(run.protocol_log_rows()))
+
+
+class TestEndOfRunAccounting:
+    def test_end_of_run_drops_are_the_packets_left_in_the_network(
+            self, finished):
+        # a packet left at the end is queued, or the one frame a node still
+        # transmits; a transmitting node may hold none (its frame dropped)
+        run, result = finished.run, finished.result
+        queued = collections.Counter(
+            packet.klass.value for state in run.mac.nodes.values()
+            for queue in state.queues for packet in queue)
+        transmitting = sum(state.transmitting
+                           for state in run.mac.nodes.values())
+        left = {klass: counters["drops"]["end-of-run"]
+                for klass, counters in result.class_counters.items()}
+        for klass, count in left.items():
+            assert queued[klass] <= count <= queued[klass] + transmitting, \
+                klass
+        assert (sum(queued.values()) <= sum(left.values())
+                <= sum(queued.values()) + transmitting)
+
+    def test_flows_and_classes_agree(self, finished):
+        result = finished.result
+        video = [result.class_counters[klass.value]
+                 for klass in simulation.VIDEO_CLASSES]
+        for key in ("generated", "delivered"):
+            assert sum(f[key] for f in result.flows) == sum(
+                c[key] for c in video)
+        assert result.drops_by_cause == {
+            cause: sum(c["drops"][cause]
+                       for c in result.class_counters.values())
+            for cause in DROP_CAUSES}
+        for flow in result.flows:
+            assert flow["delivered"] <= flow["generated"]
+
+
+class TestResultFromProtocolLog:
+    def test_routing_columns_recomputed_from_the_log(self, finished):
+        # each flow's ts_time_mean, iterations and mean_t_routing follow,
+        # bit for bit, from its protocol_log.csv rows and two config keys
+        config = finished.run.config
+        delay, end = config.decision_delay_s, config.duration_s
+        log = list(csv.DictReader(io.StringIO(finished.protocol_log_csv)))
+        *flows, total = csv.DictReader(io.StringIO(finished.result_csv))
+        assert flows
+        for flow in flows:
+            rows = [r for r in log if r["flow"] == flow["flow_id"]]
+            decided = [r for r in rows if float(r["t_routing"]) > 0]
+            assert rows[:len(decided)] == decided
+            assert int(flow["iterations"]) == len(rows)
+            periods = [float(r["t_routing"]) for r in decided]
+            mean_t_routing = add_up(periods) / len(periods) if periods else 0.0
+            assert float(flow["mean_t_routing"]) == mean_t_routing
+            # a selection holds from its decision to the next, or the end
+            ats = [float(r["t"]) + delay for r in decided]
+            weight = time = 0.0
+            for row, at, until in zip(decided, ats, [*ats[1:], end]):
+                if row["selected"] and until > at:
+                    weight += (until - at) * float(row["mean_ts"])
+                    time += until - at
+            assert float(flow["ts_time_mean"]) == (
+                weight / time if time > 0 else 0.0)
+        ts_means = [float(f["ts_time_mean"]) for f in flows]
+        assert float(total["ts_time_mean"]) == add_up(ts_means) / len(flows)
+        assert int(total["iterations"]) == sum(
+            int(f["iterations"]) for f in flows)
+        periods = [float(f["mean_t_routing"]) for f in flows
+                   if float(f["mean_t_routing"]) > 0]
+        assert float(total["mean_t_routing"]) == (
+            add_up(periods) / len(periods) if periods else 0.0)
 
 
 class RecordingRun(SimulationRun):
