@@ -17,18 +17,17 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import math
 import re
 import typing
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 
 import yaml
 
 from .mac import DEFAULT_QUEUE_CAPACITY, frame_service
 from .radio import RadioSpec
-from .routing import CustomerRequest, DiscoveryLimits
+from .routing import CustomerRequest
 from .video import CbrConfig, VideoConfig
 
 
@@ -87,7 +86,7 @@ class SocialConfig:
 class RunConfig:
     area_width_m: float = 520.0
     area_height_m: float = 520.0
-    node_count: int = 27
+    nodes: int = 27
     duration_s: float = 200.0
     master_seed: int = 1
     mobility: MobilityConfig = field(default_factory=MobilityConfig)
@@ -95,11 +94,12 @@ class RunConfig:
     mac: MacConfig = field(default_factory=MacConfig)
     video: VideoConfig = field(default_factory=VideoConfig)
     cbr: CbrConfig = field(default_factory=CbrConfig)
-    request: CustomerRequest = field(default_factory=CustomerRequest)
+    customer_request: CustomerRequest = field(default_factory=CustomerRequest)
     w_ts: float = 0.0
     flow_min_hops: int = 2
     social: SocialConfig = field(default_factory=SocialConfig)
-    limits: DiscoveryLimits = field(default_factory=DiscoveryLimits)
+    ttl: int = 10
+    max_paths: int = 10
     beacon_period_s: float = 1.0
     beacon_bytes: int = 32
     pm_train: int = 10
@@ -125,10 +125,11 @@ class RunConfig:
             raise ConfigError(f"w_ts={self.w_ts} outside [0, 1]")
         if self.beacon_period_s <= 0:
             raise ConfigError("beacon_period_s must be positive")
-        if self.pm_train < 1:
-            raise ConfigError("pm_train must be at least 1")
-        if self.flow_min_hops < 1:  # below 1 no endpoint pair is checked
-            raise ConfigError("flow_min_hops must be at least 1")
+        # below 1 no probe is sent, no endpoint pair is checked, no path is
+        # found
+        for name in ("pm_train", "flow_min_hops", "ttl", "max_paths"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
         # a negative size or delay would schedule an event in the past
         for name in ("beacon_bytes", "pm_bytes", "pmr_bytes", "pm_spacing_s"):
             if getattr(self, name) < 0:
@@ -176,9 +177,9 @@ class RunConfig:
                               "least 1 m, the path-loss reference distance")
         # two distinct endpoints per flow; a tie-strength matrix needs two
         needed = max(2, 2 * (video.flows + self.cbr.flows))
-        if self.node_count < needed:
+        if self.nodes < needed:
             raise ConfigError(
-                f"node_count = {self.node_count} is below {needed}: two "
+                f"nodes = {self.nodes} is below {needed}: two "
                 f"nodes per video and CBR flow, and at least two")
 
     def _check_event_rates(self) -> None:
@@ -199,10 +200,10 @@ class RunConfig:
         # every node beacons, and nodes in mutual range share one channel
         # that serves a frame per service time whatever their number
         beacon, why = self._service(self.beacon_bytes, "beacon_bytes")
-        if self.beacon_period_s < self.node_count * beacon:
+        if self.beacon_period_s < self.nodes * beacon:
             raise ConfigError(
                 f"beacon_period_s = {self.beacon_period_s} is below nodes = "
-                f"{self.node_count} times one beacon's service time, {why}")
+                f"{self.nodes} times one beacon's service time, {why}")
         video = self.video
         if video.flows and video.trace is None:
             # fps near 0 or a huge rate would build billions of packets
@@ -229,7 +230,7 @@ class RunConfig:
         # an iteration sends pm_train probes on each of up to max_paths
         # paths from one queue; a probe still queued when the window closes
         # is in no reply
-        probes = self.pm_train * self.limits.max_paths
+        probes = self.pm_train * self.max_paths
         probe, why = self._service(self.pm_bytes, "pm_bytes")
         if probes * probe > self.probe_window_s:
             raise ConfigError(
@@ -270,42 +271,36 @@ class RunConfig:
     def replace(self, **kwargs) -> "RunConfig":
         return replace(self, **kwargs)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def config_hash(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        """The sha256 of the config file that sets this configuration."""
+        return hashlib.sha256(dump_config(self).encode()).hexdigest()
 
 
-# The YAML sections, each with the prefix that turns its keys into
-# RunConfig attribute paths and its keys in the order dump_config writes
-# them: a nested section names its type, whose init fields are its keys.
-# A key's type and default are those of the field its path names.
+# The YAML sections with their keys in the order dump_config writes them.
+# A flat section lists RunConfig fields; a nested one names the type of the
+# RunConfig field of its name, whose init fields are its keys.  A key's type
+# and default are those of the field its path names.
 _SECTIONS = (
-    ("", "", ("area_width_m", "area_height_m", "nodes", "duration_s",
-              "master_seed", "flow_min_hops")),
-    ("mobility", "mobility.", MobilityConfig),
-    ("radio", "radio.", RadioSpec),
-    ("mac", "mac.", MacConfig),
-    ("video", "video.", VideoConfig),
-    ("cbr", "cbr.", CbrConfig),
-    ("customer_request", "request.", CustomerRequest),
-    ("scoring", "", ("w_ts",)),
-    ("social", "social.", SocialConfig),
-    ("routing", "", ("ttl", "max_paths", "beacon_period_s", "beacon_bytes",
-                     "pm_train", "pm_spacing_s", "pm_bytes", "pmr_bytes",
-                     "probe_window_s", "decision_delay_s", "alpha_tune",
-                     "beta_tune")),
+    ("", ("area_width_m", "area_height_m", "nodes", "duration_s",
+          "master_seed", "flow_min_hops")),
+    ("mobility", MobilityConfig),
+    ("radio", RadioSpec),
+    ("mac", MacConfig),
+    ("video", VideoConfig),
+    ("cbr", CbrConfig),
+    ("customer_request", CustomerRequest),
+    ("scoring", ("w_ts",)),
+    ("social", SocialConfig),
+    ("routing", ("ttl", "max_paths", "beacon_period_s", "beacon_bytes",
+                 "pm_train", "pm_spacing_s", "pm_bytes", "pmr_bytes",
+                 "probe_window_s", "decision_delay_s", "alpha_tune",
+                 "beta_tune")),
 )
-# keys whose field has another name or sits one level further down
-_RENAMED = {"nodes": "node_count", "ttl": "limits.ttl",
-            "max_paths": "limits.max_paths"}
 # (section, key, RunConfig attribute path) of every key; the one derived
-# key, "density", sets node_count from the area instead
+# key, "density", sets nodes from the area instead
 _KEYS = tuple(
-    (section, key, prefix + _RENAMED.get(key, key))
-    for section, prefix, keys in _SECTIONS
+    (section, key, key if isinstance(keys, tuple) else f"{section}.{key}")
+    for section, keys in _SECTIONS
     for key in (keys if isinstance(keys, tuple)
                 else [f.name for f in fields(keys) if f.init]))
 
@@ -373,7 +368,7 @@ def parse_config(data: dict, base: RunConfig = RunConfig()) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a mapping")
     sections = {"": dict(data)}
-    for section, _, _ in _SECTIONS[1:]:
+    for section, _ in _SECTIONS[1:]:
         values = sections[""].pop(section, None)  # None: an empty section
         if not isinstance(values, (dict, type(None))):
             raise ConfigError(f"{section}: expected a mapping, got {values!r}")
@@ -387,40 +382,37 @@ def parse_config(data: dict, base: RunConfig = RunConfig()) -> RunConfig:
             raise ConfigError(f"density must be finite, got {density}")
 
     top: dict = {}
-    nested: dict[str, tuple[str, dict]] = {}  # field -> (section, kwargs)
+    nested: dict[str, dict] = {}  # section -> its field's changed init fields
     for section, key, path in _KEYS:
         if key not in sections[section]:
             continue
         where = f"{section}.{key}" if section else key
         value = as_type(where, sections[section].pop(key), *_field_type(path))
-        head, dot, name = path.partition(".")
-        if dot:
-            nested.setdefault(head, (section, {}))[1][name] = value
+        if path == key:
+            top[key] = value
         else:
-            top[path] = value
+            nested.setdefault(section, {})[key] = value
     for section, values in sections.items():
         if values:
             key = sorted(values)[0]
             where = f"{section}.{key}" if section else key
             raise ConfigError(f"unknown key {where!r}")
 
-    for head, (section, kwargs) in nested.items():
+    for section, kwargs in nested.items():
         try:
-            top[head] = replace(getattr(base, head), **kwargs)
+            top[section] = replace(getattr(base, section), **kwargs)
         except ValueError as exc:
             raise ConfigError(f"{section}: {exc}") from None
     if density is not None:  # nodes per km^2, rounded, at least 1
         width = top.get("area_width_m", base.area_width_m)
         height = top.get("area_height_m", base.area_height_m)
-        top["node_count"] = max(1, round(density * width * height / 1e6))
+        top["nodes"] = max(1, round(density * width * height / 1e6))
     try:
         return replace(base, **top)
     except ValueError as exc:
         why = str(exc)
-        if why.startswith("node_count = "):  # name the key the file set
-            key = ("nodes" if density is None
-                   else f"density = {density:g} gives nodes")
-            why = key + why.removeprefix("node_count")
+        if density is not None and why.startswith("nodes = "):
+            why = f"density = {density:g} gives {why}"  # the key the file set
         raise ConfigError(why) from None
 
 

@@ -204,7 +204,7 @@ def run_sweep(base: RunConfig, spec: SweepSpec, out_dir: str,
               w, mu, den, rep, out_dir)
              for w, mu, den in spec.points()
              for rep in range(spec.repetitions)]
-    for config in {task[0].node_count: task[0] for task in tasks}.values():
+    for config in {task[0].nodes: task[0] for task in tasks}.values():
         run_inputs(config)
     if workers is None:
         workers = os.cpu_count() or 1

@@ -47,16 +47,6 @@ class CustomerRequest:
 
 
 @dataclass(frozen=True)
-class DiscoveryLimits:
-    ttl: int = 10
-    max_paths: int = 10
-
-    def __post_init__(self):
-        if self.ttl < 1 or self.max_paths < 1:
-            raise ValueError("ttl and max_paths must be at least 1")
-
-
-@dataclass(frozen=True)
 class PathQualification:
     """Raw per-path measurements and their [0, 1] qualifications (1 = best)."""
 
@@ -184,9 +174,10 @@ def bfs_distance(adj: dict[int, list[int]], target: int) -> dict[int, int]:
     return dist
 
 
-def discover_paths(adj: dict[int, list[int]], src: int, dst: int,
-                   limits: DiscoveryLimits) -> list[tuple[int, ...]]:
-    """Enumerate simple src-dst paths over the connectivity snapshot.
+def discover_paths(adj: dict[int, list[int]], src: int, dst: int, ttl: int,
+                   max_paths: int) -> list[tuple[int, ...]]:
+    """Enumerate simple src-dst paths of at most ``ttl`` hops over the
+    connectivity snapshot.
 
     Returns at most max_paths paths ordered by hop count then lexicographic
     node sequence, exactly the order a full enumeration sorted that way
@@ -198,7 +189,7 @@ def discover_paths(adj: dict[int, list[int]], src: int, dst: int,
     if src not in adj or dst not in adj:
         return []
     dist = bfs_distance(adj, dst)
-    if src not in dist or dist[src] > limits.ttl:
+    if src not in dist or dist[src] > ttl:
         return []
     found: list[tuple[int, ...]] = []
     path = [src]
@@ -206,7 +197,7 @@ def discover_paths(adj: dict[int, list[int]], src: int, dst: int,
 
     def extend(node: int, remaining: int) -> None:
         for nbr in adj[node]:
-            if len(found) >= limits.max_paths:
+            if len(found) >= max_paths:
                 return
             if nbr == dst:
                 if remaining == 1:
@@ -223,8 +214,8 @@ def discover_paths(adj: dict[int, list[int]], src: int, dst: int,
             path.pop()
             on_path.remove(nbr)
 
-    for length in range(dist[src], limits.ttl + 1):
-        if len(found) >= limits.max_paths:
+    for length in range(dist[src], ttl + 1):
+        if len(found) >= max_paths:
             break
         extend(src, length)
     return found
@@ -284,7 +275,8 @@ class SourceProtocol:
         t = self._sim.clock
         index = len(self.iterations)
         adj = self._connectivity(t)
-        paths = discover_paths(adj, self.src, self.dst, self.config.limits)
+        paths = discover_paths(adj, self.src, self.dst, self.config.ttl,
+                               self.config.max_paths)
         iteration = MonitoringIteration(index=index, started_at=t,
                                         discovered=paths)
         self.iterations.append(iteration)
@@ -378,12 +370,12 @@ class SourceProtocol:
             self._collectors.pop((iteration.index, path), None)
         replies = self._replies.pop(iteration.index, {})
         # a path without a reply is dead this iteration (probes or reply lost)
-        quals = [qualify(**replies[path], request=self.config.request,
+        quals = [qualify(**replies[path], request=self.config.customer_request,
                          max_speed_mps=self.config.mobility.max_speed_mps)
                  for path in iteration.discovered if path in replies]
         iteration.ranked = rank(
             [(q, path_mean_ts(q.path, self.ts_matrix)) for q in quals],
-            self.config.request, self.config.w_ts)
+            self.config.customer_request, self.config.w_ts)
         if quals:
             self.nstate = update_nstate(quals)  # in discovery order
         iteration.nstate = self.nstate

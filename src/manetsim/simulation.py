@@ -15,8 +15,7 @@ from .engine import Simulator, add_up
 from .mac import MacLayer, frame_service
 from .packets import DROP_CAUSES, Packet, PacketClass
 from .radio import Medium
-from .routing import (DiscoveryLimits, SourceProtocol, bfs_distance,
-                      discover_paths)
+from .routing import SourceProtocol, bfs_distance, discover_paths
 from .social import generate_ts_matrix, load_ts_matrix
 from .video import VideoFrame, VideoSource, load_frame_trace, packetize
 
@@ -160,7 +159,7 @@ def run_inputs(config: RunConfig):
     """The mobility trace, tie-strength matrix and frame trace of a run:
     each the file its config key names, read and checked, or else None, and
     the run draws its own.  The trace and matrix must hold
-    ``config.node_count`` nodes, and the frame trace's frames pass
+    ``config.nodes`` nodes, and the frame trace's frames pass
     ``RunConfig.check_video_frames``.  A file that cannot be read or loaded
     is a ConfigError that names its key and path: ``<key> <path>: <why>``."""
     def read(key: str, load):
@@ -173,7 +172,7 @@ def run_inputs(config: RunConfig):
             why = getattr(exc, "strerror", None) or exc
             raise ConfigError(f"{key} {path}: {why}") from None
 
-    nodes = config.node_count
+    nodes = config.nodes
     trace = read("mobility.trace", lambda text: mob.import_trace(
         text, config.area_width_m, config.area_height_m,
         duration=config.duration_s))
@@ -207,7 +206,7 @@ class SimulationRun:
         self.sim = Simulator(config.master_seed)
         if mobility_trace is None:
             mobility_trace = mob.generate_waypoint_trace(
-                config.area_width_m, config.area_height_m, config.node_count,
+                config.area_width_m, config.area_height_m, config.nodes,
                 config.mobility.max_speed_mps, config.duration_s,
                 self.sim.rng["mobility"],
                 pause_s=config.mobility.pause_s,
@@ -317,7 +316,7 @@ class SimulationRun:
         """
         rng = self.sim.rng["traffic"]
         adj = self.medium.connectivity(0.0)
-        ttl = self.config.limits.ttl
+        ttl = self.config.ttl
         choice = rng.sample(self.node_ids, count)
         for min_hops in range(min(self.config.flow_min_hops, ttl), 0, -1):
             for _ in range(100):
@@ -393,9 +392,7 @@ class SimulationRun:
 
     def _find_cbr_route(self, t: float, state: dict) -> None:
         paths = discover_paths(self.medium.connectivity(t), state["src"],
-                               state["dst"],
-                               DiscoveryLimits(ttl=self.config.limits.ttl,
-                                               max_paths=1))
+                               state["dst"], self.config.ttl, 1)
         state["route"] = paths[0] if paths else None
 
     def _send_cbr(self, t: float, state: dict) -> None:

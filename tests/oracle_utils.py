@@ -26,9 +26,8 @@ from manetsim.mac import frame_service
 from manetsim.mobility import MobilityTrace
 from manetsim.packets import Packet, PacketClass
 from manetsim.radio import Medium
-from manetsim.routing import (CustomerRequest, DiscoveryLimits,
-                              PathQualification, discover_paths, mscore,
-                              qualify, rank)
+from manetsim.routing import (CustomerRequest, PathQualification,
+                              discover_paths, mscore, qualify, rank)
 from manetsim.simulation import TOPOLOGY_QUANTUM_S, SimulationRun
 from manetsim.social import (TS_SCALE_MAX, dump_ts_matrix, generate_ts_matrix,
                              path_mean_ts)
@@ -137,8 +136,7 @@ def brute_force_best(adj: dict, src: int, dst: int, salt: int,
 def pipeline_best(adj: dict, src: int, dst: int, salt: int,
                   ts_matrix: np.ndarray, w_ts: float,
                   request: CustomerRequest):
-    limits = DiscoveryLimits(ttl=len(adj), max_paths=10**6)
-    paths = discover_paths(adj, src, dst, limits)
+    paths = discover_paths(adj, src, dst, len(adj), 10**6)
     ranked = rank([(pseudo_qualification(p, salt, request),
                     path_mean_ts(p, ts_matrix)) for p in paths],
                   request, w_ts)

@@ -144,7 +144,7 @@ class TestCriterion03RankingInvariance:
         mismatches = 0
         for trial in range(50):
             config = RunConfig().replace(
-                duration_s=12.0, node_count=14, area_width_m=400.0,
+                duration_s=12.0, nodes=14, area_width_m=400.0,
                 area_height_m=400.0, master_seed=trial, w_ts=0.0)
             rng = random.Random(trial * 7919 + 13)
             m1 = generate_ts_matrix(14, rng.uniform(0.5, 3.5), 1.0, rng)
@@ -230,7 +230,7 @@ class TestCriterion08MacDifferentiation:
         rates = {"video-i": [0, 0], "video-p": [0, 0], "video-b": [0, 0]}
         for seed in range(5):
             config = RunConfig().replace(
-                duration_s=12.0, node_count=2, master_seed=seed,
+                duration_s=12.0, nodes=2, master_seed=seed,
                 video=VideoConfig(flows=1, target_rate_bps=2.5e6),
                 cbr=CbrConfig(flows=0),
                 social=SocialConfig(mu_ts=4.0, sigma_ts=1.0))

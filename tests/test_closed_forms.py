@@ -70,9 +70,9 @@ def firings(start, period, duration_s):
 
 def beacons_sent(config, i=0):
     """Beacons the i-th node sends: one per period from its stagger
-    offset, ``i / node_count`` of a period."""
+    offset, ``i / nodes`` of a period."""
     period = config.beacon_period_s
-    return firings(period * i / config.node_count, period,
+    return firings(period * i / config.nodes, period,
                    config.duration_s)
 
 

@@ -3,7 +3,8 @@ import hashlib
 import io
 import math
 import re
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, is_dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -11,9 +12,10 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from manetsim.cli import main as cli_main
 from manetsim.config import (_KEYS, CbrConfig, ConfigError, MacConfig,
                              RunConfig, VideoConfig, _field_type, dump_config,
-                             load_config, parse_config)
+                             load_config, load_config_file, parse_config)
 from manetsim.harness import (point_config, protocol_log_csv_text,
                               result_csv_text)
 from manetsim.radio import RadioSpec
@@ -23,7 +25,7 @@ from manetsim.simulation import SimulationRun, run_inputs, run_simulation
 class TestDefaults:
     def test_minimal_density_file(self):
         config = load_config("density: 100\n")
-        assert config.node_count == 27
+        assert config.nodes == 27
         assert config.area_width_m == 520.0
         assert config.area_height_m == 520.0
         assert config.duration_s == 200.0
@@ -40,13 +42,13 @@ class TestDefaults:
         assert config.beacon_period_s == 1.0
 
     def test_density_200(self):
-        assert load_config("density: 200\n").node_count == 54
+        assert load_config("density: 200\n").nodes == 54
 
     def test_empty_config_is_all_defaults(self):
         assert load_config("") == RunConfig()
 
     def test_nodes_key(self):
-        assert load_config("nodes: 40\n").node_count == 40
+        assert load_config("nodes: 40\n").nodes == 40
 
     def test_readme_defaults_block_is_the_defaults(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -57,8 +59,8 @@ class TestDefaults:
 
 class TestNodesAtDensity:
     def test_rounds_to_node_count(self):
-        assert load_config("density: 100\n").node_count == 27
-        assert load_config("density: 200\n").node_count == 54
+        assert load_config("density: 100\n").nodes == 27
+        assert load_config("density: 200\n").nodes == 54
         # never empty: the floor of one node is below the flows' six
         with pytest.raises(ConfigError, match=re.escape(
                 "density = 0.1 gives nodes = 1 is below 6")):
@@ -67,11 +69,11 @@ class TestNodesAtDensity:
     def test_checked_at_the_node_count_it_gives(self):
         # 14 nodes' beacons fit in 0.1 s at load 1, the default 27 nodes' not
         text = "density: 50\nrouting: {beacon_period_s: 0.1}\n"
-        assert load_config(text).node_count == 14
+        assert load_config(text).nodes == 14
 
     def test_zero_nodes_rejected_by_key(self):
-        with pytest.raises(ConfigError, match="node_count = 0"):
-            RunConfig(node_count=0)
+        with pytest.raises(ConfigError, match="nodes = 0"):
+            RunConfig(nodes=0)
 
 
 class TestValidation:
@@ -124,7 +126,7 @@ class TestValidation:
     def test_float_notation_is_no_int(self):
         with pytest.raises(ConfigError, match="nodes: expected int, got 100"):
             load_config("nodes: 1e2\n")
-        assert load_config("nodes: 100\n").node_count == 100
+        assert load_config("nodes: 100\n").nodes == 100
         # the loader's rule only: PyYAML's own SafeLoader is left as it was
         assert yaml.safe_load("v: 1e2") == {"v": "1e2"}
 
@@ -269,7 +271,7 @@ class TestValidation:
         def config(frames, **video):
             path = tmp_path / "frames.txt"
             path.write_text(frames)
-            return RunConfig(node_count=6, mac=MacConfig(access_delay_s=0.0),
+            return RunConfig(nodes=6, mac=MacConfig(access_delay_s=0.0),
                              video=VideoConfig(trace=str(path), **video))
 
         # a 1-byte mean frame takes 8 / 11e6 s at load 1 with no access
@@ -307,7 +309,7 @@ class TestValidation:
         with pytest.raises(ConfigError, match="beacon_period_s .* below nodes "
                                               "= 27 times one beacon's"):
             RunConfig(beacon_period_s=math.nextafter(beacons, 0.0))
-        RunConfig(beacon_period_s=beacons / 2, node_count=13)
+        RunConfig(beacon_period_s=beacons / 2, nodes=13)
         # a reply held to the window's end must precede the decision
         RunConfig(probe_window_s=2.0)
         with pytest.raises(ConfigError, match="decision_delay_s = 2.0 is "
@@ -364,6 +366,8 @@ class TestValidation:
          "flow_min_hops: 1\nduration_s: 3.0\nmac: {access_delay_s: 0.0}\n"
          "routing: {pm_bytes: 0, pm_spacing_s: 0.0, pm_train: 2000}\n",
          "^pm_bytes = 0 and mac.access_delay_s = 0"),
+        ("routing: {ttl: 0}\n", "^ttl must be at least 1$"),
+        ("routing: {max_paths: 0}\n", "^max_paths must be at least 1$"),
     ])
     def test_rejection_names_the_key(self, text, key):
         with pytest.raises(ConfigError, match=key):
@@ -389,6 +393,8 @@ class TestValidation:
         (CbrConfig, {"refresh_s": 0.0}, "refresh_s"),
         (RunConfig, {"beacon_period_s": 0.0}, "beacon_period_s"),
         (RunConfig, {"beta_tune": 1.0}, "decision_delay_s"),
+        (RunConfig, {"ttl": 0}, "^ttl must be at least 1$"),
+        (RunConfig, {"max_paths": 0}, "^max_paths must be at least 1$"),
     ])
     def test_python_built_config_is_checked_too(self, cls, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -402,7 +408,7 @@ class TestRoundTrip:
 
     def test_scenario_config_values(self):
         config = point_config(RunConfig(), 0.0, 2.0, 100, 1)
-        assert config.node_count == 27
+        assert config.nodes == 27
         assert config.social.mu_ts == 2.0
         assert config.social.sigma_ts == 1.0
 
@@ -413,19 +419,16 @@ class TestRoundTrip:
         assert a.config_hash() != a.replace(master_seed=2).config_hash()
 
     def test_default_config_contract_is_pinned(self):
-        # the hash names every run in a sweep manifest, and the dump is the
-        # text gen-scenario writes: neither may move without a reason
+        # the dump is the text gen-scenario writes, and its hash names every
+        # run in a sweep manifest: it may not move without a reason
         assert RunConfig().config_hash() == (
-            "88e3e5d8666c69c4642b8c21e9fd8a748f3f3f4cbc58f335f489b3fcc4ae400c")
-        dumped = dump_config(RunConfig()).encode()
-        assert hashlib.sha256(dumped).hexdigest() == (
             "46a7d33444c9f49e6819dbb25345b76b1586d79b9cc4a9a6aae8cbe11bd7ea8b")
         assert len(_KEYS) == 50
 
     def test_replace_keeps_other_fields(self):
         c = RunConfig().replace(w_ts=0.6)
         assert c.w_ts == 0.6
-        assert c.node_count == RunConfig().node_count
+        assert c.nodes == RunConfig().nodes
 
 
 # The legal range of each key, in interval notation; a key left out takes
@@ -697,3 +700,42 @@ class TestEveryKeyActs:
     @pytest.mark.parametrize("name", sorted(ALTERNATIVES))
     def test_key_moves_the_run(self, name, default_run_cells):
         assert key_run_cells(name, ALTERNATIVES[name]) != default_run_cells
+
+
+class TestConfigHash:
+    def test_keys_are_the_config_tree(self):
+        # the hash covers only what dump_config writes, so a field that no
+        # key names would give two different configs one hash
+        tree, nested = [], set()
+        for f in fields(RunConfig):
+            kind = _field_type(f.name)[0]
+            if is_dataclass(kind):
+                nested.add(f.name)
+                tree += [f"{f.name}.{g.name}" for g in fields(kind) if g.init]
+            else:
+                tree.append(f.name)
+        assert Counter(path for _, _, path in _KEYS) == Counter(tree)
+        for section, key, path in _KEYS:
+            assert path == (f"{section}.{key}" if section in nested else key)
+
+    @pytest.mark.parametrize("config", [
+        RunConfig(), point_config(RunConfig(), 0.4, 3.0, 200, 9)],
+        ids=["default", "point"])
+    def test_hash_is_the_sha256_of_the_dump(self, config):
+        dumped = dump_config(config).encode()
+        assert config.config_hash() == hashlib.sha256(dumped).hexdigest()
+
+    @pytest.mark.parametrize("name, value", [
+        *ALTERNATIVES.items(), *((key, "in.txt") for key in FILE_KEYS)])
+    def test_every_key_moves_the_hash(self, name, value):
+        section, _, key = name.rpartition(".")
+        data = {section: {key: value}} if section else {key: value}
+        assert (parse_config(data).config_hash()
+                != RunConfig().config_hash())
+
+    def test_gen_scenario_file_has_its_hash(self, tmp_path):
+        assert cli_main(["gen-scenario", "--density", "200", "--mu", "3",
+                         "--seed", "9", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "scenario_den200_mu3.yaml"
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == load_config_file(path).config_hash())

@@ -26,7 +26,7 @@ from manetsim.simulation import SimulationRun, run_inputs, run_simulation
 
 def tiny_config():
     """Cheap but complete scenario for harness-level tests."""
-    return RunConfig().replace(duration_s=15.0, node_count=14,
+    return RunConfig().replace(duration_s=15.0, nodes=14,
                                area_width_m=400.0, area_height_m=400.0,
                                master_seed=5)
 
@@ -180,7 +180,7 @@ class TestGoldenDigest:
                    for path in files}
         assert digests == {
             "manifest":
-            "71d702821d809cebb957db6f8d5a8429dbfcd7b19e8fc7082cfe1eba9e298134",
+            "4f319b25cb721c5c95c2a229d96b2761ecb339628abdad3cd006dd6e713e4375",
             "sweep_table.csv":
             "0c89081b8e49c1c54a7890fc7f03df98385035aea336e383994929c04369fcb6",
             "loss_ts_mu2_den100.csv":
@@ -367,7 +367,7 @@ class TestCli:
         config_path = scen_dir / "scenario_den100_mu2.yaml"
         assert config_path.exists()
         config = load_config_file(config_path)
-        assert config.node_count == 27
+        assert config.nodes == 27
         assert config.social.mu_ts == 2.0
 
     def test_simulate_runs_and_writes(self, tmp_path):

@@ -159,7 +159,7 @@ class TestSimulationPositionCursor:
 
     @staticmethod
     def make_run(tmp_path, trace):
-        config = RunConfig(node_count=len(trace.waypoints),
+        config = RunConfig(nodes=len(trace.waypoints),
                            duration_s=trace.duration,
                            video=VideoConfig(flows=0), cbr=CbrConfig(flows=0))
         return SimulationRun(oracle_utils.with_inputs(tmp_path, config, trace))

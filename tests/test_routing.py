@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_utils
-from manetsim.routing import (CustomerRequest, DiscoveryLimits,
-                              PathQualification, discover_paths, meets,
-                              mscore, qualify, rank, update_nstate,
-                              update_t_routing)
+from manetsim.routing import (CustomerRequest, PathQualification,
+                              discover_paths, meets, mscore, qualify, rank,
+                              update_nstate, update_t_routing)
 
 
 def make_qual(path=(0, 1, 2), **overrides):
@@ -195,17 +194,17 @@ class TestDiscovery:
 
     def test_adjacent_pair(self):
         adj = {0: [1], 1: [0]}
-        paths = discover_paths(adj, 0, 1, DiscoveryLimits())
+        paths = discover_paths(adj, 0, 1, 10, 10)
         assert paths == [(0, 1)]
 
     def test_disconnected(self):
         adj = {0: [1], 1: [0], 2: [3], 3: [2]}
-        assert discover_paths(adj, 0, 3, DiscoveryLimits()) == []
+        assert discover_paths(adj, 0, 3, 10, 10) == []
 
     def test_two_disjoint_routes_match_brute_force(self):
         # diamond: 0-1-4 and 0-2-4, plus a longer 0-3-2-4 spur
         adj = {0: [1, 2, 3], 1: [0, 4], 2: [0, 3, 4], 3: [0, 2], 4: [1, 2]}
-        paths = discover_paths(adj, 0, 4, DiscoveryLimits(ttl=5, max_paths=100))
+        paths = discover_paths(adj, 0, 4, 5, 100)
         import networkx as nx
         g = nx.Graph({k: set(v) for k, v in adj.items()})
         expected = {tuple(p) for p in nx.all_simple_paths(g, 0, 4)}
@@ -214,26 +213,25 @@ class TestDiscovery:
 
     def test_order_by_hops_then_lexicographic(self):
         adj = {0: [1, 2, 3], 1: [0, 4], 2: [0, 3, 4], 3: [0, 2], 4: [1, 2]}
-        paths = discover_paths(adj, 0, 4, DiscoveryLimits(ttl=5, max_paths=100))
+        paths = discover_paths(adj, 0, 4, 5, 100)
         keys = [(len(p), p) for p in paths]
         assert keys == sorted(keys)
 
     def test_max_paths_prefix(self):
         adj = {0: [1, 2, 3], 1: [0, 4], 2: [0, 3, 4], 3: [0, 2], 4: [1, 2]}
-        all_paths = discover_paths(adj, 0, 4,
-                                   DiscoveryLimits(ttl=5, max_paths=100))
-        two = discover_paths(adj, 0, 4, DiscoveryLimits(ttl=5, max_paths=2))
+        all_paths = discover_paths(adj, 0, 4, 5, 100)
+        two = discover_paths(adj, 0, 4, 5, 2)
         assert two == all_paths[:2]
 
     def test_ttl_bound(self):
         adj = self.line(8)
-        assert discover_paths(adj, 0, 7, DiscoveryLimits(ttl=6)) == []
-        assert discover_paths(adj, 0, 7, DiscoveryLimits(ttl=7)) == [
+        assert discover_paths(adj, 0, 7, 6, 10) == []
+        assert discover_paths(adj, 0, 7, 7, 10) == [
             tuple(range(8))]
 
     def test_same_endpoints_rejected(self):
         with pytest.raises(ValueError):
-            discover_paths({0: []}, 0, 0, DiscoveryLimits())
+            discover_paths({0: []}, 0, 0, 10, 10)
 
 
 class TestSelfConfiguration:

@@ -44,7 +44,7 @@ def full_ts(n, value=4):
 
 def two_node_config(**overrides):
     base = dict(
-        duration_s=40.0, node_count=2, master_seed=1,
+        duration_s=40.0, nodes=2, master_seed=1,
         video=VideoConfig(flows=1), cbr=CbrConfig(flows=0),
         social=SocialConfig(mu_ts=4.0, sigma_ts=1.0))
     base.update(overrides)
@@ -156,7 +156,7 @@ class TestHopEvents:
 class TestPayload:
     def test_only_probes_replies_and_i_packets_carry_one(self, tmp_path):
         config = two_node_config(duration_s=6.0, cbr=CbrConfig(flows=1),
-                                 node_count=4)
+                                 nodes=4)
         trace = static_trace([(100.0, 100.0), (200.0, 100.0),
                               (300.0, 100.0), (400.0, 100.0)], duration=6.0)
         run = SimulationRun(oracle_utils.with_inputs(
@@ -330,7 +330,7 @@ class TestProbeLinkOnAir:
             self, tmp_path):
         # nodes 2 and 3, in range of the sender, each hold a queued frame
         # when the probe leaves node 0's queue: load 3, a third of the rate
-        config = two_node_config(node_count=4, duration_s=2.0,
+        config = two_node_config(nodes=4, duration_s=2.0,
                                  video=VideoConfig(flows=0))
         trace = static_trace([(100.0, 100.0), (120.0, 100.0),
                               (100.0, 120.0), (80.0, 100.0)], duration=2.0)
@@ -360,7 +360,7 @@ class TestProbeLinkOnAir:
         # node 0 stands, node 1 moves at (3, 0) m/s and node 2 at (0, 4)
         # m/s: the hops' relative speeds are 3 and 5 m/s throughout, and the
         # destination's mean over len(route) - 1 hops must be their mean
-        config = two_node_config(node_count=3, duration_s=2.0,
+        config = two_node_config(nodes=3, duration_s=2.0,
                                  video=VideoConfig(flows=0))
         trace = MobilityTrace(duration=2.0)
         trace.waypoints[0] = ([0.0], [100.0], [100.0])
@@ -391,7 +391,7 @@ class TestVelocityOracle:
 
     @staticmethod
     def make_run(tmp_path, duration=40.0):
-        config = two_node_config(node_count=3, duration_s=duration,
+        config = two_node_config(nodes=3, duration_s=duration,
                                  video=VideoConfig(flows=0))
         trace = MobilityTrace(duration=duration)
         # moves, pauses from 10 s to 12.5 s, moves, stops at 30 s
@@ -460,7 +460,7 @@ class TestProbeLossEstimate:
 
 class TestForwarding:
     def test_multi_hop_chain_delivers_with_additive_delay(self, tmp_path):
-        config = two_node_config(node_count=4)
+        config = two_node_config(nodes=4)
         trace = static_trace([(0.0, 0.0), (100.0, 0.0), (200.0, 0.0),
                               (300.0, 0.0)], duration=config.duration_s)
         run = SimulationRun(oracle_utils.with_inputs(
@@ -475,7 +475,7 @@ class TestForwarding:
 
     def test_route_break_drops_with_cause(self, tmp_path):
         # relay walks out of range at t ~ 10 s, leaving the route broken
-        config = two_node_config(node_count=3, duration_s=30.0)
+        config = two_node_config(nodes=3, duration_s=30.0)
         trace = MobilityTrace(duration=30.0)
         trace.waypoints[0] = ([0.0], [0.0], [100.0])
         trace.waypoints[1] = ([0.0, 10.0, 11.5], [100.0, 100.0, 100.0],
@@ -489,7 +489,7 @@ class TestForwarding:
 
 class TestAccounting:
     def run_default(self):
-        config = RunConfig().replace(duration_s=30.0, node_count=20,
+        config = RunConfig().replace(duration_s=30.0, nodes=20,
                                      master_seed=3)
         result, _ = run_simulation(config)
         return result
@@ -533,7 +533,7 @@ class TestAccounting:
         assert 0.0 <= result.ts_time_mean <= 4.0
 
     def test_offered_video_load_near_target(self, monkeypatch):
-        config = RunConfig().replace(duration_s=120.0, node_count=10,
+        config = RunConfig().replace(duration_s=120.0, nodes=10,
                                      master_seed=6)
         generated = {}  # flow -> bytes of the frames packetized
         real_packetize = simulation.packetize
@@ -856,7 +856,7 @@ class TestLoadRangeEdge:
         linked += [False, True]
         text = "\n".join(f"0.0 {x!r} {y!r}" for x, y in points)
         trace = mob.import_trace(text, 520.0, 520.0, duration=5.0)
-        config = two_node_config(duration_s=5.0, node_count=len(points),
+        config = two_node_config(duration_s=5.0, nodes=len(points),
                                  video=VideoConfig(flows=0))
         run = SimulationRun(oracle_utils.with_inputs(
             tmp_path, config, trace, full_ts(len(points))))
@@ -1021,7 +1021,7 @@ class TestBeacons:
 
 class TestDeterminism:
     def test_same_seed_same_results(self):
-        config = RunConfig().replace(duration_s=20.0, node_count=16,
+        config = RunConfig().replace(duration_s=20.0, nodes=16,
                                      master_seed=11)
         res_a, log_a = run_simulation(config)
         res_b, log_b = run_simulation(config)
@@ -1029,7 +1029,7 @@ class TestDeterminism:
         assert log_a == log_b
 
     def test_different_seed_differs(self):
-        base = RunConfig().replace(duration_s=20.0, node_count=16)
+        base = RunConfig().replace(duration_s=20.0, nodes=16)
         res_a, _ = run_simulation(base.replace(master_seed=1))
         res_b, _ = run_simulation(base.replace(master_seed=2))
         assert res_a != res_b

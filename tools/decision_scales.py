@@ -23,7 +23,7 @@ from manetsim import routing
 from manetsim.config import RunConfig
 from manetsim.engine import add_up
 from manetsim.harness import point_config, scenario_seed
-from manetsim.simulation import run_simulation
+from manetsim.simulation import SimulationRun
 from manetsim.social import TS_SCALE_MAX
 
 MASTER_SEED = 1
@@ -36,24 +36,20 @@ WEIGHTS = (0.03, 0.125, 1.0)
 
 def record_decisions(density: int) -> list[tuple[list, object]]:
     """Every decision's (candidates, request) over the repetitions at
-    w_ts 0, taken as ``routing.rank`` receives them."""
+    w_ts 0: each iteration's ranked (qualification, mean tie strength)
+    pairs."""
     decisions = []
-    real_rank = routing.rank
-
-    def recording_rank(candidates, request, w_ts):
-        decisions.append((list(candidates), request))
-        return real_rank(candidates, request, w_ts)
-
-    routing.rank = recording_rank
-    try:
-        for rep in REPETITIONS:
-            config = point_config(
-                RunConfig(), 0.0, MU_TS, density,
-                scenario_seed(MASTER_SEED, MU_TS, density, rep)).replace(
-                    duration_s=DURATION_S)
-            run_simulation(config)
-    finally:
-        routing.rank = real_rank
+    for rep in REPETITIONS:
+        config = point_config(
+            RunConfig(), 0.0, MU_TS, density,
+            scenario_seed(MASTER_SEED, MU_TS, density, rep)).replace(
+                duration_s=DURATION_S)
+        run = SimulationRun(config)
+        run.run()
+        decisions += [([(r.qual, r.mean_ts) for r in it.ranked],
+                       config.customer_request)
+                      for protocol in run.protocols.values()
+                      for it in protocol.iterations]
     return decisions
 
 
