@@ -212,7 +212,7 @@ def run_sweep(base: RunConfig, spec: SweepSpec, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            rows = pool.map(_run_point, tasks)
+            rows = pool.map(_run_point, tasks, chunksize=1)
     else:
         rows = [_run_point(t) for t in tasks]
 

@@ -71,8 +71,7 @@ class MacLayer:
                  neighbor_provider=None):
         self.nodes = {n: NodeQueues() for n in node_ids}
         self.capacity = capacity  # packets per access category
-        # (node, t) -> sized collection of node's neighbours at t; it may
-        # leave out those that are not backlogged
+        # (node, t) -> the other backlogged nodes linked to node at t
         self._neighbor_provider = neighbor_provider
         # nodes with a nonempty queue, for reading only
         self.backlogged: set[int] = set()
@@ -103,5 +102,4 @@ class MacLayer:
         """1 + number of neighbors with a nonempty MAC queue at t."""
         if self._neighbor_provider is None:
             return 1
-        nbrs = self._neighbor_provider(node, t)
-        return 1 + len(self.backlogged.intersection(nbrs)) if nbrs else 1
+        return 1 + len(self._neighbor_provider(node, t))

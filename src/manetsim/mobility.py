@@ -176,9 +176,9 @@ def import_trace(text: str, width_m: float, height_m: float,
             raise ValueError(f"line {lineno}: non-numeric field: {exc}")
         for j in range(0, len(values), 3):
             t, x, y = values[j], values[j + 1], values[j + 2]
-            if not math.isfinite(t) or (times and t <= times[-1]):
-                raise ValueError(f"line {lineno}: waypoint times not finite "
-                                 f"and strictly increasing")
+            if not 0.0 <= t < math.inf or (times and t <= times[-1]):
+                raise ValueError(f"line {lineno}: waypoint times not finite, "
+                                 f"at least 0 and strictly increasing")
             if not (0.0 <= x <= width_m and 0.0 <= y <= height_m):
                 raise ValueError(
                     f"line {lineno}: coordinate ({x}, {y}) outside "

@@ -56,8 +56,6 @@ class PathQualification:
     delay_s: float
     jitter_s: float
     hops: int
-    rm_margin_db: float
-    mm_speed_mps: float
     q_bw: float
     q_l: float
     q_d: float
@@ -92,7 +90,6 @@ def qualify(path: tuple[int, ...], bw_bps: float, loss: float,
     return PathQualification(
         path=path, bw_bps=bw_bps, loss=loss,
         delay_s=delay_s, jitter_s=jitter_s, hops=hops,
-        rm_margin_db=rm_margin_db, mm_speed_mps=mm_speed_mps,
         q_bw=q_bw, q_l=q_l, q_d=q_d, q_j=q_j, q_h=q_h, q_rm=q_rm, q_mm=q_mm)
 
 

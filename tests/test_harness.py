@@ -205,7 +205,8 @@ class TestSweep:
         sizes = []
 
         class RecordingPool:
-            """Records its size and runs the tasks in this process."""
+            """Records its size and chunk size and runs the tasks in this
+            process."""
 
             def __init__(self, processes):
                 sizes.append(processes)
@@ -216,7 +217,8 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
+            def map(self, fn, tasks, chunksize=None):
+                sizes.append(chunksize)
                 return [fn(task) for task in tasks]
 
         monkeypatch.setattr(harness.multiprocessing, "Pool", RecordingPool)
@@ -224,7 +226,8 @@ class TestSweep:
                          density=(100,), repetitions=2)
         run_sweep(tiny_config().replace(duration_s=2.0), spec,
                   str(tmp_path), workers=64)
-        assert sizes == [2]
+        # two processes, each handed one run at a time
+        assert sizes == [2, 1]
 
     def test_pool_writes_the_serial_bytes(self, tmp_path):
         spec = SweepSpec(w_ts=(0.0, 1.0), mu_ts=(3.0,),

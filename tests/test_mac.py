@@ -92,7 +92,10 @@ class TestNodeQueues:
 
 class TestNeighborhoodLoad:
     def make_layer(self, neighbors):
-        return MacLayer([0, 1, 2, 3], neighbor_provider=lambda n, t: neighbors)
+        # the provider returns the backlogged ones among the neighbours
+        mac = MacLayer([0, 1, 2, 3], neighbor_provider=lambda n, t: [
+            m for m in neighbors if m in mac.backlogged])
+        return mac
 
     def test_idle_neighborhood(self):
         mac = self.make_layer([1, 2, 3])
@@ -117,7 +120,7 @@ class TestNeighborhoodLoad:
         # enqueues, overflow rejections and dequeues that empty a node
         nodes = list(range(6))
         mac = MacLayer(nodes, capacity=2, neighbor_provider=lambda n, t: [
-            m for m in nodes if m != n])
+            m for m in nodes if m != n and m in mac.backlogged])
         rng = random.Random(5)
         rejected = emptied = 0
         for _ in range(2000):

@@ -209,6 +209,13 @@ class TestImport:
                            match="line 3: waypoint times not finite"):
             import_trace(text, *AREA)
 
+    @pytest.mark.parametrize("time", ["-5", "-5e-324"])
+    def test_time_below_zero_names_the_line(self, time):
+        # no segment may start before 0, where a run's time starts
+        text = f"0 10 10\n{time} 0 0 10 100 0\n"
+        with pytest.raises(ValueError, match="line 2: .* at least 0"):
+            import_trace(text, *AREA)
+
     def test_empty_file(self):
         with pytest.raises(ValueError, match="no nodes"):
             import_trace("", *AREA)

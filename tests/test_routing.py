@@ -24,8 +24,7 @@ def qual_with_values(path, values):
     q = dict(zip(("q_bw", "q_l", "q_d", "q_j", "q_h", "q_rm", "q_mm"), values))
     return PathQualification(
         path=tuple(path), bw_bps=0.0, loss=0.0, delay_s=0.0,
-        jitter_s=0.0, hops=len(path) - 1, rm_margin_db=0.0, mm_speed_mps=0.0,
-        **q)
+        jitter_s=0.0, hops=len(path) - 1, **q)
 
 
 class TestWeights:

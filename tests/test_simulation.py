@@ -23,8 +23,9 @@ from manetsim.harness import (point_config, protocol_log_csv_text,
                               result_csv_text, run_once_to_dir, scenario_seed)
 from manetsim.mobility import MobilityTrace
 from manetsim.packets import DROP_CAUSES, Packet, PacketClass
-from manetsim.radio import Medium, RadioSpec
-from manetsim.routing import qualify
+from manetsim.radio import LinkState, Medium, RadioSpec
+from manetsim.routing import (MonitoringIteration, PathQualification, Ranked,
+                              qualify)
 from manetsim.simulation import DROP_FIELDS, SimulationRun, run_simulation
 from manetsim.video import VideoFrame
 
@@ -725,38 +726,44 @@ class TestCounterWriters:
                 p.klass is klass for p in run.delivered), klass
 
 
-class TestPacketFieldsRead:
-    def test_every_packet_field_is_read_by_a_run(self, monkeypatch):
-        # each slot becomes a property that notes its reads: a field no run
-        # reads is state to drop, not to carry on every packet
+class TestRecordFieldsRead:
+    # every field of a record the run path builds becomes a property that
+    # notes its reads: a field no run reads is state to drop, not to carry.
+    # TransmitOutcome stays out: _kick reads it by unpacking, which no
+    # property sees.
+    RECORDS = (Packet, VideoFrame, LinkState, Ranked, PathQualification,
+               MonitoringIteration)
+
+    @staticmethod
+    def note_reads(monkeypatch, cls, read):
+        names = getattr(cls, "_fields", None) or [
+            f.name for f in dataclasses.fields(cls)]
+        for name in names:
+            slot = cls.__dict__.get(name)
+            if hasattr(slot, "__get__"):  # a slot or a tuple field
+                def get(obj, name=name, slot=slot):
+                    read.add(f"{cls.__name__}.{name}")
+                    return slot.__get__(obj, cls)
+
+                put = getattr(slot, "__set__", None)
+            else:  # kept in the instance dict
+                def get(obj, name=name):
+                    read.add(f"{cls.__name__}.{name}")
+                    return obj.__dict__[name]
+
+                def put(obj, value, name=name):
+                    obj.__dict__[name] = value
+            monkeypatch.setattr(cls, name, property(get, put), raising=False)
+        return {f"{cls.__name__}.{name}" for name in names}
+
+    def test_every_record_field_is_read_by_a_run(self, monkeypatch):
         read = set()
-        for f in dataclasses.fields(Packet):
-            slot = Packet.__dict__[f.name]
-
-            def get(packet, name=f.name, slot=slot):
-                read.add(name)
-                return slot.__get__(packet, Packet)
-
-            monkeypatch.setattr(Packet, f.name, property(get, slot.__set__))
-        run_simulation(RunConfig().replace(duration_s=20.0))
-        unread = {f.name for f in dataclasses.fields(Packet)} - read
-        assert not unread, sorted(unread)
-
-
-class TestFrameFieldsRead:
-    def test_every_frame_field_is_read_by_a_run(self, monkeypatch):
-        # as for Packet: each field becomes a property that notes its reads
-        read = set()
-        for name in VideoFrame._fields:
-            field = VideoFrame.__dict__[name]
-
-            def get(frame, name=name, field=field):
-                read.add(name)
-                return field.__get__(frame, VideoFrame)
-
-            monkeypatch.setattr(VideoFrame, name, property(get))
-        run_simulation(RunConfig().replace(duration_s=20.0))
-        unread = set(VideoFrame._fields) - read
+        fields = set().union(*(self.note_reads(monkeypatch, cls, read)
+                               for cls in self.RECORDS))
+        # the default 200 s: in its first 20 s no measured path passes
+        # loss_max, so the request's delay and jitter bounds go unread
+        run_simulation(RunConfig())
+        unread = fields - read
         assert not unread, sorted(unread)
 
 
@@ -764,12 +771,36 @@ class TestLoadOracle:
     """The MAC load factor from the backlogged nodes alone equals its
     definition on the whole-network snapshot, on every load of a run."""
 
-    def test_dense_run_every_load_equals_snapshot_definition(self):
+    @staticmethod
+    def dense_run():
         config = point_config(RunConfig(), 0.2, 3.0, 200,
                               scenario_seed(1, 3.0, 200, 0)).replace(
                                   duration_s=20.0)
         run = SimulationRun(config)
         assert len(run.node_ids) == 54
+        return config, run
+
+    def test_dense_run_provider_lists_other_backlogged_nodes_once(self):
+        # the MAC counts what its provider returns, so the provider alone
+        # keeps the load to distinct backlogged nodes other than the sender
+        config, run = self.dense_run()
+        provider = run.mac._neighbor_provider
+        listed = []
+
+        def checked_provider(node, t):
+            nbrs = provider(node, t)
+            assert len(set(nbrs)) == len(nbrs), f"node {node}, t={t!r}"
+            assert node not in nbrs, f"node {node}, t={t!r}"
+            assert run.mac.backlogged.issuperset(nbrs), f"node {node}, t={t!r}"
+            listed.append(len(nbrs))
+            return nbrs
+
+        run.mac._neighbor_provider = checked_provider
+        run.run()
+        assert len(listed) > 6000 and sum(n > 0 for n in listed) > 3000
+
+    def test_dense_run_every_load_equals_snapshot_definition(self):
+        config, run = self.dense_run()
         # the oracle's own medium, positions from the scalar definition
         trace = run.trace
         oracle_medium = Medium(
