@@ -237,9 +237,10 @@ class MonitoringIteration:
 class SourceProtocol:
     """Per-flow protocol driver: monitoring cycle and path selection.
 
-    The driver owns both endpoints' protocol state for its flow (the
-    simulation is single-threaded, so the destination-side probe collector
-    lives here too).  Its settings are read from the run's ``config``.
+    The driver owns what its flow's probes measure and both endpoints'
+    protocol state for the one iteration awaiting its decision (the
+    simulation is single-threaded, so the destination side lives here
+    too).  Its settings are read from the run's ``config``.
     It reads the adjacency at t from ``connectivity(t)``, inserts a packet
     at its first route node with ``send``, and reads the virtual clock and
     sets its timers on ``sim`` (``sim.clock``, ``sim.schedule``).
@@ -260,10 +261,12 @@ class SourceProtocol:
         self.nstate = 0.0  # pessimistic start: fastest refresh until measured
         self._bootstrap = True
         self._decided_through = -1
-        # destination-side collectors: (iteration, path) -> raw samples
-        self._collectors: dict[tuple[int, tuple[int, ...]], dict] = {}
-        # source-side probe replies: iteration -> {path: qualify's arguments}
-        self._replies: dict[int, dict[tuple[int, ...], dict]] = {}
+        # the open iteration's destination side: path -> one (delay, margin,
+        # rate, speed) sample per counted probe, None once its reply left
+        self._collectors: dict[tuple[int, ...],
+                               list[tuple[float, ...]] | None] = {}
+        # the open iteration's source side: path -> qualify's arguments
+        self._replies: dict[tuple[int, ...], dict] = {}
         self.ts_time_mean = 0.0  # set by finalize
 
     # -- monitoring cycle ---------------------------------------------------
@@ -271,6 +274,8 @@ class SourceProtocol:
     def start_iteration(self) -> MonitoringIteration:
         t = self._sim.clock
         index = len(self.iterations)
+        if self._decided_through != index - 1:
+            raise RuntimeError(f"iteration {index - 1} is still undecided")
         adj = self._connectivity(t)
         paths = discover_paths(adj, self.src, self.dst, self.config.ttl,
                                self.config.max_paths)
@@ -299,54 +304,55 @@ class SourceProtocol:
                            iteration)
         return iteration
 
+    @staticmethod
+    def on_probe_hop(packet: Packet, margin_db: float, rate_bps: float,
+                     speed_mps: float) -> None:
+        """A probe crosses one link: keep the path's weakest SNR margin and
+        rate, and add the link's relative speed."""
+        info = packet.payload
+        info["min_margin_db"] = min(info["min_margin_db"], margin_db)
+        info["min_rate_bps"] = min(info["min_rate_bps"], rate_bps)
+        info["rel_speed_sum"] += speed_mps
+
     def on_probe_at_destination(self, packet: Packet) -> None:
         info = packet.payload
         index = info["iteration"]
         if index <= self._decided_through:
             return  # a reply now would reach the source after the decision
-        key = (index, packet.route)
+        path = packet.route
         now = self._sim.clock
         window_end = (self.iterations[index].started_at
                       + self.config.probe_window_s)
-        collector = self._collectors.get(key)
-        if collector is None:
-            collector = {"delays": [], "margins": [], "rates": [],
-                         "speeds": [], "emitted": False}
-            self._collectors[key] = collector
+        if path not in self._collectors:
+            self._collectors[path] = []
             if now < window_end:
-                self._sim.schedule(window_end, self._emit_reply, key)
-        if collector["emitted"]:
-            return
-        collector["delays"].append(now - packet.created_at)
-        collector["margins"].append(info["min_margin_db"])
-        collector["rates"].append(info["min_rate_bps"])
+                self._sim.schedule(window_end, self._emit_reply, index, path)
+        samples = self._collectors[path]
+        if samples is None:
+            return  # the path's reply has left
         # one link recorded per hop of a delivered probe
-        collector["speeds"].append(
-            info["rel_speed_sum"] / (len(packet.route) - 1))
-        if (len(collector["delays"]) >= self.config.pm_train
-                or now >= window_end):
-            self._emit_reply(key)
+        samples.append((now - packet.created_at, info["min_margin_db"],
+                        info["min_rate_bps"],
+                        info["rel_speed_sum"] / (len(path) - 1)))
+        if len(samples) >= self.config.pm_train or now >= window_end:
+            self._emit_reply(index, path)
 
-    def _emit_reply(self, key: tuple[int, tuple[int, ...]]) -> None:
-        iteration, path = key
-        collector = self._collectors.get(key)
-        # a collector gets its first delay when it is made
-        if collector is None or collector["emitted"]:
-            return
-        collector["emitted"] = True
-        delays = collector["delays"]
-        jitter = 0.0
-        if len(delays) > 1:
-            jitter = (add_up(abs(b - a) for a, b in zip(delays, delays[1:]))
-                      / (len(delays) - 1))
+    def _emit_reply(self, index: int, path: tuple[int, ...]) -> None:
+        samples = self._collectors.get(path)
+        if index <= self._decided_through or samples is None:
+            return  # decided, or the reply has left
+        self._collectors[path] = None
+        delays, margins, rates, speeds = zip(*samples)
+        gaps = [abs(b - a) for a, b in zip(delays, delays[1:])]
+        jitter = add_up(gaps) / len(gaps) if gaps else 0.0
         payload = {
-            "iteration": iteration, "path": path,
-            "bw_bps": add_up(collector["rates"]) / len(delays),
+            "iteration": index, "path": path,
+            "bw_bps": add_up(rates) / len(delays),
             "loss": 1.0 - len(delays) / self.config.pm_train,
             "delay_s": add_up(delays) / len(delays),
             "jitter_s": jitter,
-            "rm_margin_db": add_up(collector["margins"]) / len(delays),
-            "mm_speed_mps": add_up(collector["speeds"]) / len(delays),
+            "rm_margin_db": add_up(margins) / len(delays),
+            "mm_speed_mps": add_up(speeds) / len(delays),
         }
         reply = Packet(
             klass=PacketClass.PROBE_REPLY, size_bytes=self.config.pmr_bytes,
@@ -356,16 +362,14 @@ class SourceProtocol:
 
     def on_probe_reply_at_source(self, packet: Packet) -> None:
         measured = dict(packet.payload)
-        index = measured.pop("iteration")
-        if index <= self._decided_through:
+        if measured.pop("iteration") <= self._decided_through:
             return  # reply outlived its iteration's decision
-        self._replies.setdefault(index, {})[measured["path"]] = measured
+        self._replies[measured["path"]] = measured
 
     def _decide(self, iteration: MonitoringIteration) -> None:
         self._decided_through = iteration.index
-        for path in iteration.discovered:
-            self._collectors.pop((iteration.index, path), None)
-        replies = self._replies.pop(iteration.index, {})
+        self._collectors.clear()
+        replies, self._replies = self._replies, {}
         # a path without a reply is dead this iteration (probes or reply lost)
         quals = [qualify(**replies[path], request=self.config.customer_request,
                          max_speed_mps=self.config.mobility.max_speed_mps)

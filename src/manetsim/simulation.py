@@ -446,7 +446,11 @@ class SimulationRun:
         link = self.medium.link_state(node, nxt, t_air)
         busy, cause = self.medium.transmit(link, air, self._channel)
         if packet.klass is PacketClass.PROBE:
-            self._record_probe_link(packet, link, rate, t_air)
+            va = self._velocity_of(link.node_a, t_air)
+            vb = self._velocity_of(link.node_b, t_air)
+            SourceProtocol.on_probe_hop(
+                packet, link.margin_db, rate,
+                math.hypot(vb[0] - va[0], vb[1] - va[1]))
         if cause is None:
             self.sim.schedule(t_air + busy, self._on_hop_done, node, nxt,
                               packet)
@@ -473,15 +477,6 @@ class SimulationRun:
     def _tx_done(self, node: int) -> None:
         self.mac.nodes[node].transmitting = False
         self._kick(node)
-
-    def _record_probe_link(self, packet: Packet, link, rate: float,
-                           t: float) -> None:
-        info = packet.payload
-        info["min_margin_db"] = min(info["min_margin_db"], link.margin_db)
-        info["min_rate_bps"] = min(info["min_rate_bps"], rate)
-        va = self._velocity_of(link.node_a, t)
-        vb = self._velocity_of(link.node_b, t)
-        info["rel_speed_sum"] += math.hypot(vb[0] - va[0], vb[1] - va[1])
 
     # -- delivery and drop accounting ------------------------------------------
 

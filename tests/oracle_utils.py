@@ -27,7 +27,8 @@ from manetsim.mobility import MobilityTrace
 from manetsim.packets import Packet, PacketClass
 from manetsim.radio import Medium
 from manetsim.routing import (CustomerRequest, PathQualification,
-                              discover_paths, mscore, qualify, rank)
+                              SourceProtocol, discover_paths, mscore,
+                              qualify, rank)
 from manetsim.simulation import TOPOLOGY_QUANTUM_S, SimulationRun
 from manetsim.social import (TS_SCALE_MAX, dump_ts_matrix, generate_ts_matrix,
                              path_mean_ts)
@@ -279,7 +280,11 @@ class TwoEventRun(SimulationRun):
         link = self.medium.link_state(node, nxt, t)
         outcome = self.medium.transmit(link, air, self._channel)
         if packet.klass is PacketClass.PROBE:
-            self._record_probe_link(packet, link, rate, t)
+            va = self._velocity_of(link.node_a, t)
+            vb = self._velocity_of(link.node_b, t)
+            SourceProtocol.on_probe_hop(
+                packet, link.margin_db, rate,
+                math.hypot(vb[0] - va[0], vb[1] - va[1]))
         busy, cause = outcome
         if cause is None:
             self.sim.schedule(t + busy, self._hop_done, node, nxt, packet)

@@ -1,12 +1,13 @@
 """Direct tests of the per-flow monitoring driver with a stubbed network:
-probe trains, reply aggregation, the filter/fallback chain, and the
-hold-last network-state rule."""
+probe trains, reply aggregation, the ranking of the answered paths, the
+one open iteration's probe state, and the hold-last network-state rule."""
 
 import numpy as np
 import pytest
 
-from manetsim.packets import PacketClass
 from manetsim.config import RunConfig
+from manetsim.engine import SchedulingError
+from manetsim.packets import PacketClass
 from manetsim.routing import SourceProtocol
 
 
@@ -27,6 +28,9 @@ class Harness:
             send=self.sent.append, sim=self)
 
     def schedule(self, at, action, *args):
+        if at < self.clock:
+            raise SchedulingError(f"t={at} is before the clock at "
+                                  f"{self.clock}")
         self.pending.append((at, action, args))
 
     def run_pending(self, until):
@@ -43,7 +47,7 @@ class Harness:
 
 
 def diamond(n=6):
-    # 0 -> {1,2} -> {3,4} -> 5 grid with two short and两 longer routes
+    # 0 -> {1,2} -> {3,4} -> 5: two disjoint three-hop routes
     return {0: [1, 2], 1: [0, 3], 2: [0, 4], 3: [1, 5], 4: [2, 5],
             5: [3, 4]}
 
@@ -151,7 +155,7 @@ class TestDecision:
         self.decide(h, {})
         h.protocol.on_probe_reply_at_source(
             FakeReply(reply_payload(it.index, it.discovered[0])))
-        assert it.index not in h.protocol._replies
+        assert h.protocol._replies == {}
 
     def test_ts_argmax_at_full_weight(self):
         h = Harness(diamond(), w_ts=1.0)
@@ -175,7 +179,7 @@ class TestCollectors:
         for probe in probes:
             if probe.route == answered:
                 h.protocol.on_probe_at_destination(probe)
-        assert list(h.protocol._collectors) == [(it.index, answered)]
+        assert list(h.protocol._collectors) == [answered]
         h.run_pending(until=it.started_at
                       + h.protocol.config.decision_delay_s)
         assert h.protocol._collectors == {}
@@ -183,6 +187,45 @@ class TestCollectors:
         h.protocol.on_probe_at_destination(
             next(p for p in probes if p.route == late))
         assert h.protocol._collectors == {}
+        assert len(h.sent) == sent
+
+
+class TestOneOpenIteration:
+    def test_start_with_an_undecided_iteration_fails(self):
+        h = Harness(diamond())
+        h.protocol.start_iteration()
+        with pytest.raises(RuntimeError, match="iteration 0 is still "
+                                               "undecided"):
+            h.protocol.start_iteration()
+        assert len(h.protocol.iterations) == 1
+
+    def test_decided_iterations_probe_and_reply_leave_the_open_one(self):
+        h = Harness(diamond())
+        h.protocol.start_iteration()
+        h.run_pending(until=0.5)
+        it0 = h.protocol.iterations[0]
+        path, other = it0.discovered[0], it0.discovered[1]
+        stale_probe = next(p for p in h.sent if p.klass is PacketClass.PROBE
+                           and p.route == path)
+        TestDecision().decide(h, {path: {}})
+        h.run_pending(until=it0.started_at + it0.t_routing + 0.5)
+        it1 = h.protocol.iterations[1]
+        assert it1.discovered == it0.discovered  # the same paths again
+        probe = next(p for p in h.sent if p.klass is PacketClass.PROBE
+                     and p.payload["iteration"] == 1 and p.route == path)
+        h.protocol.on_probe_at_destination(probe)
+        h.protocol.on_probe_reply_at_source(
+            FakeReply(reply_payload(it1.index, other)))
+        samples = list(h.protocol._collectors[path])
+        replies = dict(h.protocol._replies)
+        assert len(samples) == 1 and list(replies) == [other]
+        sent = len(h.sent)
+        h.protocol.on_probe_at_destination(stale_probe)
+        h.protocol._emit_reply(it0.index, path)  # the decided window's end
+        h.protocol.on_probe_reply_at_source(
+            FakeReply(reply_payload(it0.index, path, loss=0.9)))
+        assert h.protocol._collectors == {path: samples}
+        assert h.protocol._replies == replies
         assert len(h.sent) == sent
 
 
