@@ -32,8 +32,8 @@ def _cmd_sweep(args) -> int:
             spec = load_grid(fh.read())
     if args.reps is not None:
         spec = dataclasses.replace(spec, repetitions=args.reps)
-    table = run_sweep(base, spec, args.out, workers=args.workers)
-    print(f"{len(table)} sweep rows -> {args.out}/sweep_table.csv")
+    runs = run_sweep(base, spec, args.out, workers=args.workers)
+    print(f"{len(runs)} runs -> {args.out}/sweep_table.csv")
     return 0
 
 
@@ -50,8 +50,11 @@ def _cmd_gen_scenario(args) -> int:
 
 def _cmd_report(args) -> int:
     table_path = os.path.join(args.indir, "sweep_table.csv")
-    with open(table_path, encoding="utf-8") as fh:
-        table = parse_sweep_table(fh.read())
+    try:
+        with open(table_path, encoding="utf-8") as fh:
+            table = parse_sweep_table(fh.read())
+    except ValueError as exc:  # a bad table, named by its path
+        raise ValueError(f"{table_path}: {exc}") from None
     written = write_report(table, args.out)
     print(f"wrote {len(written)} figure-data files to {args.out}")
     return 0

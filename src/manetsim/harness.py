@@ -71,6 +71,11 @@ def _csv_text(fields, rows) -> str:
     return buf.getvalue()
 
 
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def result_csv_text(result) -> str:
     """One row per video flow with its drops by cause, plus an 'all' row
     with the drops of every packet class."""
@@ -85,17 +90,16 @@ def run_once_to_dir(config: RunConfig, out_dir: str):
     """Run one simulation and persist result.csv plus protocol_log.csv."""
     os.makedirs(out_dir, exist_ok=True)  # a bad --out fails before the run
     result, log_rows = run_simulation(config)
-    with open(os.path.join(out_dir, "result.csv"), "w", encoding="utf-8") as fh:
-        fh.write(result_csv_text(result))
-    with open(os.path.join(out_dir, "protocol_log.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write(protocol_log_csv_text(log_rows))
+    _write(os.path.join(out_dir, "result.csv"), result_csv_text(result))
+    _write(os.path.join(out_dir, "protocol_log.csv"),
+           protocol_log_csv_text(log_rows))
     return result
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """The sweep grid; its fields are the keys of a ``--grid`` file."""
+    """The sweep grid; its fields are the keys of a ``--grid`` file, and a
+    spec built in Python is typed and checked as a file's keys are."""
 
     w_ts: tuple[float, ...] = (0.0, 0.125, 0.2, 0.4, 0.6, 0.8, 1.0)
     mu_ts: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0)
@@ -103,13 +107,25 @@ class SweepSpec:
     repetitions: int = 5
 
     def __post_init__(self):
+        for name, kind in type_hints(SweepSpec).items():
+            where, value = f"grid {name}", getattr(self, name)
+            if name not in AXES:
+                value = as_type(where, value, kind)
+            elif isinstance(value, (list, tuple)) and value:
+                # ints become floats for float axes, so equal grid points
+                # get equal seeds and run directories
+                value = tuple(as_type(where, v, kind.__args__[0])
+                              for v in value)
+                # a repeated value would run and count the same runs twice
+                if len(set(value)) != len(value):
+                    raise ConfigError(f"{where}: repeats a value: {value!r}")
+            else:
+                raise ConfigError(
+                    f"{where}: expected a non-empty list, got {value!r}")
+            object.__setattr__(self, name, value)
         if self.repetitions < 2:
-            raise ValueError("need at least 2 repetitions for intervals")
-        # a repeated value would run and count the same runs twice
-        for name in AXES:
-            values = getattr(self, name)
-            if len(set(values)) != len(values):
-                raise ValueError(f"{name} repeats a value: {values!r}")
+            raise ConfigError(f"grid repetitions: need at least 2 for "
+                              f"intervals, got {self.repetitions}")
 
     def points(self):
         """Every point: one value of each axis, in AXES order."""
@@ -125,29 +141,15 @@ SWEEP_FIELDS = tuple(SWEEP_TYPES)
 
 
 def load_grid(text: str) -> SweepSpec:
-    """The sweep grid a ``--grid`` file sets, each key typed as its
-    SweepSpec field; a key it leaves out keeps the field's default."""
+    """The sweep grid a ``--grid`` file sets; a key it leaves out keeps the
+    field's default."""
     data = load_yaml(text, "grid file") or {}
     if not isinstance(data, dict):
         raise ConfigError("grid file must be a mapping")
-    kinds = type_hints(SweepSpec)
-    unknown = set(data) - set(kinds)
+    unknown = set(data) - set(type_hints(SweepSpec))
     if unknown:
         raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
-    grid = {}
-    for key, value in data.items():
-        kind, where = kinds[key], f"grid {key}"
-        if getattr(kind, "__origin__", None) is tuple:
-            if not isinstance(value, list) or not value:
-                raise ConfigError(
-                    f"{where}: expected a non-empty list, got {value!r}")
-            # ints become floats for float keys, so equal grid points get
-            # equal seeds and run directories
-            value = tuple(as_type(where, v, kind.__args__[0]) for v in value)
-        else:
-            value = as_type(where, value, kind)
-        grid[key] = value
-    return SweepSpec(**grid)
+    return SweepSpec(**data)
 
 
 def point_config(base: RunConfig, w_ts: float, mu_ts: float,
@@ -162,20 +164,21 @@ def point_config(base: RunConfig, w_ts: float, mu_ts: float,
 
 
 def _run_point(task):
-    """Worker entry: one (point, repetition) simulation, files on disk."""
+    """Worker entry: one (point, repetition) simulation, files on disk; its
+    row is what names the run, then every cell of its 'all' row, where an
+    empty SWEEP_METRICS cell holds the mean of the flows' cells."""
     config, *point, rep, out_dir = task
     seed = config.master_seed
     point_dir = os.path.join(out_dir, "runs", "w{}_mu{}_den{}".format(*point),
                              f"seed{seed}")
     result = run_once_to_dir(config, point_dir)
-    summary = {**dict(zip(AXES, point)), "rep": rep, "seed": seed,
-               "config_hash": config.config_hash()}
-    for metric, column in SWEEP_METRICS:
-        summary[metric] = result.total[column]
-        if summary[metric] == "":
-            summary[metric] = (add_up(f[column] for f in result.flows)
-                               / max(1, len(result.flows)))
-    return summary
+    row = {**dict(zip(AXES, point)), "rep": rep, "seed": seed,
+           "config_hash": config.config_hash(), **result.total}
+    for _, column in SWEEP_METRICS:
+        if row[column] == "":
+            row[column] = (add_up(f[column] for f in result.flows)
+                           / max(1, len(result.flows)))
+    return row
 
 
 def mean_ci(values, confidence: float = DEFAULT_CONFIDENCE):
@@ -193,7 +196,9 @@ def mean_ci(values, confidence: float = DEFAULT_CONFIDENCE):
 
 def run_sweep(base: RunConfig, spec: SweepSpec, out_dir: str,
               workers: int | None = None) -> list[dict]:
-    """All grid points x repetitions; returns the aggregated sweep table.
+    """All grid points x repetitions; returns every run's row (see
+    ``_run_point``) in manifest order, and writes the manifest and the
+    sweep table from them.
 
     Every run's configuration is built and its input files are read, and
     so checked, before any runs."""
@@ -212,45 +217,53 @@ def run_sweep(base: RunConfig, spec: SweepSpec, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            rows = pool.map(_run_point, tasks, chunksize=1)
+            runs = pool.map(_run_point, tasks, chunksize=1)
     else:
-        rows = [_run_point(t) for t in tasks]
-
+        runs = [_run_point(t) for t in tasks]
     fields = (*AXES, "rep", "seed", "config_hash")
-    with open(os.path.join(out_dir, "manifest"), "w", encoding="utf-8") as fh:
-        fh.write(_csv_text(fields, sorted(
-            rows, key=lambda r: tuple(r[k] for k in fields))))
-
-    table = aggregate_sweep(rows)
-    with open(os.path.join(out_dir, "sweep_table.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write(_csv_text(SWEEP_FIELDS, table))
-    return table
+    runs.sort(key=lambda r: tuple(r[k] for k in fields))
+    _write(os.path.join(out_dir, "manifest"), _csv_text(fields, runs))
+    _write(os.path.join(out_dir, "sweep_table.csv"),
+           _csv_text(SWEEP_FIELDS, aggregate_sweep(runs)))
+    return runs
 
 
-def aggregate_sweep(rows: list[dict]) -> list[dict]:
+def aggregate_sweep(runs: list[dict]) -> list[dict]:
+    """The sweep table: per point, in order, the repetition count and each
+    SWEEP_METRICS column's mean and interval half-width over its runs."""
     by_point: dict[tuple, list[dict]] = {}
-    for row in rows:
-        by_point.setdefault(tuple(row[a] for a in AXES), []).append(row)
+    for run in runs:
+        by_point.setdefault(tuple(run[a] for a in AXES), []).append(run)
     table = []
     for point in sorted(by_point):
         group = by_point[point]
         entry = {**dict(zip(AXES, point)), "repetitions": len(group)}
-        for metric, _ in SWEEP_METRICS:
+        for metric, column in SWEEP_METRICS:
             entry[f"{metric}_mean"], entry[f"{metric}_ci"] = mean_ci(
-                [g[metric] for g in group])
+                [g[column] for g in group])
         table.append(entry)
     return table
 
 
 def parse_sweep_table(text: str) -> list[dict]:
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    if (len(rows) < 2 or tuple(rows[0]) != SWEEP_FIELDS
-            or any(len(row) != len(SWEEP_FIELDS) for row in rows)):
+    """The sweep table a ``sweep_table.csv`` holds; ValueError naming the
+    line and column of a cell that is not of its column's type."""
+    reader = csv.reader(io.StringIO(text))
+    rows = [(reader.line_num, row) for row in reader if row]
+    if (len(rows) < 2 or tuple(rows[0][1]) != SWEEP_FIELDS
+            or any(len(row) != len(SWEEP_FIELDS) for _, row in rows)):
         raise ValueError("not a sweep table: it needs the header "
                          f"{','.join(SWEEP_FIELDS)} and rows of as many cells")
-    return [{key: kind(cell) for (key, kind), cell
-             in zip(SWEEP_TYPES.items(), row)} for row in rows[1:]]
+    table = []
+    for line, row in rows[1:]:
+        table.append({})
+        for (key, kind), cell in zip(SWEEP_TYPES.items(), row):
+            try:
+                table[-1][key] = kind(cell)
+            except ValueError:
+                raise ValueError(f"line {line}: {key}: expected "
+                                 f"{kind.__name__}, got {cell!r}") from None
+    return table
 
 
 def write_report(table: list[dict], out_dir: str) -> list[str]:
@@ -265,7 +278,6 @@ def write_report(table: list[dict], out_dir: str) -> list[str]:
         mu_name = f"{mu:g}" if float(f"{mu:g}") == mu else repr(mu)
         for name, metrics in FIGURES:
             path = os.path.join(out_dir, f"{name}_mu{mu_name}_den{density}.csv")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(_csv_text(("w_ts", *_stat_fields(metrics)), series))
+            _write(path, _csv_text(("w_ts", *_stat_fields(metrics)), series))
             written.append(path)
     return written

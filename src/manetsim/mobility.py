@@ -91,38 +91,22 @@ def _shift_waypoints(times, xs, ys, warmup_s):
     frac = (warmup_s - times[i]) / (times[i + 1] - times[i])
     x0 = xs[i] + frac * (xs[i + 1] - xs[i])
     y0 = ys[i] + frac * (ys[i + 1] - ys[i])
-    new_times = [0.0]
-    new_xs = [x0]
-    new_ys = [y0]
-    for j in range(i + 1, len(times)):
-        new_times.append(times[j] - warmup_s)
-        new_xs.append(xs[j])
-        new_ys.append(ys[j])
-    return new_times, new_xs, new_ys
+    return ([0.0, *(t - warmup_s for t in times[i + 1:])],
+            [x0, *xs[i + 1:]], [y0, *ys[i + 1:]])
 
 
 def position_at(trace: MobilityTrace, node: int, t: float) -> tuple[float, float]:
-    """Position by linear interpolation between bracketing waypoints.
+    """Position by linear interpolation on the waypoint segment holding t.
 
     Before the first waypoint the node sits at it; after the last waypoint
     the node holds position (relevant for imported traces shorter than the
     run).
     """
-    if node not in trace.waypoints:
-        raise KeyError(f"unknown node {node}")
-    if not (0.0 <= t <= trace.duration):
-        raise ValueError(f"t={t} outside [0, {trace.duration}]")
-    times, xs, ys = trace.waypoints[node]
-    i = bisect.bisect_right(times, t) - 1
-    if i < 0:
-        return xs[0], ys[0]
-    if i >= len(times) - 1:
-        return xs[-1], ys[-1]
-    if times[i] == t:
-        return xs[i], ys[i]
-    frac = (t - times[i]) / (times[i + 1] - times[i])
-    return (xs[i] + frac * (xs[i + 1] - xs[i]),
-            ys[i] + frac * (ys[i + 1] - ys[i]))
+    start, end, x, y, dx, dy = segment_at(trace, node, t)
+    if dx is None or t == start:
+        return x, y
+    frac = (t - start) / (end - start)
+    return x + frac * dx, y + frac * dy
 
 
 def segment_at(trace: MobilityTrace, node: int,

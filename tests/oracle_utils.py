@@ -4,18 +4,16 @@ every usable path), deterministic pseudo-random qualifications keyed by
 path, the per-packet definition of the decodable-GoP fraction, the
 whole-network snapshot definition of the MAC load factor, the quantised
 normal mean written with scipy.stats, a node's velocity on its waypoint
-segment, the two-event per-hop path, each sweep run's pooled metrics as
-its files record them, a config whose input files hold a given trace and
-matrix, and Bianchi's saturation throughput of 802.11 DCF."""
+segment, the two-event per-hop path, a config whose input files hold a
+given trace and matrix, and Bianchi's saturation throughput of 802.11
+DCF."""
 
 from __future__ import annotations
 
 import bisect
-import csv
 import dataclasses
 import hashlib
 import math
-import os
 import random
 
 import networkx as nx
@@ -294,25 +292,6 @@ class TwoEventRun(SimulationRun):
             self._tx_done(node)
         else:  # corruption: the frame still takes its air time
             self.sim.schedule(t + busy, self._tx_done, node)
-
-
-def sweep_runs(out_dir: str) -> dict:
-    """{(w_ts, mu_ts, density, rep): pooled loss, delay and tie strength}
-    of every run in a sweep's manifest, read from the 'all' row of the
-    run's result.csv, whose repr-written floats read back exactly."""
-    runs = {}
-    with open(os.path.join(out_dir, "manifest"), encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            w, mu, den = row["w_ts"], row["mu_ts"], row["density"]
-            path = os.path.join(out_dir, "runs", f"w{w}_mu{mu}_den{den}",
-                                f"seed{row['seed']}", "result.csv")
-            with open(path, encoding="utf-8") as result:
-                all_row = list(csv.DictReader(result))[-1]
-            runs[(float(w), float(mu), int(den), int(row["rep"]))] = {
-                "loss": float(all_row["loss_fraction"]),
-                "delay": float(all_row["mean_delay_s"]),
-                "ts": float(all_row["ts_time_mean"])}
-    return runs
 
 
 def with_inputs(tmp_path, config, trace=None, ts=None):

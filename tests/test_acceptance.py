@@ -36,21 +36,21 @@ def report(criterion: str, passed: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="session")
 def trend_data(tmp_path_factory):
-    """{(mu, density, w): {rep: metrics}} from one sweep per series; the
-    sweep shares each repetition's seed across w (common random numbers),
-    so weight settings are compared on identical networks."""
+    """{(mu, density, w): {rep: run}} from one sweep per series, each run
+    the row the sweep returns for it; the sweep shares each repetition's
+    seed across w (common random numbers), so weight settings are compared
+    on identical networks."""
     data = {}
     for w_grid, mu, density in ((W_GRID_TREND, 3.0, 200),
                                 (W_GRID_FULL, 1.0, 100),
                                 (W_GRID_FULL, 4.0, 200),
                                 ((0.0,), 3.0, 100)):
         out = str(tmp_path_factory.mktemp("trend"))
-        run_sweep(RunConfig(), SweepSpec(w_ts=w_grid, mu_ts=(mu,),
-                                         density=(density,),
-                                         repetitions=REPS), out, workers=2)
-        for (w, mu_ts, den, rep), metrics in oracle_utils.sweep_runs(
-                out).items():
-            data.setdefault((mu_ts, den, w), {})[rep] = metrics
+        for run in run_sweep(RunConfig(), SweepSpec(
+                w_ts=w_grid, mu_ts=(mu,), density=(density,),
+                repetitions=REPS), out, workers=2):
+            data.setdefault((run["mu_ts"], run["density"], run["w_ts"]),
+                            {})[run["rep"]] = run
     return data
 
 
@@ -161,7 +161,8 @@ class TestCriterion04TieStrengthTrend:
     def test_selected_ts_nondecreasing_in_weight(self, trend_data):
         series = []
         for w in W_GRID_TREND:
-            values = [trend_data[(3.0, 200, w)][r]["ts"] for r in range(REPS)]
+            values = [trend_data[(3.0, 200, w)][r]["ts_time_mean"]
+                      for r in range(REPS)]
             series.append(mean_se(values))
         ok = True
         details = []
@@ -177,8 +178,8 @@ class TestCriterion04TieStrengthTrend:
 
 class TestCriterion05LossTradeoff:
     def test_pure_ts_selection_costs_loss(self, trend_data):
-        diffs = [trend_data[(3.0, 200, 1.0)][r]["loss"]
-                 - trend_data[(3.0, 200, 0.0)][r]["loss"]
+        diffs = [trend_data[(3.0, 200, 1.0)][r]["loss_fraction"]
+                 - trend_data[(3.0, 200, 0.0)][r]["loss_fraction"]
                  for r in range(REPS)]
         mean_diff = statistics.mean(diffs)
         sd = statistics.stdev(diffs)
@@ -202,7 +203,8 @@ class TestCriterion06LowInteractionFloor:
         sigma = RunConfig().social.sigma_ts
         bound = oracle_utils.norm_quantized_mean(1.0, sigma)
         values = {w: statistics.mean(
-            trend_data[(1.0, 100, w)][r]["ts"] for r in range(REPS))
+            trend_data[(1.0, 100, w)][r]["ts_time_mean"]
+            for r in range(REPS))
             for w in W_GRID_FULL}
         ok = all(v <= bound for v in values.values())
         detail = ", ".join(f"w={w}: {v:.3f}" for w, v in values.items())
@@ -217,7 +219,8 @@ class TestCriterion06LowInteractionFloor:
 class TestCriterion07HighInteractionCeiling:
     def test_selected_ts_stays_high(self, trend_data):
         values = {w: statistics.mean(
-            trend_data[(4.0, 200, w)][r]["ts"] for r in range(REPS))
+            trend_data[(4.0, 200, w)][r]["ts_time_mean"]
+            for r in range(REPS))
             for w in W_GRID_FULL}
         ok = all(v >= 3.5 for v in values.values())
         detail = ", ".join(f"w={w}: {v:.3f}" for w, v in values.items())
@@ -281,9 +284,9 @@ class TestCriterion10SanityEnvelope:
         ok = True
         details = []
         for density in (100, 200):
-            losses = [trend_data[(3.0, density, 0.0)][r]["loss"]
+            losses = [trend_data[(3.0, density, 0.0)][r]["loss_fraction"]
                       for r in range(REPS)]
-            delays = [trend_data[(3.0, density, 0.0)][r]["delay"]
+            delays = [trend_data[(3.0, density, 0.0)][r]["mean_delay_s"]
                       for r in range(REPS)]
             loss, delay = statistics.mean(losses), statistics.mean(delays)
             if not (0.05 <= loss <= 0.45 and 0.1 <= delay <= 3.0):
@@ -302,11 +305,11 @@ class TestPerformanceBudget:
                          repetitions=2)
         budget = 1800.0 * (2 / 280.0)
         start = time.monotonic()
-        table = run_sweep(RunConfig(), spec, str(tmp_path), workers=2)
+        runs = run_sweep(RunConfig(), spec, str(tmp_path), workers=2)
         elapsed = time.monotonic() - start
         ok = elapsed < budget
         report("performance budget", ok,
                f"2 full-scale runs in {elapsed:.1f} s "
                f"(budget {budget:.1f} s)")
-        assert len(table) == 1
+        assert [run["rep"] for run in runs] == [0, 1]
         assert ok

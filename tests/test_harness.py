@@ -15,6 +15,7 @@ import oracle_utils
 from manetsim import harness
 from manetsim.cli import main as cli_main
 from manetsim.config import ConfigError, RunConfig, load_config_file
+from manetsim.engine import add_up
 from manetsim.harness import (RESULT_FIELDS, SWEEP_FIELDS, SweepSpec,
                               aggregate_sweep, mean_ci, parse_sweep_table,
                               point_config, protocol_log_csv_text,
@@ -37,8 +38,8 @@ def tiny_sweep(tmp_path_factory):
     spec = SweepSpec(w_ts=(0.0, 1.0), mu_ts=(3.0,),
                      density=(100,), repetitions=2)
     base = tiny_config().replace(duration_s=10.0)
-    table = run_sweep(base, spec, str(out), workers=1)
-    return out, spec, base, table
+    runs = run_sweep(base, spec, str(out), workers=1)
+    return out, spec, base, runs
 
 
 class TestSeeds:
@@ -117,27 +118,32 @@ class TestResultCsv:
 
     def test_rows_are_the_result_fields(self, tmp_path):
         # the file's header and every row of the result are RESULT_FIELDS
-        # in order, and a sweep run's jitter and decodable fraction are
-        # the means of the flows' cells in its file
+        # in order; a sweep run's row names the run, then holds the 'all'
+        # row's cells, with the means of the flows' cells in the two that
+        # the 'all' row leaves empty
         config = tiny_config()
-        summary = harness._run_point((config, 0.2, 3.0, 100, 0,
-                                      str(tmp_path)))
+        run = harness._run_point((config, 0.2, 3.0, 100, 0, str(tmp_path)))
         path = (tmp_path / "runs" / "w0.2_mu3.0_den100"
                 / f"seed{config.master_seed}" / "result.csv")
         with path.open(encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            *flows, all_row = reader
-        assert tuple(reader.fieldnames) == RESULT_FIELDS
-        assert flows
-        for metric, column in (("jitter", "mean_jitter_s"),
-                               ("decodable", "decodable_gop_fraction")):
-            assert all_row[column] == ""
-            assert summary[metric] == (sum(float(f[column]) for f in flows)
-                                       / len(flows))
+            assert tuple(next(csv.reader(fh))) == RESULT_FIELDS
         result, _ = run_simulation(config)
-        assert len(result.flows) == len(flows)
+        assert result.flows
         for row in (*result.flows, result.total):
             assert tuple(row) == RESULT_FIELDS
+        assert tuple(run) == ("w_ts", "mu_ts", "density", "rep", "seed",
+                              "config_hash", *RESULT_FIELDS)
+        assert [run[k] for k in ("w_ts", "mu_ts", "density", "rep", "seed",
+                                 "config_hash")] == [
+            0.2, 3.0, 100, 0, config.master_seed, config.config_hash()]
+        for column in RESULT_FIELDS:
+            if column in ("mean_jitter_s", "decodable_gop_fraction"):
+                assert result.total[column] == ""
+                assert run[column] == (
+                    add_up(f[column] for f in result.flows)
+                    / len(result.flows))
+            else:
+                assert run[column] == result.total[column]
 
     def test_run_once_writes_files(self, tmp_path):
         out = tmp_path / "run"
@@ -171,9 +177,9 @@ class TestGoldenDigest:
         # figure data: the sweep path's bytes, pinned like the runs'
         spec = SweepSpec(w_ts=(0.0, 0.6), mu_ts=(2.0,),
                          density=(100,), repetitions=2)
-        table = run_sweep(RunConfig().replace(duration_s=20.0), spec,
-                          str(tmp_path), workers=1)
-        report = write_report(table, str(tmp_path / "report"))
+        runs = run_sweep(RunConfig().replace(duration_s=20.0), spec,
+                         str(tmp_path), workers=1)
+        report = write_report(aggregate_sweep(runs), str(tmp_path / "report"))
         files = [tmp_path / "manifest", tmp_path / "sweep_table.csv",
                  *map(Path, report)]
         digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -230,22 +236,27 @@ class TestSweep:
         assert sizes == [2, 1]
 
     def test_pool_writes_the_serial_bytes(self, tmp_path):
+        # and returns the serial rows: a run's row does not depend on the
+        # process that ran it
         spec = SweepSpec(w_ts=(0.0, 1.0), mu_ts=(3.0,),
                          density=(100,), repetitions=2)
         base = tiny_config().replace(duration_s=3.0)
-        outputs = []
+        outputs, runs = [], []
         for workers in (1, 2):
             out = tmp_path / f"workers{workers}"
-            run_sweep(base, spec, str(out), workers=workers)
+            runs.append(run_sweep(base, spec, str(out), workers=workers))
             outputs.append({str(path.relative_to(out)): path.read_bytes()
                             for path in out.rglob("*") if path.is_file()})
         assert "sweep_table.csv" in outputs[0] and "manifest" in outputs[0]
         assert len(outputs[0]) == 2 + 4 * 2  # table, manifest, 4 runs
         assert outputs[0] == outputs[1]
+        assert len(runs[0]) == 4
+        assert runs[0] == runs[1]
 
     def test_sweep_outputs(self, tiny_sweep):
-        out, spec, base, table = tiny_sweep
-        assert len(table) == 2  # 2 w_ts x 1 mu x 1 density
+        out, spec, base, runs = tiny_sweep
+        assert len(runs) == 4  # 2 w_ts x 1 mu x 1 density x 2 repetitions
+        assert len(aggregate_sweep(runs)) == 2
         assert (out / "sweep_table.csv").exists()
         assert (out / "manifest").exists()
         run_dirs = sorted((out / "runs").glob("*/*"))
@@ -254,9 +265,9 @@ class TestSweep:
             assert (d / "result.csv").exists()
 
     def test_table_round_trip(self, tiny_sweep):
-        out, _, _, table = tiny_sweep
+        out, _, _, runs = tiny_sweep
         text = (out / "sweep_table.csv").read_text()
-        assert parse_sweep_table(text) == table
+        assert parse_sweep_table(text) == aggregate_sweep(runs)
 
     def test_manifest_records_seeds_and_hashes(self, tiny_sweep):
         out, spec, base, _ = tiny_sweep
@@ -279,23 +290,34 @@ class TestSweep:
         assert len(set.union(*seeds.values())) == len(seeds) == 2
 
     def test_runs_equal_direct_simulations(self, tiny_sweep):
-        # the acceptance suite reads its trend data from sweep runs: each
-        # must be the run of point_config at the scenario seed, exactly
-        out, spec, base, _ = tiny_sweep
-        runs = oracle_utils.sweep_runs(str(out))
+        # the acceptance suite reads its trend data from the rows a sweep
+        # returns: each must be the run of point_config at the scenario
+        # seed, exactly, and the run its result.csv records
+        out, spec, base, runs = tiny_sweep
         assert len(runs) == 4
-        for (w, mu, den, rep), metrics in runs.items():
-            result, _ = run_simulation(point_config(
-                base, w, mu, den,
-                scenario_seed(base.master_seed, mu, den, rep)))
-            assert metrics == {"loss": result.pooled_loss,
-                               "delay": result.pooled_delay,
-                               "ts": result.ts_time_mean}
+        manifest = (out / "manifest").read_text().splitlines()[1:]
+        for run, line in zip(runs, manifest, strict=True):
+            w, mu, den, rep = (run[k]
+                               for k in ("w_ts", "mu_ts", "density", "rep"))
+            seed = scenario_seed(base.master_seed, mu, den, rep)
+            config = point_config(base, w, mu, den, seed)
+            result, _ = run_simulation(config)
+            flows = {c: add_up(f[c] for f in result.flows)
+                     / len(result.flows)
+                     for c in ("mean_jitter_s", "decodable_gop_fraction")}
+            assert run == {"w_ts": w, "mu_ts": mu, "density": den,
+                           "rep": rep, "seed": seed,
+                           "config_hash": config.config_hash(),
+                           **result.total, **flows}
+            assert line == f"{w},{mu},{den},{rep},{seed},{run['config_hash']}"
+            disk = (out / "runs" / f"w{w}_mu{mu}_den{den}" / f"seed{seed}"
+                    / "result.csv").read_text()
+            assert disk == result_csv_text(result)
 
     def test_aggregation_matches_recomputation(self, tiny_sweep):
-        out, _, _, table = tiny_sweep
+        out, _, _, runs = tiny_sweep
         # independent recomputation of one cell from the raw run files
-        row = table[0]
+        row = aggregate_sweep(runs)[0]
         point_dir = out / "runs" / f"w{row['w_ts']}_mu{row['mu_ts']}_den{row['density']}"
         losses = []
         for run_dir in sorted(point_dir.iterdir()):
@@ -352,14 +374,16 @@ class TestReport:
             row["loss_mean"] for row in self.synth_table()]
 
     def test_aggregate_sweep_groups_points(self):
-        rows = [{"w_ts": 0.0, "mu_ts": 1.0, "density": 100, "rep": r,
-                 "seed": r, "config_hash": "x", "loss": 0.1 * r, "delay": 0.5,
-                 "jitter": 0.1, "ts": 1.0, "decodable": 0.9}
+        runs = [{"w_ts": 0.0, "mu_ts": 1.0, "density": 100, "rep": r,
+                 "seed": r, "config_hash": "x", "loss_fraction": 0.1 * r,
+                 "mean_delay_s": 0.5, "mean_jitter_s": 0.1,
+                 "ts_time_mean": 1.0, "decodable_gop_fraction": 0.9}
                 for r in range(4)]
-        table = aggregate_sweep(rows)
+        table = aggregate_sweep(runs)
         assert len(table) == 1
         assert table[0]["repetitions"] == 4
         assert table[0]["loss_mean"] == pytest.approx(0.15)
+        assert table[0]["decodable_mean"] == pytest.approx(0.9)
 
 
 class TestCli:
@@ -418,14 +442,18 @@ class TestCli:
         assert list(fig_dir.glob("*.csv"))
 
     @pytest.mark.parametrize("case", ["short-row", "missing-column",
-                                      "header-only", "empty"])
+                                      "header-only", "empty", "bad-float",
+                                      "bad-int"])
     def test_report_rejects_what_is_not_a_sweep_table(self, tmp_path, capsys,
                                                       case):
         row = ["0.2", "3.0", "100", "2"] + ["0.5"] * (len(SWEEP_FIELDS) - 4)
         lines = {"short-row": [SWEEP_FIELDS, row, row[:-1]],
                  "missing-column": [SWEEP_FIELDS[:-1], row[:-1]],
                  "header-only": [SWEEP_FIELDS],
-                 "empty": []}[case]
+                 "empty": [],
+                 "bad-float": [SWEEP_FIELDS, row, [*row[:4], "abc", *row[5:]]],
+                 "bad-int": [SWEEP_FIELDS, row,
+                             [*row[:2], "100.5", *row[3:]]]}[case]
         sweep_dir = tmp_path / "sweep"
         sweep_dir.mkdir()
         (sweep_dir / "sweep_table.csv").write_text(
@@ -434,7 +462,14 @@ class TestCli:
         code = cli_main(["report", "--in", str(sweep_dir),
                          "--out", str(fig_dir)])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sweep_dir}/sweep_table.csv: ")
+        # a malformed cell is named by its line and column
+        cell = {"bad-float": "loss_mean: expected float, got 'abc'",
+                "bad-int": "density: expected int, got '100.5'"}
+        if case in cell:
+            assert err == (f"error: {sweep_dir}/sweep_table.csv: line 3: "
+                           f"{cell[case]}\n")
         assert not fig_dir.exists()
 
     def test_bad_config_reports_error(self, tmp_path, capsys):
@@ -951,14 +986,36 @@ class TestGridFile:
         assert not (out / "runs").exists()
 
     def test_int_and_float_values_name_the_same_runs(self):
+        # a spec built in Python is typed as a file's keys are
         ints = harness.load_grid("w_ts: [0, 1]\nmu_ts: [2]\ndensity: [100]\n")
         floats = harness.load_grid(
             "w_ts: [0.0, 1.0]\nmu_ts: [2.0]\ndensity: [100]\n")
-        assert ([scenario_seed(1, mu, den, 0) for _, mu, den in ints.points()]
-                == [scenario_seed(1, mu, den, 0)
-                    for _, mu, den in floats.points()])
-        assert list(map(repr, ints.points())) == [
-            "(0.0, 2.0, 100)", "(1.0, 2.0, 100)"]
+        built = SweepSpec(w_ts=[0, 1], mu_ts=(2,), density=(100,))
+        for spec in (ints, built):
+            assert ([scenario_seed(1, mu, den, 0)
+                     for _, mu, den in spec.points()]
+                    == [scenario_seed(1, mu, den, 0)
+                        for _, mu, den in floats.points()])
+            assert list(map(repr, spec.points())) == [
+                "(0.0, 2.0, 100)", "(1.0, 2.0, 100)"]
+        assert built == floats
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"w_ts": ()}, "grid w_ts: expected a non-empty list, got ()"),
+        ({"mu_ts": 3.0}, "grid mu_ts: expected a non-empty list, got 3.0"),
+        ({"mu_ts": (3, 3.0)}, "grid mu_ts: repeats a value: (3.0, 3.0)"),
+        ({"density": (100.0,)}, "grid density: expected int, got 100.0"),
+        ({"w_ts": (True,)}, "grid w_ts: expected float, got True"),
+        ({"repetitions": 2.0}, "grid repetitions: expected int, got 2.0"),
+    ], ids=["empty", "scalar", "repeated", "float-int", "bool",
+            "float-repetitions"])
+    def test_spec_built_in_python_is_checked_as_a_file(self, kwargs,
+                                                        message):
+        # an empty axis would run nothing and write a table that report
+        # rejects
+        with pytest.raises(ConfigError) as info:
+            SweepSpec(**kwargs)
+        assert str(info.value) == message
 
     def test_every_grid_key_sets_its_field(self):
         assert harness.load_grid(
