@@ -8,9 +8,10 @@ default; ``_KEYS`` maps it to its YAML section and name for both
 ``parse_config`` and ``dump_config``.  A nested section's keys are the init
 fields of its type, several of which live next to the code they configure
 (``RadioSpec``, ``VideoConfig``, ``CbrConfig``, ``CustomerRequest``) and are
-re-exported here.  Type checks happen while parsing;
-range and consistency checks live in the dataclasses' ``__post_init__``, so
-a configuration built in Python is checked the same way as a loaded file.
+re-exported here.  Type checks happen while parsing; ``RunConfig``'s
+``__post_init__`` checks each key against its range in ``_RANGES`` and then
+the rules that tie keys together, so a configuration built in Python is
+checked the same way as a loaded file.
 """
 
 from __future__ import annotations
@@ -43,32 +44,11 @@ class MobilityConfig:
     warmup_s: float = 300.0
     trace: str | None = None
 
-    def __post_init__(self):
-        # path qualification divides by max_speed_mps also when a trace
-        # moves the nodes, and a trace ignores warmup_s that the walk, built
-        # only once a run starts, would reject
-        if self.max_speed_mps <= 0:
-            raise ConfigError("max_speed_mps must be positive")
-        if self.warmup_s < 0:
-            raise ConfigError("warmup_s may not be negative")
-        # the walk would skip a negative pause without a word, and a
-        # fraction above 1 would draw speeds above max_speed_mps
-        if self.pause_s < 0:
-            raise ConfigError("pause_s may not be negative")
-        if not 0.0 <= self.min_speed_fraction <= 1.0:
-            raise ConfigError("min_speed_fraction must be in [0, 1]")
-
 
 @dataclass(frozen=True)
 class MacConfig:
     queue_capacity: int = DEFAULT_QUEUE_CAPACITY
     access_delay_s: float = 0.006  # per-hop channel-access latency at load 1
-
-    def __post_init__(self):
-        if self.queue_capacity < 1:
-            raise ConfigError("queue_capacity must be at least 1")
-        if self.access_delay_s < 0:
-            raise ConfigError("access_delay_s may not be negative")
 
 
 @dataclass(frozen=True)
@@ -77,9 +57,56 @@ class SocialConfig:
     sigma_ts: float = 1.0
     matrix: str | None = None
 
-    def __post_init__(self):
-        if self.sigma_ts <= 0:
-            raise ConfigError("sigma_ts must be positive")
+
+# The legal range of each key that is bounded on its own, by its YAML path,
+# in interval notation; RunConfig checks every key of the table.
+_RANGES = {
+    # the path loss takes any shorter distance as 1 m, and near zero width
+    # the waypoint walk's legs are too short to move its clock on
+    "area_width_m": "[1, inf)", "area_height_m": "[1, inf)",
+    "duration_s": "(0, inf)",
+    "flow_min_hops": "[1, inf)",  # below 1 no endpoint pair is checked
+    # path qualification divides by max_speed_mps also when a trace moves
+    # the nodes, and a trace ignores warmup_s that the walk, built only once
+    # a run starts, would reject; the walk would skip a negative pause
+    # without a word, and a fraction above 1 would draw speeds above
+    # max_speed_mps
+    "mobility.max_speed_mps": "(0, inf)", "mobility.warmup_s": "[0, inf)",
+    "mobility.pause_s": "[0, inf)", "mobility.min_speed_fraction": "[0, 1]",
+    # path loss must grow with distance, and the margin is divided by the
+    # corruption span
+    "radio.tx_range_m": "(0, inf)", "radio.path_loss_exponent": "(0, inf)",
+    "radio.nominal_bitrate_bps": "(0, inf)",
+    "radio.max_corruption_prob": "[0, 1]",
+    "radio.corruption_span_db": "(0, inf)",
+    "mac.queue_capacity": "[1, inf)", "mac.access_delay_s": "[0, inf)",
+    "video.flows": "[0, inf)", "video.fps": "(0, inf)",
+    "video.target_rate_bps": "(0, inf)",
+    # a negative sigma mirrors every size draw; zero gives constant sizes
+    "video.sigma_log": "[0, inf)",
+    "video.max_packet_bytes": "[1, inf)", "video.start_s": "[0, inf)",
+    "cbr.flows": "[0, inf)", "cbr.refresh_s": "(0, inf)",
+    "customer_request.bw_min_bps": "(0, inf)",
+    "customer_request.loss_max": "(0, 1]",
+    "customer_request.delay_max_s": "(0, inf)",
+    "customer_request.jitter_max_s": "(0, inf)",
+    "scoring.w_ts": "[0, 1]", "social.sigma_ts": "(0, inf)",
+    # below 1 no probe is sent, no path is found
+    "routing.ttl": "[1, inf)", "routing.max_paths": "[1, inf)",
+    "routing.pm_train": "[1, inf)", "routing.beacon_period_s": "(0, inf)",
+    # a negative size or delay would schedule an event in the past
+    "routing.beacon_bytes": "[0, inf)", "routing.pm_bytes": "[0, inf)",
+    "routing.pmr_bytes": "[0, inf)", "routing.pm_spacing_s": "[0, inf)",
+    # at zero every reply leaves at its train's first probe (loss
+    # 1 - 1/train)
+    "routing.probe_window_s": "(0, inf)",
+}
+
+
+def _within(value: float, interval: str) -> bool:
+    low, high = (float(end) for end in interval[1:-1].split(", "))
+    return ((low < value if interval[0] == "(" else low <= value)
+            and (value < high if interval[-1] == ")" else value <= high))
 
 
 @dataclass(frozen=True)
@@ -112,32 +139,26 @@ class RunConfig:
     beta_tune: float = 3.0
 
     def __post_init__(self):
-        # nan slips through every check below written as "reject if
-        # x <= bound", and an infinite duration_s never ends the walk
+        # a nan or infinite value fails as such whatever its key's range
+        # (an infinite duration_s never ends the walk); the rules below
+        # divide by fps, rate_bps and the speeds, so each key is in its
+        # range before they run
         for section, key, path in _KEYS:
             value = attrgetter(path)(self)
+            where = f"{section}.{key}" if section else key
             if isinstance(value, float) and not math.isfinite(value):
-                where = f"{section}.{key}" if section else key
                 raise ConfigError(f"{where} must be finite, got {value}")
-        if self.duration_s <= 0:
-            raise ConfigError("duration_s must be positive")
-        if not 0.0 <= self.w_ts <= 1.0:
-            raise ConfigError(f"w_ts={self.w_ts} outside [0, 1]")
-        if self.beacon_period_s <= 0:
-            raise ConfigError("beacon_period_s must be positive")
-        # below 1 no probe is sent, no endpoint pair is checked, no path is
-        # found
-        for name in ("pm_train", "flow_min_hops", "ttl", "max_paths"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
-        # a negative size or delay would schedule an event in the past
-        for name in ("beacon_bytes", "pm_bytes", "pmr_bytes", "pm_spacing_s"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} may not be negative")
-        # at zero every reply leaves at its train's first probe (loss
-        # 1 - 1/train)
-        if self.probe_window_s <= 0:
-            raise ConfigError("probe_window_s must be positive")
+            if where in _RANGES and not _within(value, _RANGES[where]):
+                raise ConfigError(
+                    f"{where} must be in {_RANGES[where]}, got {value}")
+        # without CBR flows the rate and packet size go unused
+        cbr = self.cbr
+        if cbr.flows and cbr.rate_bps <= 0:
+            raise ConfigError(f"cbr.rate_bps must be in (0, inf) with CBR "
+                              f"flows, got {cbr.rate_bps}")
+        if cbr.flows and cbr.packet_bytes < 1:
+            raise ConfigError(f"cbr.packet_bytes must be in [1, inf) with "
+                              f"CBR flows, got {cbr.packet_bytes}")
         # a reply the destination holds until the window closes is sent
         # after a decision due earlier, and never counts (at zero delay no
         # reply does, and no route is ever chosen)
@@ -166,15 +187,10 @@ class RunConfig:
         # each CBR packet is one event, and a source whose packets are due
         # faster than their air time at load 1 only overflows its queue
         bitrate = self.radio.nominal_bitrate_bps
-        if self.cbr.flows and self.cbr.rate_bps > bitrate:
-            raise ConfigError(f"cbr.rate_bps = {self.cbr.rate_bps} is above "
+        if cbr.flows and cbr.rate_bps > bitrate:
+            raise ConfigError(f"cbr.rate_bps = {cbr.rate_bps} is above "
                               f"radio.nominal_bitrate_bps = {bitrate}")
         self._check_event_rates()
-        # the path loss takes any shorter distance as 1 m, and near zero
-        # width the waypoint walk's legs are too short to move its clock on
-        if min(self.area_width_m, self.area_height_m) < 1.0:
-            raise ConfigError("area_width_m and area_height_m must be at "
-                              "least 1 m, the path-loss reference distance")
         # two distinct endpoints per flow; a tie-strength matrix needs two
         needed = max(2, 2 * (video.flows + self.cbr.flows))
         if self.nodes < needed:

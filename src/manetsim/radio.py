@@ -32,19 +32,6 @@ class RadioSpec:
     max_corruption_prob: float = 0.05
     corruption_span_db: float = 20.0
 
-    def __post_init__(self):
-        if self.tx_range_m <= 0:
-            raise ValueError("tx_range_m must be positive")
-        if self.path_loss_exponent <= 0:
-            raise ValueError("path_loss_exponent must be positive: path "
-                             "loss must grow with distance")
-        if self.nominal_bitrate_bps <= 0:
-            raise ValueError("nominal_bitrate_bps must be positive")
-        if not 0.0 <= self.max_corruption_prob <= 1.0:
-            raise ValueError("max_corruption_prob must be in [0, 1]")
-        if self.corruption_span_db <= 0:  # the margin is divided by it
-            raise ValueError("corruption_span_db must be positive")
-
     def path_loss(self, distance_m: float) -> float:
         """Log-distance path loss in dB, 1 m reference distance."""
         d = max(distance_m, 1.0)

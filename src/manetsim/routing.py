@@ -38,13 +38,6 @@ class CustomerRequest:
     delay_max_s: float = 2.0
     jitter_max_s: float = 1.0
 
-    def __post_init__(self):
-        if min(self.bw_min_bps, self.loss_max, self.delay_max_s,
-               self.jitter_max_s) <= 0:
-            raise ValueError("customer request bounds must be positive")
-        if self.loss_max > 1.0:
-            raise ValueError("loss_max is a fraction in (0, 1]")
-
 
 @dataclass(frozen=True)
 class PathQualification:

@@ -13,13 +13,19 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from manetsim.cli import main as cli_main
-from manetsim.config import (_KEYS, CbrConfig, ConfigError, MacConfig,
-                             RunConfig, VideoConfig, _field_type, dump_config,
-                             load_config, load_config_file, parse_config)
+from manetsim.config import (_KEYS, _RANGES, CbrConfig, ConfigError,
+                             MacConfig, RunConfig, VideoConfig, _field_type,
+                             dump_config, load_config, load_config_file,
+                             parse_config)
 from manetsim.harness import (point_config, protocol_log_csv_text,
                               result_csv_text)
 from manetsim.radio import RadioSpec
 from manetsim.simulation import SimulationRun, run_inputs, run_simulation
+
+
+def exact(message: str) -> str:
+    """A pattern that matches ``message`` and nothing longer."""
+    return f"^{re.escape(message)}$"
 
 
 class TestDefaults:
@@ -340,7 +346,8 @@ class TestValidation:
                                               "source within probe_window_s"):
             RunConfig(pm_train=17)
         RunConfig(area_width_m=1.0, area_height_m=1.0)
-        with pytest.raises(ConfigError, match="area_width_m and area_height_m"):
+        with pytest.raises(ConfigError, match=exact(
+                "area_width_m must be in [1, inf), got 0.9999999999999999")):
             RunConfig(area_width_m=math.nextafter(1.0, 0.0))
 
     @pytest.mark.parametrize("text, key", [
@@ -366,8 +373,23 @@ class TestValidation:
          "flow_min_hops: 1\nduration_s: 3.0\nmac: {access_delay_s: 0.0}\n"
          "routing: {pm_bytes: 0, pm_spacing_s: 0.0, pm_train: 2000}\n",
          "^pm_bytes = 0 and mac.access_delay_s = 0"),
-        ("routing: {ttl: 0}\n", "^ttl must be at least 1$"),
-        ("routing: {max_paths: 0}\n", "^max_paths must be at least 1$"),
+        ("routing: {ttl: 0}\n",
+         exact("routing.ttl must be in [1, inf), got 0")),
+        ("routing: {max_paths: 0}\n",
+         exact("routing.max_paths must be in [1, inf), got 0")),
+        # a range error names its key by its YAML path, not its section
+        ("customer_request: {jitter_max_s: 0}\n",
+         exact("customer_request.jitter_max_s must be in (0, inf), got 0.0")),
+        ("video: {target_rate_bps: 0}\n",
+         exact("video.target_rate_bps must be in (0, inf), got 0.0")),
+        ("video: {start_s: -1}\n",
+         exact("video.start_s must be in [0, inf), got -1.0")),
+        ("scoring: {w_ts: 2}\n",
+         exact("scoring.w_ts must be in [0, 1], got 2.0")),
+        # a negative sigma mirrors every lognormal size draw: 273 packets
+        # against 280 at 0.3 in a 10-node, 5 s run
+        ("video: {sigma_log: -0.3}\n",
+         exact("video.sigma_log must be in [0, inf), got -0.3")),
     ])
     def test_rejection_names_the_key(self, text, key):
         with pytest.raises(ConfigError, match=key):
@@ -386,15 +408,21 @@ class TestValidation:
             result, _ = run_simulation(config)
             assert result.total_generated > 0, text
 
+    # a section is checked as part of the RunConfig a run takes
     @pytest.mark.parametrize("cls, kwargs, match", [
-        (MacConfig, {"queue_capacity": 0}, "queue_capacity"),
+        (RunConfig, {"mac": MacConfig(queue_capacity=0)},
+         exact("mac.queue_capacity must be in [1, inf), got 0")),
         (VideoConfig, {"pattern": "BIP"}, "I frame"),
-        (CbrConfig, {"rate_bps": 0.0}, "rate"),
-        (CbrConfig, {"refresh_s": 0.0}, "refresh_s"),
+        (RunConfig, {"cbr": CbrConfig(rate_bps=0.0)},
+         exact("cbr.rate_bps must be in (0, inf) with CBR flows, got 0.0")),
+        (RunConfig, {"cbr": CbrConfig(refresh_s=0.0)},
+         exact("cbr.refresh_s must be in (0, inf), got 0.0")),
         (RunConfig, {"beacon_period_s": 0.0}, "beacon_period_s"),
         (RunConfig, {"beta_tune": 1.0}, "decision_delay_s"),
-        (RunConfig, {"ttl": 0}, "^ttl must be at least 1$"),
-        (RunConfig, {"max_paths": 0}, "^max_paths must be at least 1$"),
+        (RunConfig, {"ttl": 0},
+         exact("routing.ttl must be in [1, inf), got 0")),
+        (RunConfig, {"max_paths": 0},
+         exact("routing.max_paths must be in [1, inf), got 0")),
     ])
     def test_python_built_config_is_checked_too(self, cls, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -435,7 +463,7 @@ class TestRoundTrip:
 # any finite value.  ``nodes`` and ``duration_s`` are held to a small run,
 # so nothing past their upper ends is drawn.
 RANGES = {
-    "area_width_m": "(0, inf)", "area_height_m": "(0, inf)",
+    "area_width_m": "[1, inf)", "area_height_m": "[1, inf)",
     "nodes": "[2, 12]", "duration_s": "(0, 10]", "flow_min_hops": "[1, inf)",
     "mobility.max_speed_mps": "(0, inf)", "mobility.pause_s": "[0, inf)",
     "mobility.min_speed_fraction": "[0, 1]", "mobility.warmup_s": "[0, inf)",
@@ -445,8 +473,8 @@ RANGES = {
     "radio.corruption_span_db": "(0, inf)",
     "mac.queue_capacity": "[1, inf)", "mac.access_delay_s": "[0, inf)",
     "video.flows": "[0, inf)", "video.fps": "(0, inf)",
-    "video.target_rate_bps": "(0, inf)", "video.max_packet_bytes": "[1, inf)",
-    "video.start_s": "[0, inf)",
+    "video.target_rate_bps": "(0, inf)", "video.sigma_log": "[0, inf)",
+    "video.max_packet_bytes": "[1, inf)", "video.start_s": "[0, inf)",
     "cbr.flows": "[0, inf)", "cbr.rate_bps": "(0, inf)",
     "cbr.packet_bytes": "[1, inf)", "cbr.refresh_s": "(0, inf)",
     "customer_request.bw_min_bps": "(0, inf)",
@@ -608,6 +636,14 @@ def assert_runs_clean(config: RunConfig, run: SimulationRun) -> None:
 
 @pytest.mark.usefixtures("input_files")
 class TestBoundaryProperty:
+    def test_oracle_draws_the_edges_of_every_source_range(self):
+        # a key the oracle lacks is drawn from (-inf, inf), and the edges
+        # of its range in the source never; the oracle holds duration_s to
+        # a small run
+        for name, interval in _RANGES.items():
+            if name != "duration_s":
+                assert RANGES.get(name) == interval, name
+
     @given(config_texts())
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_a_config_is_rejected_by_name_or_runs_clean(self, drawn):

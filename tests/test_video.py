@@ -4,6 +4,7 @@ import random
 import pytest
 
 import oracle_utils
+from manetsim.config import ConfigError, RunConfig
 from manetsim.mac import AccessCategory, category_of
 from manetsim.packets import PacketClass
 from manetsim.simulation import FlowStats
@@ -234,8 +235,8 @@ class TestCbr:
         assert cbr.interval == pytest.approx(0.04)
 
     def test_zero_rate_rejected(self):
-        with pytest.raises(ValueError):
-            CbrConfig(rate_bps=0.0)
+        with pytest.raises(ConfigError, match="cbr.rate_bps"):
+            RunConfig(cbr=CbrConfig(rate_bps=0.0))
 
     def test_class_is_best_effort(self):
         from manetsim.packets import Packet
